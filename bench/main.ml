@@ -366,14 +366,11 @@ let write_file path s =
 let run_instrumented ~trace ~metrics ~psan ~psan_json =
   let psan_on = psan || psan_json <> None in
   if psan_on then Psan.enable ();
-  (match trace with
-  | Some _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ()
-  | None ->
-      (* metrics sites ride the trace gate; a Null sink turns them on
-         without retaining a single event *)
-      if metrics <> None then Ptelemetry.Trace.install_null ());
+  if trace <> None then Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ();
+  if trace <> None || metrics <> None then Ptelemetry.Metrics.install ();
   instrumented_workload ();
   Ptelemetry.Trace.uninstall ();
+  Ptelemetry.Metrics.uninstall ();
   (match trace with
   | None -> ()
   | Some path ->
@@ -609,7 +606,7 @@ let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
         | Some (stream, _) -> stream
         | None -> fst (snd (List.hd measured))
       in
-      Pprof.save_events path stream;
+      Ptelemetry.Probe.save path stream;
       Printf.printf "wrote %s\n" path);
   (match waste_json with
   | None -> ()
@@ -631,7 +628,7 @@ let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
       Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ();
       List.iter
         (fun (w : Engines.Waste.op_waste) ->
-          Pprof.emit_probe_events w.Engines.Waste.events;
+          Pprof.replay w.Engines.Waste.events;
           Pprof.emit_overlay w.Engines.Waste.report)
         rows;
       Ptelemetry.Trace.save_chrome path;
@@ -649,9 +646,8 @@ let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
 (* One crash/recover cycle on a fresh pool of the given size: populate,
    crash mid-transaction at a persist point, power-cycle, re-attach.
    Returns the simulated ns the attach (journal recovery + allocation
-   table scan) cost.  The per-phase breakdown rides the metrics
-   histograms [recovery.phase.*_ns], which the Null trace sink enables
-   without retaining events. *)
+   table scan) cost.  The per-phase breakdown also lands in the metrics
+   histograms [recovery.phase.*_ns]. *)
 let recovery_cycle ~size =
   let slot_size = max (64 * 1024) (min (1024 * 1024) (size / 32)) in
   let config = { Pool_impl.size; nslots = 4; slot_size } in
@@ -693,11 +689,10 @@ let pctl sorted q =
   | n -> sorted.(int_of_float (float_of_int (n - 1) *. q))
 
 let run_recovery_latency ~sizes ~repeats ~metrics_out ~max_p99 =
-  (* Metrics sites ride the trace gate; Null sink = histograms only.
-     With [repeats <= Metrics.exact_threshold] the reported percentiles
+  (* With [repeats <= Metrics.exact_threshold] the reported percentiles
      are exact nearest-rank values, not bucket floors. *)
   Ptelemetry.Metrics.reset ();
-  Ptelemetry.Trace.install_null ();
+  Ptelemetry.Metrics.install ();
   let failed = ref false in
   List.iter
     (fun size ->
@@ -732,7 +727,7 @@ let run_recovery_latency ~sizes ~repeats ~metrics_out ~max_p99 =
           Printf.printf "  FAIL: p99 %.0f ns exceeds bound %.0f ns\n" p99 bound
       | _ -> ())
     sizes;
-  Ptelemetry.Trace.uninstall ();
+  Ptelemetry.Metrics.uninstall ();
   (match metrics_out with
   | None -> ()
   | Some path ->
@@ -761,8 +756,7 @@ let run_alloc_scale ~domains ~txs ~metrics_out =
   let module P = Pool.Make () in
   P.create ~config ~latency:Pmem.Latency.zero ();
   ignore (P.root ~ty:Ptype.int ~init:(fun _ -> 0) ());
-  (* metrics sites ride the trace gate; Null sink = counters only *)
-  Ptelemetry.Trace.install_null ();
+  Ptelemetry.Metrics.install ();
   let worker d () =
     let ring = Array.make 64 (-1) in
     for i = 1 to txs do
@@ -777,7 +771,7 @@ let run_alloc_scale ~domains ~txs ~metrics_out =
   let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join ds;
   let dt = Unix.gettimeofday () -. t0 in
-  Ptelemetry.Trace.uninstall ();
+  Ptelemetry.Metrics.uninstall ();
   let stats = Palloc.Buddy.stripe_stats (Pool_impl.buddy (P.impl ())) in
   Printf.printf "alloc-scale: %d domains x %d txs in %.3f s (%.0f tx/s)\n\n"
     domains txs dt
@@ -892,13 +886,13 @@ let run_openloop ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed ~json
       seed = seed + (d * 1_000_003);
     }
   in
-  (* Telemetry on for the whole run: a per-domain sharded trace ring
-     (which also opens the metrics gate) so the exported artifacts
-     exercise the multicore registry and the tid-merged Chrome trace. *)
+  (* Telemetry on for the whole run: a per-domain sharded trace ring and
+     the metrics registry, so the exported artifacts exercise the
+     multicore registry and the tid-merged Chrome trace. *)
   Ptelemetry.Metrics.reset ();
   if trace_out <> None then
-    Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ~shards:domains ()
-  else if metrics_out <> None then Ptelemetry.Trace.install_null ();
+    Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ~shards:domains ();
+  if metrics_out <> None then Ptelemetry.Metrics.install ();
   let total = domains * ops in
   let done_ops = Atomic.make 0 in
   let live = Atomic.make domains in
@@ -941,6 +935,7 @@ let run_openloop ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed ~json
   if show_progress then Printf.eprintf "\r%s\r" (String.make 60 ' ');
   let dt = Unix.gettimeofday () -. t0 in
   Ptelemetry.Trace.uninstall ();
+  Ptelemetry.Metrics.uninstall ();
   let merged = Loadgen.merge_reports reports in
   Printf.printf
     "openloop: %d domains x %d ops, %s %.0f ops/s (zipf %.2f, %d keys), %.3f \

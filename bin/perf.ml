@@ -239,8 +239,11 @@ let main n size csv only trace metrics attr waste psan psan_json =
   (match csv with
   | Some p -> ( try Unix.mkdir (Filename.dirname p) 0o755 with _ -> ())
   | None -> ());
-  (* The waste capture owns the single-subscriber probe bus for its
-     measurement windows; run it before psan takes the bus. *)
+  let psan_on = psan || psan_json <> None in
+  if psan_on then Psan.enable ();
+  Option.iter (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 18) ())
+    trace;
+  if trace <> None || metrics <> None then Ptelemetry.Metrics.install ();
   if waste then begin
     let columns =
       List.map
@@ -250,17 +253,13 @@ let main n size csv only trace metrics attr waste psan psan_json =
     print_string (Engines.Waste.table columns);
     print_newline ()
   end;
-  let psan_on = psan || psan_json <> None in
-  if psan_on then Psan.enable ();
-  Option.iter (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 18) ())
-    trace;
-  if trace = None && metrics <> None then Ptelemetry.Trace.install_null ();
   run_all ~n ~size ~only csv;
   if attr then print_attribution (select only);
   (match trace with
   | None -> ()
   | Some path ->
       Ptelemetry.Trace.uninstall ();
+      Ptelemetry.Metrics.uninstall ();
       Ptelemetry.Trace.save_chrome path;
       write_file (path ^ ".metrics.json")
         (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
@@ -274,7 +273,7 @@ let main n size csv only trace metrics attr waste psan psan_json =
   | Some path ->
       write_file path
         (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      if trace = None then Ptelemetry.Trace.uninstall ();
+      Ptelemetry.Metrics.uninstall ();
       Printf.printf "wrote %s\n" path);
   if psan_on then begin
     Psan.disable ();

@@ -145,14 +145,9 @@ let run_info check json path =
         if not info.Corundum.Pool_inspect.magic_ok then
           Error "not a Corundum pool image"
         else begin
-          Ptelemetry.Trace.install_null ();
-          let r =
-            match Corundum.Pool_impl.attach dev with
-            | pool -> Ok (Corundum.Pool_impl.recovery_stats pool)
-            | exception Corundum.Pool_impl.Recovery_needed msg -> Error msg
-          in
-          Ptelemetry.Trace.uninstall ();
-          r
+          match Corundum.Pool_impl.attach dev with
+          | pool -> Ok (Corundum.Pool_impl.recovery_stats pool)
+          | exception Corundum.Pool_impl.Recovery_needed msg -> Error msg
         end
       in
       write_json out (info_json ~path info recovery);
@@ -406,6 +401,7 @@ let run_top probes path =
   (* Optane latencies so the tx.latency_ns histogram is meaningful. *)
   let dev = load ~latency:Pmem.Latency.optane path in
   Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ();
+  Ptelemetry.Metrics.install ();
   let pool =
     match Corundum.Pool_impl.attach dev with
     | pool -> pool
@@ -416,6 +412,7 @@ let run_top probes path =
   let module A = Engines.Attribution in
   let s = A.probe_summary ~probes pool in
   Ptelemetry.Trace.uninstall ();
+  Ptelemetry.Metrics.uninstall ();
   Printf.printf "probe workload: %d transactions on %s (in-memory; file untouched)\n\n"
     s.A.probe_txs path;
   Printf.printf "per-transaction attribution\n";

@@ -1,5 +1,5 @@
 (* pprof: offline persist-waste profiler over saved probe captures
-   (corundum-probe-v1 JSON, written by Pprof.save_events or the bench
+   (corundum-probe-v1 JSON, written by Ptelemetry.Probe.save or the bench
    --waste-capture path).
 
      pprof_cli report CAPTURE [--json FILE] [--chrome FILE]
@@ -23,7 +23,7 @@ let write_file path s =
   close_out oc
 
 let load path =
-  match Pprof.load_events path with
+  match Ptelemetry.Probe.load path with
   | evs -> evs
   | exception Sys_error msg ->
       Printf.eprintf "pprof: %s\n" msg;
@@ -45,7 +45,7 @@ let run_report capture json chrome =
   | None -> ()
   | Some path ->
       Tr.install_ring ~capacity:(1 lsl 18) ();
-      Pprof.emit_probe_events events;
+      Pprof.replay events;
       Pprof.emit_overlay r;
       Tr.save_chrome path;
       Tr.uninstall ();

@@ -66,8 +66,7 @@ let () =
   Option.iter
     (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ())
     trace_path;
-  if trace_path = None && metrics_path <> None then
-    Ptelemetry.Trace.install_null ();
+  if trace_path <> None || metrics_path <> None then Ptelemetry.Metrics.install ();
   P.create
     ~config:{ Pool_impl.size = 4 * 1024 * 1024; nslots = 2; slot_size = 64 * 1024 }
     ~path:"bank.pool" ();
@@ -117,6 +116,7 @@ let () =
   Option.iter
     (fun path ->
       Ptelemetry.Trace.uninstall ();
+      Ptelemetry.Metrics.uninstall ();
       Ptelemetry.Trace.save_chrome path;
       write_file (path ^ ".metrics.json")
         (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
@@ -129,7 +129,7 @@ let () =
     (fun path ->
       write_file path
         (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      if trace_path = None then Ptelemetry.Trace.uninstall ();
+      Ptelemetry.Metrics.uninstall ();
       Printf.printf "metrics written to %s\n" path)
     metrics_path;
   if psan_on then begin

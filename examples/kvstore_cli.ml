@@ -118,8 +118,7 @@ let () =
   Option.iter
     (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ())
     trace_path;
-  if trace_path = None && metrics_path <> None then
-    Ptelemetry.Trace.install_null ();
+  if metrics_path <> None then Ptelemetry.Metrics.install ();
   P.load_or_create "kvstore.pool";
   let root =
     P.root ~ty:root_ty
@@ -162,7 +161,7 @@ let () =
     (fun path ->
       write_file path
         (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      if trace_path = None then Ptelemetry.Trace.uninstall ();
+      Ptelemetry.Metrics.uninstall ();
       Printf.eprintf "metrics written to %s\n" path)
     metrics_path;
   if psan_on then begin

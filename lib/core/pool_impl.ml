@@ -10,22 +10,7 @@ module T = Palloc.Alloc_table
 module J = Pjournal.Journal_impl
 module GC = Pjournal.Group_commit
 module R = Pjournal.Recovery
-module Tr = Ptelemetry.Trace
-module Mx = Ptelemetry.Metrics
 module Pr = Ptelemetry.Probe
-
-let m_tx = Mx.counter "tx.count"
-let m_aborts = Mx.counter "tx.aborts"
-let m_recoveries = Mx.counter "recovery.count"
-let m_rolled_back = Mx.counter "recovery.rolled_back"
-let m_completed = Mx.counter "recovery.completed"
-let h_recovery_latency = Mx.histogram "recovery.latency_ns"
-let h_recovery_phase name = Mx.histogram ("recovery.phase." ^ name ^ "_ns")
-let h_tx_latency = Mx.histogram "tx.latency_ns"
-let h_tx_logged = Mx.histogram "tx.logged_bytes"
-let h_tx_flushes = Mx.histogram "tx.flushes"
-let h_tx_fences = Mx.histogram "tx.fences"
-let h_tx_undo = Mx.histogram "tx.undo_depth"
 
 (* On-media header layout. *)
 let header_size = 4096
@@ -279,10 +264,10 @@ let attach ?(mode = Read_write) dev =
   let heap_base = Int64.to_int (D.read_u64 dev hdr_heap_base) in
   let recovery =
     match mode with
-    | Read_only -> R.empty_stats
+    | Read_only -> None
     | Read_write ->
         let table = T.attach dev ~table_base ~heap_base ~heap_len in
-        let t0 = if Tr.on () then D.simulated_ns dev else 0.0 in
+        let t0 = D.simulated_ns dev in
         (* Recovery restores logged heap state outside any transaction —
            that is the protocol, not a violation, so the audit window is
            bracketed as exempt. *)
@@ -294,27 +279,7 @@ let attach ?(mode = Read_write) dev =
             (fun () ->
               R.recover dev table ~journal_base:header_size ~slot_size ~nslots)
         in
-        if Tr.on () then begin
-          Mx.incr m_recoveries;
-          Mx.incr ~by:r.R.rolled_back m_rolled_back;
-          Mx.incr ~by:r.R.completed m_completed;
-          List.iter
-            (fun (name, dur) ->
-              Mx.observe (h_recovery_phase name) (int_of_float dur))
-            r.R.phase_ns;
-          Tr.emit
-            ~args:
-              [
-                ("slots", string_of_int r.R.slots_scanned);
-                ("rolled_back", string_of_int r.R.rolled_back);
-                ("completed", string_of_int r.R.completed);
-                ("entries_skipped", string_of_int r.R.entries_skipped);
-              ]
-            ~cat:"pool" ~name:"recovery"
-            ~ph:(Tr.X (D.simulated_ns dev -. t0))
-            ~ts_ns:t0 ()
-        end;
-        r
+        Some (t0, r)
   in
   (* The buddy attach rescans the whole allocation table to rebuild its
      volatile free lists — the O(pool size) component of recovery
@@ -322,35 +287,31 @@ let attach ?(mode = Read_write) dev =
   let ts0 = D.simulated_ns dev in
   let buddy = B.attach ~stripes:nslots dev ~table_base ~heap_base ~heap_len in
   let recovery =
-    if mode <> Read_write then recovery
-    else begin
-      let ts1 = D.simulated_ns dev in
-      if Pr.on () then
-        Pr.emit
-          (Pr.Recovery_phase
-             {
-               dev = D.id dev;
-               phase = "table_scan";
-               ns = ts1;
-               dur_ns = ts1 -. ts0;
-             });
-      if Tr.on () then begin
-        Mx.observe (h_recovery_phase "table_scan") (int_of_float (ts1 -. ts0));
-        (* Total open-time recovery latency: journal recovery (walk,
+    match recovery with
+    | None -> R.empty_stats
+    | Some (t0, r) ->
+        let ts1 = D.simulated_ns dev in
+        (* The open-time recovery summary: journal recovery (walk,
            rollback, drops, remark, truncate across all slots) plus the
            table rescan. *)
-        let journal_ns =
-          List.fold_left (fun a (_, d) -> a +. d) 0.0 recovery.R.phase_ns
-        in
-        Mx.observe h_recovery_latency
-          (int_of_float (journal_ns +. (ts1 -. ts0)))
-      end;
-      {
-        recovery with
-        R.phase_ns =
-          R.add_phase "table_scan" (ts1 -. ts0) recovery.R.phase_ns;
-      }
-    end
+        if Pr.on () then begin
+          let dev = D.id dev in
+          Pr.emit
+            (Pr.Recovery_phase
+               { dev; phase = "table_scan"; ns = ts1; dur_ns = ts1 -. ts0 });
+          Pr.emit
+            (Pr.Recovery
+               {
+                 dev;
+                 ns = ts1;
+                 dur_ns = ts1 -. t0;
+                 slots = r.R.slots_scanned;
+                 rolled_back = r.R.rolled_back;
+                 completed = r.R.completed;
+                 entries_skipped = r.R.entries_skipped;
+               })
+        end;
+        { r with R.phase_ns = R.add_phase "table_scan" (ts1 -. ts0) r.R.phase_ns }
   in
   (* CoW root cells: resolve any pending intent (roll the interrupted
      mod-engine transaction forward or back).  Runs after the buddy
@@ -618,67 +579,32 @@ let transaction t f =
       Hashtbl.replace t.txs did tx;
       Mutex.unlock t.txs_lock;
       if Pr.on () then
-        Pr.emit (Pr.Tx_begin { dev = D.id t.dev; ns = D.simulated_ns t.dev });
-      (* The probe outcome event after each finisher; [simulated_ns] is a
-         pure counter fold, safe even on a crashed device. *)
-      let probe_end outcome =
+        Pr.emit
+          (Pr.Tx_begin { dev = D.id t.dev; ns = D.simulated_ns t.dev; slot = slot_idx });
+      (* The probe outcome event after each finisher carries the
+         transaction's logging attribution; [simulated_ns] is a pure
+         counter fold, safe even on a crashed device. *)
+      let probe_end outcome ~undo_depth =
         if Pr.on () then
           Pr.emit
-            (Pr.Tx_end { dev = D.id t.dev; outcome; ns = D.simulated_ns t.dev })
-      in
-      (* Telemetry brackets the outermost transaction: an instant at
-         begin and one complete ("X") span at the end whose args carry
-         the per-transaction flush/fence/logging attribution, derived
-         from device-counter deltas so tracing itself never perturbs the
-         simulated clock. *)
-      let tr = Tr.on () in
-      let t0 = if tr then D.simulated_ns t.dev else 0.0 in
-      let s0 = if tr then Some (D.stats t.dev) else None in
-      if tr then
-        Tr.emit
-          ~args:[ ("slot", string_of_int slot_idx) ]
-          ~cat:"pool" ~name:"tx_begin" ~ph:Tr.I ~ts_ns:t0 ();
-      let note outcome ~undo_depth =
-        if tr then begin
-          let t1 = D.simulated_ns t.dev in
-          let s1 = D.stats t.dev and s0 = Option.get s0 in
-          let flushes = s1.D.flush_calls - s0.D.flush_calls in
-          let fences = s1.D.fences - s0.D.fences in
-          let logged = J.tx_logged_bytes jrnl in
-          Mx.incr m_tx;
-          if outcome = "abort" then Mx.incr m_aborts;
-          if outcome <> "crash" then begin
-            Mx.observe h_tx_latency (int_of_float (t1 -. t0));
-            Mx.observe h_tx_logged logged;
-            Mx.observe h_tx_flushes flushes;
-            Mx.observe h_tx_fences fences;
-            Mx.observe h_tx_undo undo_depth
-          end;
-          Tr.emit
-            ~args:
-              [
-                ("outcome", outcome);
-                ("flushes", string_of_int flushes);
-                ("fences", string_of_int fences);
-                ("logged_bytes", string_of_int logged);
-                ("undo_depth", string_of_int undo_depth);
-              ]
-            ~cat:"pool" ~name:"tx"
-            ~ph:(Tr.X (t1 -. t0))
-            ~ts_ns:t0 ()
-        end
+            (Pr.Tx_end
+               {
+                 dev = D.id t.dev;
+                 outcome;
+                 ns = D.simulated_ns t.dev;
+                 logged_bytes = J.tx_logged_bytes jrnl;
+                 undo_depth;
+               })
       in
       (match f tx with
       | result ->
           let undo_depth = J.entry_count jrnl in
           finish_commit tx;
-          probe_end Pr.Commit;
-          note "commit" ~undo_depth;
+          probe_end Pr.Commit ~undo_depth;
           result
       | exception D.Crashed ->
           finish_crashed tx;
-          probe_end Pr.Crash;
-          note "crash" ~undo_depth:(J.entry_count jrnl);
+          probe_end Pr.Crash ~undo_depth:(J.entry_count jrnl);
           raise D.Crashed
       | exception e ->
           let undo_depth = J.entry_count jrnl in
@@ -686,11 +612,9 @@ let transaction t f =
           | () -> ()
           | exception D.Crashed ->
               finish_crashed tx;
-              probe_end Pr.Crash;
-              note "crash" ~undo_depth;
+              probe_end Pr.Crash ~undo_depth;
               raise D.Crashed);
-          probe_end Pr.Abort;
-          note "abort" ~undo_depth;
+          probe_end Pr.Abort ~undo_depth;
           raise e)
 
 (* {1 Logged heap operations} *)

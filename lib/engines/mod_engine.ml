@@ -141,8 +141,10 @@ let alloc tx n =
   let off = B.offset_of_reservation b r in
   let size = B.size_of_order r.B.r_order in
   tx.px.resvs <- (r, off, size) :: tx.px.resvs;
-  if Pr.on () then
-    Pr.emit (Pr.Alloc { dev = D.id (P.device tx.eng.pool); off; len = size });
+  if Pr.on () then begin
+    let dev = P.device tx.eng.pool in
+    Pr.emit (Pr.Alloc { dev = D.id dev; off; len = size; entry = 0; ns = D.simulated_ns dev })
+  end;
   off
 
 let free tx off =
@@ -214,13 +216,18 @@ let commit t px =
          commit point (they land after it, replayable from the intent). *)
       if Pr.on () then
         List.iter
-          (fun (addr, _, _) -> Pr.emit (Pr.Log { dev = devid; off = addr; len = 8 }))
+          (fun (addr, _, _) ->
+            Pr.emit
+              (Pr.Log { dev = devid; off = addr; len = 8; entry = 0; ns = D.simulated_ns dev }))
           pubs;
       (if R.inline_ok it then R.write_intent cell dev it
        else begin
          let sr = B.reserve b (R.spill_bytes it) in
          px.spill <- Some sr;
          let soff = B.offset_of_reservation b sr in
+         (* unreachable until the intent cell points at it: shadow state *)
+         if Pr.on () then
+           Pr.emit (Pr.Cow_shadow { dev = devid; off = soff; len = R.spill_bytes it });
          let crc = R.write_spill cell dev ~off:soff it in
          D.flush dev soff (R.spill_bytes it);
          R.write_intent_spilled cell dev ~spill_off:soff
@@ -331,12 +338,13 @@ let transaction t f =
       let dev = P.device t.pool in
       let devid = D.id dev in
       if Pr.on () then
-        Pr.emit (Pr.Tx_begin { dev = devid; ns = D.simulated_ns dev });
+        Pr.emit (Pr.Tx_begin { dev = devid; ns = D.simulated_ns dev; slot = 0 });
       let finish outcome =
         Hashtbl.remove t.open_txs dom;
         if Pr.on () then
           Pr.emit
-            (Pr.Tx_end { dev = devid; outcome; ns = D.simulated_ns dev });
+            (Pr.Tx_end
+               { dev = devid; outcome; ns = D.simulated_ns dev; logged_bytes = 0; undo_depth = 0 });
         Mutex.unlock t.mu
       in
       (match

@@ -14,9 +14,10 @@ type op_waste = {
    analyzer's shadow state but is neither counted nor attributed. *)
 let measure_capture ?(size = 16 * 1024 * 1024) ?(ops = 64)
     (module E : Engine_sig.S) =
-  Pprof.Capture.start ();
+  let r = Pr.Recorder.start () in
+  let cut () = List.map snd (Pr.Recorder.cut r) in
   Fun.protect
-    ~finally:(fun () -> if Pprof.Capture.active () then ignore (Pprof.Capture.stop ()))
+    ~finally:(fun () -> ignore (Pr.Recorder.stop r))
     (fun () ->
       let t = E.create ~size () in
       let root =
@@ -25,12 +26,12 @@ let measure_capture ?(size = 16 * 1024 * 1024) ?(ops = 64)
             E.set_root tx r;
             r)
       in
-      let prelude = ref (Pprof.Capture.cut ()) in
+      let prelude = ref (cut ()) in
       let window op f =
         for i = 1 to ops do
           f i
         done;
-        let events = Pprof.Capture.cut () in
+        let events = cut () in
         let report = Pprof.analyze ~label:op ~prelude:!prelude events in
         prelude := !prelude @ events;
         { op; ops; events; report }

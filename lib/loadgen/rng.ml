@@ -23,11 +23,14 @@ let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to stay exactly uniform. *)
-  let limit = (1 lsl 62) - ((1 lsl 62) mod bound) in
+  (* Rejection sampling to stay exactly uniform: a draw is kept unless
+     its block of [bound] consecutive values runs past [max_int] (the
+     sum then wraps negative) — only the last, partial block is
+     rejected. *)
   let rec go () =
     let v = next t in
-    if v < limit then v mod bound else go ()
+    let r = v mod bound in
+    if v - r + (bound - 1) < 0 then go () else r
   in
   go ()
 

@@ -1,15 +1,7 @@
 exception Out_of_pmem
 exception Invalid_free of int
 
-module Tr = Ptelemetry.Trace
-module Mx = Ptelemetry.Metrics
-
-let m_allocs = Mx.counter "alloc.count"
-let m_frees = Mx.counter "free.count"
-let m_steals = Mx.counter "alloc.steals"
-let m_contended = Mx.counter "stripe.contended"
-let h_alloc_size = Mx.histogram "alloc.size"
-let h_free_size = Mx.histogram "free.size"
+module Pr = Ptelemetry.Probe
 
 type reservation = { r_idx : int; r_order : int }
 
@@ -90,7 +82,6 @@ let used_bytes t = capacity t - free_bytes t
 let locked s f =
   if not (Mutex.try_lock s.lock) then begin
     Atomic.incr s.contended;
-    Mx.incr m_contended;
     Mutex.lock s.lock
   end;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
@@ -303,10 +294,7 @@ let reserve ?(hint = 0) t size =
       let s = t.stripes.((hint + i) mod n) in
       match reserve_in t s order with
       | Some r ->
-          if i > 0 then begin
-            Atomic.incr s.steals;
-            Mx.incr m_steals
-          end;
+          if i > 0 then Atomic.incr s.steals;
           r
       | None -> try_stripe (i + 1)
     end
@@ -317,36 +305,26 @@ let cancel t r =
   let s = t.stripes.(stripe_of t r.r_idx) in
   locked s (fun () -> insert_merged t s r.r_idx r.r_order)
 
-type op = Alloc | Free
+(* One probe event per committed allocation / completed free, sized by
+   the rounded block the heap actually loses or regains. *)
+let probe_block t ~free ~off ~len =
+  let d = dev t in
+  let dev = Pmem.Device.id d and ns = Pmem.Device.simulated_ns d in
+  Pr.emit
+    (if free then Pr.Block_free { dev; off; len; ns } else Pr.Block_alloc { dev; off; len; ns })
 
-(* One instant event per committed allocation / completed free; metric
-   sizes are the rounded block sizes the heap actually loses or regains. *)
-let note t op ~off ~bytes =
-  let counter, histo, name =
-    match op with
-    | Alloc -> (m_allocs, h_alloc_size, "alloc")
-    | Free -> (m_frees, h_free_size, "free")
-  in
-  Mx.incr counter;
-  Mx.observe histo bytes;
-  Tr.emit
-    ~args:[ ("off", string_of_int off); ("bytes", string_of_int bytes) ]
-    ~cat:"palloc" ~name ~ph:Tr.I
-    ~ts_ns:(Pmem.Device.simulated_ns (dev t)) ()
+let probe_alloc t r =
+  probe_block t ~free:false
+    ~off:(Alloc_table.offset_of_index t.table r.r_idx)
+    ~len:(size_of_order r.r_order)
 
 let commit t r =
   Alloc_table.mark t.table ~idx:r.r_idx ~order:r.r_order;
-  if Tr.on () then
-    note t Alloc
-      ~off:(Alloc_table.offset_of_index t.table r.r_idx)
-      ~bytes:(size_of_order r.r_order)
+  if Pr.on () then probe_alloc t r
 
 let commit_durable t r =
   Alloc_table.mark_durable t.table ~idx:r.r_idx ~order:r.r_order;
-  if Tr.on () then
-    note t Alloc
-      ~off:(Alloc_table.offset_of_index t.table r.r_idx)
-      ~bytes:(size_of_order r.r_order)
+  if Pr.on () then probe_alloc t r
 
 let offset_of_reservation t r = Alloc_table.offset_of_index t.table r.r_idx
 let mark_line t r = Alloc_table.entry_line t.table r.r_idx
@@ -373,7 +351,7 @@ let release t off ~missing_ok ~durable =
       else Alloc_table.clear t.table ~idx;
       let s = t.stripes.(stripe_of t idx) in
       locked s (fun () -> insert_merged t s idx order);
-      if Tr.on () then note t Free ~off ~bytes:(size_of_order order)
+      if Pr.on () then probe_block t ~free:true ~off ~len:(size_of_order order)
 
 let dealloc ?(durable = true) t off = release t off ~missing_ok:false ~durable
 

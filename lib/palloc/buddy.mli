@@ -135,6 +135,5 @@ type stripe_stats = {
 }
 
 val stripe_stats : t -> stripe_stats array
-(** Per-stripe snapshot for [pool_info heap] and the alloc-scale bench;
-    steal/contention totals are also exported as the [alloc.steals] and
-    [stripe.contended] telemetry counters. *)
+(** Per-stripe snapshot for [pool_info heap] and the alloc-scale bench
+    — the only place steal/contention totals are reported. *)

@@ -26,12 +26,7 @@
    slot back independently.  A pool reopen builds a fresh combiner. *)
 
 module D = Pmem.Device
-module Tr = Ptelemetry.Trace
-module Mx = Ptelemetry.Metrics
-
-let m_epochs = Mx.counter "group_commit.epochs"
-let m_group_commits = Mx.counter "group_commit.commits"
-let h_occupancy = Mx.histogram "group_commit.occupancy"
+module Pr = Ptelemetry.Probe
 
 (* Flush a set of 64-byte line indexes: one flush call per contiguous
    run.  Runs are never merged across a gap — a clean line between two
@@ -217,11 +212,7 @@ let commit t ~lines =
     | None -> t.completed <- e);
     Condition.broadcast t.cond;
     Mutex.unlock t.lock;
-    if Tr.on () then begin
-      Mx.incr m_epochs;
-      Mx.incr ~by:n m_group_commits;
-      Mx.observe h_occupancy n
-    end;
+    if Pr.on () then Pr.emit (Pr.Epoch { dev = D.id t.dev; members = n });
     match failure with Some exn -> raise exn | None -> ()
   end
   else begin

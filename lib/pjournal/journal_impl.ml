@@ -2,8 +2,6 @@ exception Journal_full
 exception Not_in_transaction
 
 module D = Pmem.Device
-module Tr = Ptelemetry.Trace
-module Mx = Ptelemetry.Metrics
 module Pr = Ptelemetry.Probe
 
 (* Fault-injection knobs for the sanitizer's positive controls
@@ -32,10 +30,6 @@ let dup_commit_fence = ref false
 let set_fault_duplication ~flush ~fence =
   dup_commit_flush := flush;
   dup_commit_fence := fence
-
-let m_entries = Mx.counter "journal.entries"
-let m_spills = Mx.counter "journal.spills"
-let h_entry_bytes = Mx.histogram "journal.entry_bytes"
 
 (* Header field offsets within a slot: phase, advisory undo entry count,
    drop count, head of the spill chain, and the truncation epoch that
@@ -182,21 +176,13 @@ let extend_unsealed t ~lo ~hi =
     | None -> Some (lo, hi)
     | Some (l, h) -> Some (min l lo, max h hi))
 
-let seal_entry t ~kind ~at ~len =
+let seal_entry t ~at ~len =
   D.write_u64 t.dev (at + len) 0L;
   if t.defer_seals then
     extend_unsealed t ~lo:at ~hi:(at + len + Log_entry.terminator_size)
   else D.persist t.dev at (len + Log_entry.terminator_size);
   t.count <- t.count + 1;
-  t.tx_logged <- t.tx_logged + len;
-  if Tr.on () then begin
-    Mx.incr m_entries;
-    Mx.observe h_entry_bytes len;
-    Tr.emit
-      ~args:[ ("kind", kind); ("at", string_of_int at); ("len", string_of_int len) ]
-      ~cat:"journal" ~name:"log_entry" ~ph:Tr.I
-      ~ts_ns:(D.simulated_ns t.dev) ()
-  end
+  t.tx_logged <- t.tx_logged + len
 
 (* Chain a fresh spill region big enough for [need] entry bytes.  The
    ordering makes every intermediate state recoverable: the region's own
@@ -219,7 +205,8 @@ let add_spill t need =
   (* Declared before the first header store: from here on, writes into
      [off, off+actual) are journal protocol, not user data. *)
   if Pr.on () then
-    Pr.emit (Pr.Region_reserve { dev = D.id t.dev; off; len = actual });
+    Pr.emit
+      (Pr.Region_reserve { dev = D.id t.dev; off; len = actual; ns = D.simulated_ns t.dev });
   D.write_u64 t.dev off 0L;
   D.write_u64 t.dev (off + 8) (Int64.of_int actual);
   D.write_u64 t.dev (off + Log_entry.spill_header) 0L;
@@ -233,14 +220,7 @@ let add_spill t need =
   t.spills <- off :: t.spills;
   t.last_region <- off;
   t.cursor <- off + Log_entry.spill_header;
-  t.cur_limit <- off + actual;
-  if Tr.on () then begin
-    Mx.incr m_spills;
-    Tr.emit
-      ~args:[ ("off", string_of_int off); ("bytes", string_of_int actual) ]
-      ~cat:"journal" ~name:"spill" ~ph:Tr.I
-      ~ts_ns:(D.simulated_ns t.dev) ()
-  end
+  t.cur_limit <- off + actual
 
 (* Make any deferred entry bytes durable: one flush over the contiguous
    log-tail run, one fence.  No-op unless seals were deferred. *)
@@ -289,10 +269,11 @@ let append_data t ~off ~len =
   let at = t.cursor in
   Log_entry.write_data t.dev ~salt:t.salt ~at ~off ~len;
   t.cursor <- t.cursor + need;
-  seal_entry t ~kind:"data" ~at ~len:need;
+  seal_entry t ~at ~len:need;
   mark_covered_lines t ~off ~len;
   t.targets <- (off, len) :: t.targets;
-  if Pr.on () then Pr.emit (Pr.Log { dev = D.id t.dev; off; len })
+  if Pr.on () then
+    Pr.emit (Pr.Log { dev = D.id t.dev; off; len; entry = need; ns = D.simulated_ns t.dev })
 
 let data_log t ~off ~len =
   require_active t;
@@ -323,7 +304,7 @@ let alloc t bytes =
      Log_entry.write_alloc t.dev ~salt:t.salt ~at ~off
        ~order:(r : Palloc.Buddy.reservation).r_order;
      t.cursor <- t.cursor + need;
-     seal_entry t ~kind:"alloc" ~at ~len:need
+     seal_entry t ~at ~len:need
    with
   | () -> ()
   | exception e ->
@@ -341,6 +322,8 @@ let alloc t bytes =
            dev = D.id t.dev;
            off;
            len = Palloc.Buddy.size_of_order (r : Palloc.Buddy.reservation).r_order;
+           entry = Log_entry.alloc_entry_size;
+           ns = D.simulated_ns t.dev;
          });
   off
 

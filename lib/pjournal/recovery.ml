@@ -152,9 +152,11 @@ let spill_chain_or_empty dev ~slot_base =
    ([ordered]), the log invalidation must be durable before the phase
    word returns to 0: the deferred frees were already applied, and a
    torn truncate showing phase=0 beside a still-walkable log would make
-   a re-run roll back the committed transaction.  Elsewhere one batched
-   persist suffices (the phase word is 0 on both sides).  Re-running
-   after a crash mid-recovery always converges. *)
+   a re-run roll back the committed transaction.  Elsewhere the epoch
+   line lands before the terminator: a log that looks empty with
+   salt-valid drop slots would make a re-run re-mark a rolled-back
+   transaction's reverted allocations (a leak).  Re-running after a
+   crash mid-recovery always converges. *)
 let truncate ?(ordered = false) dev table ~base =
   (match spill_chain_or_empty dev ~slot_base:base with
   | [] -> ()
@@ -172,7 +174,8 @@ let truncate ?(ordered = false) dev table ~base =
    end
    else begin
      D.write_u64 dev (base + 0) 0L (* phase *);
-     D.persist dev base (hdr_size + Log_entry.terminator_size)
+     D.persist dev base hdr_size;
+     D.persist dev (base + hdr_size) Log_entry.terminator_size
    end);
   if Pr.on () then
     Pr.emit

@@ -143,25 +143,15 @@ let charge_alloc_steps (t : t) n = ignore (Atomic.fetch_and_add t.alloc_steps n)
 
 (* {1 Telemetry}
 
-   Emission sites fire only when a trace subscriber is installed
-   (one atomic load + branch otherwise) and never touch the stat
-   counters, so instrumentation cannot move the simulated clock. *)
+   Probe events fire only when a subscriber is present (one atomic load
+   + branch otherwise, and no event construction) and never touch the
+   stat counters: [simulated_ns] is a pure fold over them, so reading
+   it for the event payload cannot move the clock. *)
 
-module Tr = Ptelemetry.Trace
 module Pr = Ptelemetry.Probe
 
-(* Semantic probe for online auditors (psan): same gate discipline as
-   [Tr] — one atomic load and no event construction when nothing is
-   subscribed.  [simulated_ns] is a pure fold over the stat counters,
-   so reading it for the event payload cannot move the clock. *)
 let probe_store t off len =
   Pr.emit (Pr.Store { dev = t.id; off; len; ns = simulated_ns t })
-
-(* Per-access events are behind the [`All] detail level — they flood. *)
-let emit_access t name off len =
-  Tr.emit
-    ~args:[ ("off", string_of_int off); ("len", string_of_int len) ]
-    ~cat:"device" ~name ~ph:Tr.I ~ts_ns:(simulated_ns t) ()
 
 (* Mark every line intersecting [off, off+len) as dirtied by a store. *)
 let mark_dirty t off len =
@@ -179,28 +169,24 @@ let read_u8 t off =
   check_alive t;
   check_range t off 1 "read_u8";
   Atomic.incr t.loads;
-  if Tr.verbose () then emit_access t "load" off 1;
   Char.code (Bytes.unsafe_get t.view off)
 
 let read_u32 t off =
   check_alive t;
   check_range t off 4 "read_u32";
   Atomic.incr t.loads;
-  if Tr.verbose () then emit_access t "load" off 4;
   Int32.to_int (Bytes.get_int32_le t.view off) land 0xFFFFFFFF
 
 let read_u64 t off =
   check_alive t;
   check_range t off 8 "read_u64";
   Atomic.incr t.loads;
-  if Tr.verbose () then emit_access t "load" off 8;
   Bytes.get_int64_le t.view off
 
 let read_bytes t off len =
   check_alive t;
   check_range t off len "read_bytes";
   Atomic.incr t.loads;
-  if Tr.verbose () then emit_access t "load" off len;
   Bytes.sub t.view off len
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
@@ -213,8 +199,7 @@ let write_u8 t off v =
   Atomic.incr t.stores;
   Bytes.unsafe_set t.view off (Char.unsafe_chr (v land 0xFF));
   mark_dirty t off 1;
-  if Pr.on () then probe_store t off 1;
-  if Tr.verbose () then emit_access t "store" off 1
+  if Pr.on () then probe_store t off 1
 
 let write_u32 t off v =
   check_alive t;
@@ -222,8 +207,7 @@ let write_u32 t off v =
   Atomic.incr t.stores;
   Bytes.set_int32_le t.view off (Int32.of_int v);
   mark_dirty t off 4;
-  if Pr.on () then probe_store t off 4;
-  if Tr.verbose () then emit_access t "store" off 4
+  if Pr.on () then probe_store t off 4
 
 let write_u64 t off v =
   check_alive t;
@@ -231,8 +215,7 @@ let write_u64 t off v =
   Atomic.incr t.stores;
   Bytes.set_int64_le t.view off v;
   mark_dirty t off 8;
-  if Pr.on () then probe_store t off 8;
-  if Tr.verbose () then emit_access t "store" off 8
+  if Pr.on () then probe_store t off 8
 
 let write_bytes t off b =
   check_alive t;
@@ -242,8 +225,7 @@ let write_bytes t off b =
     Atomic.incr t.stores;
     Bytes.blit b 0 t.view off len;
     mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    if Pr.on () then probe_store t off len
   end
 
 let write_string t off s =
@@ -254,8 +236,7 @@ let write_string t off s =
     Atomic.incr t.stores;
     Bytes.blit_string s 0 t.view off len;
     mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    if Pr.on () then probe_store t off len
   end
 
 let fill t off len c =
@@ -265,8 +246,7 @@ let fill t off len c =
     Atomic.incr t.stores;
     Bytes.fill t.view off len c;
     mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    if Pr.on () then probe_store t off len
   end
 
 let copy_within t ~src ~dst ~len =
@@ -278,8 +258,7 @@ let copy_within t ~src ~dst ~len =
     Atomic.incr t.stores;
     Bytes.blit t.view src t.view dst len;
     mark_dirty t dst len;
-    if Pr.on () then probe_store t dst len;
-    if Tr.verbose () then emit_access t "copy" dst len
+    if Pr.on () then probe_store t dst len
   end
 
 (* {1 Persist points and crash scheduling} *)
@@ -342,17 +321,12 @@ let flush t off len =
       | _ -> ()
     done;
     Mutex.unlock t.lock;
-    if Pr.on () then Pr.emit (Pr.Flush { dev = t.id; off; len; ns = simulated_ns t });
-    if Tr.on () then begin
-      let lines = last - first + 1 and m = t.latency in
-      let dur =
-        m.Latency.flush_ns
-        +. (float_of_int (lines - 1) *. m.Latency.flush_bulk_ns)
+    if Pr.on () then begin
+      let m = t.latency and lines = last - first + 1 in
+      let dur_ns =
+        m.Latency.flush_ns +. (float_of_int (lines - 1) *. m.Latency.flush_bulk_ns)
       in
-      Tr.emit
-        ~args:[ ("off", string_of_int off); ("lines", string_of_int lines) ]
-        ~cat:"device" ~name:"flush" ~ph:(Tr.X dur)
-        ~ts_ns:(simulated_ns t -. dur) ()
+      Pr.emit (Pr.Flush { dev = t.id; off; len; ns = simulated_ns t; lines; dur_ns })
     end
   end
 
@@ -383,17 +357,12 @@ let fence t =
   List.iter drain (wpq_sorted t);
   Hashtbl.reset t.wpq;
   Mutex.unlock t.lock;
-  if Pr.on () then Pr.emit (Pr.Fence { dev = t.id; ns = simulated_ns t });
-  if Tr.on () then begin
-    let m = t.latency in
-    let dur =
-      m.Latency.fence_base_ns
-      +. (float_of_int !drained *. m.Latency.fence_per_line_ns)
+  if Pr.on () then begin
+    let m = t.latency and lines = !drained in
+    let dur_ns =
+      m.Latency.fence_base_ns +. (float_of_int lines *. m.Latency.fence_per_line_ns)
     in
-    Tr.emit
-      ~args:[ ("lines", string_of_int !drained) ]
-      ~cat:"device" ~name:"fence" ~ph:(Tr.X dur)
-      ~ts_ns:(simulated_ns t -. dur) ()
+    Pr.emit (Pr.Fence { dev = t.id; ns = simulated_ns t; lines; dur_ns })
   end
 
 let persist t off len =

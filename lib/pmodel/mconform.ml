@@ -178,7 +178,9 @@ let validate (events : (int * Pr.event) list) : verdict =
         | Pr.Exempt_push { dev } | Pr.Exempt_pop { dev }
         | Pr.Pool_layout { dev; _ } | Pr.Journal_truncate { dev; _ }
         | Pr.Drop_apply { dev; _ } | Pr.Recovery_phase { dev; _ }
-        | Pr.Cow_shadow { dev; _ } | Pr.Cow_retire { dev; _ } ->
+        | Pr.Cow_shadow { dev; _ } | Pr.Cow_retire { dev; _ }
+        | Pr.Recovery { dev; _ } | Pr.Epoch { dev; _ } | Pr.Block_alloc { dev; _ }
+        | Pr.Block_free { dev; _ } ->
             dev
       in
       let ds = dstate dev in
@@ -193,7 +195,8 @@ let validate (events : (int * Pr.event) list) : verdict =
               { journal_base; slot_size; nslots; table_base; heap_base;
                 heap_len; cow_base; cow_len }
       | Pr.Pool_attach _ | Pr.Recovery_phase _ | Pr.Cow_shadow _
-      | Pr.Cow_retire _ ->
+      | Pr.Cow_retire _ | Pr.Recovery _ | Pr.Epoch _ | Pr.Block_alloc _
+      | Pr.Block_free _ ->
           ()
       | Pr.Store { off; len; _ } ->
           ts.last_dirty_i <- i;
@@ -337,28 +340,14 @@ let validate (events : (int * Pr.event) list) : verdict =
 let validate_events (events : Pr.event list) : verdict =
   validate (List.map (fun e -> (0, e)) events)
 
-(* Run [f] with a capturing subscriber installed; returns the captured
-   events — each tagged with the domain that emitted it (handlers run
-   synchronously on the emitting thread) — alongside [f]'s result.
-   Thread-safe: concurrent emitters serialize on a mutex, and because a
-   probe event is emitted at its action point, the captured order
-   respects every cross-domain happens-before the pool establishes.
-   Replaces any current subscriber for the duration. *)
+(* Run [f] with a domain-tagged recorder subscribed alongside any other
+   subscriber; returns the captured events alongside [f]'s result. *)
 let capture f =
-  let acc = ref [] in
-  let m = Mutex.create () in
-  Pr.install (fun e ->
-      let dom = (Domain.self () :> int) in
-      Mutex.lock m;
-      acc := (dom, e) :: !acc;
-      Mutex.unlock m);
-  let finish () = Pr.uninstall () in
+  let r = Pr.Recorder.start () in
   match f () with
-  | v ->
-      finish ();
-      (List.rev !acc, v)
+  | v -> (Pr.Recorder.stop r, v)
   | exception e ->
-      finish ();
+      ignore (Pr.Recorder.stop r);
       raise e
 
 let pp_verdict ppf v =

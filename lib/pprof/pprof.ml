@@ -7,28 +7,21 @@ let line = 64
 (* {1 Capture} *)
 
 module Capture = struct
-  let buf : Pr.event list ref = ref [] (* newest first *)
-  let running = ref false
-
-  let start () =
-    buf := [];
-    running := true;
-    Pr.install (fun e -> buf := e :: !buf)
-
-  let cut () =
-    let evs = List.rev !buf in
-    buf := [];
-    evs
+  let current : Pr.Recorder.t option ref = ref None
+  let untag = List.map snd
 
   let stop () =
-    let evs = cut () in
-    if !running then begin
-      running := false;
-      Pr.uninstall ()
-    end;
-    evs
+    match !current with
+    | None -> []
+    | Some r ->
+        current := None;
+        untag (Pr.Recorder.stop r)
 
-  let active () = !running
+  let start () =
+    ignore (stop ());
+    current := Some (Pr.Recorder.start ())
+
+  let cut () = match !current with None -> [] | Some r -> untag (Pr.Recorder.cut r)
 end
 
 let replay events = List.iter Pr.emit events
@@ -561,8 +554,8 @@ let analyze ?(label = "trace") ?(prelude = []) events =
   let on_event ev =
     match ev with
     | Pr.Store { dev; off; len; ns = _ } -> on_store (dstate dev) off len
-    | Pr.Flush { dev; off; len; ns } -> on_flush (dstate dev) off len ns
-    | Pr.Fence { dev; ns } -> on_fence (dstate dev) ns
+    | Pr.Flush { dev; off; len; ns; _ } -> on_flush (dstate dev) off len ns
+    | Pr.Fence { dev; ns; _ } -> on_fence (dstate dev) ns
     | Pr.Power_cycle { dev } ->
         let d = dstate dev in
         Hashtbl.reset d.lines;
@@ -573,7 +566,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
           heap_len = _; cow_base; cow_len } ->
         (dstate dev).geom <-
           Some { journal_base; slot_size; table_base; heap_base; cow_base; cow_len }
-    | Pr.Tx_begin { dev; ns = _ } -> (
+    | Pr.Tx_begin { dev; _ } -> (
         let d = dstate dev in
         match d.tx with
         | None -> d.tx <- Some (fresh_tx (acc.next_tx <- acc.next_tx + 1; acc.next_tx))
@@ -582,7 +575,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
                domain id, so neither can be attributed.  Poison. *)
             tx.poisoned <- true;
             d.tx_overlap <- d.tx_overlap + 1)
-    | Pr.Tx_end { dev; outcome; ns = _ } -> (
+    | Pr.Tx_end { dev; outcome; _ } -> (
         let d = dstate dev in
         if d.tx_overlap > 0 then d.tx_overlap <- d.tx_overlap - 1
         else
@@ -593,7 +586,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
         match (dstate dev).tx with
         | Some tx -> tx.commit_seen <- true
         | None -> ())
-    | Pr.Region_reserve { dev; off; len } ->
+    | Pr.Region_reserve { dev; off; len; _ } ->
         Hashtbl.replace (dstate dev).spills off len
     | Pr.Region_release { dev; off } -> Hashtbl.remove (dstate dev).spills off
     | Pr.Exempt_push { dev } ->
@@ -610,7 +603,8 @@ let analyze ?(label = "trace") ?(prelude = []) events =
                 (phase, prev +. dur_ns) :: List.remove_assoc phase acc.phases
             | None -> acc.phases @ [ (phase, dur_ns) ])
     | Pr.Pool_attach _ | Pr.Log _ | Pr.Alloc _ | Pr.Journal_truncate _
-    | Pr.Drop_apply _ | Pr.Cow_shadow _ | Pr.Cow_retire _ ->
+    | Pr.Drop_apply _ | Pr.Cow_shadow _ | Pr.Cow_retire _ | Pr.Recovery _
+    | Pr.Epoch _ | Pr.Block_alloc _ | Pr.Block_free _ ->
         ()
   in
   List.iter on_event prelude;
@@ -797,194 +791,6 @@ let diff_text a b =
   row "waste fences" (waste_fences a) (waste_fences b);
   Buffer.contents buf
 
-(* {1 Serialization} *)
-
-let schema = "corundum-probe-v1"
-
-let outcome_name = function
-  | Pr.Commit -> "commit"
-  | Pr.Abort -> "abort"
-  | Pr.Crash -> "crash"
-
-let outcome_of_name = function
-  | "commit" -> Pr.Commit
-  | "abort" -> Pr.Abort
-  | "crash" -> Pr.Crash
-  | s -> failwith ("Pprof: unknown tx outcome " ^ s)
-
-let event_to_json ev =
-  let i n v = (n, num v) in
-  let f n v = (n, Json.Num v) in
-  let t name fields = Json.Obj (("t", Json.Str name) :: fields) in
-  match ev with
-  | Pr.Store { dev; off; len; ns } ->
-      t "store" [ i "dev" dev; i "off" off; i "len" len; f "ns" ns ]
-  | Pr.Flush { dev; off; len; ns } ->
-      t "flush" [ i "dev" dev; i "off" off; i "len" len; f "ns" ns ]
-  | Pr.Fence { dev; ns } -> t "fence" [ i "dev" dev; f "ns" ns ]
-  | Pr.Power_cycle { dev } -> t "power_cycle" [ i "dev" dev ]
-  | Pr.Pool_attach { dev; heap_base; heap_len } ->
-      t "pool_attach" [ i "dev" dev; i "heap_base" heap_base; i "heap_len" heap_len ]
-  | Pr.Tx_begin { dev; ns } -> t "tx_begin" [ i "dev" dev; f "ns" ns ]
-  | Pr.Tx_end { dev; outcome; ns } ->
-      t "tx_end"
-        [ i "dev" dev; ("outcome", Json.Str (outcome_name outcome)); f "ns" ns ]
-  | Pr.Log { dev; off; len } -> t "log" [ i "dev" dev; i "off" off; i "len" len ]
-  | Pr.Alloc { dev; off; len } ->
-      t "alloc" [ i "dev" dev; i "off" off; i "len" len ]
-  | Pr.Commit_point { dev; ns } -> t "commit_point" [ i "dev" dev; f "ns" ns ]
-  | Pr.Region_reserve { dev; off; len } ->
-      t "region_reserve" [ i "dev" dev; i "off" off; i "len" len ]
-  | Pr.Region_release { dev; off } ->
-      t "region_release" [ i "dev" dev; i "off" off ]
-  | Pr.Exempt_push { dev } -> t "exempt_push" [ i "dev" dev ]
-  | Pr.Exempt_pop { dev } -> t "exempt_pop" [ i "dev" dev ]
-  | Pr.Pool_layout
-      { dev; journal_base; slot_size; nslots; table_base; heap_base; heap_len;
-        cow_base; cow_len } ->
-      t "pool_layout"
-        [
-          i "dev" dev;
-          i "journal_base" journal_base;
-          i "slot_size" slot_size;
-          i "nslots" nslots;
-          i "table_base" table_base;
-          i "heap_base" heap_base;
-          i "heap_len" heap_len;
-          i "cow_base" cow_base;
-          i "cow_len" cow_len;
-        ]
-  | Pr.Journal_truncate { dev; slot_base; epoch } ->
-      t "journal_truncate" [ i "dev" dev; i "slot_base" slot_base; i "epoch" epoch ]
-  | Pr.Drop_apply { dev; off } -> t "drop_apply" [ i "dev" dev; i "off" off ]
-  | Pr.Recovery_phase { dev; phase; ns; dur_ns } ->
-      t "recovery_phase"
-        [ i "dev" dev; ("phase", Json.Str phase); f "ns" ns; f "dur_ns" dur_ns ]
-  | Pr.Cow_shadow { dev; off; len } ->
-      t "cow_shadow" [ i "dev" dev; i "off" off; i "len" len ]
-  | Pr.Cow_retire { dev; off; len } ->
-      t "cow_retire" [ i "dev" dev; i "off" off; i "len" len ]
-
-let events_to_json events =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("events", Json.List (List.map event_to_json events));
-    ]
-
-let event_of_json j =
-  let geti n =
-    match Json.mem n j with
-    | Some (Json.Num v) -> int_of_float v
-    | _ -> failwith ("Pprof: probe event missing field " ^ n)
-  in
-  let getf n =
-    match Json.mem n j with
-    | Some (Json.Num v) -> v
-    | _ -> failwith ("Pprof: probe event missing field " ^ n)
-  in
-  let gets n =
-    match Json.mem n j with
-    | Some (Json.Str s) -> s
-    | _ -> failwith ("Pprof: probe event missing field " ^ n)
-  in
-  (* absent on captures recorded before the field existed *)
-  let geti0 n =
-    match Json.mem n j with Some (Json.Num v) -> int_of_float v | _ -> 0
-  in
-  match Json.mem "t" j with
-  | Some (Json.Str tag) -> (
-      match tag with
-      | "store" ->
-          Pr.Store
-            { dev = geti "dev"; off = geti "off"; len = geti "len"; ns = getf "ns" }
-      | "flush" ->
-          Pr.Flush
-            { dev = geti "dev"; off = geti "off"; len = geti "len"; ns = getf "ns" }
-      | "fence" -> Pr.Fence { dev = geti "dev"; ns = getf "ns" }
-      | "power_cycle" -> Pr.Power_cycle { dev = geti "dev" }
-      | "pool_attach" ->
-          Pr.Pool_attach
-            {
-              dev = geti "dev";
-              heap_base = geti "heap_base";
-              heap_len = geti "heap_len";
-            }
-      | "tx_begin" -> Pr.Tx_begin { dev = geti "dev"; ns = getf "ns" }
-      | "tx_end" ->
-          Pr.Tx_end
-            {
-              dev = geti "dev";
-              outcome = outcome_of_name (gets "outcome");
-              ns = getf "ns";
-            }
-      | "log" ->
-          Pr.Log { dev = geti "dev"; off = geti "off"; len = geti "len" }
-      | "alloc" ->
-          Pr.Alloc { dev = geti "dev"; off = geti "off"; len = geti "len" }
-      | "commit_point" -> Pr.Commit_point { dev = geti "dev"; ns = getf "ns" }
-      | "region_reserve" ->
-          Pr.Region_reserve
-            { dev = geti "dev"; off = geti "off"; len = geti "len" }
-      | "region_release" ->
-          Pr.Region_release { dev = geti "dev"; off = geti "off" }
-      | "exempt_push" -> Pr.Exempt_push { dev = geti "dev" }
-      | "exempt_pop" -> Pr.Exempt_pop { dev = geti "dev" }
-      | "pool_layout" ->
-          Pr.Pool_layout
-            {
-              dev = geti "dev";
-              journal_base = geti "journal_base";
-              slot_size = geti "slot_size";
-              nslots = geti "nslots";
-              table_base = geti "table_base";
-              heap_base = geti "heap_base";
-              heap_len = geti "heap_len";
-              cow_base = geti0 "cow_base";
-              cow_len = geti0 "cow_len";
-            }
-      | "journal_truncate" ->
-          Pr.Journal_truncate
-            { dev = geti "dev"; slot_base = geti "slot_base"; epoch = geti "epoch" }
-      | "drop_apply" -> Pr.Drop_apply { dev = geti "dev"; off = geti "off" }
-      | "cow_shadow" ->
-          Pr.Cow_shadow { dev = geti "dev"; off = geti "off"; len = geti "len" }
-      | "cow_retire" ->
-          Pr.Cow_retire { dev = geti "dev"; off = geti "off"; len = geti "len" }
-      | "recovery_phase" ->
-          Pr.Recovery_phase
-            {
-              dev = geti "dev";
-              phase = gets "phase";
-              ns = getf "ns";
-              dur_ns = getf "dur_ns";
-            }
-      | tag -> failwith ("Pprof: unknown probe event tag " ^ tag))
-  | _ -> failwith "Pprof: probe event without a tag"
-
-let events_of_json j =
-  (match Json.mem "schema" j with
-  | Some (Json.Str s) when s = schema -> ()
-  | _ -> failwith ("Pprof: expected schema " ^ schema));
-  match Json.mem "events" j with
-  | Some (Json.List evs) -> List.map event_of_json evs
-  | _ -> failwith "Pprof: capture without an events list"
-
-let save_events path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string (events_to_json events)))
-
-let load_events path =
-  let ic = open_in path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  events_of_json (Json.of_string s)
-
 (* {1 Chrome-trace annotation} *)
 
 let emit_overlay r =
@@ -1005,45 +811,3 @@ let emit_overlay r =
           ~name:("waste." ^ class_name f.cls)
           ~ph:Tr.I ~ts_ns:f.ns ())
       r.findings
-
-let emit_probe_events events =
-  if Tr.on () then
-    List.iter
-      (fun ev ->
-        let inst ?(args = []) name ns =
-          Tr.emit ~args ~cat:"probe" ~name ~ph:Tr.I ~ts_ns:ns ()
-        in
-        match ev with
-        | Pr.Flush { dev; off; len; ns } ->
-            inst
-              ~args:
-                [
-                  ("dev", string_of_int dev);
-                  ("off", string_of_int off);
-                  ("len", string_of_int len);
-                ]
-              "flush" ns
-        | Pr.Fence { dev; ns } -> inst ~args:[ ("dev", string_of_int dev) ] "fence" ns
-        | Pr.Tx_begin { dev; ns } ->
-            inst ~args:[ ("dev", string_of_int dev) ] "tx_begin" ns
-        | Pr.Tx_end { dev; outcome; ns } ->
-            inst
-              ~args:
-                [
-                  ("dev", string_of_int dev);
-                  ("outcome", outcome_name outcome);
-                ]
-              "tx_end" ns
-        | Pr.Commit_point { dev; ns } ->
-            inst ~args:[ ("dev", string_of_int dev) ] "commit_point" ns
-        | Pr.Recovery_phase { dev; phase; ns; dur_ns } ->
-            inst
-              ~args:
-                [
-                  ("dev", string_of_int dev);
-                  ("phase", phase);
-                  ("dur_ns", Printf.sprintf "%.0f" dur_ns);
-                ]
-              "recovery_phase" ns
-        | _ -> ())
-      events

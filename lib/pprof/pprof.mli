@@ -39,7 +39,7 @@
     [[slot+8, slot+24)] (the advisory entry/drop counts, which recovery
     never trusts — I-NO-ADVISORY-TRUST) are not required durable at
     all.  Aborted or crashed transactions, overlapping transactions the
-    single-subscriber stream cannot attribute, recovery windows
+    untagged stream cannot attribute, recovery windows
     ({!Ptelemetry.Probe.Exempt_push}) and out-of-transaction persists
     are scored conservatively: minimum = actual, no waste claimed.
 
@@ -60,28 +60,26 @@
 
 (** {1 Capturing} *)
 
-(** Record the probe stream in memory.  Installs itself as {e the}
-    probe subscriber (the bus is single-subscriber, so capturing and
-    {!Psan} are mutually exclusive — replay the capture into psan
-    afterwards with {!replay} to get both). *)
+(** Record the probe stream in memory through a
+    {!Ptelemetry.Probe.Recorder}, alongside any other subscriber — psan,
+    the trace ring and the metrics registry can watch the same run. *)
 module Capture : sig
   val start : unit -> unit
-  (** Install the recorder and clear the buffer. *)
+  (** Subscribe a fresh recorder (stopping any previous one). *)
 
   val cut : unit -> Ptelemetry.Probe.event list
   (** Return the events recorded since the last [start]/[cut] and keep
       recording — used to split one run into per-operation windows. *)
 
   val stop : unit -> Ptelemetry.Probe.event list
-  (** [cut] then uninstall the recorder. *)
-
-  val active : unit -> bool
+  (** Unsubscribe the recorder and return what it recorded since the
+      last [start]/[cut] ([[]] when none is running). *)
 end
 
 val replay : Ptelemetry.Probe.event list -> unit
 (** Re-emit a captured stream through the probe bus, delivering it to
-    whatever subscriber is currently installed (e.g. an enabled
-    {!Psan}). *)
+    every current subscriber (e.g. an enabled {!Psan}, or a
+    {!Ptelemetry.Trace} ring to render the capture as a Chrome trace). *)
 
 (** {1 Analysis} *)
 
@@ -149,26 +147,9 @@ val diff_text : report -> report -> string
 (** Waste deltas between two reports of the same shape (A is the
     baseline). *)
 
-(** {1 Persistence} *)
-
-val events_to_json : Ptelemetry.Probe.event list -> Ptelemetry.Json.t
-(** [{"schema": "corundum-probe-v1", "events": […]}]. *)
-
-val events_of_json : Ptelemetry.Json.t -> Ptelemetry.Probe.event list
-(** Raises [Failure] on an unknown schema or a malformed event. *)
-
-val save_events : string -> Ptelemetry.Probe.event list -> unit
-val load_events : string -> Ptelemetry.Probe.event list
-
 (** {1 Chrome-trace annotation} *)
 
 val emit_overlay : report -> unit
 (** Emit one [cat:"pprof"] instant per finding into the installed
     {!Ptelemetry.Trace} sink, at the finding's simulated timestamp —
     overlaying waste on an existing trace of the same run. *)
-
-val emit_probe_events : Ptelemetry.Probe.event list -> unit
-(** Emit [cat:"probe"] instants for the persist-relevant events of a
-    capture (flush/fence/tx/commit-point) into the installed trace
-    sink, so a saved capture can be rendered as a Chrome trace without
-    re-running the workload. *)

@@ -143,7 +143,7 @@ let record cls ~dev ~off ~len ~tx ~ns ~detail =
     Hashtbl.add seen key ();
     found := { cls; dev; off; len; tx; ns; detail } :: !found;
     (* Surface the finding in the trace too, so it lands inside the tx
-       span it belongs to when a ring or JSONL sink is attached. *)
+       span it belongs to when a ring is installed. *)
     if Tr.on () then
       Tr.emit
         ~args:
@@ -304,8 +304,8 @@ let on_event ev =
     (fun () ->
       match ev with
       | Pr.Store { dev; off; len; ns } -> on_store ~dev ~off ~len ~ns
-      | Pr.Flush { dev; off; len; ns } -> on_flush ~dev ~off ~len ~ns
-      | Pr.Fence { dev; ns } -> on_fence ~dev ~ns
+      | Pr.Flush { dev; off; len; ns; _ } -> on_flush ~dev ~off ~len ~ns
+      | Pr.Fence { dev; ns; _ } -> on_fence ~dev ~ns
       | Pr.Power_cycle { dev } ->
           (* All cache state is gone; in-flight spills roll back at
              recovery, so their exemptions die with them.  User
@@ -322,12 +322,12 @@ let on_event ev =
             txs
       | Pr.Pool_attach { dev; heap_base; heap_len } ->
           (dev_state dev).heap <- Some (heap_base, heap_len)
-      | Pr.Tx_begin { dev; ns = _ } ->
+      | Pr.Tx_begin { dev; _ } ->
           incr next_tx;
           Hashtbl.replace txs
             ((Domain.self () :> int), dev)
             { tx_id = !next_tx; covered = []; stored = []; commit_seen = false }
-      | Pr.Tx_end { dev; outcome; ns } ->
+      | Pr.Tx_end { dev; outcome; ns; _ } ->
           let key = ((Domain.self () :> int), dev) in
           (match (outcome, Hashtbl.find_opt txs key) with
           | Pr.Commit, Some tx when not tx.commit_seen ->
@@ -336,11 +336,11 @@ let on_event ev =
               check_commit (dev_state dev) tx ~who:(fst key) ~dev ~ns
           | _ -> ());
           Hashtbl.remove txs key
-      | Pr.Log { dev; off; len } -> (
+      | Pr.Log { dev; off; len; _ } -> (
           match tx_of dev with
           | Some tx -> tx.covered <- (off, len) :: tx.covered
           | None -> ())
-      | Pr.Alloc { dev; off; len } | Pr.Cow_shadow { dev; off; len } ->
+      | Pr.Alloc { dev; off; len; _ } | Pr.Cow_shadow { dev; off; len } ->
           (* Shadow state is unreachable until the root swap publishes
              it, so it is rollback-safe exactly like a fresh alloc; a
              reissued block is no longer retired. *)
@@ -360,7 +360,7 @@ let on_event ev =
                 ~who:(Domain.self () :> int)
                 ~dev ~ns
           | None -> ())
-      | Pr.Region_reserve { dev; off; len } ->
+      | Pr.Region_reserve { dev; off; len; _ } ->
           Hashtbl.replace (dev_state dev).dyn_exempt off len
       | Pr.Region_release { dev; off } ->
           Hashtbl.remove (dev_state dev).dyn_exempt off
@@ -371,9 +371,11 @@ let on_event ev =
           let ds = dev_state dev in
           ds.exempt_depth <- max 0 (ds.exempt_depth - 1)
       | Pr.Pool_layout _ | Pr.Journal_truncate _ | Pr.Drop_apply _
-      | Pr.Recovery_phase _ ->
-          (* Geometry and protocol-progress events for the conformance
-             checker; the sanitizer's rules key off the coarser events. *)
+      | Pr.Recovery_phase _ | Pr.Recovery _ | Pr.Epoch _ | Pr.Block_alloc _
+      | Pr.Block_free _ ->
+          (* Geometry, protocol-progress and accounting events for other
+             subscribers; the sanitizer's rules key off the coarser
+             events. *)
           ())
 
 (* {1 Lifecycle} *)
@@ -390,18 +392,21 @@ let reset () =
   reset_state ();
   Mutex.unlock lock
 
+let subscription = ref None
+
 let enable () =
   Mutex.lock lock;
   reset_state ();
   active := true;
   Mutex.unlock lock;
-  Pr.install on_event
+  if !subscription = None then subscription := Some (Pr.subscribe on_event)
 
 let disable () =
   Mutex.lock lock;
   active := false;
   Mutex.unlock lock;
-  Pr.uninstall ()
+  Option.iter Pr.unsubscribe !subscription;
+  subscription := None
 
 let enabled () = !active
 

@@ -69,8 +69,8 @@ type finding = {
 
 val enable : unit -> unit
 (** Reset all shadow state and findings, then subscribe to the probe
-    bus (replacing any other subscriber).  User exemptions registered
-    with {!exempt} survive.
+    bus alongside any other subscribers (trace ring, metrics, captures).
+    User exemptions registered with {!exempt} survive.
 
     Enable {e before} creating or attaching pools: psan learns each
     device's heap bounds from its [Pool_attach] event, and stores on a

@@ -154,7 +154,83 @@ let dump_json () =
     [ ("counters", Json.Obj (List.rev !counters));
       ("histograms", Json.Obj (List.rev !histos)) ]
 
-let to_json = dump_json
+(* {1 The probe subscriber}
+
+   The stack's metric vocabulary, interned at startup so every dump
+   lists it even when nothing moved. *)
+
+let m_tx = counter "tx.count"
+let m_aborts = counter "tx.aborts"
+let h_tx_latency = histogram "tx.latency_ns"
+let h_tx_logged = histogram "tx.logged_bytes"
+let h_tx_flushes = histogram "tx.flushes"
+let h_tx_fences = histogram "tx.fences"
+let h_tx_undo = histogram "tx.undo_depth"
+let m_entries = counter "journal.entries"
+let m_spills = counter "journal.spills"
+let h_entry_bytes = histogram "journal.entry_bytes"
+let m_allocs = counter "alloc.count"
+let m_frees = counter "free.count"
+let h_alloc_size = histogram "alloc.size"
+let h_free_size = histogram "free.size"
+let m_epochs = counter "group_commit.epochs"
+let m_group_commits = counter "group_commit.commits"
+let h_occupancy = histogram "group_commit.occupancy"
+let m_recoveries = counter "recovery.count"
+let m_rolled_back = counter "recovery.rolled_back"
+let m_completed = counter "recovery.completed"
+let h_recovery_latency = histogram "recovery.latency_ns"
+
+let tally = Probe.Tally.create ()
+let ns f = int_of_float f
+
+let of_probe ev =
+  Probe.Tally.observe tally ev;
+  match ev with
+  | Probe.Tx_end { dev; outcome; ns = t1; logged_bytes; undo_depth } -> (
+      match Probe.Tally.close tally ~dev with
+      | None -> ()
+      | Some t ->
+          incr m_tx;
+          if outcome = Probe.Abort then incr m_aborts;
+          if outcome <> Probe.Crash then begin
+            observe h_tx_latency (ns (t1 -. t.t0));
+            observe h_tx_logged logged_bytes;
+            observe h_tx_flushes t.flushes;
+            observe h_tx_fences t.fences;
+            observe h_tx_undo undo_depth
+          end)
+  | Probe.Log { entry; _ } | Probe.Alloc { entry; _ } when entry > 0 ->
+      incr m_entries;
+      observe h_entry_bytes entry
+  | Probe.Region_reserve _ -> incr m_spills
+  | Probe.Block_alloc { len; _ } ->
+      incr m_allocs;
+      observe h_alloc_size len
+  | Probe.Block_free { len; _ } ->
+      incr m_frees;
+      observe h_free_size len
+  | Probe.Epoch { members; _ } ->
+      incr m_epochs;
+      incr ~by:members m_group_commits;
+      observe h_occupancy members
+  | Probe.Recovery { dur_ns; rolled_back; completed; _ } ->
+      incr m_recoveries;
+      incr ~by:rolled_back m_rolled_back;
+      incr ~by:completed m_completed;
+      observe h_recovery_latency (ns dur_ns)
+  | Probe.Recovery_phase { phase; dur_ns; _ } ->
+      observe (histogram ("recovery.phase." ^ phase ^ "_ns")) (ns dur_ns)
+  | _ -> ()
+
+let probe_sub = Atomic.make None
+
+let install () =
+  let h = Probe.subscribe of_probe in
+  if not (Atomic.compare_and_set probe_sub None (Some h)) then Probe.unsubscribe h
+
+let uninstall () =
+  Option.iter Probe.unsubscribe (Atomic.exchange probe_sub None)
 
 let reset () =
   List.iter

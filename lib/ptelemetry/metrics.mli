@@ -3,9 +3,9 @@
 
     The registry backs the per-transaction attribution the evaluation
     needs (flushes/tx, fences/tx, logged bytes/tx — the quantities
-    Table 5 of the paper reasons with): instrumentation sites intern a
-    metric once and bump it on the hot path, and tooling dumps the whole
-    registry as stable text or JSON.
+    Table 5 of the paper reasons with): the probe subscriber interns
+    each metric once and bumps it per event, and tooling dumps the
+    whole registry as stable text or JSON.
 
     {b Multicore discipline.}  Every metric is sharded {!nshards} ways
     by the calling domain's id.  A counter bump is one lock-free
@@ -27,9 +27,10 @@
     dumps list them in lexicographic order so diffs between runs are
     meaningful.  All operations are thread-safe.
 
-    Instrumentation sites must guard updates behind {!Trace.on} so an
-    uninstrumented run pays only a branch; the registry itself does not
-    check the flag. *)
+    The stack's own metrics are fed by a {!Probe} subscriber
+    ({!install}): no layer touches the registry directly, so an
+    uninstrumented run pays only the probe gate's branch.  Tools may
+    still intern and bump their own metrics. *)
 
 type counter
 type histogram
@@ -117,8 +118,18 @@ val dump_json : unit -> Json.t
     Quantiles follow {!quantile}; [exact] says whether they are
     nearest-rank values or sub-bucket lower bounds. *)
 
-val to_json : unit -> Json.t
-(** Alias of {!dump_json}. *)
-
 val reset : unit -> unit
 (** Zero every registered metric (names stay registered). *)
+
+(** {1 The probe subscriber} *)
+
+val install : unit -> unit
+(** Subscribe the registry to the {!Probe} bus: transaction,
+    journal, allocator, group-commit and recovery events update the
+    vocabulary metrics ([tx.*], [journal.*], [alloc.*], [free.*],
+    [group_commit.*], [recovery.*]).  A transaction's [tx.flushes] and
+    [tx.fences] count only the persists its own domain issued on its
+    device.  Idempotent. *)
+
+val uninstall : unit -> unit
+(** Unsubscribe; the registry keeps its values. *)

@@ -1,56 +1,68 @@
-(** Semantic event bus for online auditors.
+(** The PM stack's one instrumentation bus.
 
-    {!Trace} records {e what happened when} for humans; this bus carries
-    the {e protocol-level} events an online checker needs to judge the
-    run: stores, flushes, fences, undo-log coverage, transaction
-    boundaries, and region lifetimes.  The persistency sanitizer
-    ({!Psan}, [lib/psan]) is the canonical subscriber.
+    Every layer — device, allocator, journal, group commit, pool —
+    reports what it does as a typed protocol event on this bus, and
+    every consumer is a subscriber: the Chrome-trace ring
+    ({!Trace.install_ring}), the metrics registry ({!Metrics.install}),
+    the persistency sanitizer ([Psan]), the persist-waste capture
+    ([Pprof.Capture]) and the conformance checker
+    ([Pmodel.Mconform.capture]).  Any number of them may watch the same
+    run at once; each sees every event in emission order.
 
-    The discipline is the same as {!Trace}: one global subscriber behind
-    one atomic gate.  With no subscriber installed every emission site
-    reduces to a single atomic load and a branch, and no event value is
-    even constructed — instrumentation cannot perturb the simulated
-    clock.  Handlers run synchronously on the emitting thread (so a
-    subscriber may consult [Domain.self ()] to attribute events), and
-    must not themselves touch the device.
+    One atomic gate covers all subscribers.  With none subscribed every
+    emission site reduces to a single atomic load and a branch, and no
+    event value is even constructed — instrumentation cannot perturb
+    the simulated clock.  Handlers run synchronously on the emitting
+    thread (so a subscriber may consult [Domain.self ()] to attribute
+    events), must do their own synchronization, and must not themselves
+    touch the device or emit on this bus.
 
-    Devices are identified by {!Pmem.Device.id} — a process-unique
+    Devices are identified by [Pmem.Device.id] — a process-unique
     integer — so this library stays free of any dependency on the
-    layers it audits. *)
+    layers it observes.  Every [ns] is the device's simulated clock
+    after the action. *)
 
 type tx_outcome = Commit | Abort | Crash
 
 type event =
   | Store of { dev : int; off : int; len : int; ns : float }
       (** A CPU store into the device's volatile view. *)
-  | Flush of { dev : int; off : int; len : int; ns : float }
-      (** A [clflushopt]-style write-back request over a byte range. *)
-  | Fence of { dev : int; ns : float }
-      (** An [sfence]: the write-pending queue drains to media. *)
+  | Flush of { dev : int; off : int; len : int; ns : float; lines : int; dur_ns : float }
+      (** A [clflushopt]-style write-back request over a byte range
+          spanning [lines] cache lines; [dur_ns] is its simulated cost. *)
+  | Fence of { dev : int; ns : float; lines : int; dur_ns : float }
+      (** An [sfence]: the write-pending queue drains [lines] lines to
+          media at a simulated cost of [dur_ns]. *)
   | Power_cycle of { dev : int }
       (** Power-failure semantics applied; all cache state is gone. *)
   | Pool_attach of { dev : int; heap_base : int; heap_len : int }
       (** A pool is now live on [dev]; data lives in
           [heap_base, heap_base + heap_len) and everything below
           [heap_base] is pool metadata (header, journals, alloc table). *)
-  | Tx_begin of { dev : int; ns : float }
-      (** Outermost transaction opened on the calling domain. *)
-  | Tx_end of { dev : int; outcome : tx_outcome; ns : float }
-      (** Outermost transaction finished on the calling domain. *)
-  | Log of { dev : int; off : int; len : int }
+  | Tx_begin of { dev : int; ns : float; slot : int }
+      (** Outermost transaction opened on the calling domain, on
+          journal slot [slot]. *)
+  | Tx_end of
+      { dev : int; outcome : tx_outcome; ns : float; logged_bytes : int; undo_depth : int }
+      (** Outermost transaction finished on the calling domain, having
+          sealed [logged_bytes] of journal entries; [undo_depth] entries
+          were in its log at the end. *)
+  | Log of { dev : int; off : int; len : int; entry : int; ns : float }
       (** An undo-log entry now covers [off, off+len): the old contents
-          are durably saved, so in-place stores there are rollback-safe. *)
-  | Alloc of { dev : int; off : int; len : int }
+          are durably saved, so in-place stores there are rollback-safe.
+          [entry] is the journal entry's size in bytes (0 when the
+          coverage needs no journal entry, e.g. a redo intent). *)
+  | Alloc of { dev : int; off : int; len : int; entry : int; ns : float }
       (** A block allocated by the current transaction (actual block
           size); stores into it need no undo entry — rollback is the
-          allocation rollback itself. *)
+          allocation rollback itself.  [entry] as for {!Log}. *)
   | Commit_point of { dev : int; ns : float }
       (** The commit fence of the calling domain's transaction has
           executed (or, under fault injection, was elided): every range
           the transaction stored must be durable {e now}.  Emitted
           before the journal truncates, whose own persists would mask a
           missing commit fence. *)
-  | Region_reserve of { dev : int; off : int; len : int }
+  | Region_reserve of { dev : int; off : int; len : int; ns : float }
       (** The journal reserved [off, off+len) of the heap for its own
           bookkeeping (a spill region); writes there are journal
           protocol, not user data. *)
@@ -74,7 +86,7 @@ type event =
       (** Full media geometry of the pool on [dev], emitted at attach
           alongside {!Pool_attach}.  Lets a subscriber classify every
           byte range as header / journal slot (and which) / allocation
-          table / heap — the conformance checker ({!Pmodel.Mconform})
+          table / heap — the conformance checker ([Pmodel.Mconform])
           needs the finer split that [Pool_attach] does not carry.
           [cow_base, cow_base + cow_len) is the CoW root-cell region
           inside the header page ([0,0] on captures that predate it). *)
@@ -88,11 +100,15 @@ type event =
           after the commit point made the drop records durable. *)
   | Recovery_phase of { dev : int; phase : string; ns : float; dur_ns : float }
       (** One recovery phase ([walk], [rollback], [drop_apply],
-          [remark], [truncate], [table_scan], [fsck]) finished at
-          simulated time [ns] having taken [dur_ns] simulated
-          nanoseconds.  Emitted inside the recovery exempt window; lets
-          an observer break recovery latency down without touching the
-          device. *)
+          [remark], [truncate], [table_scan], [cow], [fsck]) finished
+          having taken [dur_ns] simulated nanoseconds.  Journal phases
+          are reported per slot. *)
+  | Recovery of {
+      dev : int; ns : float; dur_ns : float;
+      slots : int; rolled_back : int; completed : int; entries_skipped : int;
+    }
+      (** Open-time recovery of the pool on [dev] — journal recovery
+          plus the allocation-table scan — finished after [dur_ns]. *)
   | Cow_shadow of { dev : int; off : int; len : int }
       (** The current CoW transaction wrote [off, off+len) as shadow
           state (a fresh node or the root block's inactive copy):
@@ -103,17 +119,86 @@ type event =
           readers of the pre-swap state may still hold it, but no store
           may land there until the allocator reissues it — a store into
           a retired block is the CoW use-after-retire violation. *)
+  | Epoch of { dev : int; members : int }
+      (** The group-commit combiner fenced one epoch on behalf of
+          [members] transactions. *)
+  | Block_alloc of { dev : int; off : int; len : int; ns : float }
+      (** The allocator committed the block [off, off+len) (rounded
+          block size) — transactional or not. *)
+  | Block_free of { dev : int; off : int; len : int; ns : float }
+      (** The allocator returned the block [off, off+len) to its free
+          lists. *)
 
-val install : (event -> unit) -> unit
-(** Subscribe [f]; replaces any current subscriber. *)
+(** {1 Subscription} *)
 
-val uninstall : unit -> unit
+type handle
+
+val subscribe : (event -> unit) -> handle
+(** Add [f] to the subscribers; it sees every event emitted from now
+    until {!unsubscribe}.  Existing subscribers are unaffected. *)
+
+val unsubscribe : handle -> unit
+(** Remove one subscriber; a no-op if it is already gone. *)
 
 val on : unit -> bool
-(** Whether a subscriber is installed — the guard every emission site
+(** Whether any subscriber is present — the guard every emission site
     checks before constructing an event. *)
 
 val emit : event -> unit
-(** Deliver to the subscriber; no-op when {!on} is false.  Emission
-    sites should still guard with {!on} so the event value itself is
-    never built on the uninstrumented path. *)
+(** Deliver to every subscriber, in subscription order; no-op when
+    {!on} is false.  Emission sites should still guard with {!on} so
+    the event value itself is never built on the uninstrumented path. *)
+
+(** {1 Recording} *)
+
+(** A subscriber that records the stream in memory, each event tagged
+    with its emitting domain's id.  Emitters serialize on the recorder's
+    mutex, so the recorded order respects every cross-domain
+    happens-before the pool establishes. *)
+module Recorder : sig
+  type t
+
+  val start : unit -> t
+  val cut : t -> (int * event) list
+  (** The events recorded since [start] or the previous [cut], oldest
+      first; recording continues. *)
+
+  val stop : t -> (int * event) list
+  (** Unsubscribe, then [cut]. *)
+end
+
+(** {1 Transaction attribution} *)
+
+(** Per-domain transaction tallies.  A tally opens at {!Tx_begin} and
+    counts the {!Flush} and {!Fence} events the {e same domain} emits on
+    the same device until {!close} at {!Tx_end}: on a shared pool,
+    sibling domains' persists are never charged to it.  State is
+    domain-local, so observing takes no lock. *)
+module Tally : sig
+  type tally = { t0 : float; mutable flushes : int; mutable fences : int }
+
+  type t
+
+  val create : unit -> t
+  val observe : t -> event -> unit
+
+  val close : t -> dev:int -> tally option
+  (** Remove and return the calling domain's open tally on [dev];
+      [None] when the transaction began before the subscriber did. *)
+end
+
+(** {1 Persistence}
+
+    Captures are [{"schema": "corundum-probe-v1", "events": [...]}]
+    documents, one object per event tagged by ["t"].  Fields added to
+    an event after the schema was fixed load as 0 from older captures. *)
+
+val outcome_name : tx_outcome -> string
+(** ["commit"], ["abort"], ["crash"]. *)
+
+val to_json : event list -> Json.t
+val of_json : Json.t -> event list
+(** Raises [Failure] on an unknown schema or a malformed event. *)
+
+val save : string -> event list -> unit
+val load : string -> event list

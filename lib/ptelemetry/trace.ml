@@ -18,57 +18,19 @@ type ring = {
   mutable total : int; (* events ever emitted into this ring *)
 }
 
-type sink = Rings of ring array | Jsonl of out_channel | Null
-
-(* [active] mirrors [sink <> None] so the hot-path guard is one atomic
-   load; [lock] serializes sink swaps and JSONL emission.  Ring
-   emission takes only the owning ring's lock, so N domains tracing
-   concurrently contend only when they collide on a shard. *)
+(* [active] is the ring's own gate for direct {!emit} calls; [lock]
+   serializes ring swaps.  Emission takes only the owning ring's lock,
+   so N domains tracing concurrently contend only when they collide on
+   a shard.  [rings] stays readable after {!uninstall}. *)
 let active = Atomic.make false
-let detail_all = Atomic.make false
-let sink : sink option ref = ref None
+let rings : ring array ref = ref [||]
 let lock = Mutex.create ()
+let probe_sub : Probe.handle option ref = ref None
 
 let on () = Atomic.get active
-let verbose () = Atomic.get detail_all && Atomic.get active
-
-let set_detail d =
-  Atomic.set detail_all (match d with `All -> true | `Ordering -> false)
 
 let make_ring capacity =
   { rlock = Mutex.create (); buf = Array.make capacity None; next = 0; total = 0 }
-
-let install_ring ?(capacity = 65536) ?(shards = 1) () =
-  if capacity <= 0 then invalid_arg "Trace.install_ring: capacity must be positive";
-  if shards <= 0 then invalid_arg "Trace.install_ring: shards must be positive";
-  (* Round the shard count up to a power of two so the emitting domain
-     can pick its ring with one mask. *)
-  let shards =
-    let rec up n = if n >= shards then n else up (n * 2) in
-    up 1
-  in
-  Mutex.lock lock;
-  sink := Some (Rings (Array.init shards (fun _ -> make_ring capacity)));
-  Atomic.set active true;
-  Mutex.unlock lock
-
-let install_jsonl oc =
-  Mutex.lock lock;
-  sink := Some (Jsonl oc);
-  Atomic.set active true;
-  Mutex.unlock lock
-
-let install_null () =
-  Mutex.lock lock;
-  sink := Some Null;
-  Atomic.set active true;
-  Mutex.unlock lock
-
-let uninstall () =
-  Mutex.lock lock;
-  (match !sink with Some (Jsonl oc) -> flush oc | _ -> ());
-  Atomic.set active false;
-  Mutex.unlock lock
 
 let phase_string = function B -> "B" | E -> "E" | I -> "i" | X _ -> "X"
 
@@ -92,28 +54,87 @@ let event_to_json e =
   Json.Obj (base @ dur @ args)
 
 let emit ?(args = []) ?tid ~cat ~name ~ph ~ts_ns () =
-  if Atomic.get active && (match !sink with Some Null -> false | _ -> true)
-  then begin
+  if Atomic.get active then begin
     let tid = match tid with Some t -> t | None -> (Domain.self () :> int) in
-    let e = { name; cat; ph; ts_ns; tid; args } in
-    match !sink with
-    | None | Some Null -> ()
-    | Some (Rings rings) ->
-        let r = rings.(tid land (Array.length rings - 1)) in
-        Mutex.lock r.rlock;
-        r.buf.(r.next) <- Some (e, r.total);
-        r.next <- (r.next + 1) mod Array.length r.buf;
-        r.total <- r.total + 1;
-        Mutex.unlock r.rlock
-    | Some (Jsonl oc) ->
-        Mutex.lock lock;
-        output_string oc (Json.to_string (event_to_json e));
-        output_char oc '\n';
-        Mutex.unlock lock
+    let rings = !rings in
+    let r = rings.(tid land (Array.length rings - 1)) in
+    Mutex.lock r.rlock;
+    r.buf.(r.next) <- Some ({ name; cat; ph; ts_ns; tid; args }, r.total);
+    r.next <- (r.next + 1) mod Array.length r.buf;
+    r.total <- r.total + 1;
+    Mutex.unlock r.rlock
   end
 
 let begin_span ?args ~cat ~name ~ts_ns () = emit ?args ~cat ~name ~ph:B ~ts_ns ()
 let end_span ?args ~cat ~name ~ts_ns () = emit ?args ~cat ~name ~ph:E ~ts_ns ()
+
+(* {1 The probe subscriber}
+
+   Renders the protocol stream in the trace vocabulary.  Complete spans
+   end at the event's [ns]; the [tx] span's flush/fence attribution is
+   the calling domain's own persists between its begin and end. *)
+
+let tally = Probe.Tally.create ()
+
+let of_probe ev =
+  Probe.Tally.observe tally ev;
+  let i = string_of_int in
+  let inst cat name ns args = emit ~args ~cat ~name ~ph:I ~ts_ns:ns () in
+  let span cat name ~ns ~dur args = emit ~args ~cat ~name ~ph:(X dur) ~ts_ns:(ns -. dur) () in
+  match ev with
+  | Probe.Flush { off; ns; lines; dur_ns; _ } ->
+      span "device" "flush" ~ns ~dur:dur_ns [ ("off", i off); ("lines", i lines) ]
+  | Probe.Fence { ns; lines; dur_ns; _ } ->
+      span "device" "fence" ~ns ~dur:dur_ns [ ("lines", i lines) ]
+  | Probe.Tx_begin { ns; slot; _ } -> inst "pool" "tx_begin" ns [ ("slot", i slot) ]
+  | Probe.Tx_end { dev; outcome; ns; logged_bytes; undo_depth } -> (
+      match Probe.Tally.close tally ~dev with
+      | None -> ()
+      | Some t ->
+          span "pool" "tx" ~ns ~dur:(ns -. t.t0)
+            [ ("outcome", Probe.outcome_name outcome); ("flushes", i t.flushes);
+              ("fences", i t.fences); ("logged_bytes", i logged_bytes);
+              ("undo_depth", i undo_depth) ])
+  | Probe.Recovery { ns; dur_ns; slots; rolled_back; completed; entries_skipped; _ } ->
+      span "pool" "recovery" ~ns ~dur:dur_ns
+        [ ("slots", i slots); ("rolled_back", i rolled_back);
+          ("completed", i completed); ("entries_skipped", i entries_skipped) ]
+  | Probe.Recovery_phase { phase; ns; dur_ns; _ } ->
+      span "pool" "recovery_phase" ~ns ~dur:dur_ns [ ("phase", phase) ]
+  | Probe.Log { off; entry; ns; _ } when entry > 0 ->
+      inst "journal" "log_entry" ns [ ("kind", "data"); ("off", i off); ("len", i entry) ]
+  | Probe.Alloc { off; entry; ns; _ } when entry > 0 ->
+      inst "journal" "log_entry" ns [ ("kind", "alloc"); ("off", i off); ("len", i entry) ]
+  | Probe.Region_reserve { off; len; ns; _ } ->
+      inst "journal" "spill" ns [ ("off", i off); ("bytes", i len) ]
+  | Probe.Commit_point { ns; _ } -> inst "journal" "commit_point" ns []
+  | Probe.Block_alloc { off; len; ns; _ } ->
+      inst "palloc" "alloc" ns [ ("off", i off); ("bytes", i len) ]
+  | Probe.Block_free { off; len; ns; _ } ->
+      inst "palloc" "free" ns [ ("off", i off); ("bytes", i len) ]
+  | _ -> ()
+
+let install_ring ?(capacity = 65536) ?(shards = 1) () =
+  if capacity <= 0 then invalid_arg "Trace.install_ring: capacity must be positive";
+  if shards <= 0 then invalid_arg "Trace.install_ring: shards must be positive";
+  (* Round the shard count up to a power of two so the emitting domain
+     can pick its ring with one mask. *)
+  let shards =
+    let rec up n = if n >= shards then n else up (n * 2) in
+    up 1
+  in
+  Mutex.lock lock;
+  rings := Array.init shards (fun _ -> make_ring capacity);
+  Atomic.set active true;
+  if !probe_sub = None then probe_sub := Some (Probe.subscribe of_probe);
+  Mutex.unlock lock
+
+let uninstall () =
+  Mutex.lock lock;
+  Option.iter Probe.unsubscribe !probe_sub;
+  probe_sub := None;
+  Atomic.set active false;
+  Mutex.unlock lock
 
 let ring_events r =
   Mutex.lock r.rlock;
@@ -128,13 +149,16 @@ let ring_events r =
   Mutex.unlock r.rlock;
   evs
 
-let events () =
+let current () =
   Mutex.lock lock;
-  let s = !sink in
+  let rs = !rings in
   Mutex.unlock lock;
-  match s with
-  | Some (Rings [| r |]) -> List.map fst (ring_events r)
-  | Some (Rings rings) ->
+  rs
+
+let events () =
+  match current () with
+  | [| r |] -> List.map fst (ring_events r)
+  | rings ->
       (* Merge the per-domain rings into one stream ordered by simulated
          time; [seq] breaks timestamp ties so each ring's own order is
          preserved. *)
@@ -143,37 +167,25 @@ let events () =
       |> List.stable_sort (fun (a, sa) (b, sb) ->
              match compare a.ts_ns b.ts_ns with 0 -> compare sa sb | c -> c)
       |> List.map fst
-  | _ -> []
 
 let dropped () =
-  Mutex.lock lock;
-  let s = !sink in
-  Mutex.unlock lock;
-  match s with
-  | Some (Rings rings) ->
-      Array.fold_left
-        (fun acc r ->
-          Mutex.lock r.rlock;
-          let d = max 0 (r.total - Array.length r.buf) in
-          Mutex.unlock r.rlock;
-          acc + d)
-        0 rings
-  | _ -> 0
+  Array.fold_left
+    (fun acc r ->
+      Mutex.lock r.rlock;
+      let d = max 0 (r.total - Array.length r.buf) in
+      Mutex.unlock r.rlock;
+      acc + d)
+    0 (current ())
 
 let clear () =
-  Mutex.lock lock;
-  (match !sink with
-  | Some (Rings rings) ->
-      Array.iter
-        (fun r ->
-          Mutex.lock r.rlock;
-          Array.fill r.buf 0 (Array.length r.buf) None;
-          r.next <- 0;
-          r.total <- 0;
-          Mutex.unlock r.rlock)
-        rings
-  | _ -> ());
-  Mutex.unlock lock
+  Array.iter
+    (fun r ->
+      Mutex.lock r.rlock;
+      Array.fill r.buf 0 (Array.length r.buf) None;
+      r.next <- 0;
+      r.total <- 0;
+      Mutex.unlock r.rlock)
+    (current ())
 
 let to_chrome_json evs =
   let buf = Buffer.create 4096 in

@@ -1,25 +1,27 @@
-(** Event tracing for the PM stack.
+(** Chrome-trace rendering of the PM stack's event stream.
 
-    A single global subscriber (bounded in-memory rings, or a JSONL
-    stream) receives timestamped events from instrumentation sites in
-    the device, journal, allocator and pool layers.  Timestamps are the
-    device's {e simulated} nanoseconds, so traces are deterministic and
-    reflect PM cost, not host noise.
+    The trace is a {!Probe} subscriber: {!install_ring} subscribes a
+    converter that renders every protocol event of interest (flushes,
+    fences, transactions, journal entries, allocations, recovery) as a
+    timestamped trace event into bounded in-memory rings.  Timestamps
+    are the device's {e simulated} nanoseconds, so traces are
+    deterministic and reflect PM cost, not host noise.  Tools may also
+    {!emit} their own annotations (sanitizer findings, waste overlays)
+    into the installed ring.
 
-    With no subscriber installed, {!on} is false and every emission
-    site reduces to one atomic load and a branch — the uninstrumented
-    hot path stays within noise, and {e zero} events are retained.
+    With no ring installed, {!on} is false and {!emit} is a no-op;
+    the instrumented layers only pay the {!Probe} gate.
 
-    The ring subscriber can be {e sharded per domain}
-    ([install_ring ~shards]): each emitting domain appends to its own
-    ring under its own lock, so N domains tracing concurrently never
-    serialize on one ring mutex; {!events} merges the rings back into
-    one stream ordered by simulated time, with [tid] identifying the
-    emitting domain — one Chrome trace, one track per domain.
+    The ring can be {e sharded per domain} ([install_ring ~shards]):
+    each emitting domain appends to its own ring under its own lock, so
+    N domains tracing concurrently never serialize on one ring mutex;
+    {!events} merges the rings back into one stream ordered by
+    simulated time, with [tid] identifying the emitting domain — one
+    Chrome trace, one track per domain.
 
     The rings export Chrome [trace_event] JSON ({!to_chrome_json},
-    loadable in [chrome://tracing] / Perfetto) and one-event-per-line
-    JSONL.  {!Trace_schema} validates both and parses them back. *)
+    loadable in [chrome://tracing] / Perfetto); {!Trace_schema}
+    validates it and parses it back. *)
 
 type phase =
   | B  (** span begin (paired with [E] per thread, LIFO) *)
@@ -29,7 +31,7 @@ type phase =
 
 type event = {
   name : string;
-  cat : string;  (** category: [tx], [journal], [device], [alloc], … *)
+  cat : string;  (** category: [pool], [journal], [device], [palloc], … *)
   ph : phase;
   ts_ns : float;  (** simulated-ns timestamp *)
   tid : int;  (** emitting domain id *)
@@ -39,40 +41,18 @@ type event = {
 (** {1 Subscription} *)
 
 val install_ring : ?capacity:int -> ?shards:int -> unit -> unit
-(** Subscribe an in-memory ring keeping the most recent [capacity]
-    events {e per shard} (default 65536); older events are overwritten
-    and counted in {!dropped}.  [shards] (default 1, rounded up to a
-    power of two) shards the ring by emitting domain id: each domain
-    appends under its own ring's lock, eliminating cross-domain
-    contention on the trace path.  Replaces any current subscriber. *)
-
-val install_jsonl : out_channel -> unit
-(** Subscribe a streaming sink: each event is written immediately as
-    one JSON object per line.  The channel is flushed on
-    {!uninstall}. *)
-
-val install_null : unit -> unit
-(** Subscribe a sink that discards every event.  {!on} becomes true, so
-    gated side effects that ride the trace gate — notably the
-    {!Metrics} registry updates at instrumentation sites — run without
-    paying for event retention.  Used by [--metrics] when no [--trace]
-    ring is wanted. *)
+(** Install an in-memory ring keeping the most recent [capacity] events
+    {e per shard} (default 65536) and subscribe it to the {!Probe} bus;
+    older events are overwritten and counted in {!dropped}.  [shards]
+    (default 1, rounded up to a power of two) shards the ring by
+    emitting domain id.  Replaces any ring installed before. *)
 
 val uninstall : unit -> unit
-(** Remove the subscriber.  {!on} becomes false; a ring's events remain
-    readable through {!events} until the next [install_*]. *)
+(** Unsubscribe the ring.  {!on} becomes false; its events remain
+    readable through {!events} until the next {!install_ring}. *)
 
 val on : unit -> bool
-(** Whether a subscriber is installed — the guard every instrumentation
-    site checks before doing any telemetry work. *)
-
-val set_detail : [ `Ordering | `All ] -> unit
-(** [`Ordering] (default): the device emits only ordering points
-    (flush/fence).  [`All]: individual loads and stores emit instant
-    events too — very verbose; for short windows only. *)
-
-val verbose : unit -> bool
-(** [on () && detail = `All]. *)
+(** Whether a ring is installed. *)
 
 (** {1 Emission} *)
 
@@ -85,7 +65,8 @@ val emit :
   ts_ns:float ->
   unit ->
   unit
-(** No-op unless {!on}.  [tid] defaults to the calling domain's id. *)
+(** Append one event to the ring; no-op unless {!on}.  [tid] defaults
+    to the calling domain's id. *)
 
 val begin_span :
   ?args:(string * string) list -> cat:string -> name:string -> ts_ns:float -> unit -> unit
@@ -99,7 +80,7 @@ val events : unit -> event list
 (** Events currently retained, oldest first.  With a sharded ring, the
     per-domain rings are merged into one stream ordered by simulated
     timestamp (ties keep each ring's own emission order).  [[]] when
-    the subscriber is a JSONL stream or nothing was ever installed. *)
+    no ring was ever installed. *)
 
 val dropped : unit -> int
 (** Events overwritten by ring wrap-around since the last install,

@@ -245,6 +245,21 @@ let test_openloop_deterministic_and_mergeable () =
     (snapshot_key (Hdr.snapshot (L.merge_reports [ c; a ]).L.response)
     = snapshot_key (Hdr.snapshot m.L.response))
 
+(* --- rng ------------------------------------------------------------------ *)
+
+(* [Rng.int] must terminate and stay in range for every positive bound,
+   including ones whose rejection limit sits at the top of the int range. *)
+let test_rng_int_bounds () =
+  let rng = L.Rng.create 42 in
+  List.iter
+    (fun bound ->
+      for _ = 1 to 1000 do
+        let v = L.Rng.int rng bound in
+        check_bool (Printf.sprintf "Rng.int %d in range" bound) true
+          (v >= 0 && v < bound)
+      done)
+    [ 1; 7; 1000; max_int ]
+
 let () =
   Alcotest.run "corundum loadgen"
     [
@@ -266,6 +281,8 @@ let () =
         ] );
       ( "zipf",
         [ Alcotest.test_case "shape and determinism" `Quick test_zipf_shape ] );
+      ( "rng",
+        [ Alcotest.test_case "int bounds terminate in range" `Quick test_rng_int_bounds ] );
       ( "driver",
         [
           Alcotest.test_case "underload: response = service" `Quick

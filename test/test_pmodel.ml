@@ -178,10 +178,10 @@ let test_conform_flags_log_after_commit () =
     Cf.validate_events
       [
         layout;
-        Pr.Tx_begin { dev = 0; ns = 0. };
-        Pr.Fence { dev = 0; ns = 0. };
+        Pr.Tx_begin { dev = 0; ns = 0.; slot = 0 };
+        Pr.Fence { dev = 0; ns = 0.; lines = 0; dur_ns = 0. };
         Pr.Commit_point { dev = 0; ns = 0. };
-        Pr.Log { dev = 0; off = 0x440; len = 64 };
+        Pr.Log { dev = 0; off = 0x440; len = 64; entry = 0; ns = 0. };
       ]
   in
   Alcotest.(check bool)
@@ -193,7 +193,7 @@ let test_conform_flags_commit_without_fence () =
     Cf.validate_events
       [
         layout;
-        Pr.Tx_begin { dev = 0; ns = 0. };
+        Pr.Tx_begin { dev = 0; ns = 0.; slot = 0 };
         Pr.Commit_point { dev = 0; ns = 0. };
       ]
   in
@@ -221,8 +221,8 @@ let test_conform_flags_geometry () =
     Cf.validate_events
       [
         layout;
-        Pr.Tx_begin { dev = 0; ns = 0. };
-        Pr.Alloc { dev = 0; off = 0x2000_0000; len = 64 };
+        Pr.Tx_begin { dev = 0; ns = 0.; slot = 0 };
+        Pr.Alloc { dev = 0; off = 0x2000_0000; len = 64; entry = 0; ns = 0. };
       ]
   in
   Alcotest.(check bool)

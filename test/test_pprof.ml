@@ -15,7 +15,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let fresh () =
-  if Pprof.Capture.active () then ignore (Pprof.Capture.stop ());
+  ignore (Pprof.Capture.stop ());
   Psan.disable ();
   Psan.reset ();
   FP.set FP.Clean
@@ -119,14 +119,14 @@ let test_synthetic_e4 () =
   let h = 512 * 1024 in
   let events =
     [
-      Pr.Tx_begin { dev; ns = 1.0 };
+      Pr.Tx_begin { dev; ns = 1.0; slot = 0 };
       Pr.Store { dev; off = h; len = 8; ns = 2.0 };
       Pr.Store { dev; off = h + 64; len = 8; ns = 3.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 4.0 };
-      Pr.Flush { dev; off = h + 64; len = 64; ns = 5.0 };
-      Pr.Fence { dev; ns = 6.0 };
+      Pr.Flush { dev; off = h; len = 64; ns = 4.0; lines = 1; dur_ns = 0. };
+      Pr.Flush { dev; off = h + 64; len = 64; ns = 5.0; lines = 1; dur_ns = 0. };
+      Pr.Fence { dev; ns = 6.0; lines = 0; dur_ns = 0. };
       Pr.Commit_point { dev; ns = 7.0 };
-      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 8.0 };
+      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 8.0; logged_bytes = 0; undo_depth = 0 };
     ]
   in
   let r = Pprof.analyze ~label:"e4" ~prelude:[ layout ~dev ] events in
@@ -147,17 +147,17 @@ let test_synthetic_superseded_e2 () =
   let h = 512 * 1024 in
   let events =
     [
-      Pr.Tx_begin { dev; ns = 1.0 };
+      Pr.Tx_begin { dev; ns = 1.0; slot = 0 };
       Pr.Store { dev; off = h; len = 8; ns = 2.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 3.0 };
+      Pr.Flush { dev; off = h; len = 64; ns = 3.0; lines = 1; dur_ns = 0. };
       (* re-dirty the same line before any fence: the first write-back
          is superseded *)
       Pr.Store { dev; off = h; len = 8; ns = 4.0 };
-      Pr.Fence { dev; ns = 5.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 6.0 };
-      Pr.Fence { dev; ns = 7.0 };
+      Pr.Fence { dev; ns = 5.0; lines = 0; dur_ns = 0. };
+      Pr.Flush { dev; off = h; len = 64; ns = 6.0; lines = 1; dur_ns = 0. };
+      Pr.Fence { dev; ns = 7.0; lines = 0; dur_ns = 0. };
       Pr.Commit_point { dev; ns = 8.0 };
-      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 9.0 };
+      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 9.0; logged_bytes = 0; undo_depth = 0 };
     ]
   in
   let r = Pprof.analyze ~label:"e2" ~prelude:[ layout ~dev ] events in
@@ -183,13 +183,13 @@ let test_aborted_tx_not_scored () =
   let h = 512 * 1024 in
   let events =
     [
-      Pr.Tx_begin { dev; ns = 1.0 };
+      Pr.Tx_begin { dev; ns = 1.0; slot = 0 };
       Pr.Store { dev; off = h; len = 8; ns = 2.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 3.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 4.0 };
-      Pr.Fence { dev; ns = 5.0 };
-      Pr.Fence { dev; ns = 6.0 };
-      Pr.Tx_end { dev; outcome = Pr.Abort; ns = 7.0 };
+      Pr.Flush { dev; off = h; len = 64; ns = 3.0; lines = 1; dur_ns = 0. };
+      Pr.Flush { dev; off = h; len = 64; ns = 4.0; lines = 1; dur_ns = 0. };
+      Pr.Fence { dev; ns = 5.0; lines = 0; dur_ns = 0. };
+      Pr.Fence { dev; ns = 6.0; lines = 0; dur_ns = 0. };
+      Pr.Tx_end { dev; outcome = Pr.Abort; ns = 7.0; logged_bytes = 0; undo_depth = 0 };
     ]
   in
   let r = Pprof.analyze ~label:"abort" ~prelude:[ layout ~dev ] events in
@@ -210,7 +210,7 @@ let wasteful_control profile =
   Pprof.Capture.start ();
   Fun.protect
     ~finally:(fun () ->
-      if Pprof.Capture.active () then ignore (Pprof.Capture.stop ());
+      ignore (Pprof.Capture.stop ());
       FP.set FP.Clean)
     (fun () ->
       let t = E.create ~size:(8 * 1024 * 1024) () in
@@ -228,8 +228,7 @@ let wasteful_control profile =
       FP.set FP.Clean;
       let events = Pprof.Capture.stop () in
       let r = Pprof.analyze ~label:(FP.name profile) ~prelude events in
-      (* psan sees the same run via replay (the bus is single-subscriber,
-         so the sanitizer could not watch the capture live). *)
+      (* psan judges the same run via replay of the capture. *)
       Psan.reset ();
       Psan.enable ();
       Pprof.replay (prelude @ events);
@@ -291,29 +290,57 @@ let test_events_json_roundtrip () =
     [
       layout ~dev;
       Pr.Pool_attach { dev; heap_base = h; heap_len = 1024 * 1024 };
-      Pr.Tx_begin { dev; ns = 1.0 };
-      Pr.Log { dev; off = h; len = 16 };
-      Pr.Alloc { dev; off = h + 128; len = 64 };
+      Pr.Tx_begin { dev; ns = 1.0; slot = 1 };
+      Pr.Log { dev; off = h; len = 16; entry = 48; ns = 1.5 };
+      Pr.Alloc { dev; off = h + 128; len = 64; entry = 32; ns = 1.7 };
+      Pr.Block_alloc { dev; off = h + 128; len = 64; ns = 1.6 };
       Pr.Store { dev; off = h; len = 8; ns = 2.0 };
-      Pr.Flush { dev; off = h; len = 64; ns = 3.5 };
-      Pr.Fence { dev; ns = 4.0 };
+      Pr.Flush { dev; off = h; len = 64; ns = 3.5; lines = 1; dur_ns = 1.5 };
+      Pr.Fence { dev; ns = 4.0; lines = 1; dur_ns = 0.5 };
       Pr.Commit_point { dev; ns = 5.0 };
-      Pr.Region_reserve { dev; off = h + 4096; len = 256 };
+      Pr.Epoch { dev; members = 3 };
+      Pr.Region_reserve { dev; off = h + 4096; len = 256; ns = 5.2 };
       Pr.Region_release { dev; off = h + 4096 };
       Pr.Journal_truncate { dev; slot_base = 4096; epoch = 3 };
       Pr.Drop_apply { dev; off = h + 128 };
-      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 6.0 };
+      Pr.Block_free { dev; off = h + 128; len = 64; ns = 5.5 };
+      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 6.0; logged_bytes = 80; undo_depth = 2 };
       Pr.Exempt_push { dev };
       Pr.Recovery_phase { dev; phase = "walk"; ns = 7.0; dur_ns = 0.5 };
       Pr.Exempt_pop { dev };
+      Pr.Recovery
+        { dev; ns = 8.0; dur_ns = 2.0; slots = 2; rolled_back = 1; completed = 0;
+          entries_skipped = 0 };
       Pr.Power_cycle { dev };
     ]
   in
-  let round = Pprof.events_of_json (Pprof.events_to_json events) in
+  let round = Pr.of_json (Pr.to_json events) in
   check_bool "events survive the JSON round-trip" true (round = events);
+  (* a capture written before the span/attribution fields existed loads
+     with those fields zeroed *)
+  let old =
+    Json.of_string
+      (Printf.sprintf
+         {|{"schema": "corundum-probe-v1", "events": [
+             {"t": "tx_begin", "dev": %d, "ns": 1},
+             {"t": "flush", "dev": %d, "off": 0, "len": 64, "ns": 2},
+             {"t": "fence", "dev": %d, "ns": 3},
+             {"t": "log", "dev": %d, "off": 0, "len": 8},
+             {"t": "tx_end", "dev": %d, "outcome": "commit", "ns": 4}]}|}
+         dev dev dev dev dev)
+  in
+  check_bool "pre-field captures still load" true
+    (Pr.of_json old
+    = [
+        Pr.Tx_begin { dev; ns = 1.0; slot = 0 };
+        Pr.Flush { dev; off = 0; len = 64; ns = 2.0; lines = 0; dur_ns = 0.0 };
+        Pr.Fence { dev; ns = 3.0; lines = 0; dur_ns = 0.0 };
+        Pr.Log { dev; off = 0; len = 8; entry = 0; ns = 0.0 };
+        Pr.Tx_end { dev; outcome = Pr.Commit; ns = 4.0; logged_bytes = 0; undo_depth = 0 };
+      ]);
   (* a malformed document must raise, not silently drop events *)
   check_bool "unknown schema rejected" true
-    (match Pprof.events_of_json (Json.Obj [ ("schema", Json.Str "nope") ]) with
+    (match Pr.of_json (Json.Obj [ ("schema", Json.Str "nope") ]) with
     | _ -> false
     | exception Failure _ -> true)
 

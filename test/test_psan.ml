@@ -264,6 +264,52 @@ let test_use_after_retire () =
       check_bool "store into the retired block raises V5" true
         (has_class Psan.V5))
 
+(* --- sharing the probe bus ---------------------------------------------- *)
+
+(* A waste capture subscribes alongside psan instead of evicting it:
+   after [Waste.measure] has captured and released its own windows, the
+   sanitizer must still be watching and catch the missing-flush bug. *)
+let test_capture_keeps_psan () =
+  with_psan (fun () ->
+      Psan.enable ();
+      ignore (Engines.Waste.measure (module Engines.Corundum_engine));
+      check_bool "waste windows are psan-clean" true (Psan.clean ());
+      FP.set FP.Missing_flush;
+      ignore (sweep_faults ());
+      Psan.disable ();
+      check_bool "psan still reports V2 after the capture" true
+        (has_class Psan.V2))
+
+(* Two domains committing on one shared pool while a pprof capture
+   records: the capture must hold every persist the device counted — no
+   event lost to a racing append. *)
+let test_two_domain_capture_counts () =
+  let pool = Pool_impl.create ~config:small () in
+  let dev = Pool_impl.device pool in
+  let blocks =
+    Pool_impl.transaction pool (fun tx ->
+        [ Pool_impl.tx_alloc tx 64; Pool_impl.tx_alloc tx 64 ])
+  in
+  let s0 = D.stats dev in
+  Pprof.Capture.start ();
+  let worker off () =
+    for i = 1 to 300 do
+      Pool_impl.transaction pool (fun tx ->
+          Pool_impl.tx_log tx ~off ~len:8;
+          D.write_u64 dev off (Int64.of_int i))
+    done
+  in
+  List.iter Domain.join
+    (List.map (fun off -> Domain.spawn (worker off)) blocks);
+  let events = Pprof.Capture.stop () in
+  let s1 = D.stats dev in
+  let count p = List.length (List.filter p events) in
+  check_int "captured flushes = device flush calls"
+    (s1.D.flush_calls - s0.D.flush_calls)
+    (count (function Ptelemetry.Probe.Flush _ -> true | _ -> false));
+  check_int "captured fences = device fences" (s1.D.fences - s0.D.fences)
+    (count (function Ptelemetry.Probe.Fence _ -> true | _ -> false))
+
 (* --- lifecycle --------------------------------------------------------- *)
 
 let test_reset_and_counts () =
@@ -312,6 +358,13 @@ let () =
             test_missing_fence;
           Alcotest.test_case "use-after-retire: V5" `Quick
             test_use_after_retire;
+        ] );
+      ( "shared-bus",
+        [
+          Alcotest.test_case "waste capture keeps psan subscribed" `Quick
+            test_capture_keeps_psan;
+          Alcotest.test_case "2-domain capture counts every persist" `Quick
+            test_two_domain_capture_counts;
         ] );
       ( "lifecycle",
         [

@@ -1,7 +1,8 @@
 (* The telemetry subsystem: metrics registry known answers, trace ring
    ordering and span discipline, Chrome exporter round-trips, the
-   zero-overhead guarantee with no subscriber, and the exact flush/fence
-   attribution of one committed Pbox update. *)
+   zero-overhead guarantee with no subscriber (and with every subscriber
+   on the probe bus at once), and the exact flush/fence attribution of
+   one committed Pbox update. *)
 
 open Corundum
 module D = Pmem.Device
@@ -20,8 +21,30 @@ let check_bool = Alcotest.(check bool)
 let fresh () =
   Tr.uninstall ();
   Tr.clear ();
-  Tr.set_detail `Ordering;
+  Mx.uninstall ();
   Mx.reset ()
+
+(* Run [f] with all five probe subscribers at once: a sharded trace
+   ring, the metrics registry, psan, a pprof capture and an Mconform
+   capture.  Returns [f]'s result, the Mconform capture and the pprof
+   capture. *)
+let with_all_subscribers f =
+  Tr.install_ring ~capacity:(1 lsl 16) ~shards:4 ();
+  Mx.install ();
+  Psan.enable ();
+  Pprof.Capture.start ();
+  let captured, v = Pmodel.Mconform.capture f in
+  let profiled = Pprof.Capture.stop () in
+  Psan.disable ();
+  Mx.uninstall ();
+  Tr.uninstall ();
+  (v, captured, profiled)
+
+let check_conformant captured =
+  let v = Pmodel.Mconform.validate captured in
+  if not (Pmodel.Mconform.ok v) then
+    Alcotest.failf "capture flagged: %s"
+      (Format.asprintf "%a" Pmodel.Mconform.pp_verdict v)
 
 (* --- metrics registry -------------------------------------------------- *)
 
@@ -267,7 +290,17 @@ let test_no_subscriber_zero_events () =
   check_bool "workload under psan is clean" true (Psan.clean ());
   let ns_after = workload () in
   check_bool "clock parity restored after psan disable" true
-    (ns_off = ns_after)
+    (ns_off = ns_after);
+  let ns_all, captured, profiled = with_all_subscribers workload in
+  check_bool "all five subscribers do not move the simulated clock" true
+    (ns_off = ns_all);
+  check_bool "psan clean with every subscriber on" true (Psan.clean ());
+  check_conformant captured;
+  check_bool "both recorders saw the same stream" true
+    (profiled = List.map snd captured);
+  check_bool "the ring and the registry observed the run" true
+    (Tr.events () <> []
+    && Option.value ~default:0 (Mx.find_counter "tx.count") > 0)
 
 (* The same parity proven under N domains: each domain churns a private
    pool (private device, private clock — first-free journal-slot races
@@ -324,7 +357,13 @@ let test_multi_domain_clock_parity () =
   Psan.disable ();
   check_bool "sanitizer does not move any domain's clock" true
     (off = sanitized);
-  check_bool "multi-domain run under psan is clean" true (Psan.clean ())
+  check_bool "multi-domain run under psan is clean" true (Psan.clean ());
+  let all, captured, _ = with_all_subscribers (fun () -> run_domains domains) in
+  check_bool "all five subscribers do not move any domain's clock" true
+    (off = all);
+  check_bool "multi-domain run with every subscriber is psan-clean" true
+    (Psan.clean ());
+  check_conformant captured
 
 (* --- flush/fence attribution known answer ----------------------------- *)
 
@@ -362,8 +401,10 @@ let test_tx_span_attribution () =
   let root = P.root ~ty:Ptype.int ~init:(fun _ -> 0) () in
   P.transaction (fun j -> Pbox.set root 1 j);
   Tr.install_ring ();
+  Mx.install ();
   P.transaction (fun j -> Pbox.set root 2 j);
   Tr.uninstall ();
+  Mx.uninstall ();
   let tx_events =
     List.filter (fun e -> e.Tr.name = "tx") (Tr.events ())
   in
@@ -376,6 +417,38 @@ let test_tx_span_attribution () =
   check_int "logged bytes attributed" 32 (int_of_string (arg "logged_bytes"));
   check_int "tx.count metric" 1
     (Option.value ~default:(-1) (Mx.find_counter "tx.count"))
+
+(* The same known answer with all five subscribers on: the tx span's
+   args and the [tx.*] histograms agree, psan stays clean and the
+   capture conforms to the protocol model. *)
+let test_attribution_all_subscribers () =
+  fresh ();
+  let (), captured, _ =
+    with_all_subscribers (fun () ->
+        let module P = Pool.Make () in
+        P.create ~config:small ();
+        let root = P.root ~ty:Ptype.int ~init:(fun _ -> 0) () in
+        P.transaction (fun j -> Pbox.set root 1 j);
+        Tr.clear ();
+        Mx.reset ();
+        P.transaction (fun j -> Pbox.set root 2 j))
+  in
+  let tx = List.filter (fun e -> e.Tr.name = "tx") (Tr.events ()) in
+  check_int "one tx span" 1 (List.length tx);
+  let arg k = int_of_string (List.assoc k (List.hd tx).Tr.args) in
+  check_int "span flushes" 3 (arg "flushes");
+  check_int "span fences" 3 (arg "fences");
+  check_int "span logged bytes" 32 (arg "logged_bytes");
+  let sum name =
+    match Mx.find_histogram name with
+    | Some h when h.Mx.count = 1 -> h.Mx.sum
+    | _ -> -1
+  in
+  check_int "tx.flushes histogram" 3 (sum "tx.flushes");
+  check_int "tx.fences histogram" 3 (sum "tx.fences");
+  check_int "tx.logged_bytes histogram" 32 (sum "tx.logged_bytes");
+  check_bool "psan clean" true (Psan.clean ());
+  check_conformant captured
 
 (* --- lifetime counters ------------------------------------------------ *)
 
@@ -446,6 +519,8 @@ let () =
             test_pbox_update_flush_fence_counts;
           Alcotest.test_case "tx span attribution args" `Quick
             test_tx_span_attribution;
+          Alcotest.test_case "known answer with all five subscribers" `Quick
+            test_attribution_all_subscribers;
         ] );
       ( "lifetime",
         [
