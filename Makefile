@@ -1,6 +1,6 @@
 # Corundum-OCaml — top-level targets (the artifact's run.sh/results.sh).
 
-.PHONY: all build test eval tables micro perf scale crash pmodel bench waste recovery-latency openloop doc clean
+.PHONY: all build test eval tables micro perf scale crash pmodel bench waste recovery-latency openloop doc loc clean
 
 all: build
 
@@ -51,6 +51,10 @@ openloop:
 
 doc:
 	dune build @doc
+
+# Net library lines (.ml + .mli), the size metric ROADMAP tracks.
+loc:
+	@wc -l lib/*/*.ml lib/*/*.mli | tail -n 1
 
 clean:
 	dune clean

@@ -161,7 +161,6 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
           ~size:slot_size)
   in
   if Pr.on () then begin
-    Pr.emit (Pr.Pool_attach { dev = D.id dev; heap_base; heap_len });
     Pr.emit
       (Pr.Pool_layout
          {

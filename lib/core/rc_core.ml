@@ -43,14 +43,16 @@ let weak_count rc =
   let w = read_weak rc.pool rc.ctrl in
   if read_strong rc.pool rc.ctrl > 0 then w - 1 else w
 
-(* Guard and log a control block's counter words.  Atomic blocks take the
-   pool lock (held to transaction end) and log every update; non-atomic
-   blocks rely on single-threaded use and deduplicated logging. *)
+(* Guard a control block's counter words before reading them.  Atomic
+   blocks take the pool lock (held to transaction end) so that a
+   read-modify-write of a count cannot interleave with another domain's;
+   non-atomic blocks rely on single-threaded use. *)
+let lock_counts tx ~atomic c = if atomic then Pool_impl.tx_lock tx c
+
+(* Log the counter words: atomic blocks log every update, non-atomic ones
+   deduplicate. *)
 let log_counts tx ~atomic c =
-  if atomic then begin
-    Pool_impl.tx_lock tx c;
-    Pool_impl.tx_log_nodedup tx ~off:c ~len:header
-  end
+  if atomic then Pool_impl.tx_log_nodedup tx ~off:c ~len:header
   else Pool_impl.tx_log tx ~off:c ~len:header
 
 let make ~atomic ~ty v j =
@@ -85,6 +87,7 @@ let get rc =
 let pclone rc j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic:rc.atomic rc.ctrl;
   let s = read_strong pool rc.ctrl in
   if s = 0 then raise (Dangling rc.ctrl);
   log_counts tx ~atomic:rc.atomic rc.ctrl;
@@ -97,6 +100,7 @@ let pclone rc j =
    to [c]; the implicit weak keeps the block alive throughout. *)
 let drop_strong_at tx ~atomic ~ty c =
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic c;
   let s = read_strong pool c in
   if s = 0 then raise (Dangling c);
   log_counts tx ~atomic c;
@@ -119,6 +123,7 @@ let drop rc j = drop_strong_at (Journal.tx j) ~atomic:rc.atomic ~ty:rc.ty rc.ctr
 let try_unwrap rc j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic:rc.atomic rc.ctrl;
   let s = read_strong pool rc.ctrl in
   if s = 0 then raise (Dangling rc.ctrl);
   if s <> 1 then None
@@ -135,6 +140,7 @@ let try_unwrap rc j =
 let downgrade rc j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic:rc.atomic rc.ctrl;
   if read_strong pool rc.ctrl = 0 then raise (Dangling rc.ctrl);
   log_counts tx ~atomic:rc.atomic rc.ctrl;
   write_weak pool rc.ctrl (read_weak pool rc.ctrl + 1);
@@ -142,6 +148,7 @@ let downgrade rc j =
 
 let weak_drop_at tx ~atomic c =
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic c;
   let w = read_weak pool c in
   if w = 0 then raise (Dangling c);
   log_counts tx ~atomic c;
@@ -153,6 +160,7 @@ let weak_drop w j = weak_drop_at (Journal.tx j) ~atomic:w.w_atomic w.w_ctrl
 let upgrade w j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
+  lock_counts tx ~atomic:w.w_atomic w.w_ctrl;
   let s = read_strong pool w.w_ctrl in
   if s = 0 then None
   else begin
@@ -184,7 +192,8 @@ let promote vw j =
      has not been freed and reused since the vweak was created. *)
   if Pool_impl.uid pool <> vw.v_uid then None
   else if Pool_impl.birth pool vw.v_ctrl <> vw.v_birth then None
-  else
+  else begin
+    lock_counts tx ~atomic:vw.v_atomic vw.v_ctrl;
     let s = read_strong pool vw.v_ctrl in
     if s = 0 then None
     else begin
@@ -192,6 +201,7 @@ let promote vw j =
       write_strong pool vw.v_ctrl (s + 1);
       Some { ctrl = vw.v_ctrl; pool; ty = vw.v_ty; atomic = vw.v_atomic }
     end
+  end
 
 let read_ptr pool off = Int64.to_int (D.read_u64 (dev pool) off)
 

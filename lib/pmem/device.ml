@@ -1,13 +1,8 @@
 exception Crashed
 
-let line_size = 64
-let line_shift = 6
+module PL = Persist_line
 
-(* Per-line cache state, stored one byte per line. *)
-let st_clean = '\000'
-let st_dirty = '\001'
-let st_flushed = '\002' (* snapshot in WPQ, no store since the flush *)
-let st_flushed_dirty = '\003' (* snapshot in WPQ, line re-dirtied since *)
+let line_size = PL.line_size
 
 type t = {
   id : int; (* process-unique; lets subscribers key state per device *)
@@ -17,7 +12,7 @@ type t = {
   path : string option;
   durable : Bytes.t; (* what survives a power failure *)
   view : Bytes.t; (* what loads observe (durable + cached stores) *)
-  state : Bytes.t; (* one state byte per line *)
+  state : Bytes.t; (* one encoded Persist_line.state per line *)
   wpq : (int, Bytes.t) Hashtbl.t; (* line number -> 64-byte snapshot *)
   lock : Mutex.t; (* protects wpq, state transitions in flush/fence *)
   mutable rng : Random.State.t;
@@ -65,7 +60,7 @@ let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
     path;
     durable = Bytes.make size '\000';
     view = Bytes.make size '\000';
-    state = Bytes.make (size / line_size) st_clean;
+    state = Bytes.make (size / line_size) (PL.encode PL.Clean);
     wpq = Hashtbl.create 256;
     lock = Mutex.create ();
     rng = Random.State.make [| seed |];
@@ -153,14 +148,16 @@ module Pr = Ptelemetry.Probe
 let probe_store t off len =
   Pr.emit (Pr.Store { dev = t.id; off; len; ns = simulated_ns t })
 
-(* Mark every line intersecting [off, off+len) as dirtied by a store. *)
+let line_state t l = PL.decode (Bytes.unsafe_get t.state l)
+let set_line_state t l s = Bytes.unsafe_set t.state l (PL.encode s)
+
+(* Mark every line intersecting [off, off+len) as dirtied by a store.
+   Runs on every store, so it steps the encoded state through the
+   transition table instead of calling across the module boundary. *)
 let mark_dirty t off len =
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  for l = first to last do
-    match Bytes.unsafe_get t.state l with
-    | c when c = st_clean -> Bytes.unsafe_set t.state l st_dirty
-    | c when c = st_flushed -> Bytes.unsafe_set t.state l st_flushed_dirty
-    | _ -> ()
+  for l = off lsr PL.line_shift to (off + len - 1) lsr PL.line_shift do
+    Bytes.unsafe_set t.state l
+      (String.unsafe_get PL.store_code (Char.code (Bytes.unsafe_get t.state l)))
   done
 
 (* {1 Loads} *)
@@ -301,7 +298,7 @@ let persist_point_locked t =
   end
 
 let snapshot_line t l =
-  let off = l lsl line_shift in
+  let off = PL.line_start l in
   Bytes.sub t.view off (min line_size (t.size - off))
 
 let flush t off len =
@@ -311,14 +308,14 @@ let flush t off len =
     Mutex.lock t.lock;
     persist_point_locked t;
     Atomic.incr t.flush_calls;
-    let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
+    let first = PL.line_of off and last = PL.line_of (off + len - 1) in
     for l = first to last do
       Atomic.incr t.flushes;
-      match Bytes.unsafe_get t.state l with
-      | c when c = st_dirty || c = st_flushed_dirty ->
+      match PL.flush (line_state t l) with
+      | Some s ->
           Hashtbl.replace t.wpq l (snapshot_line t l);
-          Bytes.unsafe_set t.state l st_flushed
-      | _ -> ()
+          set_line_state t l s
+      | None -> ()
     done;
     Mutex.unlock t.lock;
     if Pr.on () then begin
@@ -348,11 +345,8 @@ let fence t =
   let drain (l, snap) =
     Atomic.incr t.fence_lines;
     incr drained;
-    Bytes.blit snap 0 t.durable (l lsl line_shift) (Bytes.length snap);
-    match Bytes.unsafe_get t.state l with
-    | c when c = st_flushed -> Bytes.unsafe_set t.state l st_clean
-    | c when c = st_flushed_dirty -> Bytes.unsafe_set t.state l st_dirty
-    | _ -> ()
+    Bytes.blit snap 0 t.durable (PL.line_start l) (Bytes.length snap);
+    set_line_state t l (PL.drain (line_state t l))
   in
   List.iter drain (wpq_sorted t);
   Hashtbl.reset t.wpq;
@@ -377,7 +371,7 @@ let power_cycle t =
      media guarantees 8-byte atomicity only, so each u64 word of the line
      independently lands new or stays old. *)
   let maybe_drain (l, snap) =
-    let off = l lsl line_shift in
+    let off = PL.line_start l in
     let len = Bytes.length snap in
     if t.torn_write_prob > 0.0 && Random.State.float t.rng 1.0 < t.torn_write_prob
     then begin
@@ -394,7 +388,7 @@ let power_cycle t =
   List.iter maybe_drain (wpq_sorted t);
   Hashtbl.reset t.wpq;
   Bytes.blit t.durable 0 t.view 0 t.size;
-  Bytes.fill t.state 0 t.nlines st_clean;
+  Bytes.fill t.state 0 t.nlines (PL.encode PL.Clean);
   t.crashed <- false;
   (* The crash countdown is a harness injection knob, not device state:
      it survives the power cycle so a test can arm a crash that fires
@@ -415,9 +409,8 @@ let corrupt_line t off =
   let bit = 1 lsl Random.State.int t.rng 8 in
   let flipped = Char.chr (Char.code (Bytes.get t.durable off) lxor bit) in
   Bytes.set t.durable off flipped;
-  let line = off lsr line_shift in
-  if Bytes.get t.state line = st_clean && not (Hashtbl.mem t.wpq line) then
-    Bytes.set t.view off flipped;
+  (* a Clean line holds no cached store: nothing is dirty or queued *)
+  if line_state t (PL.line_of off) = PL.Clean then Bytes.set t.view off flipped;
   Atomic.incr t.corrupted_lines;
   Mutex.unlock t.lock
 

@@ -12,6 +12,10 @@
       (lines flushed but not yet fenced may or may not have reached media),
       and discards everything else.
 
+    The per-line transitions are {!Persist_line}'s, the one definition
+    psan and pprof replay too; the device keeps them densely, one byte
+    per line, next to a WPQ of line snapshots.
+
     Durable contents can be saved to / loaded from a backing file so that
     pools survive process restarts, mirroring DAX-mmap files.
 

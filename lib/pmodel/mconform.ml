@@ -171,7 +171,7 @@ let validate (events : (int * Pr.event) list) : verdict =
       let dev =
         match ev with
         | Pr.Store { dev; _ } | Pr.Flush { dev; _ } | Pr.Fence { dev; _ }
-        | Pr.Power_cycle { dev } | Pr.Pool_attach { dev; _ }
+        | Pr.Power_cycle { dev }
         | Pr.Tx_begin { dev; _ } | Pr.Tx_end { dev; _ } | Pr.Log { dev; _ }
         | Pr.Alloc { dev; _ } | Pr.Commit_point { dev; _ }
         | Pr.Region_reserve { dev; _ } | Pr.Region_release { dev; _ }
@@ -194,7 +194,7 @@ let validate (events : (int * Pr.event) list) : verdict =
             Some
               { journal_base; slot_size; nslots; table_base; heap_base;
                 heap_len; cow_base; cow_len }
-      | Pr.Pool_attach _ | Pr.Recovery_phase _ | Pr.Cow_shadow _
+      | Pr.Recovery_phase _ | Pr.Cow_shadow _
       | Pr.Cow_retire _ | Pr.Recovery _ | Pr.Epoch _ | Pr.Block_alloc _
       | Pr.Block_free _ ->
           ()

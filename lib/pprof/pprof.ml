@@ -2,8 +2,6 @@ module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
 
-let line = 64
-
 (* {1 Capture} *)
 
 module Capture = struct
@@ -70,15 +68,16 @@ type report = {
 
 (* {1 Shadow analyzer}
 
-   The shadow machine mirrors the device's persist semantics per
-   64-byte line: a store dirties a line, a flush moves it to the
-   write-pending queue, a fence drains the queue.  On top of it, each
-   open transaction accumulates the line sets the protocol's ordering
-   barriers require durable, split by region (journal/spill vs
-   data/mark vs post-commit clears vs header reset), from which the
-   minimal schedule falls out as contiguous-run counts per barrier. *)
+   Lines move through the shared persist-line machine
+   ({!Pmem.Persist_line.Shadow}): a store dirties a line, a flush queues
+   it, a fence drains the queue.  On top of it, each open transaction
+   accumulates the line sets the protocol's ordering barriers require
+   durable, split by region (journal/spill vs data/mark vs post-commit
+   clears vs header reset), from which the minimal schedule falls out as
+   contiguous-run counts per barrier. *)
 
-type lstate = Dirty | Wpq | Wpq_dirty
+module PL = Pmem.Persist_line
+module Sh = PL.Shadow
 
 type geom = {
   journal_base : int;
@@ -128,8 +127,7 @@ type txstate = {
 type dstate = {
   ddev : int;
   mutable geom : geom option;
-  lines : (int, lstate) Hashtbl.t;
-  mutable wpq : int; (* lines currently pending (Wpq or Wpq_dirty) *)
+  lines : Sh.t;
   spills : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
   mutable pending : frec list; (* since the last fence, newest first *)
   mutable tx : txstate option;
@@ -137,7 +135,10 @@ type dstate = {
   mutable exempt : int;
 }
 
+(* The state of one [analyze] run. *)
 type acc = {
+  devs : (int, dstate) Hashtbl.t;
+  mutable live : bool; (* past the prelude: persists are scored *)
   mutable n_txs : int;
   mutable n_unanalyzed : int;
   mutable t_a_fl : int;
@@ -209,30 +210,280 @@ let fresh_tx id =
     last_ns = 0.0;
   }
 
-let analyze ?(label = "trace") ?(prelude = []) events =
-  let devs : (int, dstate) Hashtbl.t = Hashtbl.create 4 in
-  let dstate dev =
-    match Hashtbl.find_opt devs dev with
-    | Some d -> d
-    | None ->
-        let d =
-          {
-            ddev = dev;
-            geom = None;
-            lines = Hashtbl.create 256;
-            wpq = 0;
-            spills = Hashtbl.create 4;
-            pending = [];
-            tx = None;
-            tx_overlap = 0;
-            exempt = 0;
-          }
-        in
-        Hashtbl.add devs dev d;
-        d
+let dstate acc dev =
+  match Hashtbl.find_opt acc.devs dev with
+  | Some d -> d
+  | None ->
+      let d =
+        {
+          ddev = dev;
+          geom = None;
+          lines = Sh.create ();
+          spills = Hashtbl.create 4;
+          pending = [];
+          tx = None;
+          tx_overlap = 0;
+          exempt = 0;
+        }
+      in
+      Hashtbl.add acc.devs dev d;
+      d
+
+let note tx d ~cls ~kind ~off ~len ~ns ~site ~count detail =
+  tx.tfind <-
+    { cls; kind; dev = d.ddev; off; len; ns; tx = tx.tx_id; site; count; detail }
+    :: tx.tfind
+
+(* {2 Per-event handlers} *)
+
+(* A store files its lines under the barrier group that its region and
+   the transaction's commit phase make them part of. *)
+let on_store d off len =
+  (* the untagged stream carries no domain: one owner for every line *)
+  Sh.store d.lines ~who:0 ~off ~len;
+  if d.exempt = 0 then
+    match d.tx with
+    | Some tx when not tx.poisoned -> (
+        match d.geom with
+        | None -> tx.poisoned <- true
+        | Some g -> (
+            let add tbl =
+              for l = PL.line_of off to PL.line_of (off + len - 1) do
+                Hashtbl.replace tbl l ()
+              done
+            in
+            match (tx.commit_seen, classify g d off len) with
+            | false, (Journal | Spill) -> add tx.pre_log
+            | false, Journal_adv -> add tx.pre_adv
+            | false, (Table | Heap | Header) -> add tx.pre_other
+            | true, Table -> add tx.post_table
+            | true, Journal_adv -> add tx.post_adv
+            | true, (Journal | Spill | Header | Heap) -> add tx.post_journal
+            | post, Cow ->
+                tx.is_cow <- true;
+                add (if post then tx.post_cow else tx.pre_cow)))
+    | _ -> ()
+
+(* A flush that queues no line is E2 and one that queues advisory bytes
+   only is E3; the rest wait for their governing fence. *)
+let on_flush acc d off len ns =
+  let newly = Sh.flush d.lines ~off ~len in
+  if acc.live then
+    if d.exempt > 0 then acc.t_rv_fl <- acc.t_rv_fl + 1
+    else
+      match d.tx with
+      | None -> acc.t_bg_fl <- acc.t_bg_fl + 1
+      | Some tx -> (
+          tx.a_fl <- tx.a_fl + 1;
+          tx.last_ns <- ns;
+          if not tx.poisoned then
+            match d.geom with
+            | None -> tx.poisoned <- true
+            | Some g ->
+                let req l =
+                  if tx.commit_seen then
+                    Hashtbl.mem tx.post_table l
+                    || Hashtbl.mem tx.post_journal l
+                    || Hashtbl.mem tx.post_cow l
+                  else
+                    Hashtbl.mem tx.pre_log l || Hashtbl.mem tx.pre_other l
+                    || Hashtbl.mem tx.pre_cow l
+                in
+                let adv l =
+                  Hashtbl.mem (if tx.commit_seen then tx.post_adv else tx.pre_adv) l
+                in
+                let classified cls detail =
+                  tx.classified_fl <- tx.classified_fl + 1;
+                  note tx d ~cls ~kind:`Flush ~off ~len ~ns
+                    ~site:(site_of_region (classify g d off len))
+                    ~count:1 detail
+                in
+                if newly = [] then
+                  classified E2 "write-back of a range with no newly-dirty line"
+                else if List.for_all (fun l -> adv l && not (req l)) newly then
+                  classified E3
+                    "advisory bytes only (never trusted by recovery); deferrable"
+                else
+                  d.pending <-
+                    { fr_off = off; fr_len = len; fr_ns = ns; fr_newly = newly }
+                    :: d.pending)
+
+(* Judge the flushes a fence governs, before it drains: a flush whose
+   every queued line was re-dirtied since is E2, flushes beyond the
+   contiguous runs they cover are E4, and a fence over an empty queue
+   is E1. *)
+let score_fence d tx ns =
+  let site_of fr =
+    match d.geom with
+    | Some g -> site_of_region (classify g d fr.fr_off fr.fr_len)
+    | None -> "unknown"
   in
+  let superseded, effective =
+    List.partition
+      (fun fr ->
+        fr.fr_newly <> []
+        && List.for_all (fun l -> Sh.state d.lines l = PL.Wpq_dirty) fr.fr_newly)
+      (List.rev d.pending)
+  in
+  List.iter
+    (fun fr ->
+      tx.classified_fl <- tx.classified_fl + 1;
+      note tx d ~cls:E2 ~kind:`Flush ~off:fr.fr_off ~len:fr.fr_len ~ns:fr.fr_ns
+        ~site:(site_of fr) ~count:1
+        "every line written back was re-dirtied before the governing fence")
+    superseded;
+  let k = List.length effective in
+  (if k > 1 then
+     let r = runs_of_list (List.concat_map (fun fr -> fr.fr_newly) effective) in
+     if k > r then begin
+       tx.classified_fl <- tx.classified_fl + (k - r);
+       note tx d ~cls:E4 ~kind:`Flush
+         ~off:(match effective with fr :: _ -> fr.fr_off | [] -> 0)
+         ~len:0 ~ns ~site:"fence-group" ~count:(k - r)
+         (Printf.sprintf "%d flush calls cover %d contiguous run(s) under this fence"
+            k r)
+     end);
+  if Sh.pending_count d.lines = 0 then begin
+    tx.empty_fences <- tx.empty_fences + 1;
+    note tx d ~cls:E1 ~kind:`Fence ~off:0 ~len:0 ~ns ~site:"fence" ~count:1
+      "fence drained nothing"
+  end
+
+let on_fence acc d ns =
+  (if acc.live then
+     if d.exempt > 0 then acc.t_rv_fe <- acc.t_rv_fe + 1
+     else
+       match d.tx with
+       | None -> acc.t_bg_fe <- acc.t_bg_fe + 1
+       | Some tx ->
+           tx.a_fe <- tx.a_fe + 1;
+           tx.last_ns <- ns;
+           if not tx.poisoned then score_fence d tx ns);
+  d.pending <- [];
+  ignore (Sh.fence d.lines)
+
+(* The minimal (flushes, fences) of a committed transaction: one flush
+   per contiguous run of each barrier group, one fence per barrier
+   with work. *)
+let min_schedule tx =
+  let g1 = runs_of_tbl tx.pre_log and g2 = runs_of_tbl tx.pre_other in
+  let g3 = runs_of_tbl tx.post_table and g4 = runs_of_tbl tx.post_journal in
+  let c1 = runs_of_tbl tx.pre_cow and c4 = runs_of_tbl tx.post_cow in
+  let one b = if b then 1 else 0 in
+  if tx.is_cow then
+    (* CoW fence floor: the intent seal (if any) fences alone; one
+       commit fence orders every pre-swap line before the swap word;
+       the swap word and any publish words are flushed unfenced
+       (buffered durability); retire clears need one fence ordering
+       them after the swap. *)
+    ( c1 + g1 + g2 + g3 + g4 + c4,
+      one (c1 > 0) + one (g1 + g2 > 0) + one (g3 > 0) )
+  else
+    ( g1 + g2 + g3 + g4,
+      one (g1 > 0 && g2 > 0)
+      + one (g1 > 0 || g2 > 0)
+      + one (g3 > 0 && g4 > 0)
+      + one (g3 > 0 || g4 > 0) )
+
+let finish_tx acc d tx ~committed =
+  d.tx <- None;
+  if acc.live then begin
+    let a_fl = tx.a_fl and a_fe = tx.a_fe in
+    acc.t_a_fl <- acc.t_a_fl + a_fl;
+    acc.t_a_fe <- acc.t_a_fe + a_fe;
+    if
+      committed && (not tx.poisoned)
+      && (tx.commit_seen || (a_fl = 0 && a_fe = 0))
+    then begin
+      acc.n_txs <- acc.n_txs + 1;
+      let min_fl, min_fe = min_schedule tx in
+      (* A buggy (flush/fence-eliding) trace can undershoot the
+         minimum; waste is never negative. *)
+      let m_fl = min min_fl a_fl and m_fe = min min_fe a_fe in
+      acc.t_m_fl <- acc.t_m_fl + m_fl;
+      acc.t_m_fe <- acc.t_m_fe + m_fe;
+      let rem_fl = a_fl - m_fl - tx.classified_fl in
+      if rem_fl > 0 then
+        note tx d ~cls:E1 ~kind:`Flush ~off:0 ~len:0 ~ns:tx.last_ns ~site:"journal"
+          ~count:rem_fl "line(s) re-flushed under a collapsible fence";
+      let rem_fe = a_fe - m_fe - tx.empty_fences in
+      if rem_fe > 0 then
+        note tx d ~cls:E1 ~kind:`Fence ~off:0 ~len:0 ~ns:tx.last_ns ~site:"fence"
+          ~count:rem_fe
+          "per-entry seal fences collapsible into one (independent lines)";
+      acc.all_findings <- tx.tfind @ acc.all_findings
+    end
+    else begin
+      acc.n_unanalyzed <- acc.n_unanalyzed + 1;
+      acc.t_m_fl <- acc.t_m_fl + a_fl;
+      acc.t_m_fe <- acc.t_m_fe + a_fe
+    end
+  end
+
+let on_tx_begin acc d =
+  match d.tx with
+  | None ->
+      acc.next_tx <- acc.next_tx + 1;
+      d.tx <- Some (fresh_tx acc.next_tx)
+  | Some tx ->
+      (* Two transactions on one device: the stream carries no domain
+         id, so neither can be attributed.  Poison. *)
+      tx.poisoned <- true;
+      d.tx_overlap <- d.tx_overlap + 1
+
+let on_tx_end acc d outcome =
+  if d.tx_overlap > 0 then d.tx_overlap <- d.tx_overlap - 1
+  else Option.iter (fun tx -> finish_tx acc d tx ~committed:(outcome = Pr.Commit)) d.tx
+
+(* All cache state is gone, and live spill regions roll back at
+   recovery, so they stop classifying stores as journal protocol. *)
+let on_power_cycle d =
+  Sh.reset d.lines;
+  Hashtbl.reset d.spills;
+  d.pending <- []
+
+let on_recovery_phase acc phase dur_ns =
+  if acc.live then
+    acc.phases <-
+      (match List.assoc_opt phase acc.phases with
+      | Some prev -> (phase, prev +. dur_ns) :: List.remove_assoc phase acc.phases
+      | None -> acc.phases @ [ (phase, dur_ns) ])
+
+let on_event acc ev =
+  match ev with
+  | Pr.Store { dev; off; len; ns = _ } -> on_store (dstate acc dev) off len
+  | Pr.Flush { dev; off; len; ns; _ } -> on_flush acc (dstate acc dev) off len ns
+  | Pr.Fence { dev; ns; _ } -> on_fence acc (dstate acc dev) ns
+  | Pr.Power_cycle { dev } -> on_power_cycle (dstate acc dev)
+  | Pr.Pool_layout
+      { dev; journal_base; slot_size; nslots = _; table_base; heap_base;
+        heap_len = _; cow_base; cow_len } ->
+      (dstate acc dev).geom <-
+        Some { journal_base; slot_size; table_base; heap_base; cow_base; cow_len }
+  | Pr.Tx_begin { dev; _ } -> on_tx_begin acc (dstate acc dev)
+  | Pr.Tx_end { dev; outcome; _ } -> on_tx_end acc (dstate acc dev) outcome
+  | Pr.Commit_point { dev; ns = _ } ->
+      Option.iter (fun tx -> tx.commit_seen <- true) (dstate acc dev).tx
+  | Pr.Region_reserve { dev; off; len; _ } ->
+      Hashtbl.replace (dstate acc dev).spills off len
+  | Pr.Region_release { dev; off } -> Hashtbl.remove (dstate acc dev).spills off
+  | Pr.Exempt_push { dev } ->
+      let d = dstate acc dev in
+      d.exempt <- d.exempt + 1
+  | Pr.Exempt_pop { dev } ->
+      let d = dstate acc dev in
+      d.exempt <- max 0 (d.exempt - 1)
+  | Pr.Recovery_phase { phase; dur_ns; _ } -> on_recovery_phase acc phase dur_ns
+  | Pr.Log _ | Pr.Alloc _ | Pr.Journal_truncate _ | Pr.Drop_apply _
+  | Pr.Cow_shadow _ | Pr.Cow_retire _ | Pr.Recovery _ | Pr.Epoch _
+  | Pr.Block_alloc _ | Pr.Block_free _ ->
+      ()
+
+let analyze ?(label = "trace") ?(prelude = []) events =
   let acc =
     {
+      devs = Hashtbl.create 4;
+      live = false;
       n_txs = 0;
       n_unanalyzed = 0;
       t_a_fl = 0;
@@ -248,377 +499,15 @@ let analyze ?(label = "trace") ?(prelude = []) events =
       phases = [];
     }
   in
-  let live = ref false in
-  let on_store d off len =
-    for l = off / line to (off + len - 1) / line do
-      match Hashtbl.find_opt d.lines l with
-      | Some Wpq -> Hashtbl.replace d.lines l Wpq_dirty
-      | Some (Dirty | Wpq_dirty) -> ()
-      | None -> Hashtbl.replace d.lines l Dirty
-    done;
-    if d.exempt = 0 then
-      match d.tx with
-      | Some tx when not tx.poisoned -> (
-          match d.geom with
-          | None -> tx.poisoned <- true
-          | Some g ->
-              let first = off / line and last = (off + len - 1) / line in
-              let add tbl =
-                for l = first to last do
-                  Hashtbl.replace tbl l ()
-                done
-              in
-              if not tx.commit_seen then
-                match classify g d off len with
-                | Journal | Spill -> add tx.pre_log
-                | Journal_adv -> add tx.pre_adv
-                | Cow ->
-                    tx.is_cow <- true;
-                    add tx.pre_cow
-                | Table | Heap | Header -> add tx.pre_other
-              else
-                match classify g d off len with
-                | Table -> add tx.post_table
-                | Journal_adv -> add tx.post_adv
-                | Cow ->
-                    tx.is_cow <- true;
-                    add tx.post_cow
-                | Journal | Spill | Header | Heap -> add tx.post_journal)
-      | _ -> ()
-  in
-  let on_flush d off len ns =
-    let newly = ref [] in
-    for l = (off + len - 1) / line downto off / line do
-      match Hashtbl.find_opt d.lines l with
-      | Some Dirty ->
-          Hashtbl.replace d.lines l Wpq;
-          d.wpq <- d.wpq + 1;
-          newly := l :: !newly
-      | Some Wpq_dirty ->
-          Hashtbl.replace d.lines l Wpq;
-          newly := l :: !newly
-      | Some Wpq | None -> ()
-    done;
-    let newly = !newly in
-    if !live then begin
-      if d.exempt > 0 then acc.t_rv_fl <- acc.t_rv_fl + 1
-      else
-        match d.tx with
-        | None -> acc.t_bg_fl <- acc.t_bg_fl + 1
-        | Some tx ->
-            tx.a_fl <- tx.a_fl + 1;
-            tx.last_ns <- ns;
-            if not tx.poisoned then begin
-              match d.geom with
-              | None -> tx.poisoned <- true
-              | Some g ->
-                  let req l =
-                    if tx.commit_seen then
-                      Hashtbl.mem tx.post_table l
-                      || Hashtbl.mem tx.post_journal l
-                      || Hashtbl.mem tx.post_cow l
-                    else
-                      Hashtbl.mem tx.pre_log l || Hashtbl.mem tx.pre_other l
-                      || Hashtbl.mem tx.pre_cow l
-                  in
-                  let adv l =
-                    if tx.commit_seen then Hashtbl.mem tx.post_adv l
-                    else Hashtbl.mem tx.pre_adv l
-                  in
-                  let site = site_of_region (classify g d off len) in
-                  let mk cls count detail =
-                    tx.tfind <-
-                      {
-                        cls;
-                        kind = `Flush;
-                        dev = d.ddev;
-                        off;
-                        len;
-                        ns;
-                        tx = tx.tx_id;
-                        site;
-                        count;
-                        detail;
-                      }
-                      :: tx.tfind
-                  in
-                  if newly = [] then begin
-                    tx.classified_fl <- tx.classified_fl + 1;
-                    mk E2 1 "write-back of a range with no newly-dirty line"
-                  end
-                  else if List.for_all (fun l -> adv l && not (req l)) newly
-                  then begin
-                    tx.classified_fl <- tx.classified_fl + 1;
-                    mk E3 1
-                      "advisory bytes only (never trusted by recovery); \
-                       deferrable"
-                  end
-                  else
-                    d.pending <-
-                      { fr_off = off; fr_len = len; fr_ns = ns; fr_newly = newly }
-                      :: d.pending
-            end
-    end
-  in
-  let on_fence d ns =
-    let empty = d.wpq = 0 in
-    (if !live then
-       if d.exempt > 0 then acc.t_rv_fe <- acc.t_rv_fe + 1
-       else
-         match d.tx with
-         | None -> acc.t_bg_fe <- acc.t_bg_fe + 1
-         | Some tx ->
-             tx.a_fe <- tx.a_fe + 1;
-             tx.last_ns <- ns;
-             if not tx.poisoned then begin
-               let site_of fr =
-                 match d.geom with
-                 | Some g -> site_of_region (classify g d fr.fr_off fr.fr_len)
-                 | None -> "unknown"
-               in
-               let pend = List.rev d.pending in
-               let superseded, effective =
-                 List.partition
-                   (fun fr ->
-                     fr.fr_newly <> []
-                     && List.for_all
-                          (fun l ->
-                            Hashtbl.find_opt d.lines l = Some Wpq_dirty)
-                          fr.fr_newly)
-                   pend
-               in
-               List.iter
-                 (fun fr ->
-                   tx.classified_fl <- tx.classified_fl + 1;
-                   tx.tfind <-
-                     {
-                       cls = E2;
-                       kind = `Flush;
-                       dev = d.ddev;
-                       off = fr.fr_off;
-                       len = fr.fr_len;
-                       ns = fr.fr_ns;
-                       tx = tx.tx_id;
-                       site = site_of fr;
-                       count = 1;
-                       detail =
-                         "every line written back was re-dirtied before the \
-                          governing fence";
-                     }
-                     :: tx.tfind)
-                 superseded;
-               let k = List.length effective in
-               (if k > 1 then
-                  let r =
-                    runs_of_list
-                      (List.concat_map (fun fr -> fr.fr_newly) effective)
-                  in
-                  if k > r then begin
-                    tx.classified_fl <- tx.classified_fl + (k - r);
-                    tx.tfind <-
-                      {
-                        cls = E4;
-                        kind = `Flush;
-                        dev = d.ddev;
-                        off =
-                          (match effective with
-                          | fr :: _ -> fr.fr_off
-                          | [] -> 0);
-                        len = 0;
-                        ns;
-                        tx = tx.tx_id;
-                        site = "fence-group";
-                        count = k - r;
-                        detail =
-                          Printf.sprintf
-                            "%d flush calls cover %d contiguous run(s) under \
-                             this fence"
-                            k r;
-                      }
-                      :: tx.tfind
-                  end);
-               if empty then begin
-                 tx.empty_fences <- tx.empty_fences + 1;
-                 tx.tfind <-
-                   {
-                     cls = E1;
-                     kind = `Fence;
-                     dev = d.ddev;
-                     off = 0;
-                     len = 0;
-                     ns;
-                     tx = tx.tx_id;
-                     site = "fence";
-                     count = 1;
-                     detail = "fence drained nothing";
-                   }
-                   :: tx.tfind
-               end
-             end);
-    d.pending <- [];
-    let entries = Hashtbl.fold (fun l st a -> (l, st) :: a) d.lines [] in
-    List.iter
-      (fun (l, st) ->
-        match st with
-        | Wpq -> Hashtbl.remove d.lines l
-        | Wpq_dirty -> Hashtbl.replace d.lines l Dirty
-        | Dirty -> ())
-      entries;
-    d.wpq <- 0
-  in
-  let finish_tx d tx ~committed =
-    d.tx <- None;
-    if !live then begin
-      let a_fl = tx.a_fl and a_fe = tx.a_fe in
-      let analyzed =
-        committed && not tx.poisoned
-        && (tx.commit_seen || (a_fl = 0 && a_fe = 0))
-      in
-      acc.t_a_fl <- acc.t_a_fl + a_fl;
-      acc.t_a_fe <- acc.t_a_fe + a_fe;
-      if analyzed then begin
-        acc.n_txs <- acc.n_txs + 1;
-        let g1 = runs_of_tbl tx.pre_log and g2 = runs_of_tbl tx.pre_other in
-        let g3 = runs_of_tbl tx.post_table
-        and g4 = runs_of_tbl tx.post_journal in
-        let c1 = runs_of_tbl tx.pre_cow and c4 = runs_of_tbl tx.post_cow in
-        let min_fl, min_fe =
-          if tx.is_cow then begin
-            (* CoW fence floor: the intent seal (if any) fences alone;
-               one commit fence orders every pre-swap line before the
-               swap word; the swap word and any publish words are
-               flushed unfenced (buffered durability); retire clears
-               need one fence ordering them after the swap. *)
-            let seal = if c1 > 0 then 1 else 0 in
-            let commitf = if g1 + g2 > 0 then 1 else 0 in
-            let retire = if g3 > 0 then 1 else 0 in
-            (c1 + g1 + g2 + g3 + g4 + c4, seal + commitf + retire)
-          end
-          else begin
-            let seal = if g1 > 0 && g2 > 0 then 1 else 0 in
-            let commitf = if g1 > 0 || g2 > 0 then 1 else 0 in
-            let clears = if g3 > 0 && g4 > 0 then 1 else 0 in
-            let trunc = if g3 > 0 || g4 > 0 then 1 else 0 in
-            (g1 + g2 + g3 + g4, seal + commitf + clears + trunc)
-          end
-        in
-        (* A buggy (flush/fence-eliding) trace can undershoot the
-           minimum; waste is never negative. *)
-        let m_fl = min min_fl a_fl in
-        let m_fe = min min_fe a_fe in
-        acc.t_m_fl <- acc.t_m_fl + m_fl;
-        acc.t_m_fe <- acc.t_m_fe + m_fe;
-        let rem_fl = a_fl - m_fl - tx.classified_fl in
-        if rem_fl > 0 then
-          tx.tfind <-
-            {
-              cls = E1;
-              kind = `Flush;
-              dev = d.ddev;
-              off = 0;
-              len = 0;
-              ns = tx.last_ns;
-              tx = tx.tx_id;
-              site = "journal";
-              count = rem_fl;
-              detail = "line(s) re-flushed under a collapsible fence";
-            }
-            :: tx.tfind;
-        let rem_fe = a_fe - m_fe - tx.empty_fences in
-        if rem_fe > 0 then
-          tx.tfind <-
-            {
-              cls = E1;
-              kind = `Fence;
-              dev = d.ddev;
-              off = 0;
-              len = 0;
-              ns = tx.last_ns;
-              tx = tx.tx_id;
-              site = "fence";
-              count = rem_fe;
-              detail =
-                "per-entry seal fences collapsible into one (independent \
-                 lines)";
-            }
-            :: tx.tfind;
-        acc.all_findings <- tx.tfind @ acc.all_findings
-      end
-      else begin
-        acc.n_unanalyzed <- acc.n_unanalyzed + 1;
-        acc.t_m_fl <- acc.t_m_fl + a_fl;
-        acc.t_m_fe <- acc.t_m_fe + a_fe
-      end
-    end
-  in
-  let on_event ev =
-    match ev with
-    | Pr.Store { dev; off; len; ns = _ } -> on_store (dstate dev) off len
-    | Pr.Flush { dev; off; len; ns; _ } -> on_flush (dstate dev) off len ns
-    | Pr.Fence { dev; ns; _ } -> on_fence (dstate dev) ns
-    | Pr.Power_cycle { dev } ->
-        let d = dstate dev in
-        Hashtbl.reset d.lines;
-        d.wpq <- 0;
-        d.pending <- []
-    | Pr.Pool_layout
-        { dev; journal_base; slot_size; nslots = _; table_base; heap_base;
-          heap_len = _; cow_base; cow_len } ->
-        (dstate dev).geom <-
-          Some { journal_base; slot_size; table_base; heap_base; cow_base; cow_len }
-    | Pr.Tx_begin { dev; _ } -> (
-        let d = dstate dev in
-        match d.tx with
-        | None -> d.tx <- Some (fresh_tx (acc.next_tx <- acc.next_tx + 1; acc.next_tx))
-        | Some tx ->
-            (* Two transactions on one device: the stream carries no
-               domain id, so neither can be attributed.  Poison. *)
-            tx.poisoned <- true;
-            d.tx_overlap <- d.tx_overlap + 1)
-    | Pr.Tx_end { dev; outcome; _ } -> (
-        let d = dstate dev in
-        if d.tx_overlap > 0 then d.tx_overlap <- d.tx_overlap - 1
-        else
-          match d.tx with
-          | Some tx -> finish_tx d tx ~committed:(outcome = Pr.Commit)
-          | None -> ())
-    | Pr.Commit_point { dev; ns = _ } -> (
-        match (dstate dev).tx with
-        | Some tx -> tx.commit_seen <- true
-        | None -> ())
-    | Pr.Region_reserve { dev; off; len; _ } ->
-        Hashtbl.replace (dstate dev).spills off len
-    | Pr.Region_release { dev; off } -> Hashtbl.remove (dstate dev).spills off
-    | Pr.Exempt_push { dev } ->
-        let d = dstate dev in
-        d.exempt <- d.exempt + 1
-    | Pr.Exempt_pop { dev } ->
-        let d = dstate dev in
-        d.exempt <- max 0 (d.exempt - 1)
-    | Pr.Recovery_phase { dev = _; phase; ns = _; dur_ns } ->
-        if !live then
-          acc.phases <-
-            (match List.assoc_opt phase acc.phases with
-            | Some prev ->
-                (phase, prev +. dur_ns) :: List.remove_assoc phase acc.phases
-            | None -> acc.phases @ [ (phase, dur_ns) ])
-    | Pr.Pool_attach _ | Pr.Log _ | Pr.Alloc _ | Pr.Journal_truncate _
-    | Pr.Drop_apply _ | Pr.Cow_shadow _ | Pr.Cow_retire _ | Pr.Recovery _
-    | Pr.Epoch _ | Pr.Block_alloc _ | Pr.Block_free _ ->
-        ()
-  in
-  List.iter on_event prelude;
+  List.iter (on_event acc) prelude;
   (* A transaction spanning the prelude boundary has uncounted persists;
      score it conservatively. *)
+  Hashtbl.iter (fun _ d -> Option.iter (fun tx -> tx.poisoned <- true) d.tx) acc.devs;
+  acc.live <- true;
+  List.iter (on_event acc) events;
   Hashtbl.iter
-    (fun _ d -> match d.tx with Some tx -> tx.poisoned <- true | None -> ())
-    devs;
-  live := true;
-  List.iter on_event events;
-  Hashtbl.iter
-    (fun _ d ->
-      match d.tx with Some tx -> finish_tx d tx ~committed:false | None -> ())
-    devs;
+    (fun _ d -> Option.iter (fun tx -> finish_tx acc d tx ~committed:false) d.tx)
+    acc.devs;
   {
     label;
     events = List.length events;

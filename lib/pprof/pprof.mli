@@ -1,15 +1,17 @@
 (** Offline persist-waste profiler over probe event streams.
 
     {!Psan} judges a run {e locally} — a flush with nothing to write
-    back, two fences in a row.  This module answers the global question
-    ROADMAP item 3 asks: how far above the {e provable minimum} persist
-    cost does each engine run?  It replays a probe-captured event stream
-    ({!Ptelemetry.Probe}) through a shadow dependency analyzer,
-    reconstructs the happens-before ordering DAG that crash consistency
-    actually requires, computes the minimal flush/fence schedule for the
-    trace, and attributes [actual - minimum] per transaction and per
-    emission site, classifying every excess persist into a named
-    elision opportunity.
+    back, two fences in a row. This module answers the global
+    question ROADMAP item 3 asks: how far above the {e provable
+    minimum} persist cost does each engine run? It replays a
+    probe-captured event stream ({!Ptelemetry.Probe}) through a
+    shadow dependency analyzer built on {!Pmem.Persist_line.Shadow}
+    (the per-line persist semantics the device and {!Psan} share),
+    reconstructs the happens-before ordering DAG that crash
+    consistency actually requires, computes the minimal flush/fence
+    schedule for the trace, and attributes [actual - minimum] per
+    transaction and per emission site, classifying every excess
+    persist into a named elision opportunity.
 
     {2 The minimum}
 

@@ -1,6 +1,8 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
+module PL = Pmem.Persist_line
+module Sh = PL.Shadow
 
 type violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
 
@@ -34,32 +36,14 @@ type finding = {
   detail : string;
 }
 
-(* The device's line geometry, mirrored (psan depends only on
-   ptelemetry, so it cannot read Pmem.Device.line_size). *)
-let line_size = 64
-let line_shift = 6
-
-(* Shadow of one device's cache: absent lines are Clean. *)
-type line_state = Dirty | Wpq | Wpq_dirty
-
-(* A line's shadow also remembers WHO wrote it.  On a shared pool a
-   commit judges only the committing domain's own stores: a line another
-   domain dirtied between this member's epoch fence and its commit point
-   must not read as this member's missing flush.  [dirty_owners] are the
-   domains with stores not yet written back; [wpq_owners] those whose
-   stores sit in the write-pending queue.  Flushes are line-granular, so
-   a flush moves every dirty owner to the WPQ set at once; a fence
-   empties the WPQ set.  Single-domain behavior is unchanged. *)
-type line = {
-  mutable st : line_state;
-  mutable dirty_owners : int list;
-  mutable wpq_owners : int list;
-}
-
+(* The device's cache is a Persist_line shadow whose line owners are
+   domains.  On a shared pool a commit judges only the committing
+   domain's own stores: a line another domain dirtied between this
+   member's epoch fence and its commit point must not read as this
+   member's missing flush. *)
 type dev_state = {
-  mutable heap : (int * int) option; (* from Pool_attach *)
-  lines : (int, line) Hashtbl.t; (* line number -> shadow *)
-  mutable wpq : int; (* lines currently write-pending *)
+  mutable heap : (int * int) option; (* from Pool_layout *)
+  lines : Sh.t;
   dyn_exempt : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
   retired : (int, int) Hashtbl.t; (* CoW-retired blocks: off -> len *)
   mutable exempt_depth : int; (* recovery bracket nesting *)
@@ -90,8 +74,7 @@ let dev_state dev =
       let ds =
         {
           heap = None;
-          lines = Hashtbl.create 256;
-          wpq = 0;
+          lines = Sh.create ();
           dyn_exempt = Hashtbl.create 8;
           retired = Hashtbl.create 8;
           exempt_depth = 0;
@@ -138,7 +121,7 @@ let heap_clip ds ~off ~len =
 (* {1 Findings} *)
 
 let record cls ~dev ~off ~len ~tx ~ns ~detail =
-  let key = (class_name cls, dev, off lsr line_shift) in
+  let key = (class_name cls, dev, PL.line_of off) in
   if not (Hashtbl.mem seen key) then begin
     Hashtbl.add seen key ();
     found := { cls; dev; off; len; tx; ns; detail } :: !found;
@@ -166,25 +149,11 @@ let tx_id_of dev = Option.map (fun t -> t.tx_id) (tx_of dev)
 
 (* {1 The shadow machine} *)
 
-let add_owner d owners = if List.mem d owners then owners else d :: owners
-
-let mark_store ds ~who off len =
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  for l = first to last do
-    match Hashtbl.find_opt ds.lines l with
-    | None ->
-        Hashtbl.replace ds.lines l
-          { st = Dirty; dirty_owners = [ who ]; wpq_owners = [] }
-    | Some ln ->
-        (match ln.st with Wpq -> ln.st <- Wpq_dirty | Dirty | Wpq_dirty -> ());
-        ln.dirty_owners <- add_owner who ln.dirty_owners
-  done
-
 let on_store ~dev ~off ~len ~ns =
   let ds = dev_state dev in
   (* Probe handlers run synchronously on the emitting thread, so
      [Domain.self] here is the storing domain. *)
-  mark_store ds ~who:(Domain.self () :> int) off len;
+  Sh.store ds.lines ~who:(Domain.self () :> int) ~off ~len;
   if ds.exempt_depth = 0 then begin
     (* Use-after-retire: no store may land in a retired block until the
        allocator reissues it, no matter how well-covered the tx is. *)
@@ -220,53 +189,16 @@ let on_store ~dev ~off ~len ~ns =
 
 let on_flush ~dev ~off ~len ~ns =
   let ds = dev_state dev in
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  let useful = ref false in
-  for l = first to last do
-    match Hashtbl.find_opt ds.lines l with
-    | Some ({ st = Dirty; _ } as ln) ->
-        useful := true;
-        ln.st <- Wpq;
-        ln.wpq_owners <-
-          List.fold_left (fun acc d -> add_owner d acc) ln.wpq_owners
-            ln.dirty_owners;
-        ln.dirty_owners <- [];
-        ds.wpq <- ds.wpq + 1
-    | Some ({ st = Wpq_dirty; _ } as ln) ->
-        useful := true;
-        ln.st <- Wpq;
-        ln.wpq_owners <-
-          List.fold_left (fun acc d -> add_owner d acc) ln.wpq_owners
-            ln.dirty_owners;
-        ln.dirty_owners <- []
-    | Some { st = Wpq; _ } | None -> ()
-  done;
-  if (not !useful) && ds.exempt_depth = 0 then
+  if Sh.flush ds.lines ~off ~len = [] && ds.exempt_depth = 0 then
     record W1 ~dev ~off ~len ~tx:(tx_id_of dev) ~ns
       ~detail:"flushed lines held no unwritten-back data"
 
 let on_fence ~dev ~ns =
   let ds = dev_state dev in
-  let empty = ds.wpq = 0 in
+  let empty = Sh.fence ds.lines = 0 in
   if empty && ds.last_fence_empty && ds.exempt_depth = 0 then
     record W2 ~dev ~off:0 ~len:0 ~tx:(tx_id_of dev) ~ns
       ~detail:"consecutive fences with an empty write-pending queue";
-  let pending =
-    Hashtbl.fold
-      (fun l ln acc ->
-        match ln.st with Wpq | Wpq_dirty -> (l, ln) :: acc | Dirty -> acc)
-      ds.lines []
-  in
-  List.iter
-    (fun (l, ln) ->
-      match ln.st with
-      | Wpq -> Hashtbl.remove ds.lines l
-      | Wpq_dirty ->
-          ln.st <- Dirty;
-          ln.wpq_owners <- []
-      | Dirty -> ())
-    pending;
-  ds.wpq <- 0;
   ds.last_fence_empty <- empty
 
 (* At the commit point every range the transaction stored must already
@@ -281,19 +213,14 @@ let check_commit ds tx ~who ~dev ~ns =
   tx.commit_seen <- true;
   List.iter
     (fun (o, l) ->
-      let first = o lsr line_shift and last = (o + l - 1) lsr line_shift in
-      for ln = first to last do
-        match Hashtbl.find_opt ds.lines ln with
-        | Some sh when List.mem who sh.dirty_owners ->
-            record V2 ~dev ~off:(ln lsl line_shift) ~len:line_size
-              ~tx:(Some tx.tx_id) ~ns
-              ~detail:"line still dirty at commit point (missing flush)"
-        | Some sh when List.mem who sh.wpq_owners ->
-            record V3 ~dev ~off:(ln lsl line_shift) ~len:line_size
-              ~tx:(Some tx.tx_id) ~ns
-              ~detail:
-                "line write-pending at commit point (flush without fence)"
-        | Some _ | None -> ()
+      for ln = PL.line_of o to PL.line_of (o + l - 1) do
+        let off = PL.line_start ln and len = PL.line_size in
+        if List.mem who (Sh.dirty_owners ds.lines ln) then
+          record V2 ~dev ~off ~len ~tx:(Some tx.tx_id) ~ns
+            ~detail:"line still dirty at commit point (missing flush)"
+        else if List.mem who (Sh.pending_owners ds.lines ln) then
+          record V3 ~dev ~off ~len ~tx:(Some tx.tx_id) ~ns
+            ~detail:"line write-pending at commit point (flush without fence)"
       done)
     tx.stored
 
@@ -311,16 +238,15 @@ let on_event ev =
              recovery, so their exemptions die with them.  User
              exemptions are statements about regions and survive. *)
           let ds = dev_state dev in
-          Hashtbl.reset ds.lines;
+          Sh.reset ds.lines;
           Hashtbl.reset ds.dyn_exempt;
           Hashtbl.reset ds.retired;
-          ds.wpq <- 0;
           ds.exempt_depth <- 0;
           ds.last_fence_empty <- false;
           Hashtbl.filter_map_inplace
             (fun (_, d) tx -> if d = dev then None else Some tx)
             txs
-      | Pr.Pool_attach { dev; heap_base; heap_len } ->
+      | Pr.Pool_layout { dev; heap_base; heap_len; _ } ->
           (dev_state dev).heap <- Some (heap_base, heap_len)
       | Pr.Tx_begin { dev; _ } ->
           incr next_tx;
@@ -370,7 +296,7 @@ let on_event ev =
       | Pr.Exempt_pop { dev } ->
           let ds = dev_state dev in
           ds.exempt_depth <- max 0 (ds.exempt_depth - 1)
-      | Pr.Pool_layout _ | Pr.Journal_truncate _ | Pr.Drop_apply _
+      | Pr.Journal_truncate _ | Pr.Drop_apply _
       | Pr.Recovery_phase _ | Pr.Recovery _ | Pr.Epoch _ | Pr.Block_alloc _
       | Pr.Block_free _ ->
           (* Geometry, protocol-progress and accounting events for other

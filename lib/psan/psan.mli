@@ -1,13 +1,15 @@
 (** Online persist-ordering and logging sanitizer.
 
     Psan subscribes to the {!Ptelemetry.Probe} bus and replays every
-    store, flush and fence through a shadow state machine per 64-byte
-    line (Clean → Dirty → write-pending → durable), tracking in
-    parallel which heap ranges the open transaction has undo-logged or
-    freshly allocated.  It judges the event stream online and reports
-    each violation with the offset, the line's shadow state, the owning
-    transaction, and the simulated time — Corundum's static guarantees,
-    checked dynamically against the actual event order (DESIGN.md §10).
+    store, flush and fence through a {!Pmem.Persist_line.Shadow} —
+    the device's own per-line persist semantics (Clean → Dirty →
+    write-pending → durable), defined once in {!Pmem.Persist_line} —
+    tracking in parallel which heap ranges the open transaction has
+    undo-logged or freshly allocated. It judges the event stream
+    online and reports each violation with the offset, the line's
+    shadow state, the owning transaction, and the simulated time —
+    Corundum's static guarantees, checked dynamically against the
+    actual event order (DESIGN.md §10).
 
     {2 Violation classes}
 
@@ -73,7 +75,7 @@ val enable : unit -> unit
     User exemptions registered with {!exempt} survive.
 
     Enable {e before} creating or attaching pools: psan learns each
-    device's heap bounds from its [Pool_attach] event, and stores on a
+    device's heap bounds from its [Pool_layout] event, and stores on a
     device attached while psan was off are not monitored. *)
 
 val disable : unit -> unit

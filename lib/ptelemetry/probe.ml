@@ -5,7 +5,6 @@ type event =
   | Flush of { dev : int; off : int; len : int; ns : float; lines : int; dur_ns : float }
   | Fence of { dev : int; ns : float; lines : int; dur_ns : float }
   | Power_cycle of { dev : int }
-  | Pool_attach of { dev : int; heap_base : int; heap_len : int }
   | Tx_begin of { dev : int; ns : float; slot : int }
   | Tx_end of {
       dev : int;
@@ -160,8 +159,6 @@ let event_to_json ev =
   | Fence { dev; ns; lines; dur_ns } ->
       t "fence" [ i "dev" dev; f "ns" ns; i "lines" lines; f "dur_ns" dur_ns ]
   | Power_cycle { dev } -> t "power_cycle" [ i "dev" dev ]
-  | Pool_attach { dev; heap_base; heap_len } ->
-      t "pool_attach" [ i "dev" dev; i "heap_base" heap_base; i "heap_len" heap_len ]
   | Tx_begin { dev; ns; slot } -> t "tx_begin" [ i "dev" dev; f "ns" ns; i "slot" slot ]
   | Tx_end { dev; outcome; ns; logged_bytes; undo_depth } ->
       t "tx_end"
@@ -220,8 +217,6 @@ let event_of_json j =
           dur_ns = getf0 "dur_ns" }
   | "fence" -> Fence { dev; ns = ns (); lines = geti0 "lines"; dur_ns = getf0 "dur_ns" }
   | "power_cycle" -> Power_cycle { dev }
-  | "pool_attach" ->
-      Pool_attach { dev; heap_base = geti "heap_base"; heap_len = geti "heap_len" }
   | "tx_begin" -> Tx_begin { dev; ns = ns (); slot = geti0 "slot" }
   | "tx_end" ->
       let outcome =
@@ -272,7 +267,14 @@ let of_json j =
   | Some (Json.Str s) when s = schema -> ()
   | _ -> failwith ("Probe: expected schema " ^ schema));
   match Json.mem "events" j with
-  | Some (Json.List evs) -> List.map event_of_json evs
+  | Some (Json.List evs) ->
+      (* [pool_attach] records (heap bounds, now carried by [pool_layout])
+         still appear in older captures *)
+      List.filter_map
+        (fun j ->
+          if Json.mem "t" j = Some (Json.Str "pool_attach") then None
+          else Some (event_of_json j))
+        evs
   | _ -> failwith "Probe: capture without an events list"
 
 let save path events =

@@ -35,10 +35,6 @@ type event =
           media at a simulated cost of [dur_ns]. *)
   | Power_cycle of { dev : int }
       (** Power-failure semantics applied; all cache state is gone. *)
-  | Pool_attach of { dev : int; heap_base : int; heap_len : int }
-      (** A pool is now live on [dev]; data lives in
-          [heap_base, heap_base + heap_len) and everything below
-          [heap_base] is pool metadata (header, journals, alloc table). *)
   | Tx_begin of { dev : int; ns : float; slot : int }
       (** Outermost transaction opened on the calling domain, on
           journal slot [slot]. *)
@@ -83,11 +79,11 @@ type event =
       cow_base : int;
       cow_len : int;
     }
-      (** Full media geometry of the pool on [dev], emitted at attach
-          alongside {!Pool_attach}.  Lets a subscriber classify every
-          byte range as header / journal slot (and which) / allocation
-          table / heap — the conformance checker ([Pmodel.Mconform])
-          needs the finer split that [Pool_attach] does not carry.
+      (** A pool is now live on [dev]; its full media geometry.  Data
+          lives in [heap_base, heap_base + heap_len) and everything
+          below [heap_base] is pool metadata; subscribers classify
+          every byte range as header / journal slot (and which) /
+          allocation table / heap from it.
           [cow_base, cow_base + cow_len) is the CoW root-cell region
           inside the header page ([0,0] on captures that predate it). *)
   | Journal_truncate of { dev : int; slot_base : int; epoch : int }
@@ -191,7 +187,8 @@ end
 
     Captures are [{"schema": "corundum-probe-v1", "events": [...]}]
     documents, one object per event tagged by ["t"].  Fields added to
-    an event after the schema was fixed load as 0 from older captures. *)
+    an event after the schema was fixed load as 0 from older captures;
+    retired [pool_attach] records are skipped. *)
 
 val outcome_name : tx_outcome -> string
 (** ["commit"], ["abort"], ["crash"]. *)

@@ -274,6 +274,118 @@ let qcheck_model_based =
       done;
       !ok)
 
+(* The device and the analyzers share one persist-line machine: a
+   [Persist_line.Shadow] fed by the device's own probe events must drain,
+   at every fence, exactly as many lines as the device's write-pending
+   queue held. *)
+let qcheck_shadow_parity =
+  let module Pr = Ptelemetry.Probe in
+  let module Sh = Pmem.Persist_line.Shadow in
+  QCheck.Test.make ~name:"probe-fed shadow drains what the device drains"
+    ~count:200
+    QCheck.(
+      list_of_size Gen.(int_bound 80)
+        (oneof
+           [
+             map (fun (o, n) -> `Store (o, n)) (pair (int_bound 511) (int_range 1 100));
+             map (fun (o, n) -> `Flush (o, n)) (pair (int_bound 511) (int_range 1 128));
+             always `Fence;
+             always `Power_cycle;
+           ]))
+    (fun program ->
+      let d = mk ~size:640 () in
+      let sh = Sh.create () and mismatches = ref 0 in
+      let on_event = function
+        | Pr.Store { dev; off; len; _ } when dev = D.id d ->
+            Sh.store sh ~who:0 ~off ~len
+        | Pr.Flush { dev; off; len; _ } when dev = D.id d ->
+            ignore (Sh.flush sh ~off ~len)
+        | Pr.Fence { dev; lines; _ } when dev = D.id d ->
+            if Sh.fence sh <> lines then incr mismatches
+        | Pr.Power_cycle { dev } when dev = D.id d -> Sh.reset sh
+        | _ -> ()
+      in
+      let h = Pr.subscribe on_event in
+      Fun.protect
+        ~finally:(fun () -> Pr.unsubscribe h)
+        (fun () ->
+          List.iter
+            (function
+              | `Store (o, n) -> D.fill d o n 'x'
+              | `Flush (o, n) -> D.flush d o n
+              | `Fence -> D.fence d
+              | `Power_cycle -> D.power_cycle d)
+            program;
+          !mismatches = 0))
+
+(* Word-granular conformance with the model checker's reference machine
+   ([Pmodel.Mstate]): the same store/flush/fence program must leave the
+   same durable image after every fence, and a final power failure that
+   tears every write-pending line must leave one of the crash states the
+   model enumerates.  Stores touch 16 words spread over 4 lines, so the
+   model's pending words never exceed [max_branch_words]. *)
+let qcheck_mstate_conformance =
+  let module Ms = Pmodel.Mstate in
+  let cfg = { Ms.nslots = 1; table_split = true } in
+  let nwords = Ms.nwords cfg in
+  let word i = (i / 4 * Ms.words_per_line) + (i mod 4) in
+  let to_i64 = function Ms.Int n -> Int64.of_int n | _ -> assert false in
+  QCheck.Test.make ~name:"device conforms to the Mstate word machine" ~count:200
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (list_of_size Gen.(int_bound 60)
+           (oneof
+              [
+                map (fun (i, n) -> `Store (word i, n)) (pair (int_bound 15) (int_range 1 999));
+                map (fun (i, k) -> `Flush (word i, k)) (pair (int_bound 15) (int_bound 9));
+                always `Fence;
+              ])))
+    (fun (seed, program) ->
+      let path = Filename.temp_file "mstate_conform" ".pmem" in
+      let d = D.create ~seed ~path ~size:(nwords * 8) () in
+      let m = Ms.boot cfg (Array.make nwords (Ms.Int 0)) in
+      let words d = Array.init nwords (fun w -> D.read_u64 d (w * 8)) in
+      (* the device's durable media, read back through its file image *)
+      let durable () =
+        D.save d;
+        words (D.load path)
+      in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let fences_agree =
+            List.for_all
+              (function
+                | `Store (w, n) ->
+                    D.write_u64 d (w * 8) (Int64.of_int n);
+                    Ms.store m w (Ms.Int n);
+                    true
+                | `Flush (w, k) ->
+                    D.flush d (w * 8) ((k + 1) * 8);
+                    Ms.flush_words m (List.init (k + 1) (fun j -> w + j));
+                    true
+                | `Fence ->
+                    D.fence d;
+                    Ms.fence m;
+                    durable () = Array.map to_i64 (Ms.snapshot_durable m))
+              program
+          in
+          let pending = Ms.wpq_words m in
+          D.set_torn_write_prob d 1.0;
+          D.power_cycle d;
+          let image = words d in
+          let mask =
+            List.fold_left
+              (fun (mask, i) w ->
+                let landed = image.(w) = to_i64 (Hashtbl.find m.Ms.wpq w) in
+                ((if landed then mask lor (1 lsl i) else mask), i + 1))
+              (0, 0) pending
+            |> fst
+          in
+          fences_agree
+          && List.length pending <= Ms.max_branch_words
+          && Array.map to_i64 (Ms.crash_state m ~mask) = image))
+
 let () =
   Alcotest.run "pmem_device"
     [
@@ -320,5 +432,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_persisted_survives;
           QCheck_alcotest.to_alcotest qcheck_model_based;
+        ] );
+      ( "conformance",
+        [
+          QCheck_alcotest.to_alcotest qcheck_shadow_parity;
+          QCheck_alcotest.to_alcotest qcheck_mstate_conformance;
         ] );
     ]

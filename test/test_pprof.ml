@@ -198,6 +198,41 @@ let test_aborted_tx_not_scored () =
   check_int "no waste" 0 (Pprof.waste_flushes r + Pprof.waste_fences r);
   check_int "no findings" 0 (List.length r.Pprof.findings)
 
+(* A spill region still live at a power cycle rolls back at recovery:
+   a later heap store in the same range is data, not journal protocol.
+   Each stream runs one transaction that seals a journal line, then
+   commits a heap line — two barriers with work, so two fences are the
+   minimum whether or not a spill ever covered that heap range. *)
+let test_spill_dies_at_power_cycle () =
+  let h = 512 * 1024 in
+  let tx dev =
+    [
+      Pr.Tx_begin { dev; ns = 1.0; slot = 0 };
+      Pr.Store { dev; off = 4096 + 64; len = 8; ns = 2.0 };
+      Pr.Flush { dev; off = 4096 + 64; len = 8; ns = 3.0; lines = 1; dur_ns = 0. };
+      Pr.Fence { dev; ns = 4.0; lines = 1; dur_ns = 0. };
+      Pr.Store { dev; off = h; len = 8; ns = 5.0 };
+      Pr.Flush { dev; off = h; len = 8; ns = 6.0; lines = 1; dur_ns = 0. };
+      Pr.Fence { dev; ns = 7.0; lines = 1; dur_ns = 0. };
+      Pr.Commit_point { dev; ns = 8.0 };
+      Pr.Tx_end { dev; outcome = Pr.Commit; ns = 9.0; logged_bytes = 0; undo_depth = 0 };
+    ]
+  in
+  let reserve dev = Pr.Region_reserve { dev; off = h; len = 256; ns = 0.5 } in
+  List.iter
+    (fun (name, dev, before) ->
+      fresh ();
+      let r = Pprof.analyze ~label:name ~prelude:[ layout ~dev ] (before dev @ tx dev) in
+      check_int (name ^ ": txs") 1 r.Pprof.txs;
+      check_int (name ^ ": actual fences") 2 r.Pprof.actual_fences;
+      check_int (name ^ ": min fences") 2 r.Pprof.min_fences;
+      check_int (name ^ ": waste fences") 0 (Pprof.waste_fences r))
+    [
+      ("no spill", 9005, fun _ -> []);
+      ("spill released", 9006, fun dev -> [ reserve dev; Pr.Region_release { dev; off = h } ]);
+      ("spill live at power cycle", 9007, fun dev -> [ reserve dev; Pr.Power_cycle { dev } ]);
+    ]
+
 (* --- positive controls ------------------------------------------------ *)
 
 (* Run the update window under a wasteful fault profile, analyze the
@@ -289,7 +324,6 @@ let test_events_json_roundtrip () =
   let events =
     [
       layout ~dev;
-      Pr.Pool_attach { dev; heap_base = h; heap_len = 1024 * 1024 };
       Pr.Tx_begin { dev; ns = 1.0; slot = 1 };
       Pr.Log { dev; off = h; len = 16; entry = 48; ns = 1.5 };
       Pr.Alloc { dev; off = h + 128; len = 64; entry = 32; ns = 1.7 };
@@ -338,6 +372,18 @@ let test_events_json_roundtrip () =
         Pr.Log { dev; off = 0; len = 8; entry = 0; ns = 0.0 };
         Pr.Tx_end { dev; outcome = Pr.Commit; ns = 4.0; logged_bytes = 0; undo_depth = 0 };
       ]);
+  (* retired [pool_attach] records (heap bounds now ride on
+     [pool_layout]) are skipped, so older captures still load *)
+  let legacy =
+    Json.of_string
+      (Printf.sprintf
+         {|{"schema": "corundum-probe-v1", "events": [
+             {"t": "pool_attach", "dev": %d, "heap_base": %d, "heap_len": 1048576},
+             {"t": "power_cycle", "dev": %d}]}|}
+         dev h dev)
+  in
+  check_bool "legacy pool_attach records are skipped" true
+    (Pr.of_json legacy = [ Pr.Power_cycle { dev } ]);
   (* a malformed document must raise, not silently drop events *)
   check_bool "unknown schema rejected" true
     (match Pr.of_json (Json.Obj [ ("schema", Json.Str "nope") ]) with
@@ -465,6 +511,8 @@ let () =
             test_synthetic_superseded_e2;
           Alcotest.test_case "aborted tx scored conservatively" `Quick
             test_aborted_tx_not_scored;
+          Alcotest.test_case "spill regions die at a power cycle" `Quick
+            test_spill_dies_at_power_cycle;
         ] );
       ( "positive-control",
         [

@@ -38,7 +38,7 @@ let with_psan f =
 let test_punsafe_flagged () =
   with_psan (fun () ->
       (* enable before the pool exists: psan learns the heap bounds from
-         the Pool_attach event *)
+         the Pool_layout event *)
       Psan.enable ();
       let module P = Pool.Make () in
       P.create ~config:small ();
