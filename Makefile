@@ -52,9 +52,12 @@ openloop:
 doc:
 	dune build @doc
 
-# Net library lines (.ml + .mli), the size metric ROADMAP tracks.
+# Net lines, the size metric ROADMAP tracks: the libraries (.ml + .mli),
+# the tools (bench, bin, examples; bench/suite excluded) and their total.
 loc:
-	@wc -l lib/*/*.ml lib/*/*.mli | tail -n 1
+	@printf 'lib   %s\n' $$(cat lib/*/*.ml lib/*/*.mli | wc -l)
+	@printf 'tools %s\n' $$(cat bench/*.ml bin/*.ml examples/*.ml | wc -l)
+	@printf 'total %s\n' $$(cat lib/*/*.ml lib/*/*.mli bench/*.ml bin/*.ml examples/*.ml | wc -l)
 
 clean:
 	dune clean

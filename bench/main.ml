@@ -9,6 +9,10 @@
 open Bechamel
 open Toolkit
 open Corundum
+module Instrument = Harness.Instrument
+module Gate = Harness.Gate
+
+let write_file = Instrument.write_file
 
 let small =
   { Pool_impl.size = 8 * 1024 * 1024; nslots = 2; slot_size = 256 * 1024 }
@@ -357,47 +361,10 @@ let instrumented_workload () =
     T.insert eng (Int64.of_int k)
   done
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
-let run_instrumented ~trace ~metrics ~psan ~psan_json =
-  let psan_on = psan || psan_json <> None in
-  if psan_on then Psan.enable ();
-  if trace <> None then Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ();
-  if trace <> None || metrics <> None then Ptelemetry.Metrics.install ();
-  instrumented_workload ();
-  Ptelemetry.Trace.uninstall ();
-  Ptelemetry.Metrics.uninstall ();
-  (match trace with
-  | None -> ()
-  | Some path ->
-      Ptelemetry.Trace.save_chrome path;
-      write_file (path ^ ".metrics.json")
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "wrote %s (%d events) and %s.metrics.json\n" path
-        (List.length (Ptelemetry.Trace.events ()))
-        path);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "wrote %s\n" path);
-  if psan_on then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    Option.iter (fun p -> write_file p (Psan.report_json ())) psan_json;
-    if not (Psan.clean ()) then exit 1
-  end
-
 (* --json: the deterministic per-engine attribution mix (flushes, fences,
    logged bytes and simulated ns per op) as machine-readable JSON — the
    CI regression gate diffs this against a committed baseline.  One op
-   per line so the --baseline comparison can parse it without a JSON
-   library. *)
+   per line, so a refreshed baseline reads as a table in review. *)
 let attribution_json () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"schema\": \"corundum-bench-v1\",\n";
@@ -425,166 +392,7 @@ let attribution_json () =
   Buffer.add_string buf "\n  ]\n}";
   Buffer.contents buf
 
-(* Minimal extraction from the one-op-per-line JSON above; tolerant of
-   whitespace but not of reformatting — the file is machine-written. *)
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let str_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": \"" key) with
-  | None -> None
-  | Some start ->
-      String.index_from_opt line start '"'
-      |> Option.map (fun j -> String.sub line start (j - start))
-
-let num_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      let n = String.length line in
-      while
-        !stop < n
-        && match line.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-
-(* (engine, op) -> (flushes_per_op, fences_per_op) rows of a bench JSON
-   file.  Both persist primitives are gated: the fence count alone would
-   not catch a regression that reintroduces per-mark table flushes under
-   the same single commit fence. *)
-let parse_persist_rows path =
-  let ic = open_in path in
-  let rows = ref [] and engine = ref "" in
-  (try
-     while true do
-       let line = input_line ic in
-       (match str_field line "engine" with
-       | Some e -> engine := e
-       | None -> ());
-       match
-         ( str_field line "op",
-           num_field line "flushes_per_op",
-           num_field line "fences_per_op" )
-       with
-       | Some op, Some fl, Some fe -> rows := ((!engine, op), (fl, fe)) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
-
-let compare_against_baseline ~current ~baseline =
-  let base = parse_persist_rows baseline in
-  let cur = parse_persist_rows current in
-  if cur = [] then begin
-    Printf.eprintf "no rows parsed from %s\n" current;
-    exit 1
-  end;
-  let failed = ref false in
-  List.iter
-    (fun ((engine, op), (flushes, fences)) ->
-      match List.assoc_opt (engine, op) base with
-      | None ->
-          Printf.printf "NEW    %-12s %-12s %.4f flushes/op %.4f fences/op\n"
-            engine op flushes fences
-      | Some (bfl, bfe) ->
-          let regressed metric v b =
-            let limit = (b *. 1.10) +. 0.01 in
-            if v > limit then begin
-              failed := true;
-              Printf.printf "REGRESS %-12s %-12s %.4f %s/op (baseline %.4f)\n"
-                engine op v metric b;
-              true
-            end
-            else false
-          in
-          let r1 = regressed "flushes" flushes bfl in
-          let r2 = regressed "fences" fences bfe in
-          if not (r1 || r2) then
-            Printf.printf
-              "OK     %-12s %-12s %.4f flushes/op %.4f fences/op (baseline \
-               %.4f/%.4f)\n"
-              engine op flushes fences bfl bfe)
-    cur;
-  if !failed then begin
-    prerr_endline "persist-per-op regression against BENCH baseline";
-    exit 1
-  end
-
 (* --- persist-waste profile (ROADMAP item 3) ----------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The waste gate is one-directional: waste per op may only go down (a
-   small epsilon absorbs float formatting).  Engines or ops absent from
-   the baseline are reported but never fail — adding an engine must not
-   require regenerating the baseline in the same change. *)
-let compare_waste_baseline ~current ~baseline =
-  let module J = Ptelemetry.Json in
-  let rows doc =
-    match J.mem "engines" doc with
-    | Some (J.Obj engines) ->
-        List.concat_map
-          (fun (engine, ops) ->
-            match ops with
-            | J.List ops ->
-                List.filter_map
-                  (fun op ->
-                    match
-                      ( Option.bind (J.mem "op" op) J.str,
-                        Option.bind (J.mem "waste_flushes_per_op" op) J.num,
-                        Option.bind (J.mem "waste_fences_per_op" op) J.num )
-                    with
-                    | Some name, Some wf, Some wfe ->
-                        Some ((engine, name), (wf, wfe))
-                    | _ -> None)
-                  ops
-            | _ -> [])
-          engines
-    | _ -> []
-  in
-  let base = rows (J.of_string (read_file baseline)) in
-  let cur = rows (J.of_string (read_file current)) in
-  if cur = [] then begin
-    Printf.eprintf "no waste rows parsed from %s\n" current;
-    exit 1
-  end;
-  let failed = ref false in
-  List.iter
-    (fun ((engine, op), (wf, wfe)) ->
-      match List.assoc_opt (engine, op) base with
-      | None ->
-          Printf.printf "NEW    %-12s %-12s %.4ff %.4fF waste/op\n" engine op
-            wf wfe
-      | Some (bf, bfe) ->
-          if wf > bf +. 0.01 || wfe > bfe +. 0.01 then begin
-            failed := true;
-            Printf.printf
-              "REGRESS %-12s %-12s %.4ff %.4fF waste/op (baseline %.4f/%.4f)\n"
-              engine op wf wfe bf bfe
-          end
-          else
-            Printf.printf
-              "OK     %-12s %-12s %.4ff %.4fF waste/op (baseline %.4f/%.4f)\n"
-              engine op wf wfe bf bfe)
-    cur;
-  if !failed then begin
-    prerr_endline "persist-waste regression against PPROF baseline";
-    exit 1
-  end
 
 let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
   let measured =
@@ -634,13 +442,10 @@ let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
       Ptelemetry.Trace.save_chrome path;
       Ptelemetry.Trace.uninstall ();
       Printf.printf "wrote %s\n" path);
-  match (waste_json, waste_baseline) with
-  | Some current, Some b -> compare_waste_baseline ~current ~baseline:b
-  | None, Some _ ->
-      prerr_endline "--waste-baseline requires --waste-json FILE";
-      exit 2
-  | _ -> ()
-
+  (* Waste per op may only go down; engines or ops absent from the
+     baseline are reported as NEW and pass. *)
+  Gate.files ~flags:("--waste-json", "--waste-baseline") ~gate:"PPROF"
+    Gate.pprof ~current:waste_json ~baseline:waste_baseline
 (* --- recovery latency --------------------------------------------------- *)
 
 (* One crash/recover cycle on a fresh pool of the given size: populate,
@@ -688,53 +493,58 @@ let pctl sorted q =
   | 0 -> 0.0
   | n -> sorted.(int_of_float (float_of_int (n - 1) *. q))
 
+
 let run_recovery_latency ~sizes ~repeats ~metrics_out ~max_p99 =
   (* With [repeats <= Metrics.exact_threshold] the reported percentiles
      are exact nearest-rank values, not bucket floors. *)
-  Ptelemetry.Metrics.reset ();
-  Ptelemetry.Metrics.install ();
-  let failed = ref false in
-  List.iter
-    (fun size ->
-      let totals = Array.make repeats 0.0 in
-      let phase_acc = ref [] in
-      for r = 0 to repeats - 1 do
-        let total, stats = recovery_cycle ~size in
-        totals.(r) <- total;
-        List.iter
-          (fun (name, dur) ->
-            phase_acc :=
-              (match List.assoc_opt name !phase_acc with
-              | Some d ->
-                  (name, d +. dur) :: List.remove_assoc name !phase_acc
-              | None -> !phase_acc @ [ (name, dur) ]))
-          stats.Pjournal.Recovery.phase_ns
-      done;
-      Array.sort compare totals;
-      let p50 = pctl totals 0.5 and p99 = pctl totals 0.99 in
-      Printf.printf
-        "recovery-latency: pool %d MiB, %d cycles: attach p50=%.0f ns \
-         p99=%.0f ns\n"
-        (size / 1024 / 1024) repeats p50 p99;
-      let per = float_of_int repeats in
-      List.iter
-        (fun (name, dur) ->
-          Printf.printf "  phase %-10s mean %10.0f ns/cycle\n" name (dur /. per))
-        !phase_acc;
-      match max_p99 with
-      | Some bound when p99 > bound ->
-          failed := true;
-          Printf.printf "  FAIL: p99 %.0f ns exceeds bound %.0f ns\n" p99 bound
-      | _ -> ())
-    sizes;
-  Ptelemetry.Metrics.uninstall ();
-  (match metrics_out with
+  let p99s, _ =
+    Instrument.run { Instrument.none with metrics = metrics_out } (fun () ->
+        List.map
+          (fun size ->
+            let totals = Array.make repeats 0.0 in
+            let phase_acc = ref [] in
+            for r = 0 to repeats - 1 do
+              let total, stats = recovery_cycle ~size in
+              totals.(r) <- total;
+              List.iter
+                (fun (name, dur) ->
+                  phase_acc :=
+                    (match List.assoc_opt name !phase_acc with
+                    | Some d ->
+                        (name, d +. dur) :: List.remove_assoc name !phase_acc
+                    | None -> !phase_acc @ [ (name, dur) ]))
+                stats.Pjournal.Recovery.phase_ns
+            done;
+            Array.sort compare totals;
+            let p50 = pctl totals 0.5 and p99 = pctl totals 0.99 in
+            Printf.printf
+              "recovery-latency: pool %d MiB, %d cycles: attach p50=%.0f ns \
+               p99=%.0f ns\n"
+              (size / 1024 / 1024) repeats p50 p99;
+            let per = float_of_int repeats in
+            List.iter
+              (fun (name, dur) ->
+                Printf.printf "  phase %-10s mean %10.0f ns/cycle\n" name
+                  (dur /. per))
+              !phase_acc;
+            (size, p99))
+          sizes)
+  in
+  match max_p99 with
   | None -> ()
-  | Some path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "wrote %s\n" path);
-  if !failed then exit 1
+  | Some bound ->
+      let rows =
+        List.map
+          (fun (size, p99) ->
+            {
+              Gate.key = Printf.sprintf "pool-%dMiB/attach_p99_ns" (size / 1024 / 1024);
+              rule = Gate.recovery_p99;
+              base = Some bound;
+              cur = Some p99;
+            })
+          p99s
+      in
+      if not (Gate.report ~gate:"RECOVERY" rows) then exit 1
 
 (* --- alloc-scale: multi-domain allocator scalability -------------------- *)
 
@@ -756,7 +566,6 @@ let run_alloc_scale ~domains ~txs ~metrics_out =
   let module P = Pool.Make () in
   P.create ~config ~latency:Pmem.Latency.zero ();
   ignore (P.root ~ty:Ptype.int ~init:(fun _ -> 0) ());
-  Ptelemetry.Metrics.install ();
   let worker d () =
     let ring = Array.make 64 (-1) in
     for i = 1 to txs do
@@ -767,11 +576,13 @@ let run_alloc_scale ~domains ~txs ~metrics_out =
           ring.(slot) <- Pool_impl.tx_alloc tx (64 lsl ((i + d) mod 4)))
     done
   in
-  let t0 = Unix.gettimeofday () in
-  let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let dt = Unix.gettimeofday () -. t0 in
-  Ptelemetry.Metrics.uninstall ();
+  let dt, _ =
+    Instrument.run { Instrument.none with metrics = metrics_out } (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
+        List.iter Domain.join ds;
+        Unix.gettimeofday () -. t0)
+  in
   let stats = Palloc.Buddy.stripe_stats (Pool_impl.buddy (P.impl ())) in
   Printf.printf "alloc-scale: %d domains x %d txs in %.3f s (%.0f tx/s)\n\n"
     domains txs dt
@@ -785,40 +596,158 @@ let run_alloc_scale ~domains ~txs ~metrics_out =
         s.Palloc.Buddy.ss_free_bytes
         (Array.fold_left ( + ) 0 s.Palloc.Buddy.ss_depths)
         s.Palloc.Buddy.ss_steals s.Palloc.Buddy.ss_contended)
-    stats;
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "\nwrote %s\n" path
+    stats
 
 (* --- openloop: open-loop latency under multi-domain load ---------------- *)
 
-(* N domains, each driving a private kvstore engine under an open-loop
-   arrival schedule (Loadgen): arrivals are scheduled in simulated time
-   independent of completions, so queueing delay lands in response time
-   instead of silently stretching the schedule (no coordinated
-   omission).  Domains are fully independent — private pool, private
-   device, private rng streams — so the merged report is a
-   deterministic function of the spec, whatever the host scheduling:
-   that is what lets OPENLOOP_baseline.json be a tight CI gate. *)
+(* N domains drive a kvstore under an open-loop arrival schedule
+   (Loadgen): arrivals are scheduled in simulated time independent of
+   completions, so queueing delay lands in response time instead of
+   silently stretching the schedule (no coordinated omission).  The two
+   modes differ only in the pool under the kvstore:
 
-let openloop_domain_report ~spec =
+   - private (default): each domain builds its own engine — private
+     pool, private device, private rng streams — so the merged report
+     is a deterministic function of the spec, whatever the host
+     scheduling.  That is what lets OPENLOOP_baseline.json gate the
+     merged percentiles tightly.
+   - [--shared]: all domains drive one kvstore on a single pool.  Each
+     worker registers for a dedicated journal slot (and allocator
+     stripe), and the pool's group-commit combiner merges concurrent
+     commits into fence epochs — K simultaneous committers share one
+     fence.  The interleaving, and with it the latency distribution,
+     depends on host scheduling, so the gate pins only what grouping can
+     never worsen: fences and flushes per op against committed solo-cost
+     ceilings.  Service times are global simulated-clock deltas on the
+     shared device, so they include the clock advance of concurrently
+     running domains — a contention-inflated measure, reported but not
+     gated. *)
+
+module KV = Workloads.Kvstore.Make (Engines.Corundum_engine)
+
+(* One op; its service time is the simulated-clock delta across it. *)
+let kv_service dev kv op =
+  let t0 = Pmem.Device.simulated_ns dev in
+  let key = Int64.of_int (Loadgen.op_key op) in
+  (match op with
+  | Loadgen.Read _ -> ignore (KV.get kv key)
+  | Loadgen.Update _ | Loadgen.Insert _ -> KV.put kv key key
+  | Loadgen.Delete _ -> ignore (KV.del kv key));
+  Pmem.Device.simulated_ns dev -. t0
+
+(* A worker session is opened on the worker's own domain and yields the
+   service closure and the release to run after the last op. *)
+let private_session () =
   let module E = Engines.Corundum_engine in
-  let module KV = Workloads.Kvstore.Make (E) in
   let eng = E.create ~latency:Pmem.Latency.optane ~size:(16 * 1024 * 1024) () in
-  let kv = KV.create eng in
-  let dev = Pool_impl.device (E.pool eng) in
-  fun ~progress ->
-    Loadgen.run ~progress ~progress_every:256 spec ~service:(fun op ->
-        let t0 = Pmem.Device.simulated_ns dev in
-        let key = Int64.of_int (Loadgen.op_key op) in
-        (match op with
-        | Loadgen.Read _ -> ignore (KV.get kv key)
-        | Loadgen.Update _ | Loadgen.Insert _ -> KV.put kv key key
-        | Loadgen.Delete _ -> ignore (KV.del kv key));
-        Pmem.Device.simulated_ns dev -. t0)
+  (kv_service (Pool_impl.device (E.pool eng)) (KV.create eng), ignore)
+
+(* The shared pool, preloaded on the calling domain.  Returns the worker
+   session and, for after the run, a summary of the contended phase —
+   fences and flushes per op over [total] ops and the combiner's epoch
+   stats — as a report line and the JSON "shared" section. *)
+let shared_pool ~domains ~keyspace ~linger ~total =
+  let pool =
+    Pool_impl.create
+      ~config:
+        {
+          Pool_impl.size = 64 * 1024 * 1024;
+          nslots = max 8 domains;
+          slot_size = 256 * 1024;
+        }
+      ~latency:Pmem.Latency.optane ()
+  in
+  Pool_impl.set_group_commit ?linger pool true;
+  let dev = Pool_impl.device pool in
+  let kv = KV.create ~nbuckets:1024 (Engines.Corundum_engine.of_pool pool) in
+  (* Deterministic single-domain preload so reads and deletes hit. *)
+  for k = 0 to keyspace - 1 do
+    KV.put kv (Int64.of_int k) (Int64.of_int k)
+  done;
+  (* Fresh combiner after the (all-solo) preload so occupancy stats
+     describe only the contended phase. *)
+  Pool_impl.set_group_commit ?linger pool true;
+  let s0 = Pmem.Device.stats dev in
+  let session () =
+    ignore (Pool_impl.register_domain pool);
+    (kv_service dev kv, fun () -> Pool_impl.unregister_domain pool)
+  in
+  let summary () =
+    let module G = Pjournal.Group_commit in
+    let module J = Ptelemetry.Json in
+    let s1 = Pmem.Device.stats dev in
+    let per_op n = float_of_int n /. float_of_int total in
+    let fences = per_op (s1.Pmem.Device.fences - s0.Pmem.Device.fences)
+    and flushes =
+      per_op (s1.Pmem.Device.flush_calls - s0.Pmem.Device.flush_calls)
+    and g = Option.get (Pool_impl.group_commit_stats pool) in
+    let solo =
+      if g.G.epochs = 0 then 0.0
+      else float_of_int g.G.solo_epochs /. float_of_int g.G.epochs
+    in
+    let int n = J.Num (float_of_int n) in
+    Some
+      ( Printf.sprintf
+          "fences/op %.3f  flushes/op %.3f  epochs %d  occupancy mean %.2f max \
+           %d solo %.0f%%"
+          fences flushes g.G.epochs (G.mean_occupancy g) g.G.max_occupancy
+          (100.0 *. solo),
+        J.Obj
+          [
+            ("fences_per_op", J.Num fences);
+            ("flushes_per_op", J.Num flushes);
+            ("epochs", int g.G.epochs);
+            ("commits", int g.G.commits);
+            ("occupancy_mean", J.Num (G.mean_occupancy g));
+            ("occupancy_max", int g.G.max_occupancy);
+            ("solo_fraction", J.Num solo);
+          ] )
+  in
+  (session, summary)
+
+(* Run [work d ~progress] on one fresh domain per index, with a progress
+   line on a tty.  Returns the results in domain order and the wall
+   seconds. *)
+let drive ~name ~domains ~total ~quiet work =
+  let done_ops = Atomic.make 0 in
+  let live = Atomic.make domains in
+  let worker d =
+    (* Trap everything: a worker that died silently would leave [live]
+       stuck and the wait loop below spinning forever — surface the
+       exception at join instead. *)
+    let r =
+      try
+        let prev = ref 0 in
+        let progress ~done_ops:n _ =
+          ignore (Atomic.fetch_and_add done_ops (n - !prev));
+          prev := n
+        in
+        Ok (work d ~progress)
+      with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    Atomic.decr live;
+    r
+  in
+  let t0 = Unix.gettimeofday () in
+  let handles = List.init domains (fun d -> Domain.spawn (fun () -> worker d)) in
+  let show_progress = (not quiet) && Unix.isatty Unix.stderr in
+  while Atomic.get live > 0 do
+    if show_progress then
+      Printf.eprintf "\r%s: %d domains  %*d/%d ops" name domains
+        (String.length (string_of_int total))
+        (Atomic.get done_ops) total;
+    Unix.sleepf 0.05
+  done;
+  let results =
+    List.map
+      (fun h ->
+        match Domain.join h with
+        | Ok r -> r
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      handles
+  in
+  if show_progress then Printf.eprintf "\r%s\r" (String.make 70 ' ');
+  (results, Unix.gettimeofday () -. t0)
 
 let openloop_row label (r : Loadgen.report) =
   let q h p = Ptelemetry.Hdr.quantile (Ptelemetry.Hdr.snapshot h) p in
@@ -827,51 +756,9 @@ let openloop_row label (r : Loadgen.report) =
     (q r.Loadgen.response 0.999) (q r.Loadgen.service 0.5)
     (q r.Loadgen.service 0.99)
 
-(* Compare the merged report's headline numbers against a committed
-   baseline.  The run is deterministic in simulated time, but the gate
-   still allows 10% so a legitimate cost-model retune upstream doesn't
-   demand a lockstep baseline refresh. *)
-let compare_openloop_baseline ~current ~baseline =
-  let module J = Ptelemetry.Json in
-  let doc path = J.of_string (read_file path) in
-  let a = doc baseline and b = doc current in
-  let probe doc ks =
-    List.fold_left (fun acc k -> Option.bind acc (J.mem k)) (Some doc) ks
-    |> Fun.flip Option.bind J.num
-  in
-  let keys =
-    [
-      [ "merged"; "throughput_ops_per_s" ];
-      [ "merged"; "response"; "p50" ];
-      [ "merged"; "response"; "p99" ];
-      [ "merged"; "response"; "p999" ];
-      [ "merged"; "service"; "p50" ];
-      [ "merged"; "service"; "p99" ];
-    ]
-  in
-  let failed = ref false in
-  List.iter
-    (fun ks ->
-      let name = String.concat "." ks in
-      match (probe a ks, probe b ks) with
-      | Some base, Some cur ->
-          let tol = 0.10 *. Float.max (Float.abs base) 1.0 in
-          if Float.abs (cur -. base) > tol then begin
-            failed := true;
-            Printf.printf "REGRESS %-32s %.0f (baseline %.0f)\n" name cur base
-          end
-          else Printf.printf "OK      %-32s %.0f (baseline %.0f)\n" name cur base
-      | _ ->
-          failed := true;
-          Printf.printf "REGRESS %-32s missing on one side\n" name)
-    keys;
-  if !failed then begin
-    prerr_endline "openloop regression against OPENLOOP baseline";
-    exit 1
-  end
-
-let run_openloop ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed ~json
-    ~baseline ~metrics_out ~trace_out ~quiet =
+let run_openloop ~shared ~linger ~domains ~rate ~poisson ~ops ~keyspace ~theta
+    ~seed ~json ~baseline ~instrument ~quiet =
+  let name = if shared then "openloop --shared" else "openloop" in
   let arrivals =
     if poisson then Loadgen.Arrival.Poisson rate else Loadgen.Arrival.Fixed rate
   in
@@ -886,61 +773,31 @@ let run_openloop ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed ~json
       seed = seed + (d * 1_000_003);
     }
   in
-  (* Telemetry on for the whole run: a per-domain sharded trace ring and
-     the metrics registry, so the exported artifacts exercise the
-     multicore registry and the tid-merged Chrome trace. *)
-  Ptelemetry.Metrics.reset ();
-  if trace_out <> None then
-    Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ~shards:domains ();
-  if metrics_out <> None then Ptelemetry.Metrics.install ();
   let total = domains * ops in
-  let done_ops = Atomic.make 0 in
-  let live = Atomic.make domains in
-  let worker d =
-    (* Trap everything: a worker that died silently would leave [live]
-       stuck and the wait loop below spinning forever — surface the
-       exception at join instead. *)
-    let r =
-      try
-        let run = openloop_domain_report ~spec:(spec_for d) in
-        let prev = ref 0 in
-        let progress ~done_ops:n _ =
-          ignore (Atomic.fetch_and_add done_ops (n - !prev));
-          prev := n
+  (* Instrumented from before the first pool exists, with a trace ring
+     shard per domain. *)
+  let (reports, dt, summary), clean =
+    Instrument.run ~shards:domains instrument (fun () ->
+        let session, summary =
+          if shared then shared_pool ~domains ~keyspace ~linger ~total
+          else (private_session, Fun.const None)
         in
-        Ok (run ~progress)
-      with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Atomic.decr live;
-    r
+        let reports, dt =
+          drive ~name ~domains ~total ~quiet (fun d ~progress ->
+              let service, release = session () in
+              let r =
+                Loadgen.run ~progress ~progress_every:256 (spec_for d) ~service
+              in
+              release ();
+              r)
+        in
+        (reports, dt, summary ()))
   in
-  let t0 = Unix.gettimeofday () in
-  let handles = List.init domains (fun d -> Domain.spawn (fun () -> worker d)) in
-  let show_progress = (not quiet) && Unix.isatty Unix.stderr in
-  while Atomic.get live > 0 do
-    if show_progress then
-      Printf.eprintf "\ropenloop: %d domains  %*d/%d ops" domains
-        (String.length (string_of_int total))
-        (Atomic.get done_ops) total;
-    Unix.sleepf 0.05
-  done;
-  let reports =
-    List.map
-      (fun h ->
-        match Domain.join h with
-        | Ok r -> r
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      handles
-  in
-  if show_progress then Printf.eprintf "\r%s\r" (String.make 60 ' ');
-  let dt = Unix.gettimeofday () -. t0 in
-  Ptelemetry.Trace.uninstall ();
-  Ptelemetry.Metrics.uninstall ();
   let merged = Loadgen.merge_reports reports in
-  Printf.printf
-    "openloop: %d domains x %d ops, %s %.0f ops/s (zipf %.2f, %d keys), %.3f \
-     s wall\n\n"
-    domains ops
+  Printf.printf "%s: %d domains x %d ops%s, %s %.0f ops/s (zipf %.2f, %d keys), \
+                 %.3f s wall\n\n"
+    name domains ops
+    (if shared then " on ONE pool (group commit)" else "")
     (if poisson then "poisson" else "fixed")
     rate theta keyspace dt;
   Printf.printf "%-8s %8s %12s %9s %9s %9s %9s %9s\n" "domain" "ops"
@@ -950,259 +807,43 @@ let run_openloop ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed ~json
   Printf.printf "\nmax backlog %.0f ns  busy %.0f ns over %.0f ns span\n"
     merged.Loadgen.max_backlog_ns merged.Loadgen.busy_ns
     (merged.Loadgen.last_end_ns -. merged.Loadgen.first_arrival_ns);
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      Ptelemetry.Trace.save_chrome path;
-      Printf.printf "wrote %s (%d events, %d dropped)\n" path
-        (List.length (Ptelemetry.Trace.events ()))
-        (Ptelemetry.Trace.dropped ()));
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "wrote %s\n" path);
+  Option.iter (fun (line, _) -> print_endline line) summary;
   (match json with
   | None -> ()
   | Some path ->
-      let doc =
-        Ptelemetry.Json.Obj
-          [
-            ("schema", Ptelemetry.Json.Str "corundum-openloop-v1");
-            ("domains", Ptelemetry.Json.Num (float_of_int domains));
-            ("rate_ops_per_s", Ptelemetry.Json.Num rate);
-            ( "arrivals",
-              Ptelemetry.Json.Str (if poisson then "poisson" else "fixed") );
-            ("ops_per_domain", Ptelemetry.Json.Num (float_of_int ops));
-            ("merged", Loadgen.report_json ~label:"merged" merged);
-            ( "per_domain",
-              Ptelemetry.Json.List
-                (List.mapi
-                   (fun d r ->
-                     Loadgen.report_json ~label:(Printf.sprintf "domain-%d" d) r)
-                   reports) );
-          ]
-      in
-      write_file path (Ptelemetry.Json.to_string doc);
-      Printf.printf "wrote %s\n" path);
-  match (json, baseline) with
-  | Some current, Some b -> compare_openloop_baseline ~current ~baseline:b
-  | None, Some _ ->
-      prerr_endline "--baseline requires --json FILE for the current run";
-      exit 2
-  | _ -> ()
-
-(* --- openloop --shared: N domains, ONE pool, cross-tx group commit ----- *)
-
-(* All domains drive one shared kvstore on a single pool: each worker
-   registers for a dedicated journal slot (and allocator stripe), and
-   the pool's group-commit combiner merges concurrent commits into
-   fence epochs — K simultaneous committers share one fence.  Unlike
-   the private-pool mode, the interleaving (and with it the latency
-   distribution) depends on host scheduling, so the CI gate pins only
-   what grouping can never worsen: fences-per-op and flushes-per-op
-   against a committed solo-cost ceiling.  Service times are global
-   simulated-clock deltas on the shared device, so they include the
-   clock advance of concurrently running domains — a deliberate
-   contention-inflated measure, reported but not gated. *)
-
-let run_openloop_shared ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed
-    ~linger ~json ~baseline ~psan ~quiet =
-  let module E = Engines.Corundum_engine in
-  let module KV = Workloads.Kvstore.Make (E) in
-  if psan then Psan.enable ();
-  let nslots = max 8 domains in
-  let pool =
-    Pool_impl.create
-      ~config:
-        { Pool_impl.size = 64 * 1024 * 1024; nslots; slot_size = 256 * 1024 }
-      ~latency:Pmem.Latency.optane ()
-  in
-  Pool_impl.set_group_commit ?linger pool true;
-  let eng = E.of_pool pool in
-  let dev = Pool_impl.device pool in
-  let kv = KV.create ~nbuckets:1024 eng in
-  (* Deterministic single-domain preload so reads and deletes hit. *)
-  for k = 0 to keyspace - 1 do
-    KV.put kv (Int64.of_int k) (Int64.of_int k)
-  done;
-  (* Fresh combiner after the (all-solo) preload so occupancy stats
-     describe only the contended phase. *)
-  Pool_impl.set_group_commit ?linger pool true;
-  let s0 = Pmem.Device.stats dev in
-  let arrivals =
-    if poisson then Loadgen.Arrival.Poisson rate else Loadgen.Arrival.Fixed rate
-  in
-  let spec_for d =
-    {
-      Loadgen.default_spec with
-      arrivals;
-      ops;
-      keyspace;
-      theta;
-      seed = seed + (d * 1_000_003);
-    }
-  in
-  let total = domains * ops in
-  let done_ops = Atomic.make 0 in
-  let live = Atomic.make domains in
-  let worker d =
-    let r =
-      try
-        ignore (Pool_impl.register_domain pool);
-        let prev = ref 0 in
-        let progress ~done_ops:n _ =
-          ignore (Atomic.fetch_and_add done_ops (n - !prev));
-          prev := n
-        in
-        let rep =
-          Loadgen.run ~progress ~progress_every:256 (spec_for d)
-            ~service:(fun op ->
-              let t0 = Pmem.Device.simulated_ns dev in
-              let key = Int64.of_int (Loadgen.op_key op) in
-              (match op with
-              | Loadgen.Read _ -> ignore (KV.get kv key)
-              | Loadgen.Update _ | Loadgen.Insert _ -> KV.put kv key key
-              | Loadgen.Delete _ -> ignore (KV.del kv key));
-              Pmem.Device.simulated_ns dev -. t0)
-        in
-        Pool_impl.unregister_domain pool;
-        Ok rep
-      with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Atomic.decr live;
-    r
-  in
-  let t0 = Unix.gettimeofday () in
-  let handles = List.init domains (fun d -> Domain.spawn (fun () -> worker d)) in
-  let show_progress = (not quiet) && Unix.isatty Unix.stderr in
-  while Atomic.get live > 0 do
-    if show_progress then
-      Printf.eprintf "\ropenloop --shared: %d domains  %*d/%d ops" domains
-        (String.length (string_of_int total))
-        (Atomic.get done_ops) total;
-    Unix.sleepf 0.05
-  done;
-  let reports =
-    List.map
-      (fun h ->
-        match Domain.join h with
-        | Ok r -> r
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      handles
-  in
-  if show_progress then Printf.eprintf "\r%s\r" (String.make 70 ' ');
-  let dt = Unix.gettimeofday () -. t0 in
-  let s1 = Pmem.Device.stats dev in
-  let gstats =
-    match Pool_impl.group_commit_stats pool with
-    | Some g -> g
-    | None -> assert false (* enabled above *)
-  in
-  let per_op n = float_of_int n /. float_of_int total in
-  let fences_per_op = per_op (s1.Pmem.Device.fences - s0.Pmem.Device.fences) in
-  let flushes_per_op =
-    per_op (s1.Pmem.Device.flush_calls - s0.Pmem.Device.flush_calls)
-  in
-  let module G = Pjournal.Group_commit in
-  let occ_mean =
-    if gstats.G.epochs = 0 then 0.0
-    else float_of_int gstats.G.commits /. float_of_int gstats.G.epochs
-  in
-  let solo_frac =
-    if gstats.G.epochs = 0 then 0.0
-    else float_of_int gstats.G.solo_epochs /. float_of_int gstats.G.epochs
-  in
-  let merged = Loadgen.merge_reports reports in
-  Printf.printf
-    "openloop --shared: %d domains x %d ops on ONE pool (group commit), %s \
-     %.0f ops/s (zipf %.2f, %d keys), %.3f s wall\n\n"
-    domains ops
-    (if poisson then "poisson" else "fixed")
-    rate theta keyspace dt;
-  Printf.printf "%-8s %8s %12s %9s %9s %9s %9s %9s\n" "domain" "ops"
-    "thr ops/s" "resp p50" "p99" "p99.9" "svc p50" "p99";
-  List.iteri (fun d r -> openloop_row (string_of_int d) r) reports;
-  openloop_row "merged" merged;
-  Printf.printf
-    "\nfences/op %.3f  flushes/op %.3f  epochs %d  occupancy mean %.2f max %d \
-     solo %.0f%%\n"
-    fences_per_op flushes_per_op gstats.G.epochs occ_mean
-    gstats.G.max_occupancy (100.0 *. solo_frac);
-  (match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Ptelemetry.Json.Obj
-          [
-            ("schema", Ptelemetry.Json.Str "corundum-openloop-shared-v1");
-            ("domains", Ptelemetry.Json.Num (float_of_int domains));
-            ("rate_ops_per_s", Ptelemetry.Json.Num rate);
-            ("ops_per_domain", Ptelemetry.Json.Num (float_of_int ops));
-            ( "shared",
-              Ptelemetry.Json.Obj
-                [
-                  ("fences_per_op", Ptelemetry.Json.Num fences_per_op);
-                  ("flushes_per_op", Ptelemetry.Json.Num flushes_per_op);
-                  ("epochs", Ptelemetry.Json.Num (float_of_int gstats.G.epochs));
-                  ( "commits",
-                    Ptelemetry.Json.Num (float_of_int gstats.G.commits) );
-                  ("occupancy_mean", Ptelemetry.Json.Num occ_mean);
-                  ( "occupancy_max",
-                    Ptelemetry.Json.Num (float_of_int gstats.G.max_occupancy) );
-                  ("solo_fraction", Ptelemetry.Json.Num solo_frac);
-                ] );
-            ("merged", Loadgen.report_json ~label:"merged-shared" merged);
-          ]
-      in
-      write_file path (Ptelemetry.Json.to_string doc);
-      Printf.printf "wrote %s\n" path);
-  (match (json, baseline) with
-  | Some current, Some b ->
-      (* The only cross-host-stable invariant: grouping may only SAVE
-         persist primitives, so the per-op counts must stay at or below
-         the committed solo ceilings whatever occupancy this host's
-         scheduling produced. *)
       let module J = Ptelemetry.Json in
-      let probe doc ks =
-        List.fold_left (fun acc k -> Option.bind acc (J.mem k)) (Some doc) ks
-        |> Fun.flip Option.bind J.num
+      let doc =
+        J.Obj
+          ([
+             ( "schema",
+               J.Str
+                 (if shared then "corundum-openloop-shared-v1"
+                  else "corundum-openloop-v1") );
+             ("domains", J.Num (float_of_int domains));
+             ("rate_ops_per_s", J.Num rate);
+             ("arrivals", J.Str (if poisson then "poisson" else "fixed"));
+             ("ops_per_domain", J.Num (float_of_int ops));
+           ]
+          @ Option.fold ~none:[] ~some:(fun (_, s) -> [ ("shared", s) ]) summary
+          @ [
+              ( "merged",
+                Loadgen.report_json
+                  ~label:(if shared then "merged-shared" else "merged")
+                  merged );
+              ( "per_domain",
+                J.List
+                  (List.mapi
+                     (fun d r ->
+                       Loadgen.report_json ~label:(Printf.sprintf "domain-%d" d) r)
+                     reports) );
+            ])
       in
-      let a = J.of_string (read_file b) and c = J.of_string (read_file current) in
-      let failed = ref false in
-      List.iter
-        (fun (cur_key, ceil_key) ->
-          match (probe c [ "shared"; cur_key ], probe a [ "shared"; ceil_key ]) with
-          | Some cur, Some ceil ->
-              if cur > ceil then begin
-                failed := true;
-                Printf.printf "REGRESS shared.%-16s %.3f (ceiling %.3f)\n"
-                  cur_key cur ceil
-              end
-              else
-                Printf.printf "OK      shared.%-16s %.3f (ceiling %.3f)\n"
-                  cur_key cur ceil
-          | _ ->
-              failed := true;
-              Printf.printf "REGRESS shared.%-16s missing on one side\n" cur_key)
-        [
-          ("fences_per_op", "max_fences_per_op");
-          ("flushes_per_op", "max_flushes_per_op");
-        ];
-      if !failed then begin
-        prerr_endline "openloop --shared regression against OPENLOOP baseline";
-        exit 1
-      end
-  | None, Some _ ->
-      prerr_endline "--baseline requires --json FILE for the current run";
-      exit 2
-  | _ -> ());
-  if psan then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    if not (Psan.clean ()) then exit 1
-  end
+      write_file path (J.to_string doc);
+      Printf.printf "wrote %s\n" path);
+  Gate.files ~current:json ~baseline
+    ~gate:(if shared then "OPENLOOP-SHARED" else "OPENLOOP")
+    (if shared then Gate.openloop_shared else Gate.openloop);
+  if not clean then exit 1
 
 let usage () =
   prerr_endline
@@ -1216,115 +857,65 @@ let usage () =
     \       bench openloop [--domains N] [--rate OPS_PER_S] [--poisson]\n\
     \             [--ops N] [--keys N] [--theta T] [--seed S] [--quiet]\n\
     \             [--json FILE [--baseline FILE]] [--metrics FILE]\n\
-    \             [--trace FILE]\n\
-    \       bench openloop --shared [--psan] [--linger SPINS] [same flags;\n\
-    \             one pool, group commit; the baseline gate pins\n\
-    \             fences/flushes per op]";
+    \             [--trace FILE] [--psan]\n\
+    \       bench openloop --shared [--linger SPINS] [same flags; one pool,\n\
+    \             group commit; the baseline gate pins fences/flushes per op]";
   exit 2
 
-let () =
-  let trace = ref None
-  and metrics = ref None
-  and psan = ref false
-  and psan_json = ref None
-  and json = ref None
-  and baseline = ref None
-  and waste = ref false
-  and waste_json = ref None
-  and waste_baseline = ref None
-  and waste_trace = ref None
-  and waste_capture = ref None in
-  let rec parse = function
+(* The subcommands' hand parser: an option either sets a flag or takes
+   the next argument; anything else is a usage error. *)
+type opt =
+  | Flag of bool ref
+  | Int of int ref
+  | Float of float ref
+  | Str of string option ref
+
+let parse_opts opts args =
+  let rec go = function
     | [] -> ()
-    | "--trace" :: f :: rest ->
-        trace := Some f;
-        parse rest
-    | "--metrics" :: f :: rest ->
-        metrics := Some f;
-        parse rest
-    | "--psan" :: rest ->
-        psan := true;
-        parse rest
-    | "--psan-json" :: f :: rest ->
-        psan_json := Some f;
-        parse rest
-    | "--json" :: f :: rest ->
-        json := Some f;
-        parse rest
-    | "--baseline" :: f :: rest ->
-        baseline := Some f;
-        parse rest
-    | "--waste" :: rest ->
-        waste := true;
-        parse rest
-    | "--waste-json" :: f :: rest ->
-        waste := true;
-        waste_json := Some f;
-        parse rest
-    | "--waste-baseline" :: f :: rest ->
-        waste := true;
-        waste_baseline := Some f;
-        parse rest
-    | "--waste-trace" :: f :: rest ->
-        waste := true;
-        waste_trace := Some f;
-        parse rest
-    | "--waste-capture" :: f :: rest ->
-        waste := true;
-        waste_capture := Some f;
-        parse rest
-    | _ -> usage ()
+    | name :: rest -> (
+        match (List.assoc_opt name opts, rest) with
+        | Some (Flag r), rest -> r := true; go rest
+        | Some (Int r), v :: rest -> r := int_of_string v; go rest
+        | Some (Float r), v :: rest -> r := float_of_string v; go rest
+        | Some (Str r), v :: rest -> r := Some v; go rest
+        | _ -> usage ())
   in
+  go args
+
+let () =
+  let json = ref None and baseline = ref None and metrics = ref None in
   match List.tl (Array.to_list Sys.argv) with
   | [] -> () (* plain run: the bechamel benchmark below *)
   | "recovery-latency" :: rest ->
-      let sizes = ref [ 16 * 1024 * 1024 ]
+      let pool_size = ref (16 * 1024 * 1024)
+      and sweep = ref false
       and repeats = ref 8
-      and metrics_out = ref None
       and max_p99 = ref None in
-      let rec parse_rl = function
-        | [] -> ()
-        | "--pool-size" :: n :: rest ->
-            sizes := [ int_of_string n ];
-            parse_rl rest
-        | "--sweep" :: rest ->
-            sizes :=
-              [ 4 * 1024 * 1024; 16 * 1024 * 1024; 64 * 1024 * 1024 ];
-            parse_rl rest
-        | "--repeats" :: n :: rest ->
-            repeats := int_of_string n;
-            parse_rl rest
-        | "--metrics" :: f :: rest ->
-            metrics_out := Some f;
-            parse_rl rest
-        | "--max-p99-ns" :: n :: rest ->
-            max_p99 := Some (float_of_string n);
-            parse_rl rest
-        | _ -> usage ()
+      parse_opts
+        [
+          ("--pool-size", Int pool_size);
+          ("--sweep", Flag sweep);
+          ("--repeats", Int repeats);
+          ("--metrics", Str metrics);
+          ("--max-p99-ns", Str max_p99);
+        ]
+        rest;
+      let sizes =
+        if !sweep then [ 4 * 1024 * 1024; 16 * 1024 * 1024; 64 * 1024 * 1024 ]
+        else [ !pool_size ]
       in
-      parse_rl rest;
-      if !repeats < 1 || List.exists (fun s -> s < 1024 * 1024) !sizes then
+      if !repeats < 1 || List.exists (fun s -> s < 1024 * 1024) sizes then
         usage ();
-      run_recovery_latency ~sizes:!sizes ~repeats:!repeats
-        ~metrics_out:!metrics_out ~max_p99:!max_p99
+      run_recovery_latency ~sizes ~repeats:!repeats ~metrics_out:!metrics
+        ~max_p99:(Option.map float_of_string !max_p99)
   | "alloc-scale" :: rest ->
-      let domains = ref 4 and txs = ref 2000 and metrics_out = ref None in
-      let rec parse_scale = function
-        | [] -> ()
-        | "--domains" :: n :: rest ->
-            domains := int_of_string n;
-            parse_scale rest
-        | "--txs" :: n :: rest ->
-            txs := int_of_string n;
-            parse_scale rest
-        | "--metrics" :: f :: rest ->
-            metrics_out := Some f;
-            parse_scale rest
-        | _ -> usage ()
-      in
-      parse_scale rest;
+      let domains = ref 4 and txs = ref 2000 in
+      parse_opts
+        [ ("--domains", Int domains); ("--txs", Int txs); ("--metrics", Str metrics) ]
+        rest;
       if !domains < 1 || !txs < 1 then usage ();
-      run_alloc_scale ~domains:!domains ~txs:!txs ~metrics_out:!metrics_out
+      run_alloc_scale ~domains:!domains ~txs:!txs ~metrics_out:!metrics
   | "openloop" :: rest ->
       let domains = ref 4
       and rate = ref 1e6
@@ -1333,81 +924,68 @@ let () =
       and keyspace = ref 1024
       and theta = ref 0.99
       and seed = ref 42
-      and json = ref None
-      and baseline = ref None
-      and metrics_out = ref None
-      and trace_out = ref None
+      and trace = ref None
       and shared = ref false
       and psan = ref false
       and linger = ref None
       and quiet = ref false in
-      let rec parse_ol = function
-        | [] -> ()
-        | "--shared" :: rest ->
-            shared := true;
-            parse_ol rest
-        | "--linger" :: n :: rest ->
-            linger := Some (int_of_string n);
-            parse_ol rest
-        | "--psan" :: rest ->
-            psan := true;
-            parse_ol rest
-        | "--domains" :: n :: rest ->
-            domains := int_of_string n;
-            parse_ol rest
-        | "--rate" :: r :: rest ->
-            rate := float_of_string r;
-            parse_ol rest
-        | "--poisson" :: rest ->
-            poisson := true;
-            parse_ol rest
-        | "--ops" :: n :: rest ->
-            ops := int_of_string n;
-            parse_ol rest
-        | "--keys" :: n :: rest ->
-            keyspace := int_of_string n;
-            parse_ol rest
-        | "--theta" :: t :: rest ->
-            theta := float_of_string t;
-            parse_ol rest
-        | "--seed" :: s :: rest ->
-            seed := int_of_string s;
-            parse_ol rest
-        | "--json" :: f :: rest ->
-            json := Some f;
-            parse_ol rest
-        | "--baseline" :: f :: rest ->
-            baseline := Some f;
-            parse_ol rest
-        | "--metrics" :: f :: rest ->
-            metrics_out := Some f;
-            parse_ol rest
-        | "--trace" :: f :: rest ->
-            trace_out := Some f;
-            parse_ol rest
-        | "--quiet" :: rest ->
-            quiet := true;
-            parse_ol rest
-        | _ -> usage ()
-      in
-      parse_ol rest;
+      parse_opts
+        [
+          ("--shared", Flag shared);
+          ("--linger", Str linger);
+          ("--psan", Flag psan);
+          ("--domains", Int domains);
+          ("--rate", Float rate);
+          ("--poisson", Flag poisson);
+          ("--ops", Int ops);
+          ("--keys", Int keyspace);
+          ("--theta", Float theta);
+          ("--seed", Int seed);
+          ("--json", Str json);
+          ("--baseline", Str baseline);
+          ("--metrics", Str metrics);
+          ("--trace", Str trace);
+          ("--quiet", Flag quiet);
+        ]
+        rest;
       if !domains < 1 || !ops < 1 || !keyspace < 1 || !rate <= 0.0 then usage ();
-      if !shared then
-        run_openloop_shared ~domains:!domains ~rate:!rate ~poisson:!poisson
-          ~ops:!ops ~keyspace:!keyspace ~theta:!theta ~seed:!seed
-          ~linger:!linger ~json:!json ~baseline:!baseline ~psan:!psan
-          ~quiet:!quiet
-      else
-        run_openloop ~domains:!domains ~rate:!rate ~poisson:!poisson ~ops:!ops
-          ~keyspace:!keyspace ~theta:!theta ~seed:!seed ~json:!json
-          ~baseline:!baseline ~metrics_out:!metrics_out ~trace_out:!trace_out
-          ~quiet:!quiet
+      run_openloop ~shared:!shared
+        ~linger:(Option.map int_of_string !linger)
+        ~domains:!domains ~rate:!rate ~poisson:!poisson ~ops:!ops
+        ~keyspace:!keyspace ~theta:!theta ~seed:!seed ~json:!json
+        ~baseline:!baseline
+        ~instrument:
+          { Instrument.none with trace = !trace; metrics = !metrics; psan = !psan }
+        ~quiet:!quiet
   | args ->
-      parse args;
-      if !trace <> None || !metrics <> None || !psan || !psan_json <> None then
-        run_instrumented ~trace:!trace ~metrics:!metrics ~psan:!psan
-          ~psan_json:!psan_json;
-      if !waste then
+      let instrument, args = Instrument.strip args in
+      let waste = ref false
+      and waste_json = ref None
+      and waste_baseline = ref None
+      and waste_trace = ref None
+      and waste_capture = ref None in
+      parse_opts
+        [
+          ("--json", Str json);
+          ("--baseline", Str baseline);
+          ("--waste", Flag waste);
+          ("--waste-json", Str waste_json);
+          ("--waste-baseline", Str waste_baseline);
+          ("--waste-trace", Str waste_trace);
+          ("--waste-capture", Str waste_capture);
+        ]
+        args;
+      (* --trace/--metrics/--psan: one small instrumented workload. *)
+      if Instrument.active instrument then begin
+        let (), clean = Instrument.run instrument instrumented_workload in
+        if not clean then exit 1
+      end;
+      (* any --waste-* option implies --waste *)
+      if
+        !waste
+        || List.exists Option.is_some
+             [ !waste_json; !waste_baseline; !waste_trace; !waste_capture ]
+      then
         run_waste ~waste_json:!waste_json ~waste_baseline:!waste_baseline
           ~waste_trace:!waste_trace ~waste_capture:!waste_capture;
       (match !json with
@@ -1415,12 +993,7 @@ let () =
       | Some path ->
           write_file path (attribution_json ());
           Printf.printf "wrote %s\n" path);
-      (match (!json, !baseline) with
-      | Some current, Some b -> compare_against_baseline ~current ~baseline:b
-      | None, Some _ ->
-          prerr_endline "--baseline requires --json FILE for the current run";
-          exit 2
-      | _ -> ())
+      Gate.files ~gate:"BENCH" Gate.bench ~current:!json ~baseline:!baseline
 
 let () =
   if Array.length Sys.argv > 1 then exit 0;

@@ -45,17 +45,10 @@ let write_crash_image path countdown =
         path countdown
 
 (* Replay one failing branch from the repro line a sweep printed:
-   "scenario=NAME point=K sample=S torn=P [rpoint=M]". *)
-let run_repro psan spec_str =
+   "scenario=NAME point=K sample=S torn=P [rpoint=M]".  [true] when the
+   branch verifies clean. *)
+let run_repro spec_str =
   let module I = Crashtest.Injector in
-  if psan then Psan.enable ();
-  let finish_psan () =
-    if psan then begin
-      Psan.disable ();
-      print_string (Psan.report_text ());
-      if not (Psan.clean ()) then exit 1
-    end
-  in
   let scenario =
     List.find_map
       (fun tok ->
@@ -81,25 +74,22 @@ let run_repro psan spec_str =
           Printf.eprintf "crash_sweep: bad repro spec: %s\n" e;
           exit 2
       | Some make, Ok spec -> (
+          let spec_s = Format.asprintf "%a" I.pp_spec spec in
           match I.replay make spec with
           | Ok () ->
-              Printf.printf "%s %s: verified clean\n" name
-                (Format.asprintf "%a" I.pp_spec spec);
-              finish_psan ()
+              Printf.printf "%s %s: verified clean\n" name spec_s;
+              true
           | Error msgs ->
-              Printf.printf "%s %s: FAILED\n" name
-                (Format.asprintf "%a" I.pp_spec spec);
+              Printf.printf "%s %s: FAILED\n" name spec_s;
               List.iter (fun m -> Printf.printf "  %s\n" m) msgs;
-              finish_psan ();
-              exit 1))
+              false))
 
-let run_sweep limit samples torn recovery psan psan_json names =
+(* [true] when every selected scenario sweeps clean. *)
+let run_sweep limit samples torn recovery names =
   if not (torn >= 0.0 && torn <= 1.0) then begin
     Printf.eprintf "crash_sweep: --torn must be a probability in [0, 1]\n";
     exit 2
   end;
-  let psan_on = psan || psan_json <> None in
-  if psan_on then Psan.enable ();
   let scenarios =
     match names with
     | [] -> Crashtest.Scenario.all
@@ -111,8 +101,7 @@ let run_sweep limit samples torn recovery psan psan_json names =
       (String.concat ", " (List.map fst Crashtest.Scenario.all));
     exit 2
   end;
-  let failed = ref false in
-  List.iter
+  List.map
     (fun (name, make) ->
       let r =
         Crashtest.Injector.sweep ?limit ~survival_samples:samples
@@ -126,28 +115,25 @@ let run_sweep limit samples torn recovery psan psan_json names =
           Printf.printf "  repro: crash_sweep --repro 'scenario=%s %s'\n" name
             (Crashtest.Injector.spec_to_string spec))
         r.Crashtest.Injector.failures;
-      if not (Crashtest.Injector.is_clean r) then failed := true)
-    scenarios;
-  if psan_on then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    (match psan_json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Psan.report_json ());
-        output_char oc '\n';
-        close_out oc);
-    if not (Psan.clean ()) then failed := true
-  end;
-  if !failed then exit 1
+      Crashtest.Injector.is_clean r)
+    scenarios
+  |> List.for_all Fun.id
 
 let run limit samples torn recovery psan psan_json crash_image crash_at repro
     names =
   match (repro, crash_image) with
-  | Some spec, _ -> run_repro psan spec
   | None, Some path -> write_crash_image path crash_at
-  | None, None -> run_sweep limit samples torn recovery psan psan_json names
+  | _ ->
+      (* Sweep and repro run under psan when asked; either failing
+         exits 1. *)
+      let ok, clean =
+        Harness.Instrument.run { Harness.Instrument.none with psan; psan_json }
+          (fun () ->
+            match repro with
+            | Some spec -> run_repro spec
+            | None -> run_sweep limit samples torn recovery names)
+      in
+      if not (ok && clean) then exit 1
 
 open Cmdliner
 

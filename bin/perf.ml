@@ -228,59 +228,28 @@ let psan_json_arg =
         ~doc:"Write the psan report as JSON to $(docv) (implies --psan)."
         ~docv:"FILE")
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let main n size csv only trace metrics attr waste psan psan_json =
   let csv = match csv with Some "none" -> None | x -> x in
   (match csv with
   | Some p -> ( try Unix.mkdir (Filename.dirname p) 0o755 with _ -> ())
   | None -> ());
-  let psan_on = psan || psan_json <> None in
-  if psan_on then Psan.enable ();
-  Option.iter (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 18) ())
-    trace;
-  if trace <> None || metrics <> None then Ptelemetry.Metrics.install ();
-  if waste then begin
-    let columns =
-      List.map
-        (fun (name, e) -> (name, Engines.Waste.measure e))
-        (select only)
-    in
-    print_string (Engines.Waste.table columns);
-    print_newline ()
-  end;
-  run_all ~n ~size ~only csv;
-  if attr then print_attribution (select only);
-  (match trace with
-  | None -> ()
-  | Some path ->
-      Ptelemetry.Trace.uninstall ();
-      Ptelemetry.Metrics.uninstall ();
-      Ptelemetry.Trace.save_chrome path;
-      write_file (path ^ ".metrics.json")
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      let dropped = Ptelemetry.Trace.dropped () in
-      Printf.printf "wrote %s (%d events%s) and %s.metrics.json\n" path
-        (List.length (Ptelemetry.Trace.events ()))
-        (if dropped > 0 then Printf.sprintf ", %d dropped" dropped else "")
-        path);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Ptelemetry.Metrics.uninstall ();
-      Printf.printf "wrote %s\n" path);
-  if psan_on then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    Option.iter (fun p -> write_file p (Psan.report_json ())) psan_json;
-    if not (Psan.clean ()) then exit 1
-  end
+  let (), clean =
+    Harness.Instrument.run ~capacity:(1 lsl 18)
+      { trace; metrics; psan; psan_json }
+      (fun () ->
+        if waste then begin
+          let columns =
+            List.map
+              (fun (name, e) -> (name, Engines.Waste.measure e))
+              (select only)
+          in
+          print_string (Engines.Waste.table columns);
+          print_newline ()
+        end;
+        run_all ~n ~size ~only csv;
+        if attr then print_attribution (select only))
+  in
+  if not clean then exit 1
 
 let cmd =
   Cmd.v

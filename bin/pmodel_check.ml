@@ -21,11 +21,7 @@ module Mw = Pmodel.Mcow
 module Mv = Pmodel.Mvariant
 module J = Ptelemetry.Json
 
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc
+let write_json path json = Harness.Instrument.write_file path (J.to_string json)
 
 (* Which model families a variant exercises: the journal mutations run
    through {!Mcheck}, the CoW mutation through {!Mcow}, and the correct
@@ -91,29 +87,12 @@ let run_check variant_name no_nested json baseline =
       let violations =
         (if jcex <> None then 1 else 0) + if ccex <> None then 1 else 0
       in
-      (match json with
-      | None -> ()
-      | Some path -> write_json path (stats_json variant fields ~violations));
-      (match baseline with
-      | None -> ()
-      | Some path -> (
-          match J.mem "crash_branches" (J.of_string (In_channel.with_open_text path In_channel.input_all)) with
-          | Some v when J.num v <> None ->
-              let base = int_of_float (Option.get (J.num v)) in
-              let branches = try List.assoc "crash_branches" fields with Not_found -> 0 in
-              if branches < base then begin
-                Printf.eprintf
-                  "pmodel_check: crash-branch count regressed: %d < baseline \
-                   %d (checker lost coverage)\n"
-                  branches base;
-                exit 1
-              end
-              else
-                Printf.printf "baseline ok: %d crash branches >= %d\n" branches
-                  base
-          | _ ->
-              Printf.eprintf "pmodel_check: %s: no crash_branches field\n" path;
-              exit 2));
+      let stats = stats_json variant fields ~violations in
+      Option.iter (fun path -> write_json path stats) json;
+      Option.iter
+        (fun baseline ->
+          Harness.Gate.check ~gate:"PMODEL" Harness.Gate.pmodel ~baseline stats)
+        baseline;
       Option.iter (fun c -> Format.printf "%a" Mc.pp_cex c) jcex;
       Option.iter (fun c -> Format.printf "%a" Mw.pp_cex c) ccex;
       match violations with

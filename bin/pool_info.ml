@@ -28,10 +28,7 @@ let load ?latency path =
       exit 1
 
 let write_json path json =
-  let oc = open_out path in
-  output_string oc (Ptelemetry.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
+  Harness.Instrument.write_file path (Ptelemetry.Json.to_string json)
 
 (* [info --json]: layout plus attach-time recovery observability.  The
    attach runs on the in-memory image (Device.load never writes back)

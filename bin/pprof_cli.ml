@@ -16,11 +16,7 @@
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
+let write_file = Harness.Instrument.write_file
 
 let load path =
   match Ptelemetry.Probe.load path with
@@ -56,9 +52,14 @@ let run_diff baseline current =
   let b = Pprof.analyze ~label:(Filename.basename current) (load current) in
   print_string (Pprof.diff_text a b);
   (* The gate direction: the diff fails only when waste grew. *)
+  let row key waste =
+    let n r = Some (float_of_int (waste r)) in
+    { Harness.Gate.key; rule = Upper { rel = 0.0; abs = 0.0 }; base = n a; cur = n b }
+  in
   if
-    Pprof.waste_flushes b > Pprof.waste_flushes a
-    || Pprof.waste_fences b > Pprof.waste_fences a
+    not
+      (Harness.Gate.report ~gate:"PPROF-DIFF"
+         [ row "waste_flushes" Pprof.waste_flushes; row "waste_fences" Pprof.waste_fences ])
   then exit 1
 
 (* One psan warning is explained by one pprof finding when the classes
@@ -86,10 +87,10 @@ let run_replay capture psan =
       (List.length events)
   end
   else begin
-    Psan.enable ();
-    Pprof.replay events;
-    Psan.disable ();
-    print_string (Psan.report_text ());
+    let (), clean =
+      Harness.Instrument.run { Harness.Instrument.none with psan = true }
+        (fun () -> Pprof.replay events)
+    in
     let r = Pprof.analyze ~label:(Filename.basename capture) events in
     print_newline ();
     print_string (Pprof.report_text r);
@@ -106,7 +107,7 @@ let run_replay capture psan =
           (Psan.class_name w.Psan.cls) w.Psan.dev w.Psan.off w.Psan.len
           w.Psan.detail)
       unmatched;
-    if unmatched <> [] || not (Psan.clean ()) then exit 1
+    if unmatched <> [] || not clean then exit 1
   end
 
 open Cmdliner

@@ -40,33 +40,16 @@ let transfer root src dst amount j =
       a.(dst) <- a.(dst) + amount;
       a)
 
-let trace_path, metrics_path, psan_on, psan_json =
-  let rec parse trace metrics psan psan_json = function
-    | [] -> (trace, metrics, psan || psan_json <> None, psan_json)
-    | "--trace" :: f :: rest -> parse (Some f) metrics psan psan_json rest
-    | "--metrics" :: f :: rest -> parse trace (Some f) psan psan_json rest
-    | "--psan" :: rest -> parse trace metrics true psan_json rest
-    | "--psan-json" :: f :: rest -> parse trace metrics psan (Some f) rest
-    | _ ->
-        prerr_endline
-          "usage: bank [--trace FILE] [--metrics FILE] [--psan] [--psan-json \
-           FILE]";
-        exit 2
-  in
-  parse None None false None (List.tl (Array.to_list Sys.argv))
+let instrument =
+  match Harness.Instrument.strip (List.tl (Array.to_list Sys.argv)) with
+  | spec, [] -> spec
+  | _ ->
+      prerr_endline
+        "usage: bank [--trace FILE] [--metrics FILE] [--psan] [--psan-json \
+         FILE]";
+      exit 2
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
-let () =
-  if psan_on then Psan.enable ();
-  Option.iter
-    (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ())
-    trace_path;
-  if trace_path <> None || metrics_path <> None then Ptelemetry.Metrics.install ();
+let run () =
   P.create
     ~config:{ Pool_impl.size = 4 * 1024 * 1024; nslots = 2; slot_size = 64 * 1024 }
     ~path:"bank.pool" ();
@@ -112,29 +95,8 @@ let () =
   Printf.printf "post-recovery transfer committed; heap is leak-free.\n";
   (* save the crash-recovered image so tooling (pool_info fsck) can audit it *)
   P.save ();
-  Printf.printf "recovered image saved to bank.pool.\n";
-  Option.iter
-    (fun path ->
-      Ptelemetry.Trace.uninstall ();
-      Ptelemetry.Metrics.uninstall ();
-      Ptelemetry.Trace.save_chrome path;
-      write_file (path ^ ".metrics.json")
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Printf.printf "trace written to %s (%d events), metrics to %s.metrics.json\n"
-        path
-        (List.length (Ptelemetry.Trace.events ()))
-        path)
-    trace_path;
-  Option.iter
-    (fun path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Ptelemetry.Metrics.uninstall ();
-      Printf.printf "metrics written to %s\n" path)
-    metrics_path;
-  if psan_on then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    Option.iter (fun p -> write_file p (Psan.report_json ())) psan_json;
-    if not (Psan.clean ()) then exit 1
-  end
+  Printf.printf "recovered image saved to bank.pool.\n"
+
+let () =
+  let (), clean = Harness.Instrument.run instrument run in
+  if not clean then exit 1

@@ -89,36 +89,12 @@ let iter buckets f =
       go cell)
     buckets
 
-(* Strip leading instrumentation flags ([--trace FILE], [--metrics FILE],
-   [--psan], [--psan-json FILE]) so any command can run instrumented. *)
-let trace_path, metrics_path, psan_on, psan_json, argv =
-  let rec strip trace metrics psan psan_json = function
-    | "--trace" :: f :: rest -> strip (Some f) metrics psan psan_json rest
-    | "--metrics" :: f :: rest -> strip trace (Some f) psan psan_json rest
-    | "--psan" :: rest -> strip trace metrics true psan_json rest
-    | "--psan-json" :: f :: rest -> strip trace metrics psan (Some f) rest
-    | rest -> (trace, metrics, psan || psan_json <> None, psan_json, rest)
-  in
-  match Array.to_list Sys.argv with
-  | prog :: rest ->
-      let trace, metrics, psan, psan_json, rest =
-        strip None None false None rest
-      in
-      (trace, metrics, psan, psan_json, prog :: rest)
-  | [] -> (None, None, false, None, [])
+(* Instrumentation flags ([--trace FILE], [--metrics FILE], [--psan],
+   [--psan-json FILE]) are stripped first, so any command can run
+   instrumented. *)
+let instrument, argv = Harness.Instrument.strip (Array.to_list Sys.argv)
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
-let () =
-  if psan_on then Psan.enable ();
-  Option.iter
-    (fun _ -> Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ())
-    trace_path;
-  if metrics_path <> None then Ptelemetry.Metrics.install ();
+let run () =
   P.load_or_create "kvstore.pool";
   let root =
     P.root ~ty:root_ty
@@ -150,23 +126,8 @@ let () =
         "usage: kvstore_cli [--trace FILE] [--metrics FILE] [--psan] \
          [--psan-json FILE] (put K V | get K | del K | list)";
       exit 2);
-  P.close ();
-  Option.iter
-    (fun path ->
-      Ptelemetry.Trace.uninstall ();
-      Ptelemetry.Trace.save_chrome path;
-      Printf.eprintf "trace written to %s\n" path)
-    trace_path;
-  Option.iter
-    (fun path ->
-      write_file path
-        (Ptelemetry.Json.to_string (Ptelemetry.Metrics.dump_json ()));
-      Ptelemetry.Metrics.uninstall ();
-      Printf.eprintf "metrics written to %s\n" path)
-    metrics_path;
-  if psan_on then begin
-    Psan.disable ();
-    print_string (Psan.report_text ());
-    Option.iter (fun p -> write_file p (Psan.report_json ())) psan_json;
-    if not (Psan.clean ()) then exit 1
-  end
+  P.close ()
+
+let () =
+  let (), clean = Harness.Instrument.run instrument run in
+  if not clean then exit 1

@@ -481,6 +481,205 @@ let test_lifetime_counters_survive_reattach () =
   let info = Pool_inspect.inspect_device dev in
   check_int "pool_inspect reads the same totals" 6 info.Pool_inspect.lifetime_tx
 
+(* --- the baseline gate ---------------------------------------------------- *)
+
+module G = Harness.Gate
+module I = Harness.Instrument
+
+let upper rel abs = G.Upper { rel; abs }
+
+(* [cur] at the limit passes; one ulp past it (in [step]'s direction)
+   fails. *)
+let check_boundary name rule ~base ~limit ~step =
+  check_bool (name ^ " at the limit") true (G.pass rule ~base limit);
+  check_bool (name ^ " one ulp past") false (G.pass rule ~base (step limit))
+
+let test_gate_upper_bench () =
+  (* BENCH: the historical limit, (b * 1.10) + 0.01, bit for bit. *)
+  List.iter
+    (fun base ->
+      check_boundary
+        (Printf.sprintf "upper 10%%+0.01 base %g" base)
+        (upper 0.10 0.01) ~base
+        ~limit:((base *. 1.10) +. 0.01)
+        ~step:Float.succ)
+    [ 0.0; 3.0; 4.0; 6.0 ]
+
+let test_gate_upper_pprof () =
+  List.iter
+    (fun base ->
+      check_boundary
+        (Printf.sprintf "upper +0.01 base %g" base)
+        (upper 0.0 0.01) ~base ~limit:(base +. 0.01) ~step:Float.succ)
+    [ 0.0; 1.0; 2.0 ];
+  (* The shared ceilings and the recovery p99 bound: no slack at all. *)
+  check_boundary "upper exact" G.recovery_p99 ~base:1.7 ~limit:1.7
+    ~step:Float.succ
+
+let test_gate_band () =
+  let band = G.Band 0.10 in
+  check_boundary "band above" band ~base:1000.0 ~limit:1100.0 ~step:Float.succ;
+  check_boundary "band below" band ~base:1000.0 ~limit:900.0 ~step:Float.pred;
+  (* Below |base| = 1 the tolerance is floored at rel * 1. *)
+  check_boundary "band floor above" band ~base:0.0 ~limit:0.1 ~step:Float.succ;
+  check_boundary "band floor below" band ~base:0.0 ~limit:(-0.1)
+    ~step:Float.pred
+
+let test_gate_lower () =
+  check_boundary "lower" G.Lower ~base:3783.0 ~limit:3783.0 ~step:Float.pred;
+  check_bool "lower passes above" true (G.pass G.Lower ~base:3783.0 4000.0)
+
+let verdicts rows = List.map (fun (r : G.row) -> (r.G.key, G.verdict r)) rows
+
+let test_gate_new_and_missing () =
+  let doc engines =
+    Json.Obj
+      [
+        ( "engines",
+          Json.List
+            (List.map
+               (fun (e, v) ->
+                 Json.Obj
+                   [
+                     ("engine", Json.Str e);
+                     ( "ops",
+                       Json.List
+                         [
+                           Json.Obj
+                             [
+                               ("op", Json.Str "update");
+                               ("flushes_per_op", Json.Num v);
+                               ("fences_per_op", Json.Num v);
+                             ];
+                         ] );
+                   ])
+               engines) );
+      ]
+  in
+  let rows =
+    G.rows G.bench
+      ~base:(doc [ ("a", 3.0); ("gone", 3.0) ])
+      ~cur:(doc [ ("a", 3.0); ("fresh", 9.0) ])
+  in
+  let v = verdicts rows in
+  let expect key verdict =
+    check_bool key true (List.assoc_opt key v = Some verdict)
+  in
+  expect "engines/a/ops/update/flushes_per_op" G.Ok;
+  expect "engines/gone/ops/update/fences_per_op" G.Missing;
+  expect "engines/fresh/ops/update/flushes_per_op" G.New;
+  check_int "rows" 6 (List.length rows);
+  check_bool "MISSING fails" true
+    (List.exists G.failed rows && not (G.report ~gate:"TEST" rows));
+  check_bool "NEW passes" true
+    (G.report ~gate:"TEST"
+       (List.filter (fun r -> G.verdict r = G.New) rows))
+
+(* The committed baselines sit at the project root: the parent of the
+   test directory under [dune runtest], the working directory otherwise. *)
+let baseline name =
+  let path = if Sys.file_exists name then name else Filename.concat ".." name in
+  Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+(* Every committed baseline gated against itself is all OK: 18 engine ×
+   op pairs per BENCH/PPROF metric, six merged OPENLOOP numbers, one
+   PMODEL count. *)
+let test_gate_baselines_self () =
+  List.iter
+    (fun (file, table, n) ->
+      let doc = baseline file in
+      let rows = G.rows table ~base:doc ~cur:doc in
+      check_int (file ^ " rows") n (List.length rows);
+      check_bool (file ^ " all OK") true
+        (List.for_all (fun r -> G.verdict r = G.Ok) rows))
+    [
+      ("BENCH_baseline.json", G.bench, 36);
+      ("PPROF_baseline.json", G.pprof, 36);
+      ("OPENLOOP_baseline.json", G.openloop, 6);
+      ("PMODEL_baseline.json", G.pmodel, 1);
+    ];
+  (* The shared gate reads the baseline's ceilings: a run exactly at
+     them passes, one ulp above fails. *)
+  let shared f =
+    Json.Obj
+      [
+        ( "shared",
+          Json.Obj
+            [
+              ("fences_per_op", Json.Num (f 1.70));
+              ("flushes_per_op", Json.Num (f 1.90));
+            ] );
+      ]
+  in
+  let gate f =
+    List.map G.verdict
+      (G.rows G.openloop_shared ~base:(baseline "OPENLOOP_baseline.json")
+         ~cur:(shared f))
+  in
+  check_bool "shared at the ceilings" true (gate Fun.id = [ G.Ok; G.Ok ]);
+  check_bool "shared above the ceilings" true
+    (gate Float.succ = [ G.Regress; G.Regress ])
+
+(* --- the instrumented-run session ----------------------------------------- *)
+
+let test_instrument_strip () =
+  let spec, rest =
+    I.strip [ "put"; "--trace"; "t.json"; "k"; "--psan"; "--metrics"; "m"; "v" ]
+  in
+  check_bool "remaining args" true (rest = [ "put"; "k"; "v" ]);
+  check_bool "spec" true
+    (spec
+    = { I.trace = Some "t.json"; metrics = Some "m"; psan = true; psan_json = None })
+
+let test_instrument_artifacts () =
+  fresh ();
+  let dir = Filename.temp_dir "instrument" "" in
+  let path f = Filename.concat dir f in
+  let spec =
+    {
+      I.trace = Some (path "t.json");
+      metrics = Some (path "m.json");
+      psan = false;
+      psan_json = Some (path "p.json");
+    }
+  in
+  let v, clean =
+    I.run spec (fun () ->
+        let module P = Pool.Make () in
+        P.create ~config:small ();
+        let root = P.root ~ty:Ptype.int ~init:(fun _ -> 0) () in
+        for i = 1 to 5 do
+          P.transaction (fun j -> Pbox.set root i j)
+        done;
+        Pbox.get root)
+  in
+  check_int "body result" 5 v;
+  check_bool "psan clean" true clean;
+  List.iter
+    (fun f -> check_bool (f ^ " written") true (Sys.file_exists (path f)))
+    [ "t.json"; "t.json.metrics.json"; "m.json"; "p.json" ];
+  (match Schema.validate_file (path "t.json") with
+  | Ok n -> check_bool "trace has events" true (n > 0)
+  | Error _ -> Alcotest.fail "trace fails schema validation");
+  check_bool "subscribers removed" false (Tr.on ())
+
+let test_instrument_psan_dirty () =
+  fresh ();
+  let (), clean =
+    I.run { I.none with psan = true } (fun () ->
+        let module P = Pool.Make () in
+        P.create ~config:small ();
+        let root =
+          P.root
+            ~ty:(Pcell.ptype Ptype.int)
+            ~init:(fun _ -> Pcell.make ~ty:Ptype.int 0)
+            ()
+        in
+        (* an unlogged in-transaction store: V1 *)
+        P.transaction (fun j -> Punsafe.atomic_set (Pbox.get root) 1 j))
+  in
+  check_bool "violation reported as not clean" false clean
+
 let () =
   Alcotest.run "corundum telemetry"
     [
@@ -526,5 +725,26 @@ let () =
         [
           Alcotest.test_case "counters survive reattach" `Quick
             test_lifetime_counters_survive_reattach;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "upper 10% + 0.01 boundary" `Quick
+            test_gate_upper_bench;
+          Alcotest.test_case "upper + 0.01 and exact boundary" `Quick
+            test_gate_upper_pprof;
+          Alcotest.test_case "band 10% with floor" `Quick test_gate_band;
+          Alcotest.test_case "lower boundary" `Quick test_gate_lower;
+          Alcotest.test_case "new passes, missing fails" `Quick
+            test_gate_new_and_missing;
+          Alcotest.test_case "baselines against themselves" `Quick
+            test_gate_baselines_self;
+        ] );
+      ( "instrument",
+        [
+          Alcotest.test_case "strip flags" `Quick test_instrument_strip;
+          Alcotest.test_case "artifacts and clean flag" `Quick
+            test_instrument_artifacts;
+          Alcotest.test_case "psan violation is not clean" `Quick
+            test_instrument_psan_dirty;
         ] );
     ]
