@@ -1,7 +1,7 @@
 (* Exhaustive crash-state model checking of the persistence protocols
-   — the journal/recovery family ({!Mcheck}) and the CoW root
-   swap/intent family ({!Mcow}) — plus trace-driven conformance of the
-   real implementation against the model.
+   — every model family in {!Pmodel.Mfamily} (the journal/recovery
+   family and the CoW root swap/intent family) — plus trace-driven
+   conformance of the real implementation against the model.
 
      pmodel_check check                 # full space, zero violations expected
      pmodel_check check --json stats.json --baseline PMODEL_baseline.json
@@ -11,26 +11,16 @@
      pmodel_check replay 'swap-before-flush:cow:0:1:1'
 
    [check] exits non-zero on any counterexample, and (with --baseline)
-   when the explored crash-branch count (summed over both families)
+   when the explored crash-branch count, in total or of any family,
    drops below the committed baseline — a shrinking space means the
    checker lost coverage. *)
 
-module Ms = Pmodel.Mstate
 module Mc = Pmodel.Mcheck
-module Mw = Pmodel.Mcow
+module Mf = Pmodel.Mfamily
 module Mv = Pmodel.Mvariant
 module J = Ptelemetry.Json
 
 let write_json path json = Harness.Instrument.write_file path (J.to_string json)
-
-(* Which model families a variant exercises: the journal mutations run
-   through {!Mcheck}, the CoW mutation through {!Mcow}, and the correct
-   protocol through both (their stats are summed for the baseline). *)
-let families variant =
-  match variant with
-  | Mv.Correct -> (true, true)
-  | Mv.Swap_before_flush -> (false, true)
-  | _ -> (true, false)
 
 let sum_fields lists =
   List.fold_left
@@ -41,21 +31,29 @@ let sum_fields lists =
         fields)
     [] lists
 
-let print_fields prefix fields =
+let print_fields label fields =
   let g k = try List.assoc k fields with Not_found -> 0 in
   Printf.printf
-    "%s%d programs, %d crash points, %d crash branches (%d distinct states), \
+    "%-8s %d programs, %d crash points, %d crash branches (%d distinct states), \
      %d recovery runs, %d nested recovery points (%d branches)\n"
-    prefix (g "programs") (g "crash_points") (g "crash_branches")
+    (label ^ ":") (g "programs") (g "crash_points") (g "crash_branches")
     (g "distinct_states") (g "recovery_runs") (g "nested_points")
     (g "nested_branches")
 
-let stats_json variant fields ~violations =
+let num_fields fields = List.map (fun (k, v) -> (k, J.Num (float_of_int v))) fields
+
+let stats_json variant ~total results ~violations =
   J.Obj
     (("schema", J.Str "corundum-pmodel-v1")
      :: ("variant", J.Str (Mv.name variant))
      :: ("violations", J.Num (float_of_int violations))
-     :: List.map (fun (k, v) -> (k, J.Num (float_of_int v))) fields)
+     :: num_fields total
+    @ [
+        ( "families",
+          J.Obj
+            (List.map (fun (name, fields, _) -> (name, J.Obj (num_fields fields))) results)
+        );
+      ])
 
 let run_check variant_name no_nested json baseline =
   match Mv.of_name variant_name with
@@ -67,70 +65,76 @@ let run_check variant_name no_nested json baseline =
   | Some variant -> (
       let t0 = Unix.gettimeofday () in
       let nested = not no_nested in
-      let journal, cow = families variant in
-      let jr = if journal then Some (Mc.run ~nested variant) else None in
-      let cr = if cow then Some (Mw.run ~nested variant) else None in
+      (* (family, stats fields, printed counterexample) per family run *)
+      let results =
+        List.map
+          (fun (module F : Mc.S) ->
+            let r = F.run ~nested variant in
+            ( F.name,
+              Mc.stats_fields r.Mc.stats,
+              Option.map (Format.asprintf "%a" F.pp_cex) r.Mc.cex ))
+          (Mf.running variant)
+      in
       let dt = Unix.gettimeofday () -. t0 in
       Printf.printf "variant %s: %s\n" (Mv.name variant) (Mv.describe variant);
-      let jfields =
-        Option.map (fun (r : Mc.report) -> Mc.stats_fields r.Mc.stats) jr
-      and cfields =
-        Option.map (fun (r : Mw.report) -> Mw.stats_fields r.Mw.stats) cr
-      in
-      Option.iter (print_fields "journal: ") jfields;
-      Option.iter (print_fields "cow:     ") cfields;
-      let fields = sum_fields (List.filter_map Fun.id [ jfields; cfields ]) in
-      if jfields <> None && cfields <> None then print_fields "total:   " fields;
+      let total = sum_fields (List.map (fun (_, fields, _) -> fields) results) in
+      List.iter (fun (name, fields, _) -> print_fields name fields) results;
+      if List.length results > 1 then print_fields "total" total;
       Printf.printf "%.2fs\n" dt;
-      let jcex = Option.bind jr (fun (r : Mc.report) -> r.Mc.cex)
-      and ccex = Option.bind cr (fun (r : Mw.report) -> r.Mw.cex) in
-      let violations =
-        (if jcex <> None then 1 else 0) + if ccex <> None then 1 else 0
-      in
-      let stats = stats_json variant fields ~violations in
+      let cexs = List.filter_map (fun (_, _, cex) -> cex) results in
+      let violations = List.length cexs in
+      let stats = stats_json variant ~total results ~violations in
       Option.iter (fun path -> write_json path stats) json;
       Option.iter
         (fun baseline ->
           Harness.Gate.check ~gate:"PMODEL" Harness.Gate.pmodel ~baseline stats)
         baseline;
-      Option.iter (fun c -> Format.printf "%a" Mc.pp_cex c) jcex;
-      Option.iter (fun c -> Format.printf "%a" Mw.pp_cex c) ccex;
+      List.iter print_string cexs;
       match violations with
       | 0 -> Printf.printf "no violations\n"
       | _ -> exit 1)
 
 (* Positive controls: every deliberately broken protocol variant must
-   yield a counterexample, or the checker itself has gone blind. *)
+   yield a counterexample, or the checker itself has gone blind — and
+   that counterexample must replay from its printed spec to the same
+   invariant, or the printed spec is useless. *)
 let run_controls json =
-  (* (variant, caught, invariant, repro) — each broken variant runs in
+  (* (variant, Some (invariant, repro, replays)) per seeded bug, run in
      the family its mutation belongs to *)
   let results =
-    List.map
+    List.concat_map
       (fun v ->
-        match families v with
-        | _, true ->
-            let r = Mw.run ~nested:false v in
+        List.map
+          (fun (module F : Mc.S) ->
+            let r = F.run ~nested:false v in
             ( v,
               Option.map
-                (fun (c : Mw.cex) -> (c.Mw.invariant, Mw.repro_string c))
-                r.Mw.cex )
-        | _ ->
-            let r = Mc.run ~nested:false v in
-            ( v,
-              Option.map
-                (fun (c : Mc.cex) -> (c.Mc.invariant, Mc.repro_string c))
+                (fun (c : F.cex) ->
+                  let repro = F.repro_string c in
+                  let replays =
+                    match F.replay repro with
+                    | Ok (Some c') -> c'.Mc.invariant = c.Mc.invariant
+                    | Ok None | Error _ -> false
+                  in
+                  (c.Mc.invariant, repro, replays))
                 r.Mc.cex ))
+          (Mf.running v))
       Mv.broken
   in
-  let missed = ref 0 in
+  let failed = ref 0 in
   List.iter
     (fun (v, caught) ->
       match caught with
-      | Some (invariant, repro) ->
+      | Some (invariant, repro, replays) ->
           Printf.printf "%-22s caught: %s  (replay '%s')\n" (Mv.name v)
-            invariant repro
+            invariant repro;
+          if not replays then begin
+            incr failed;
+            Printf.printf "%-22s REPLAY FAILED: '%s' does not reproduce %s\n"
+              (Mv.name v) repro invariant
+          end
       | None ->
-          incr missed;
+          incr failed;
           Printf.printf "%-22s MISSED: no counterexample for a seeded bug\n"
             (Mv.name v))
     results;
@@ -151,38 +155,27 @@ let run_controls json =
                           ("caught", J.Bool (caught <> None));
                           ( "invariant",
                             match caught with
-                            | Some (invariant, _) -> J.Str invariant
+                            | Some (invariant, _, _) -> J.Str invariant
                             | None -> J.Null );
                         ])
                     results) );
            ]));
-  if !missed > 0 then exit 1
+  if !failed > 0 then exit 1
 
 let run_replay spec =
-  (* CoW-family specs carry a "cow" tag in the second field *)
-  let is_cow =
-    match String.split_on_char ':' spec with
-    | _ :: "cow" :: _ -> true
-    | _ -> false
+  let fail e =
+    Printf.eprintf "pmodel_check: %s\n" e;
+    exit 2
   in
-  if is_cow then
-    match Mw.replay spec with
-    | Error e ->
-        Printf.eprintf "pmodel_check: %s\n" e;
-        exit 2
-    | Ok None -> Printf.printf "branch recovers to a legal state\n"
-    | Ok (Some c) ->
-        Format.printf "%a" Mw.pp_cex c;
-        exit 1
-  else
-    match Mc.replay spec with
-    | Error e ->
-        Printf.eprintf "pmodel_check: %s\n" e;
-        exit 2
-    | Ok None -> Printf.printf "branch recovers to a legal state\n"
-    | Ok (Some c) ->
-        Format.printf "%a" Mc.pp_cex c;
-        exit 1
+  match Mf.of_spec spec with
+  | None -> fail (Printf.sprintf "malformed repro spec %S" spec)
+  | Some (module F) -> (
+      match F.replay spec with
+      | Error e -> fail e
+      | Ok None -> Printf.printf "branch recovers to a legal state\n"
+      | Ok (Some c) ->
+          Format.printf "%a" F.pp_cex c;
+          exit 1)
 
 (* Conformance: run real scenarios with the probe bus captured and
    validate the event stream against the model's protocol order.  Each
@@ -306,9 +299,9 @@ let variant_arg =
     value & opt string "correct"
     & info [ "variant" ] ~docv:"NAME"
         ~doc:
-          "Protocol variant to check: correct, term-before-body, \
-           truncate-before-clears, trust-advisory, partial-merge, \
-           swap-before-flush.")
+          ("Protocol variant to check: "
+          ^ String.concat ", " (List.map Mv.name Mv.all)
+          ^ "."))
 
 let no_nested_arg =
   Arg.(
@@ -322,8 +315,9 @@ let baseline_arg =
     & opt (some string) None
     & info [ "baseline" ] ~docv:"FILE"
         ~doc:
-          "Fail if the explored crash-branch count drops below the \
-           crash_branches field of this committed stats file.")
+          "Fail if the explored crash-branch count, in total or of any \
+           model family, drops below the crash_branches fields of this \
+           committed stats file.")
 
 let check_cmd =
   Cmd.v
@@ -350,7 +344,8 @@ let spec_arg =
         ~doc:
           "Repro spec: VARIANT:NSLOTS:SPLIT:PROG:POINT:MASK[:RPOINT:RMASK] \
            for the journal family, VARIANT:cow:PROG:POINT:MASK[:RPOINT:RMASK] \
-           for the CoW family.")
+           for the CoW family; POINT -1 (with MASK 0) is the crash-free end \
+           state.")
 
 let replay_cmd =
   Cmd.v

@@ -155,4 +155,6 @@ let openloop_shared =
     [ "fences_per_op"; "flushes_per_op" ]
 
 let recovery_p99 = Upper { rel = 0.0; abs = 0.0 }
-let pmodel = [ metric [ "crash_branches" ] Lower ]
+
+let pmodel =
+  [ metric [ "crash_branches" ] Lower; metric [ "families"; "*"; "crash_branches" ] Lower ]

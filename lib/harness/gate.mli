@@ -89,4 +89,4 @@ val recovery_p99 : rule
 (** Recovery attach p99 against [--max-p99-ns]: [Upper {0; 0}]. *)
 
 val pmodel : metric list
-(** Explored crash branches: [Lower]. *)
+(** Explored crash branches, in total and per model family: [Lower]. *)

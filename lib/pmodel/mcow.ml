@@ -1,23 +1,21 @@
-(* Exhaustive crash-state checker for the CoW ("mod" engine) commit
-   protocol: the {!Corundum.Cow_root} intent/swap/recovery family over
-   {!Pjournal.Protocol.cow_commit_plan}.
-
-   Same discipline as {!Mcheck}, own tiny machine and layout: crash the
-   writer before every persist point, enumerate EVERY torn-word outcome
-   of the write-pending queue, run a step-for-step mirror of
-   [Cow_root.recover] on each distinct durable image, and assert
-   durable linearizability plus intent quiescence and idempotent
-   recovery.  Crashes at persist points inside recovery are enumerated
-   too (depth 1).
+(* The CoW family: the "mod" engine's commit protocol — the
+   {!Corundum.Cow_root} intent/swap/recovery family over
+   {!Pjournal.Protocol.cow_commit_plan} — as a model the explorer
+   ({!Mcheck}) runs on the {!Mstate} machine: its own tiny layout and
+   values, the committing transaction shapes the engine produces, their
+   expansion into persist-granular schedules, a step-for-step mirror of
+   [Cow_root.recover], and what a recovered image must look like
+   (durable linearizability over the root word too, plus intent
+   quiescence).
 
    Aborts are not modeled: the engine's abort is purely volatile
    (reservations cancelled, nothing of an uncommitted transaction was
    ever flushed), so an aborting transaction contributes no persist
    point and no crash branch the empty schedule does not already cover.
 
-   The CRC of the intent record is modeled structurally, as in
-   {!Mstate}: the header value records the exact body words it covered,
-   and verification is "every recorded word still reads back
+   The CRC of the intent record is modeled structurally, as in the
+   journal family: the header value records the exact body words it
+   covered, and verification is "every recorded word still reads back
    identically" — what the salted CRC certifies modulo collisions.
 
    Commit-word semantics mirrored here (and checked): for [Publish] the
@@ -27,6 +25,8 @@
    while a predecessor's unfenced tail is still in flight; recovery
    invalidates every intent it reads, including stale generations. *)
 
+open Mcheck
+module Ms = Mstate
 module Pt = Pjournal.Protocol
 
 (* {1 Layout}
@@ -39,7 +39,7 @@ module Pt = Pjournal.Protocol
    independently).  Lines 4-5: the two heap blocks, one word of
    payload each. *)
 
-let words_per_line = 8
+let words_per_line = Ms.words_per_line
 let nblocks = 2
 let nslots = 2
 let root_w = 0
@@ -55,7 +55,7 @@ let block_name = function 0 -> "A" | 1 -> "B" | _ -> "?"
 (* ptr encoding: 0 = no root, b+1 = block b *)
 let ptr_name = function 0 -> "none" | p -> block_name (p - 1)
 
-let word_name w =
+let word_name () w =
   if w = root_w then "root"
   else if w >= ihdr_w 0 && w < ihdr_w nslots then
     let s = (w - ihdr_w 0) / words_per_line in
@@ -104,81 +104,6 @@ let pp_value ppf = function
         (List.length body)
   | Ibody { wid; pay = _ } -> Format.fprintf ppf "body#%d" wid
 
-(* {1 The machine — Mstate semantics, CoW layout} *)
-
-type mem = {
-  durable : value array;
-  view : value array;
-  line_dirty : bool array;
-  wpq : (int, value) Hashtbl.t;
-}
-
-type state = value array
-
-let initial_state ~init_live ~init_root : state =
-  let d = Array.make nwords (Int 0) in
-  d.(root_w) <- Root { ptr = init_root; gen = 0 };
-  for b = 0 to nblocks - 1 do
-    d.(heap_w b) <- Gen 0;
-    d.(table_w b) <- Tab (if init_live.(b) then order_of_block b + 1 else 0)
-  done;
-  d
-
-let boot (s : state) =
-  {
-    durable = Array.copy s;
-    view = Array.copy s;
-    line_dirty = Array.make ((nwords + words_per_line - 1) / words_per_line) false;
-    wpq = Hashtbl.create 16;
-  }
-
-let read m w = m.view.(w)
-
-let store m w v =
-  m.view.(w) <- v;
-  m.line_dirty.(w / words_per_line) <- true
-
-let flush_words m ws =
-  let lines = List.sort_uniq compare (List.map (fun w -> w / words_per_line) ws) in
-  List.iter
-    (fun l ->
-      if m.line_dirty.(l) then begin
-        let lo = l * words_per_line in
-        let hi = min (lo + words_per_line) (Array.length m.view) in
-        for w = lo to hi - 1 do
-          if m.view.(w) <> m.durable.(w) then Hashtbl.replace m.wpq w m.view.(w)
-          else Hashtbl.remove m.wpq w
-        done;
-        m.line_dirty.(l) <- false
-      end)
-    lines
-
-let fence m =
-  Hashtbl.iter (fun w v -> m.durable.(w) <- v) m.wpq;
-  Hashtbl.reset m.wpq
-
-let wpq_words m =
-  List.sort compare (Hashtbl.fold (fun w _ acc -> w :: acc) m.wpq [])
-
-let max_branch_words = 16
-
-let crash_state m ~mask : state =
-  let d = Array.copy m.durable in
-  List.iteri
-    (fun i w -> if mask land (1 lsl i) <> 0 then d.(w) <- Hashtbl.find m.wpq w)
-    (wpq_words m);
-  d
-
-let snapshot_durable m : state = Array.copy m.durable
-let equal_state (a : state) (b : state) = a = b
-
-let pp_state ppf (s : state) =
-  Array.iteri
-    (fun w v ->
-      if v <> Int 0 then
-        Format.fprintf ppf "  %-16s = %a@." (word_name w) pp_value v)
-    s
-
 (* {1 Programs} *)
 
 type op = Pub of int | Alloc of int | Free of int | Set_root of int
@@ -200,13 +125,23 @@ let op_name = function
 let tx_name t =
   Printf.sprintf "{%s}" (String.concat "; " (List.map op_name t.ops))
 
+(* The durable image a program starts from. *)
+let initial_state () p =
+  let d = Array.make nwords (Int 0) in
+  d.(root_w) <- Root { ptr = p.init_root; gen = 0 };
+  for b = 0 to nblocks - 1 do
+    d.(heap_w b) <- Gen 0;
+    d.(table_w b) <- Tab (if p.init_live.(b) then order_of_block b + 1 else 0)
+  done;
+  d
+
 (* Every committing transaction shape the engine produces: in-place
    update (Publish), alloc+write (+swap), frees (Gen_only/Swap/Publish),
    a publish dropped into a same-tx-freed block, the intent-less bare
    swap, and pairs exercising generation chaining, unfenced-tail
    draining, old-root retirement, and free-then-realloc intent-cell
    reuse. *)
-let programs : program list =
+let programs () =
   let mk descr init_live init_root txs = { descr; init_live; init_root; txs } in
   let t ops = { ops } in
   [
@@ -230,28 +165,6 @@ let programs : program list =
     mk "bare-swap;bare-swap" [| true; true |] 1
       [ t [ Set_root 2 ]; t [ Set_root 1 ] ];
   ]
-
-(* {1 Schedule steps} *)
-
-type marker = M_start of int | M_commit_point of int | M_retired of int
-
-type act = St of int * value | Fl of int list | Fence | Mark of marker
-type step = { act : act; lbl : string }
-
-let is_persist_point s =
-  match s.act with Fl _ | Fence -> true | St _ | Mark _ -> false
-
-let pp_step ppf s =
-  (match s.act with
-  | St (w, v) ->
-      Format.fprintf ppf "st   %-16s <- %a" (word_name w) pp_value v
-  | Fl ws ->
-      Format.fprintf ppf "fl   %s" (String.concat "," (List.map word_name ws))
-  | Fence -> Format.fprintf ppf "fence"
-  | Mark (M_start u) -> Format.fprintf ppf "-- tx%d begins" u
-  | Mark (M_commit_point u) -> Format.fprintf ppf "-- tx%d commit point" u
-  | Mark (M_retired u) -> Format.fprintf ppf "-- tx%d retired" u);
-  if s.lbl <> "" then Format.fprintf ppf "   [%s]" s.lbl
 
 (* {1 Expansion}
 
@@ -441,7 +354,7 @@ let gen_tx ctx buf ~uid tx =
     ctx.gen <- igen
   end
 
-let schedule variant (p : program) : step list =
+let schedule () variant (p : program) : value step list =
   let ctx =
     {
       variant;
@@ -458,28 +371,17 @@ let schedule variant (p : program) : step list =
 
 (* {1 Modeled recovery — a mirror of Cow_root.recover} *)
 
-type clock = { mutable points : int; mutable stop_at : int }
-
-exception Crash_now
-
-let no_crash () = { points = 0; stop_at = -1 }
-let crash_at k = { points = 0; stop_at = k }
-
-let tick c =
-  if c.stop_at >= 0 && c.points = c.stop_at then raise Crash_now;
-  c.points <- c.points + 1
-
 let read_root m =
-  match read m root_w with
+  match Ms.read m root_w with
   | Root { ptr; gen } -> (ptr, gen)
   | _ -> (0, 0)
 
 (* CRC verification, structurally: the header's recorded body words must
    all read back identically. *)
 let read_intent m s =
-  match read m (ihdr_w s) with
+  match Ms.read m (ihdr_w s) with
   | Ihdr { igen; kind; body }
-    when List.for_all (fun (w, v) -> read m w = v) body ->
+    when List.for_all (fun (w, v) -> Ms.read m w = v) body ->
       Some (igen, kind, body)
   | _ -> None
 
@@ -488,35 +390,29 @@ let read_intents m =
     (fun s -> Option.map (fun r -> (s, r)) (read_intent m s))
     (List.init nslots Fun.id)
 
-let persist_word clk m w =
-  tick clk;
-  flush_words m [ w ];
-  tick clk;
-  fence m
-
 let ensure_word clk m w v =
-  if read m w <> v then begin
-    store m w v;
-    persist_word clk m w
+  if Ms.read m w <> v then begin
+    Ms.store m w v;
+    Ms.persist clk m [ w ]
   end
 
-let tab_code m b = match read m (table_w b) with Tab c -> c | _ -> -1
+let tab_code m b = match Ms.read m (table_w b) with Tab c -> c | _ -> -1
 
 let ensure_marked clk m b =
   if tab_code m b <> order_of_block b + 1 then begin
-    store m (table_w b) (Tab (order_of_block b + 1));
-    persist_word clk m (table_w b)
+    Ms.store m (table_w b) (Tab (order_of_block b + 1));
+    Ms.persist clk m [ table_w b ]
   end
 
 let ensure_cleared clk m b =
   if tab_code m b <> 0 then begin
-    store m (table_w b) (Tab 0);
-    persist_word clk m (table_w b)
+    Ms.store m (table_w b) (Tab 0);
+    Ms.persist clk m [ table_w b ]
   end
 
 let invalidate_intent clk m s =
-  store m (ihdr_w s) (Int 0);
-  persist_word clk m (ihdr_w s)
+  Ms.store m (ihdr_w s) (Int 0);
+  Ms.persist clk m [ ihdr_w s ]
 
 let body_effects body =
   List.fold_left
@@ -543,7 +439,7 @@ let roll_back clk m s body =
 (* Mirror of [Cow_root.recover_cell]: stale records retired first, then
    the consumed slot rolled forward (its transaction is logically
    earlier), then the pending slot judged by its commit word. *)
-let recover clk m =
+let recover () _variant clk m =
   let _ptr, gen = read_root m in
   let recs = read_intents m in
   let pending (igen, _, _) = igen = gen + 1 in
@@ -569,7 +465,7 @@ let recover clk m =
           | K_pub _ -> (
               let pubs, _, _ = body_effects body in
               match List.rev pubs with
-              | { w; newv; _ } :: _ -> read m w = newv
+              | { w; newv; _ } :: _ -> Ms.read m w = newv
               | [] -> false)
         in
         if committed then begin
@@ -579,8 +475,8 @@ let recover clk m =
             | K_pub p -> p
             | K_gen | K_swap _ -> fst (read_root m)
           in
-          store m root_w (Root { ptr; gen = igen });
-          persist_word clk m root_w;
+          Ms.store m root_w (Root { ptr; gen = igen });
+          Ms.persist clk m [ root_w ];
           invalidate_intent clk m s
         end
         else roll_back clk m s body
@@ -589,20 +485,7 @@ let recover clk m =
 
 (* {1 The oracle} *)
 
-type status = NotStarted | InFlight | Window | Retired
-
-let status_name = function
-  | NotStarted -> "not-started"
-  | InFlight -> "in-flight"
-  | Window -> "committed-unacknowledged"
-  | Retired -> "retired"
-
-let _ = status_name
-
-type outcome = Applied | Rolled_back
-
-let allowed_outcomes st =
-  match st with
+let allowed_outcomes _ _ = function
   | NotStarted | InFlight -> [ Rolled_back ]
   | Window -> [ Rolled_back; Applied ]
   | Retired -> [ Applied ]
@@ -639,387 +522,36 @@ let expected prog sigma =
     prog.txs;
   (gens, codes, !rptr, !rgen)
 
-(* Free blocks hold dead bytes — only live blocks' generations count. *)
-let state_matches (st : state) (gens, codes, rptr, rgen) ~heap_only =
-  let ok = ref true in
-  for b = 0 to nblocks - 1 do
-    if codes.(b) > 0 && st.(heap_w b) <> Gen gens.(b) then ok := false;
-    if (not heap_only) && st.(table_w b) <> Tab codes.(b) then ok := false
-  done;
-  if (not heap_only) && st.(root_w) <> Root { ptr = rptr; gen = rgen } then
-    ok := false;
-  !ok
+let matches () prog sigma (st : value array) ~heap_only =
+  let gens, codes, rptr, rgen = expected prog sigma in
+  List.for_all
+    (fun b ->
+      (codes.(b) <= 0 || st.(heap_w b) = Gen gens.(b))
+      && (heap_only || st.(table_w b) = Tab codes.(b)))
+    (List.init nblocks Fun.id)
+  && (heap_only || st.(root_w) = Root { ptr = rptr; gen = rgen })
 
-let compositions choices_of txs statuses =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        (List.concat_map
-           (fun o -> List.map (fun tl -> o :: tl) acc)
-           (choices_of (List.nth txs i) statuses.(i)))
-  in
-  List.map Array.of_list (go (List.length txs - 1) [ [] ])
+let liveness_detail = "heap matches a composition but table/root words match none"
 
-let pp_outcomes ppf sigma =
-  Array.iteri
-    (fun i o ->
-      Format.fprintf ppf "%stx%d:%s"
-        (if i > 0 then " " else "")
-        (i + 1)
-        (match o with Applied -> "applied" | Rolled_back -> "rolled-back"))
-    sigma
+(* I-QUIESCENT-INTENT: no readable intent survives recovery. *)
+let quiescent () st =
+  if read_intents (Ms.boot st) <> [] then
+    Error ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
+  else Ok ()
 
-let check_recovered prog (statuses : status array) (st : state) =
-  let legal =
-    compositions (fun _ s -> allowed_outcomes s) prog.txs statuses
-  in
-  match
-    List.find_opt
-      (fun s -> state_matches st (expected prog s) ~heap_only:false)
-      legal
-  with
-  | Some _ -> (
-      (* legal composition; the intent cell must be quiescent and
-         recovery idempotent *)
-      let m = boot st in
-      if read_intents m <> [] then
-        Error ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
-      else begin
-        let m2 = boot st in
-        recover (no_crash ()) m2;
-        if not (equal_state (snapshot_durable m2) st) then
-          Error
-            ( "I-IDEMPOTENT-RECOVERY",
-              "re-running recovery changed the durable image" )
-        else Ok ()
-      end)
-  | None -> (
-      let relaxed =
-        compositions (fun _ _ -> [ Applied; Rolled_back ]) prog.txs statuses
-      in
-      let detail_of sigma =
-        Format.asprintf "state realizes [%a] which the statuses forbid"
-          pp_outcomes sigma
-      in
-      match
-        List.find_opt
-          (fun s -> state_matches st (expected prog s) ~heap_only:false)
-          relaxed
-      with
-      | Some sigma ->
-          let forced = ref false in
-          Array.iteri
-            (fun i o ->
-              if o = Applied && allowed_outcomes statuses.(i) = [ Rolled_back ]
-              then forced := true)
-            sigma;
-          if !forced then Error ("I-UNCOMMITTED-ROLLED-BACK", detail_of sigma)
-          else Error ("I-COMMITTED-DURABLE", detail_of sigma)
-      | None ->
-          if
-            List.exists
-              (fun s -> state_matches st (expected prog s) ~heap_only:true)
-              relaxed
-          then
-            Error
-              ( "I-TABLE-LIVENESS",
-                "heap matches a composition but table/root words match none" )
-          else
-            Error
-              ( "I-ATOMIC",
-                "state matches no transactional composition (partial effects)"
-              ))
+(* {1 The family's face to the explorer} *)
 
-(* {1 Schedule execution, counterexamples, statistics} *)
+type cfg = unit (* one fixed geometry *)
 
-type run = {
-  m : mem;
-  statuses : status array;
-  crashed : bool;
-  points : int;
-}
+let heading = "CoW family, "
+let cfgs = [ () ]
+let spec_prefix () = "cow"
+let parse_prefix = function "cow" :: rest -> Some ((), rest) | _ -> None
+let blank = Int 0
+let name_width = 16
+let describe () p = p.descr
+let tx_names p = List.map tx_name p.txs
 
-let exec_schedule ~init_live ~init_root ~ntxs sched ~stop_at =
-  let m = boot (initial_state ~init_live ~init_root) in
-  let statuses = Array.make ntxs NotStarted in
-  let points = ref 0 in
-  let rec go = function
-    | [] -> false
-    | s :: tl ->
-        if is_persist_point s && !points = stop_at then true
-        else begin
-          if is_persist_point s then incr points;
-          (match s.act with
-          | St (w, v) -> store m w v
-          | Fl ws -> flush_words m ws
-          | Fence -> fence m
-          | Mark (M_start u) -> statuses.(u - 1) <- InFlight
-          | Mark (M_commit_point u) -> statuses.(u - 1) <- Window
-          | Mark (M_retired u) -> statuses.(u - 1) <- Retired);
-          go tl
-        end
-  in
-  let crashed = go sched in
-  { m; statuses; crashed; points = !points }
-
-type cex = {
-  variant : Mvariant.t;
-  pidx : int;
-  prog : program;
-  point : int;
-  mask : int;
-  rpoint : int option;
-  rmask : int option;
-  invariant : string;
-  detail : string;
-  crash : state;
-  recovered : state;
-}
-
-type stats = {
-  mutable programs : int;
-  mutable crash_points : int;
-  mutable crash_branches : int;
-  mutable distinct_states : int;
-  mutable recovery_runs : int;
-  mutable nested_points : int;
-  mutable nested_branches : int;
-}
-
-let fresh_stats () =
-  {
-    programs = 0;
-    crash_points = 0;
-    crash_branches = 0;
-    distinct_states = 0;
-    recovery_runs = 0;
-    nested_points = 0;
-    nested_branches = 0;
-  }
-
-let stats_fields s =
-  [
-    ("programs", s.programs);
-    ("crash_points", s.crash_points);
-    ("crash_branches", s.crash_branches);
-    ("distinct_states", s.distinct_states);
-    ("recovery_runs", s.recovery_runs);
-    ("nested_points", s.nested_points);
-    ("nested_branches", s.nested_branches);
-  ]
-
-exception Found of cex
-
-let recover_and_check stats variant pidx prog statuses st ~point ~mask ~rpoint
-    ~rmask =
-  let rm = boot st in
-  recover (no_crash ()) rm;
-  stats.recovery_runs <- stats.recovery_runs + 1;
-  let final = snapshot_durable rm in
-  match check_recovered prog statuses final with
-  | Ok () -> ()
-  | Error (invariant, detail) ->
-      raise
-        (Found
-           {
-             variant;
-             pidx;
-             prog;
-             point;
-             mask;
-             rpoint;
-             rmask;
-             invariant;
-             detail;
-             crash = st;
-             recovered = final;
-           })
-
-let seen_key st statuses = Marshal.to_string (st, statuses) []
-
-let check_program stats variant pidx prog ~nested =
-  let sched = schedule variant prog in
-  let ntxs = List.length prog.txs in
-  stats.programs <- stats.programs + 1;
-  let full =
-    exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root ~ntxs
-      sched ~stop_at:(-1)
-  in
-  assert (not full.crashed);
-  (* the crash-free end state, run through recovery (the unfenced tail
-     of the last transaction is legitimately still in flight) *)
-  recover_and_check stats variant pidx prog full.statuses
-    (snapshot_durable full.m) ~point:(-1) ~mask:0 ~rpoint:None ~rmask:None;
-  let seen = Hashtbl.create 1024 in
-  for k = 0 to full.points - 1 do
-    let r =
-      exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root ~ntxs
-        sched ~stop_at:k
-    in
-    assert r.crashed;
-    stats.crash_points <- stats.crash_points + 1;
-    let n = List.length (wpq_words r.m) in
-    assert (n <= max_branch_words);
-    for mask = 0 to (1 lsl n) - 1 do
-      stats.crash_branches <- stats.crash_branches + 1;
-      let st = crash_state r.m ~mask in
-      let key = seen_key st r.statuses in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        stats.distinct_states <- stats.distinct_states + 1;
-        recover_and_check stats variant pidx prog r.statuses st ~point:k ~mask
-          ~rpoint:None ~rmask:None;
-        if nested then begin
-          let dry = boot st in
-          let dclk = no_crash () in
-          recover dclk dry;
-          stats.recovery_runs <- stats.recovery_runs + 1;
-          for rk = 0 to dclk.points - 1 do
-            stats.nested_points <- stats.nested_points + 1;
-            let rm = boot st in
-            let clk = crash_at rk in
-            (try
-               recover clk rm;
-               assert false
-             with Crash_now -> ());
-            let rn = List.length (wpq_words rm) in
-            assert (rn <= max_branch_words);
-            for rmask = 0 to (1 lsl rn) - 1 do
-              stats.nested_branches <- stats.nested_branches + 1;
-              let st2 = crash_state rm ~mask:rmask in
-              let key2 = seen_key st2 r.statuses in
-              if not (Hashtbl.mem seen key2) then begin
-                Hashtbl.add seen key2 ();
-                stats.distinct_states <- stats.distinct_states + 1;
-                recover_and_check stats variant pidx prog r.statuses st2
-                  ~point:k ~mask ~rpoint:(Some rk) ~rmask:(Some rmask)
-              end
-            done
-          done
-        end
-      end
-    done
-  done
-
-type report = { variant : Mvariant.t; stats : stats; cex : cex option }
-
-let run ?(nested = true) variant =
-  let stats = fresh_stats () in
-  try
-    List.iteri
-      (fun pidx prog -> check_program stats variant pidx prog ~nested)
-      programs;
-    { variant; stats; cex = None }
-  with Found c -> { variant; stats; cex = Some c }
-
-(* {1 Counterexample printing and replay} *)
-
-let pp_schedule ppf sched =
-  let pt = ref 0 in
-  List.iter
-    (fun s ->
-      if is_persist_point s then begin
-        Format.fprintf ppf "  p%-3d %a@." !pt pp_step s;
-        incr pt
-      end
-      else Format.fprintf ppf "       %a@." pp_step s)
-    sched
-
-(* Specs carry a "cow" family tag so pmodel_check can route them:
-   VARIANT:cow:PROG:POINT:MASK[:RPOINT:RMASK] *)
-let repro_string (c : cex) =
-  let base =
-    Printf.sprintf "%s:cow:%d:%d:%d" (Mvariant.name c.variant) c.pidx c.point
-      c.mask
-  in
-  match (c.rpoint, c.rmask) with
-  | Some rk, Some rm -> Printf.sprintf "%s:%d:%d" base rk rm
-  | _ -> base
-
-let pp_cex ppf (c : cex) =
-  Format.fprintf ppf "counterexample (CoW family, variant %s):@."
-    (Mvariant.name c.variant);
-  Format.fprintf ppf "  program   %s@." c.prog.descr;
-  if c.point < 0 then Format.fprintf ppf "  crash     none (crash-free run)@."
-  else
-    Format.fprintf ppf
-      "  crash     before writer persist point p%d, landed-word mask 0x%x@."
-      c.point c.mask;
-  (match (c.rpoint, c.rmask) with
-  | Some rk, Some rm ->
-      Format.fprintf ppf
-        "  nested    recovery crashed before its persist point %d, mask 0x%x@."
-        rk rm
-  | _ -> ());
-  Format.fprintf ppf "  violates  %s: %s@." c.invariant c.detail;
-  Format.fprintf ppf "  tx status %s@."
-    (String.concat ", "
-       (List.mapi
-          (fun i tx -> Printf.sprintf "tx%d %s" (i + 1) (tx_name tx))
-          c.prog.txs));
-  Format.fprintf ppf "  replay    --repro '%s'@." (repro_string c);
-  Format.fprintf ppf "  crash image:@.%a" pp_state c.crash;
-  Format.fprintf ppf "  recovered image:@.%a" pp_state c.recovered;
-  Format.fprintf ppf "  persist schedule:@.%a" pp_schedule
-    (schedule c.variant c.prog)
-
-let replay spec =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match String.split_on_char ':' spec with
-  | vname :: "cow" :: pidx :: point :: mask :: rest -> (
-      let ints =
-        try
-          Some
-            ( int_of_string pidx,
-              int_of_string point,
-              int_of_string mask,
-              match rest with
-              | [] -> None
-              | [ rk; rm ] -> Some (int_of_string rk, int_of_string rm)
-              | _ -> raise Exit )
-        with _ -> None
-      in
-      match (Mvariant.of_name vname, ints) with
-      | None, _ -> fail "unknown variant %S" vname
-      | _, None -> fail "malformed repro spec %S" spec
-      | Some variant, Some (pidx, point, mask, nested) -> (
-          if pidx < 0 || pidx >= List.length programs then
-            fail "program index %d out of range" pidx
-          else
-            let prog = List.nth programs pidx in
-            let sched = schedule variant prog in
-            let ntxs = List.length prog.txs in
-            let r =
-              exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root
-                ~ntxs sched ~stop_at:point
-            in
-            if not r.crashed then fail "persist point %d out of range" point
-            else
-              let st = crash_state r.m ~mask in
-              let st =
-                match nested with
-                | None -> Ok st
-                | Some (rk, rmask) -> (
-                    let rm = boot st in
-                    let clk = crash_at rk in
-                    match recover clk rm with
-                    | () -> fail "recovery point %d out of range" rk
-                    | exception Crash_now -> Ok (crash_state rm ~mask:rmask))
-              in
-              match st with
-              | Error _ as e -> e
-              | Ok st -> (
-                  let stats = fresh_stats () in
-                  let rpoint, rmask =
-                    match nested with
-                    | Some (rk, rm) -> (Some rk, Some rm)
-                    | None -> (None, None)
-                  in
-                  match
-                    recover_and_check stats variant pidx prog r.statuses st
-                      ~point ~mask ~rpoint ~rmask
-                  with
-                  | () -> Ok None
-                  | exception Found c -> Ok (Some c))))
-  | _ -> fail "malformed CoW repro spec %S (want VARIANT:cow:PROG:POINT:MASK)" spec
+(* The last commit's tail is legitimately unfenced at the end of a run,
+   so the crash-free end state is recovered before it is checked. *)
+let recover_end_state = true

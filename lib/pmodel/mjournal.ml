@@ -1,14 +1,129 @@
-(* The writer side of the model: tiny transaction programs and their
-   expansion into persist-granular step schedules.
+(* The journal family: the paper's undo-journal protocol as a model the
+   explorer ({!Mcheck}) runs — its word layout and values, tiny
+   transaction programs, their expansion into persist-granular step
+   schedules, and what a recovered image must look like.  Its recovery
+   mirror is {!Mrecovery}.
 
    The expansion mirrors {!Pjournal.Journal_impl} operation by
    operation, and — crucially — drives the commit/abort/truncate tails
    from the very same {!Pjournal.Protocol} plans the implementation
    interprets, so a protocol reordering changes the checked schedule and
-   the executed one together. *)
+   the executed one together.
 
-module Ms = Mstate
+   Values are structured rather than bytes: a sealed entry header
+   records the exact body words its CRC covered, and verification
+   re-reads them (see {!Mstate}). *)
+
+open Mcheck
 module Pt = Pjournal.Protocol
+
+(* {1 Layout} *)
+
+type cfg = { nslots : int; table_split : bool }
+(* [table_split]: the two heap blocks' allocation-table bytes live in
+   different 8-byte words (they tear independently) or share one word
+   (they land atomically together).  Both geometries occur in a real
+   pool; the checker enumerates both. *)
+
+let words_per_line = Mstate.words_per_line
+let slot_words = 32 (* 4 lines: header / entries / entries / drop area *)
+let nblocks = 2
+
+(* Block identities: 0 = "A", 1 = "B".  Fixed buddy orders so table
+   marks are distinguishable. *)
+let order_of_block b = 3 - b
+let block_name = function 0 -> "A" | 1 -> "B" | _ -> "?"
+
+let slot_base cfg i =
+  assert (i >= 0 && i < cfg.nslots);
+  i * slot_words
+
+let phase_w cfg s = slot_base cfg s
+let count_w cfg s = slot_base cfg s + 1
+let drops_w cfg s = slot_base cfg s + 2
+let spill_w cfg s = slot_base cfg s + 3
+let epoch_w cfg s = slot_base cfg s + 4
+let entry_base cfg s = slot_base cfg s + 8
+let entry_limit cfg s = slot_base cfg s + 24
+let drop_capacity = 2
+
+(* Drop slot [d] (1-based) is consed downward from the slot end, two
+   words each: header then body. *)
+let drop_hdr_w cfg s d = slot_base cfg s + slot_words - (2 * d)
+let drop_body_w cfg s d = drop_hdr_w cfg s d + 1
+let table_base_w cfg = cfg.nslots * slot_words
+
+let table_w cfg b =
+  table_base_w cfg + if cfg.table_split then b else 0
+
+let table_sub cfg b = if cfg.table_split then 0 else b
+let heap_base_w cfg = table_base_w cfg + words_per_line
+let heap_w cfg b = heap_base_w cfg + (words_per_line * b)
+let nwords cfg = heap_base_w cfg + (words_per_line * nblocks)
+
+let word_name cfg w =
+  if w >= heap_base_w cfg then
+    let b = (w - heap_base_w cfg) / words_per_line in
+    if w = heap_w cfg b then Printf.sprintf "heap.%s" (block_name b)
+    else Printf.sprintf "heap.pad%d" w
+  else if w >= table_base_w cfg then
+    Printf.sprintf "table[%d]" (w - table_base_w cfg)
+  else
+    let s = w / slot_words and o = w mod slot_words in
+    match o with
+    | 0 -> Printf.sprintf "slot%d.phase" s
+    | 1 -> Printf.sprintf "slot%d.count" s
+    | 2 -> Printf.sprintf "slot%d.drops" s
+    | 3 -> Printf.sprintf "slot%d.spill" s
+    | 4 -> Printf.sprintf "slot%d.epoch" s
+    | o when o >= 8 && o < 24 -> Printf.sprintf "slot%d.entry[%d]" s (o - 8)
+    | o when o >= 24 -> Printf.sprintf "slot%d.droparea[%d]" s (o - 24)
+    | o -> Printf.sprintf "slot%d.hdr[%d]" s o
+
+(* {1 Values} *)
+
+type kind = K_data | K_alloc | K_drop
+
+type payload =
+  | Undo of { blk : int; old_gen : int }  (* data entry: pre-image *)
+  | Pad of int  (* second body word of a data entry (torn-body probe) *)
+  | Alloc_of of { blk : int; order : int }
+  | Drop_of of { blk : int; order : int }
+
+type value =
+  | Int of int
+  | Gen of int  (* heap word: data generation (0 = initial contents) *)
+  | Tab of int * int  (* table word: per-sub-slot 0 = free, order+1 = live *)
+  | Ehdr of { kind : kind; epoch : int; body : (int * value) list }
+      (* sealed entry header; [body] records (word, value) pairs the
+         checksum covered — verification re-reads them *)
+  | Eword of { wid : int; pay : payload }
+      (* entry body word; [wid] is a globally unique write id, so two
+         seals of the same logical content never alias *)
+
+let kind_name = function
+  | K_data -> "data"
+  | K_alloc -> "alloc"
+  | K_drop -> "drop"
+
+let pp_value ppf = function
+  | Int n -> Format.fprintf ppf "%d" n
+  | Gen g -> Format.fprintf ppf "gen:%d" g
+  | Tab (a, b) -> Format.fprintf ppf "tab(%d,%d)" a b
+  | Ehdr { kind; epoch; body } ->
+      Format.fprintf ppf "hdr(%s,e%d,%dw)" (kind_name kind) epoch
+        (List.length body)
+  | Eword { wid; pay = _ } -> Format.fprintf ppf "body#%d" wid
+
+let tab_get v sub =
+  match v with
+  | Tab (a, b) -> if sub = 0 then a else b
+  | Int 0 -> 0 (* formatted-but-never-marked table word *)
+  | _ -> -1 (* not a table value: structurally corrupt *)
+
+let tab_set v sub code =
+  let a, b = match v with Tab (a, b) -> (a, b) | _ -> (0, 0) in
+  if sub = 0 then Tab (code, b) else Tab (a, code)
 
 (* {1 Programs} *)
 
@@ -38,16 +153,16 @@ type program = {
 }
 
 let op_name = function
-  | Set b -> "set " ^ Ms.block_name b
-  | Alloc b -> "alloc " ^ Ms.block_name b
-  | Free b -> "free " ^ Ms.block_name b
+  | Set b -> "set " ^ block_name b
+  | Alloc b -> "alloc " ^ block_name b
+  | Free b -> "free " ^ block_name b
 
 let tx_name t =
   Printf.sprintf "{%s}:%s"
     (String.concat "; " (List.map op_name t.ops))
     (match t.k with Commit -> "commit" | Abort -> "abort")
 
-let describe p =
+let descr_of p =
   let init =
     String.concat ""
       (List.filteri (fun b _ -> p.init_live.(b)) [ "A"; "B" ])
@@ -59,42 +174,32 @@ let describe p =
     | Grouped -> " grouped")
     (String.concat " " (List.map tx_name p.txs))
 
-(* {1 Schedule steps} *)
-
-type marker = M_start of int | M_commit_point of int | M_retired of int
-
-type act =
-  | St of int * Ms.value
-  | Fl of int list  (* line-granular flush (the real primitive) *)
-  | Flw of int list  (* word-granular flush (fault variants only) *)
-  | Fence
-  | Mark of marker
-
-type step = { act : act; lbl : string }
-
-let is_persist_point s =
-  match s.act with Fl _ | Flw _ | Fence -> true | St _ | Mark _ -> false
-
-let pp_step cfg ppf s =
-  (match s.act with
-  | St (w, v) ->
-      Format.fprintf ppf "st   %-18s <- %a" (Ms.word_name cfg w) Ms.pp_value v
-  | Fl ws ->
-      Format.fprintf ppf "fl   %s"
-        (String.concat "," (List.map (Ms.word_name cfg) ws))
-  | Flw ws ->
-      Format.fprintf ppf "flw  %s"
-        (String.concat "," (List.map (Ms.word_name cfg) ws))
-  | Fence -> Format.fprintf ppf "fence"
-  | Mark (M_start u) -> Format.fprintf ppf "-- tx%d begins" u
-  | Mark (M_commit_point u) -> Format.fprintf ppf "-- tx%d commit point" u
-  | Mark (M_retired u) -> Format.fprintf ppf "-- tx%d retired" u);
-  if s.lbl <> "" then Format.fprintf ppf "   [%s]" s.lbl
+(* The durable image a program starts from.  The explorer dedups images
+   by their marshaled bytes, which encode physical sharing, so the fill
+   values are fresh blocks shared with no constant a schedule stores:
+   the dedup (and the explored-state counts) then see exactly the
+   sharing they saw when this function lived in a module of its own. *)
+let initial_state cfg p =
+  let d = Array.make (nwords cfg) (Int (Sys.opaque_identity 0)) in
+  let gen0 = Gen (Sys.opaque_identity 0) in
+  for b = 0 to nblocks - 1 do
+    d.(heap_w cfg b) <- gen0;
+    if p.init_live.(b) then
+      d.(table_w cfg b) <-
+        tab_set d.(table_w cfg b) (table_sub cfg b) (order_of_block b + 1)
+  done;
+  (* make every table word a [Tab] so stores compose predictably *)
+  for b = 0 to nblocks - 1 do
+    (match d.(table_w cfg b) with
+    | Tab _ -> ()
+    | v -> d.(table_w cfg b) <- tab_set v (table_sub cfg b) (tab_get v (table_sub cfg b)))
+  done;
+  d
 
 (* {1 Expansion} *)
 
 type gctx = {
-  cfg : Ms.cfg;
+  cfg : cfg;
   variant : Mvariant.t;
   mutable wid : int;
   gen : int array;  (* volatile heap generation per block *)
@@ -125,14 +230,14 @@ let fresh_wid ctx =
   ctx.wid
 
 let tab_value cfg code w =
-  if cfg.Ms.table_split then Ms.Tab (code.(w - Ms.table_base_w cfg), 0)
-  else Ms.Tab (code.(0), code.(1))
+  if cfg.table_split then Tab (code.(w - table_base_w cfg), 0)
+  else Tab (code.(0), code.(1))
 
 let new_shadow cfg s =
   {
     s;
     epoch = 0;
-    cursor = Ms.entry_base cfg s;
+    cursor = entry_base cfg s;
     count = 0;
     ndrops = 0;
     drops = [];
@@ -144,7 +249,7 @@ let new_shadow cfg s =
   }
 
 let reset_tx_shadow cfg sh =
-  sh.cursor <- Ms.entry_base cfg sh.s;
+  sh.cursor <- entry_base cfg sh.s;
   sh.count <- 0;
   sh.ndrops <- 0;
   sh.drops <- [];
@@ -178,42 +283,42 @@ let gen_op ctx buf sh ~uid op =
       let covered = List.mem blk sh.logged || List.mem blk sh.alloced in
       if not covered then begin
         let c = sh.cursor in
-        assert (c + 3 < Ms.entry_limit cfg sh.s);
+        assert (c + 3 < entry_limit cfg sh.s);
         let old_gen = ctx.gen.(blk) in
-        let b1 = Ms.Eword { wid = fresh_wid ctx; pay = Ms.Undo { blk; old_gen } } in
-        let b2 = Ms.Eword { wid = fresh_wid ctx; pay = Ms.Pad 0 } in
+        let b1 = Eword { wid = fresh_wid ctx; pay = Undo { blk; old_gen } } in
+        let b2 = Eword { wid = fresh_wid ctx; pay = Pad 0 } in
         let hdr =
-          Ms.Ehdr
+          Ehdr
             {
-              kind = Ms.K_data;
+              kind = K_data;
               epoch = sh.epoch;
               body = [ (c + 1, b1); (c + 2, b2) ];
             }
         in
         seal ctx buf sh
-          ~lbl:(Printf.sprintf "seal data %s" (Ms.block_name blk))
+          ~lbl:(Printf.sprintf "seal data %s" (block_name blk))
           [ (c, hdr); (c + 1, b1); (c + 2, b2) ]
           ~term_w:(c + 3);
         sh.cursor <- c + 3;
         sh.entries <- E_data { blk; old_gen } :: sh.entries;
         sh.logged <- blk :: sh.logged
       end;
-      push ~lbl:(Printf.sprintf "store %s" (Ms.block_name blk))
-        (St (Ms.heap_w cfg blk, Ms.Gen uid));
-      if not (List.mem (Ms.heap_w cfg blk) sh.targets) then
-        sh.targets <- Ms.heap_w cfg blk :: sh.targets;
+      push ~lbl:(Printf.sprintf "store %s" (block_name blk))
+        (St (heap_w cfg blk, Gen uid));
+      if not (List.mem (heap_w cfg blk) sh.targets) then
+        sh.targets <- heap_w cfg blk :: sh.targets;
       ctx.gen.(blk) <- uid
   | Alloc blk ->
       assert (not ctx.held.(blk));
-      let order = Ms.order_of_block blk in
+      let order = order_of_block blk in
       let c = sh.cursor in
-      assert (c + 2 < Ms.entry_limit cfg sh.s);
-      let b1 = Ms.Eword { wid = fresh_wid ctx; pay = Ms.Alloc_of { blk; order } } in
+      assert (c + 2 < entry_limit cfg sh.s);
+      let b1 = Eword { wid = fresh_wid ctx; pay = Alloc_of { blk; order } } in
       let hdr =
-        Ms.Ehdr { kind = Ms.K_alloc; epoch = sh.epoch; body = [ (c + 1, b1) ] }
+        Ehdr { kind = K_alloc; epoch = sh.epoch; body = [ (c + 1, b1) ] }
       in
       seal ctx buf sh
-        ~lbl:(Printf.sprintf "seal alloc %s" (Ms.block_name blk))
+        ~lbl:(Printf.sprintf "seal alloc %s" (block_name blk))
         [ (c, hdr); (c + 1, b1) ]
         ~term_w:(c + 2);
       sh.cursor <- c + 2;
@@ -223,20 +328,20 @@ let gen_op ctx buf sh ~uid op =
          commit fence *)
       ctx.held.(blk) <- true;
       ctx.code.(blk) <- order + 1;
-      push ~lbl:(Printf.sprintf "mark %s" (Ms.block_name blk))
-        (St (Ms.table_w cfg blk, tab_value cfg ctx.code (Ms.table_w cfg blk)));
-      if not (List.mem (Ms.table_w cfg blk) sh.marks) then
-        sh.marks <- Ms.table_w cfg blk :: sh.marks
+      push ~lbl:(Printf.sprintf "mark %s" (block_name blk))
+        (St (table_w cfg blk, tab_value cfg ctx.code (table_w cfg blk)));
+      if not (List.mem (table_w cfg blk) sh.marks) then
+        sh.marks <- table_w cfg blk :: sh.marks
   | Free blk ->
-      let order = Ms.order_of_block blk in
+      let order = order_of_block blk in
       let d = sh.ndrops + 1 in
-      assert (d <= Ms.drop_capacity);
-      let bw = Ms.drop_body_w cfg sh.s d and hw = Ms.drop_hdr_w cfg sh.s d in
-      let body = Ms.Eword { wid = fresh_wid ctx; pay = Ms.Drop_of { blk; order } } in
-      let lbl = Printf.sprintf "drop %s" (Ms.block_name blk) in
+      assert (d <= drop_capacity);
+      let bw = drop_body_w cfg sh.s d and hw = drop_hdr_w cfg sh.s d in
+      let body = Eword { wid = fresh_wid ctx; pay = Drop_of { blk; order } } in
+      let lbl = Printf.sprintf "drop %s" (block_name blk) in
       push ~lbl (St (bw, body));
       push ~lbl
-        (St (hw, Ms.Ehdr { kind = Ms.K_drop; epoch = sh.epoch; body = [ (bw, body) ] }));
+        (St (hw, Ehdr { kind = K_drop; epoch = sh.epoch; body = [ (bw, body) ] }));
       sh.ndrops <- d;
       sh.drops <- (blk, order) :: sh.drops
 
@@ -262,13 +367,13 @@ let truncate_steps ctx buf sh ~clears ~retired =
       | Pt.Reset_header ->
           sh.epoch <- sh.epoch + 1;
           let lbl = "truncate" in
-          push ~lbl (St (Ms.count_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.drops_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.spill_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.epoch_w cfg sh.s, Int sh.epoch));
-          push ~lbl (St (Ms.entry_base cfg sh.s, Int 0));
-          push ~lbl (St (Ms.phase_w cfg sh.s, Int 0));
-          push ~lbl (Fl [ Ms.phase_w cfg sh.s; Ms.entry_base cfg sh.s ]);
+          push ~lbl (St (count_w cfg sh.s, Int 0));
+          push ~lbl (St (drops_w cfg sh.s, Int 0));
+          push ~lbl (St (spill_w cfg sh.s, Int 0));
+          push ~lbl (St (epoch_w cfg sh.s, Int sh.epoch));
+          push ~lbl (St (entry_base cfg sh.s, Int 0));
+          push ~lbl (St (phase_w cfg sh.s, Int 0));
+          push ~lbl (Fl [ phase_w cfg sh.s; entry_base cfg sh.s ]);
           push ~lbl Fence;
           (match retired with
           | Some uid -> push (Mark (M_retired uid))
@@ -301,7 +406,7 @@ let commit_steps ctx buf sh ~uid =
                implementation *)
             let ws = ref [] in
             for d = 1 to sh.ndrops do
-              ws := Ms.drop_hdr_w cfg sh.s d :: Ms.drop_body_w cfg sh.s d :: !ws
+              ws := drop_hdr_w cfg sh.s d :: drop_body_w cfg sh.s d :: !ws
             done;
             push ~lbl:"flush drop area" (Fl (List.sort compare !ws))
         | Pt.Commit_fence ->
@@ -312,11 +417,11 @@ let commit_steps ctx buf sh ~uid =
               (fun (blk, _order) ->
                 ctx.code.(blk) <- 0;
                 ctx.held.(blk) <- false;
-                push ~lbl:(Printf.sprintf "apply drop %s" (Ms.block_name blk))
+                push ~lbl:(Printf.sprintf "apply drop %s" (block_name blk))
                   (St
-                     ( Ms.table_w cfg blk,
-                       tab_value cfg ctx.code (Ms.table_w cfg blk) ));
-                clears := Ms.table_w cfg blk :: !clears)
+                     ( table_w cfg blk,
+                       tab_value cfg ctx.code (table_w cfg blk) ));
+                clears := table_w cfg blk :: !clears)
               (List.rev sh.drops)
         | _ -> assert false)
       (Pt.commit_plan ~ndrops:sh.ndrops);
@@ -344,7 +449,7 @@ let group_commit_steps ctx buf shs =
           let words (sh, _uid) =
             let ws = ref (sh.targets @ sh.marks) in
             for d = 1 to sh.ndrops do
-              ws := Ms.drop_hdr_w cfg sh.s d :: Ms.drop_body_w cfg sh.s d :: !ws
+              ws := drop_hdr_w cfg sh.s d :: drop_body_w cfg sh.s d :: !ws
             done;
             !ws
           in
@@ -366,11 +471,11 @@ let group_commit_steps ctx buf shs =
                   ctx.code.(blk) <- 0;
                   ctx.held.(blk) <- false;
                   push
-                    ~lbl:(Printf.sprintf "apply drop %s" (Ms.block_name blk))
+                    ~lbl:(Printf.sprintf "apply drop %s" (block_name blk))
                     (St
-                       ( Ms.table_w cfg blk,
-                         tab_value cfg ctx.code (Ms.table_w cfg blk) ));
-                  clears.(i) <- Ms.table_w cfg blk :: clears.(i))
+                       ( table_w cfg blk,
+                         tab_value cfg ctx.code (table_w cfg blk) ));
+                  clears.(i) <- table_w cfg blk :: clears.(i))
                 (List.rev sh.drops))
             shs
       | _ -> assert false)
@@ -396,11 +501,11 @@ let abort_steps ctx buf sh =
                 match e with
                 | E_data { blk; old_gen } ->
                     push
-                      ~lbl:(Printf.sprintf "restore %s" (Ms.block_name blk))
-                      (St (Ms.heap_w cfg blk, Ms.Gen old_gen));
+                      ~lbl:(Printf.sprintf "restore %s" (block_name blk))
+                      (St (heap_w cfg blk, Gen old_gen));
                     push
-                      ~lbl:(Printf.sprintf "restore %s" (Ms.block_name blk))
-                      (Fl [ Ms.heap_w cfg blk ]);
+                      ~lbl:(Printf.sprintf "restore %s" (block_name blk))
+                      (Fl [ heap_w cfg blk ]);
                     ctx.gen.(blk) <- old_gen
                 | E_alloc _ -> ())
               sh.entries
@@ -413,11 +518,11 @@ let abort_steps ctx buf sh =
                     ctx.code.(blk) <- 0;
                     ctx.held.(blk) <- false;
                     push
-                      ~lbl:(Printf.sprintf "revert alloc %s" (Ms.block_name blk))
+                      ~lbl:(Printf.sprintf "revert alloc %s" (block_name blk))
                       (St
-                         ( Ms.table_w cfg blk,
-                           tab_value cfg ctx.code (Ms.table_w cfg blk) ));
-                    clears := Ms.table_w cfg blk :: !clears
+                         ( table_w cfg blk,
+                           tab_value cfg ctx.code (table_w cfg blk) ));
+                    clears := table_w cfg blk :: !clears
                 | E_data _ -> ())
               sh.entries
         | _ -> assert false)
@@ -438,16 +543,16 @@ let gen_tx_parts ctx sh ~uid tx =
   | Abort -> abort_steps ctx buf sh);
   (logging, List.rev !buf)
 
-let schedule cfg variant (p : program) : step list =
+let schedule cfg variant (p : program) : value step list =
   let ctx =
     {
       cfg;
       variant;
       wid = 0;
-      gen = Array.make Ms.nblocks 0;
+      gen = Array.make nblocks 0;
       code =
-        Array.init Ms.nblocks (fun b ->
-            if p.init_live.(b) then Ms.order_of_block b + 1 else 0);
+        Array.init nblocks (fun b ->
+            if p.init_live.(b) then order_of_block b + 1 else 0);
       held = Array.copy p.init_live;
     }
   in
@@ -463,7 +568,7 @@ let schedule cfg variant (p : program) : step list =
   | Interleaved -> (
       match p.txs with
       | [ t0; t1 ] ->
-          assert (cfg.Ms.nslots >= 2);
+          assert (cfg.nslots >= 2);
           let sh0 = new_shadow cfg 0 and sh1 = new_shadow cfg 1 in
           let l0, e0 = gen_tx_parts ctx sh0 ~uid:1 t0 in
           let l1, e1 = gen_tx_parts ctx sh1 ~uid:2 t1 in
@@ -472,7 +577,7 @@ let schedule cfg variant (p : program) : step list =
   | Grouped -> (
       match p.txs with
       | [ t0; t1 ] ->
-          assert (cfg.Ms.nslots >= 2);
+          assert (cfg.nslots >= 2);
           assert (t0.k = Commit && t1.k = Commit);
           let sh0 = new_shadow cfg 0 and sh1 = new_shadow cfg 1 in
           let log sh uid tx =
@@ -498,7 +603,7 @@ let valid_seqs ~init_live ~maxlen =
     if len = 0 then [ [] ]
     else
       let choices = ref [] in
-      for b = Ms.nblocks - 1 downto 0 do
+      for b = nblocks - 1 downto 0 do
         if live.(b) && not freed.(b) then begin
           choices := (Set b, `Same) :: !choices;
           choices := (Free b, `Freed b) :: !choices
@@ -520,7 +625,7 @@ let valid_seqs ~init_live ~maxlen =
           List.map (fun rest -> op :: rest) (go live held freed (len - 1)))
         !choices
   in
-  List.filter (fun s -> s <> []) (go init_live (Array.copy init_live) (Array.make Ms.nblocks false) maxlen)
+  List.filter (fun s -> s <> []) (go init_live (Array.copy init_live) (Array.make nblocks false) maxlen)
 
 let seq_programs () =
   let inits = [ [| true; false |]; [| true; true |] ] in
@@ -532,7 +637,7 @@ let seq_programs () =
             List.map
               (fun k ->
                 let p = { descr = ""; init_live; txs = [ { ops; k } ]; shape = Seq } in
-                { p with descr = describe p })
+                { p with descr = descr_of p })
               [ Commit; Abort ])
           (valid_seqs ~init_live ~maxlen:2))
       inits
@@ -575,7 +680,7 @@ let seq_programs () =
                     shape = Seq;
                   }
                 in
-                { p with descr = describe p })
+                { p with descr = descr_of p })
               [ Commit; Abort ])
           (valid_seqs ~init_live:live ~maxlen:1))
       firsts
@@ -585,7 +690,7 @@ let seq_programs () =
 let interleaved_programs () =
   let mk init_live t0 t1 =
     let p = { descr = ""; init_live; txs = [ t0; t1 ]; shape = Interleaved } in
-    { p with descr = describe p }
+    { p with descr = descr_of p }
   in
   [
     mk [| true; true |] { ops = [ Set 0 ]; k = Commit } { ops = [ Set 1 ]; k = Commit };
@@ -609,7 +714,7 @@ let grouped_programs () =
         shape = Grouped;
       }
     in
-    { p with descr = describe p }
+    { p with descr = descr_of p }
   in
   [
     mk [| true; true |] [ Set 0 ] [ Set 1 ];
@@ -620,5 +725,76 @@ let grouped_programs () =
   ]
 
 let programs cfg =
-  if cfg.Ms.nslots >= 2 then interleaved_programs () @ grouped_programs ()
+  if cfg.nslots >= 2 then interleaved_programs () @ grouped_programs ()
   else seq_programs ()
+
+(* {1 The family's face to the explorer} *)
+
+(* One slot with the table codes in one word or split over two, and two
+   slots (interleaved and grouped programs). *)
+let cfgs =
+  [
+    { nslots = 1; table_split = false };
+    { nslots = 1; table_split = true };
+    { nslots = 2; table_split = true };
+  ]
+
+let heading = ""
+let spec_prefix cfg = Printf.sprintf "%d:%d" cfg.nslots (Bool.to_int cfg.table_split)
+
+let parse_prefix = function
+  | nslots :: split :: rest -> (
+      match (int_of_string nslots, int_of_string split) with
+      | nslots, split -> Some ({ nslots; table_split = split <> 0 }, rest)
+      | exception Failure _ -> None)
+  | _ -> None
+
+let blank = Int 0
+let name_width = 18
+
+let describe cfg p =
+  Printf.sprintf "%s  (nslots=%d table_split=%b)" p.descr cfg.nslots
+    cfg.table_split
+
+let tx_names p = List.map tx_name p.txs
+
+(* The crash-free end state is already quiescent: every tail fenced. *)
+let recover_end_state = false
+
+(* {1 The oracle} *)
+
+let allowed_outcomes p i st =
+  match ((List.nth p.txs i).k, st) with
+  | Abort, _ -> [ Rolled_back ]
+  | Commit, (NotStarted | InFlight) -> [ Rolled_back ]
+  | Commit, Window -> [ Rolled_back; Applied ]
+  | Commit, Retired -> [ Applied ]
+
+(* Replay a composition over the program: per-block heap generation and
+   table code if each transaction's outcome is as given. *)
+let expected p sigma =
+  let gens = Array.make nblocks 0 in
+  let codes =
+    Array.init nblocks (fun b -> if p.init_live.(b) then order_of_block b + 1 else 0)
+  in
+  List.iteri
+    (fun i tx ->
+      if sigma.(i) = Applied then
+        List.iter
+          (function
+            | Set b -> gens.(b) <- i + 1
+            | Alloc b -> codes.(b) <- order_of_block b + 1
+            | Free b -> codes.(b) <- 0)
+          tx.ops)
+    p.txs;
+  (gens, codes)
+
+let matches cfg p sigma (st : value array) ~heap_only =
+  let gens, codes = expected p sigma in
+  List.for_all
+    (fun b ->
+      (codes.(b) <= 0 || st.(heap_w cfg b) = Gen gens.(b))
+      && (heap_only || tab_get st.(table_w cfg b) (table_sub cfg b) = codes.(b)))
+    (List.init nblocks Fun.id)
+
+let liveness_detail = "heap matches a composition but table codes match none"

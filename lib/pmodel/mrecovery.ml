@@ -1,32 +1,20 @@
-(* Modeled recovery: a step-for-step mirror of {!Pjournal.Recovery}
-   over the abstract machine, instrumented with a crash clock so the
-   checker can also crash recovery at each of ITS persist points
-   (depth-1 nesting) and re-run it.
+(* The journal family's modeled recovery: a step-for-step mirror of
+   {!Pjournal.Recovery} over the {!Mstate} machine, ticking the machine's
+   crash clock before every flush and every fence so the explorer can
+   also crash recovery at each of ITS persist points (depth-1 nesting)
+   and re-run it.
 
-   Every flush and every fence ticks the clock first — exactly the
-   device's crash points.  Checksum verification is structural: an entry
-   header is valid iff its recorded epoch equals the slot's durable
-   epoch word and every recorded body word reads back identically
-   (what an epoch-salted CRC certifies). *)
+   Checksum verification is structural: an entry header is valid iff its
+   recorded epoch equals the slot's durable epoch word and every recorded
+   body word reads back identically (what an epoch-salted CRC
+   certifies). *)
 
 module Ms = Mstate
-
-(* {1 Crash clock} *)
-
-type clock = { mutable points : int; mutable stop_at : int }
-
-exception Crash_now
-
-let no_crash () = { points = 0; stop_at = -1 }
-let crash_at k = { points = 0; stop_at = k }
-
-let tick c =
-  if c.stop_at >= 0 && c.points = c.stop_at then raise Crash_now;
-  c.points <- c.points + 1
+module Mj = Mjournal
 
 (* {1 Reading the image} *)
 
-let as_int = function Ms.Int n -> n | _ -> -1
+let as_int = function Mj.Int n -> n | _ -> -1
 
 type entry =
   | R_data of { blk : int; old_gen : int }
@@ -36,20 +24,20 @@ type entry =
    prefix (oldest first) and whether the stop was torn (anything but a
    clean terminator). *)
 let walk m cfg s ~epoch =
-  let limit = Ms.entry_limit cfg s in
+  let limit = Mj.entry_limit cfg s in
   let rec go c acc =
     if c >= limit then (List.rev acc, true)
     else
       match Ms.read m c with
-      | Ms.Int 0 -> (List.rev acc, false)
-      | Ms.Ehdr { kind = (Ms.K_data | Ms.K_alloc) as kind; epoch = e; body }
+      | Mj.Int 0 -> (List.rev acc, false)
+      | Mj.Ehdr { kind = (Mj.K_data | Mj.K_alloc) as kind; epoch = e; body }
         when e = epoch && List.for_all (fun (w, v) -> Ms.read m w = v) body -> (
           let entry =
             match (kind, body) with
-            | Ms.K_data, (_, Ms.Eword { pay = Ms.Undo { blk; old_gen }; _ }) :: _
+            | Mj.K_data, (_, Mj.Eword { pay = Mj.Undo { blk; old_gen }; _ }) :: _
               ->
                 Some (R_data { blk; old_gen })
-            | Ms.K_alloc, [ (_, Ms.Eword { pay = Ms.Alloc_of { blk; order }; _ }) ]
+            | Mj.K_alloc, [ (_, Mj.Eword { pay = Mj.Alloc_of { blk; order }; _ }) ]
               ->
                 Some (R_alloc { blk; order })
             | _ -> None
@@ -59,14 +47,14 @@ let walk m cfg s ~epoch =
           | None -> (List.rev acc, true))
       | _ -> (List.rev acc, true)
   in
-  go (Ms.entry_base cfg s) []
+  go (Mj.entry_base cfg s) []
 
 let read_drop m cfg s ~epoch d =
-  match Ms.read m (Ms.drop_hdr_w cfg s d) with
-  | Ms.Ehdr { kind = Ms.K_drop; epoch = e; body = [ (bw, bv) ] }
+  match Ms.read m (Mj.drop_hdr_w cfg s d) with
+  | Mj.Ehdr { kind = Mj.K_drop; epoch = e; body = [ (bw, bv) ] }
     when e = epoch && Ms.read m bw = bv -> (
       match bv with
-      | Ms.Eword { pay = Ms.Drop_of { blk; order }; _ } -> Some (blk, order)
+      | Mj.Eword { pay = Mj.Drop_of { blk; order }; _ } -> Some (blk, order)
       | _ -> None)
   | _ -> None
 
@@ -74,7 +62,7 @@ let read_drop m cfg s ~epoch d =
    not a verifying drop.  The advisory count is never consulted. *)
 let scan_drops m cfg s ~epoch =
   let rec go d acc =
-    if d > Ms.drop_capacity then List.rev acc
+    if d > Mj.drop_capacity then List.rev acc
     else
       match read_drop m cfg s ~epoch d with
       | Some p -> go (d + 1) (p :: acc)
@@ -85,15 +73,12 @@ let scan_drops m cfg s ~epoch =
 (* {1 One-shot table persists} *)
 
 let table_code m cfg blk =
-  Ms.tab_get (Ms.read m (Ms.table_w cfg blk)) (Ms.table_sub cfg blk)
+  Mj.tab_get (Ms.read m (Mj.table_w cfg blk)) (Mj.table_sub cfg blk)
 
 let set_table clock m cfg blk code =
-  let w = Ms.table_w cfg blk in
-  Ms.store m w (Ms.tab_set (Ms.read m w) (Ms.table_sub cfg blk) code);
-  tick clock;
-  Ms.flush_words m [ w ];
-  tick clock;
-  Ms.fence m
+  let w = Mj.table_w cfg blk in
+  Ms.store m w (Mj.tab_set (Ms.read m w) (Mj.table_sub cfg blk) code);
+  Ms.persist clock m [ w ]
 
 let clear_if_live clock m cfg blk =
   if table_code m cfg blk > 0 then begin
@@ -124,29 +109,20 @@ let remark_drops clock m cfg ~slots ~rollback =
    From phase [Committing] ([ordered]) the log invalidation is persisted
    strictly before the phase word returns to 0. *)
 let truncate ?(ordered = false) clock m cfg s =
-  let epoch = as_int (Ms.read m (Ms.epoch_w cfg s)) in
-  Ms.store m (Ms.count_w cfg s) (Ms.Int 0);
-  Ms.store m (Ms.drops_w cfg s) (Ms.Int 0);
-  Ms.store m (Ms.spill_w cfg s) (Ms.Int 0);
-  Ms.store m (Ms.epoch_w cfg s) (Ms.Int (epoch + 1));
-  Ms.store m (Ms.entry_base cfg s) (Ms.Int 0);
+  let epoch = as_int (Ms.read m (Mj.epoch_w cfg s)) in
+  Ms.store m (Mj.count_w cfg s) (Mj.Int 0);
+  Ms.store m (Mj.drops_w cfg s) (Mj.Int 0);
+  Ms.store m (Mj.spill_w cfg s) (Mj.Int 0);
+  Ms.store m (Mj.epoch_w cfg s) (Mj.Int (epoch + 1));
+  Ms.store m (Mj.entry_base cfg s) (Mj.Int 0);
   if ordered then begin
-    tick clock;
-    Ms.flush_words m [ Ms.count_w cfg s; Ms.entry_base cfg s ];
-    tick clock;
-    Ms.fence m;
-    Ms.store m (Ms.phase_w cfg s) (Ms.Int 0);
-    tick clock;
-    Ms.flush_words m [ Ms.phase_w cfg s ];
-    tick clock;
-    Ms.fence m
+    Ms.persist clock m [ Mj.count_w cfg s; Mj.entry_base cfg s ];
+    Ms.store m (Mj.phase_w cfg s) (Mj.Int 0);
+    Ms.persist clock m [ Mj.phase_w cfg s ]
   end
   else begin
-    Ms.store m (Ms.phase_w cfg s) (Ms.Int 0);
-    tick clock;
-    Ms.flush_words m [ Ms.phase_w cfg s; Ms.entry_base cfg s ];
-    tick clock;
-    Ms.fence m
+    Ms.store m (Mj.phase_w cfg s) (Mj.Int 0);
+    Ms.persist clock m [ Mj.phase_w cfg s; Mj.entry_base cfg s ]
   end
 
 (* {1 Slot recovery} *)
@@ -155,12 +131,11 @@ let rec firstn n = function
   | x :: tl when n > 0 -> x :: firstn (n - 1) tl
   | _ -> []
 
-let recover_slot ?(variant = Mvariant.Correct) clock m s =
-  let cfg = m.Ms.cfg in
-  let phase = as_int (Ms.read m (Ms.phase_w cfg s)) in
-  let advisory = as_int (Ms.read m (Ms.count_w cfg s)) in
-  let ndrops_f = as_int (Ms.read m (Ms.drops_w cfg s)) in
-  let epoch = as_int (Ms.read m (Ms.epoch_w cfg s)) in
+let recover_slot cfg variant clock m s =
+  let phase = as_int (Ms.read m (Mj.phase_w cfg s)) in
+  let advisory = as_int (Ms.read m (Mj.count_w cfg s)) in
+  let ndrops_f = as_int (Ms.read m (Mj.drops_w cfg s)) in
+  let epoch = as_int (Ms.read m (Mj.epoch_w cfg s)) in
   if phase = 1 then begin
     (* durably committed: finish the deferred frees, then retire *)
     for d = 1 to ndrops_f do
@@ -189,12 +164,12 @@ let recover_slot ?(variant = Mvariant.Correct) clock m s =
         (fun e ->
           match e with
           | R_data { blk; old_gen } ->
-              Ms.store m (Ms.heap_w cfg blk) (Ms.Gen old_gen);
-              tick clock;
-              Ms.flush_words m [ Ms.heap_w cfg blk ]
+              Ms.store m (Mj.heap_w cfg blk) (Mj.Gen old_gen);
+              Ms.tick clock;
+              Ms.flush_words m [ Mj.heap_w cfg blk ]
           | R_alloc _ -> ())
         newest_first;
-      tick clock;
+      Ms.tick clock;
       Ms.fence m;
       List.iter
         (fun e ->
@@ -216,7 +191,26 @@ let recover_slot ?(variant = Mvariant.Correct) clock m s =
     end
   end
 
-let recover ?variant clock m =
-  for s = 0 to m.Ms.cfg.Ms.nslots - 1 do
-    recover_slot ?variant clock m s
+let recover cfg variant clock m =
+  for s = 0 to cfg.Mj.nslots - 1 do
+    recover_slot cfg variant clock m s
   done
+
+(* I-QUIESCENT-LOG: after recovery every slot is retired — phase,
+   advisory count and drop count zero, no walkable entry, no salt-valid
+   drop slot. *)
+let quiescent cfg st =
+  let m = Ms.boot st in
+  let residue s =
+    let epoch = as_int (Ms.read m (Mj.epoch_w cfg s)) in
+    let entries, torn = walk m cfg s ~epoch in
+    as_int (Ms.read m (Mj.phase_w cfg s)) <> 0
+    || as_int (Ms.read m (Mj.count_w cfg s)) <> 0
+    || as_int (Ms.read m (Mj.drops_w cfg s)) <> 0
+    || entries <> [] || torn
+    || scan_drops m cfg s ~epoch <> []
+  in
+  match List.find_opt residue (List.rev (List.init cfg.Mj.nslots Fun.id)) with
+  | Some s ->
+      Error ("I-QUIESCENT-LOG", Printf.sprintf "slot %d still carries log residue" s)
+  | None -> Ok ()

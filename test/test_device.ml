@@ -323,13 +323,15 @@ let qcheck_shadow_parity =
    same durable image after every fence, and a final power failure that
    tears every write-pending line must leave one of the crash states the
    model enumerates.  Stores touch 16 words spread over 4 lines, so the
-   model's pending words never exceed [max_branch_words]. *)
+   model's pending words never exceed [max_branch_words].  The machine
+   is polymorphic in its word value: plain ints stand for the device's
+   u64 words, over the journal family's one-slot geometry. *)
 let qcheck_mstate_conformance =
   let module Ms = Pmodel.Mstate in
-  let cfg = { Ms.nslots = 1; table_split = true } in
-  let nwords = Ms.nwords cfg in
+  let module Mj = Pmodel.Mjournal in
+  let nwords = Mj.nwords { Mj.nslots = 1; table_split = true } in
   let word i = (i / 4 * Ms.words_per_line) + (i mod 4) in
-  let to_i64 = function Ms.Int n -> Int64.of_int n | _ -> assert false in
+  let to_i64 = Int64.of_int in
   QCheck.Test.make ~name:"device conforms to the Mstate word machine" ~count:200
     QCheck.(
       pair (int_bound 1_000_000)
@@ -343,7 +345,7 @@ let qcheck_mstate_conformance =
     (fun (seed, program) ->
       let path = Filename.temp_file "mstate_conform" ".pmem" in
       let d = D.create ~seed ~path ~size:(nwords * 8) () in
-      let m = Ms.boot cfg (Array.make nwords (Ms.Int 0)) in
+      let m = Ms.boot (Array.make nwords 0) in
       let words d = Array.init nwords (fun w -> D.read_u64 d (w * 8)) in
       (* the device's durable media, read back through its file image *)
       let durable () =
@@ -358,7 +360,7 @@ let qcheck_mstate_conformance =
               (function
                 | `Store (w, n) ->
                     D.write_u64 d (w * 8) (Int64.of_int n);
-                    Ms.store m w (Ms.Int n);
+                    Ms.store m w n;
                     true
                 | `Flush (w, k) ->
                     D.flush d (w * 8) ((k + 1) * 8);

@@ -1,99 +1,105 @@
-(* The crash-state model checker, checked: the real protocol must verify
-   over its full bounded space, every deliberately broken variant must
-   yield a counterexample, counterexamples must replay from their repro
-   spec, and the trace conformance validator must accept a real capture
-   and reject a synthetic protocol violation. *)
+(* The crash-state model checker, checked: both model families' real
+   protocols must verify over their full bounded space, every
+   deliberately broken variant must yield a counterexample,
+   counterexamples must replay from their repro spec, and the trace
+   conformance validator must accept a real capture and reject a
+   synthetic protocol violation. *)
 
-module Ms = Pmodel.Mstate
 module Mc = Pmodel.Mcheck
-module Mw = Pmodel.Mcow
+module Mf = Pmodel.Mfamily
 module Mv = Pmodel.Mvariant
 module Cf = Pmodel.Mconform
 module Pr = Ptelemetry.Probe
 
 let test_correct_protocol_verifies () =
-  let r = Mc.run Mv.Correct in
+  let r = Mf.Journal.run Mv.Correct in
   (match r.Mc.cex with
   | None -> ()
-  | Some c -> Alcotest.failf "correct protocol: %s" (Format.asprintf "%a" Mc.pp_cex c));
+  | Some c ->
+      Alcotest.failf "correct protocol: %s"
+        (Format.asprintf "%a" Mf.Journal.pp_cex c));
   let s = r.Mc.stats in
   Alcotest.(check bool) "programs explored" true (s.Mc.programs > 50);
   Alcotest.(check bool) "crash branches explored" true (s.Mc.crash_branches > 1000);
   Alcotest.(check bool)
     "recovery itself crashed" true (s.Mc.nested_branches > 1000)
 
+(* Every seeded bug runs in the model family its mutation targets and
+   must yield a counterexample there. *)
 let test_controls_all_caught () =
   List.iter
     (fun v ->
-      (* each seeded bug runs in the model family its mutation targets *)
-      let caught =
-        match v with
-        | Mv.Swap_before_flush ->
-            let r = Mw.run ~nested:false v in
-            r.Mw.cex <> None
-        | _ ->
-            let r = Mc.run ~nested:false v in
-            r.Mc.cex <> None
-      in
-      if not caught then
-        Alcotest.failf "seeded bug %S produced no counterexample" (Mv.name v))
+      if Mf.running v = [] then Alcotest.failf "seeded bug %S runs in no family" (Mv.name v);
+      List.iter
+        (fun (module F : Mc.S) ->
+          if (F.run ~nested:false v).Mc.cex = None then
+            Alcotest.failf "seeded bug %S produced no counterexample (%s family)"
+              (Mv.name v) F.name)
+        (Mf.running v))
     Mv.broken
 
 (* The CoW family: the shipped intent/swap protocol must verify over
-   its full space (including recovery's own crashes), and the seeded
-   premature-root-swap mutation must be caught and replay from its
-   spec. *)
+   its full space, including recovery's own crashes. *)
 let test_cow_correct_verifies () =
-  let r = Mw.run Mv.Correct in
-  (match r.Mw.cex with
+  let r = Mf.Cow.run Mv.Correct in
+  (match r.Mc.cex with
   | None -> ()
   | Some c ->
       Alcotest.failf "correct CoW protocol: %s"
-        (Format.asprintf "%a" Mw.pp_cex c));
-  let s = r.Mw.stats in
-  Alcotest.(check bool) "programs explored" true (s.Mw.programs >= 10);
-  Alcotest.(check bool) "crash branches explored" true (s.Mw.crash_branches > 100);
+        (Format.asprintf "%a" Mf.Cow.pp_cex c));
+  let s = r.Mc.stats in
+  Alcotest.(check bool) "programs explored" true (s.Mc.programs >= 10);
+  Alcotest.(check bool) "crash branches explored" true (s.Mc.crash_branches > 100);
   Alcotest.(check bool)
-    "recovery itself crashed" true (s.Mw.nested_branches > 100)
+    "recovery itself crashed" true (s.Mc.nested_branches > 100)
 
-let test_cow_control_caught_and_replays () =
-  let r = Mw.run ~nested:false Mv.Swap_before_flush in
-  match r.Mw.cex with
-  | None -> Alcotest.fail "swap-before-flush produced no counterexample"
-  | Some c -> (
-      let spec = Mw.repro_string c in
-      match Mw.replay spec with
-      | Error e -> Alcotest.failf "replay %S failed to parse: %s" spec e
-      | Ok None ->
-          Alcotest.failf "replay %S found the branch legal after all" spec
-      | Ok (Some c') ->
-          Alcotest.(check string)
-            "replay reproduces the same invariant violation" c.Mw.invariant
-            c'.Mw.invariant)
-
+(* Every control's counterexample replays from its printed spec to the
+   same invariant — crash-free end-state counterexamples (point -1)
+   included. *)
 let test_replay_roundtrip () =
-  let v = List.hd Mv.broken in
-  let r = Mc.run ~nested:false v in
-  match r.Mc.cex with
-  | None -> Alcotest.failf "no counterexample for %S" (Mv.name v)
-  | Some c -> (
-      let spec = Mc.repro_string c in
-      match Mc.replay spec with
-      | Error e -> Alcotest.failf "replay %S failed to parse: %s" spec e
-      | Ok None ->
-          Alcotest.failf "replay %S found the branch legal after all" spec
-      | Ok (Some c') ->
-          Alcotest.(check string)
-            "replay reproduces the same invariant violation" c.Mc.invariant
-            c'.Mc.invariant)
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (module F : Mc.S) ->
+          match (F.run ~nested:false v).Mc.cex with
+          | None -> Alcotest.failf "no counterexample for %S" (Mv.name v)
+          | Some c -> (
+              let spec = F.repro_string c in
+              match F.replay spec with
+              | Error e -> Alcotest.failf "replay %S failed: %s" spec e
+              | Ok None ->
+                  Alcotest.failf "replay %S found the branch legal after all" spec
+              | Ok (Some c') ->
+                  Alcotest.(check string)
+                    (spec ^ " reproduces its invariant violation")
+                    c.Mc.invariant c'.Mc.invariant))
+        (Mf.running v))
+    Mv.broken
+
+(* The crash-free end state of the correct protocol replays as legal in
+   both families, and each spec routes to its own family. *)
+let test_replay_crash_free () =
+  List.iter
+    (fun spec ->
+      match Mf.of_spec spec with
+      | None -> Alcotest.failf "no family owns %S" spec
+      | Some (module F : Mc.S) -> (
+          match F.replay spec with
+          | Ok None -> ()
+          | Ok (Some c) ->
+              Alcotest.failf "%S: %s" spec (Format.asprintf "%a" F.pp_cex c)
+          | Error e -> Alcotest.failf "replay %S failed: %s" spec e))
+    [ "correct:1:0:0:-1:0"; "correct:cow:0:-1:0" ]
 
 let test_replay_rejects_garbage () =
-  (match Mc.replay "no-such-variant:1:0:0:0:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus variant accepted");
-  match Mc.replay "correct:1:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated spec accepted"
+  let rejects (module F : Mc.S) spec =
+    match F.replay spec with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s family accepted %S" F.name spec
+  in
+  List.iter (rejects (module Mf.Journal))
+    [ "no-such-variant:1:0:0:0:0"; "correct:1:0" ];
+  List.iter (rejects (module Mf.Cow)) [ "correct:cow:0"; "correct:cow:99:0:0" ]
 
 (* Conformance, positive: a real scenario run (with crash + recovery)
    captured off the probe bus must validate cleanly. *)
@@ -240,12 +246,12 @@ let () =
             test_controls_all_caught;
           Alcotest.test_case "counterexample replays from its spec" `Quick
             test_replay_roundtrip;
+          Alcotest.test_case "crash-free end states replay legal" `Quick
+            test_replay_crash_free;
           Alcotest.test_case "replay rejects malformed specs" `Quick
             test_replay_rejects_garbage;
           Alcotest.test_case "CoW protocol verifies (full space)" `Slow
             test_cow_correct_verifies;
-          Alcotest.test_case "CoW seeded bug caught and replays" `Quick
-            test_cow_control_caught_and_replays;
         ] );
       ( "conformance",
         [

@@ -527,7 +527,24 @@ let test_gate_band () =
 
 let test_gate_lower () =
   check_boundary "lower" G.Lower ~base:3783.0 ~limit:3783.0 ~step:Float.pred;
-  check_bool "lower passes above" true (G.pass G.Lower ~base:3783.0 4000.0)
+  check_bool "lower passes above" true (G.pass G.Lower ~base:3783.0 4000.0);
+  (* PMODEL: one family's coverage loss fails even when the total grows *)
+  let doc journal cow =
+    let n v = Json.Num v in
+    Json.Obj
+      [
+        ("crash_branches", n (journal +. cow));
+        ( "families",
+          Json.Obj
+            [
+              ("journal", Json.Obj [ ("crash_branches", n journal) ]);
+              ("cow", Json.Obj [ ("crash_branches", n cow) ]);
+            ] );
+      ]
+  in
+  check_bool "a family's loss behind a total gain" true
+    (List.map G.verdict (G.rows G.pmodel ~base:(doc 3525.0 258.0) ~cur:(doc 3600.0 257.0))
+    = [ G.Ok; G.Ok; G.Regress ])
 
 let verdicts rows = List.map (fun (r : G.row) -> (r.G.key, G.verdict r)) rows
 
@@ -582,8 +599,8 @@ let baseline name =
   Json.of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* Every committed baseline gated against itself is all OK: 18 engine ×
-   op pairs per BENCH/PPROF metric, six merged OPENLOOP numbers, one
-   PMODEL count. *)
+   op pairs per BENCH/PPROF metric, six merged OPENLOOP numbers, three
+   PMODEL counts (the total and one per model family). *)
 let test_gate_baselines_self () =
   List.iter
     (fun (file, table, n) ->
@@ -596,7 +613,7 @@ let test_gate_baselines_self () =
       ("BENCH_baseline.json", G.bench, 36);
       ("PPROF_baseline.json", G.pprof, 36);
       ("OPENLOOP_baseline.json", G.openloop, 6);
-      ("PMODEL_baseline.json", G.pmodel, 1);
+      ("PMODEL_baseline.json", G.pmodel, 3);
     ];
   (* The shared gate reads the baseline's ceilings: a run exactly at
      them passes, one ulp above fails. *)
