@@ -53,6 +53,23 @@ let test_cow_correct_verifies () =
   Alcotest.(check bool)
     "recovery itself crashed" true (s.Mc.nested_branches > 100)
 
+(* The CoW family's seeded premature-root-swap mutation must be caught
+   and replay from its spec to the same invariant. *)
+let test_cow_control_caught_and_replays () =
+  let r = Mf.Cow.run ~nested:false Mv.Swap_before_flush in
+  match r.Mc.cex with
+  | None -> Alcotest.fail "swap-before-flush produced no counterexample"
+  | Some c -> (
+      let spec = Mf.Cow.repro_string c in
+      match Mf.Cow.replay spec with
+      | Error e -> Alcotest.failf "replay %S failed to parse: %s" spec e
+      | Ok None ->
+          Alcotest.failf "replay %S found the branch legal after all" spec
+      | Ok (Some c') ->
+          Alcotest.(check string)
+            "replay reproduces the same invariant violation" c.Mc.invariant
+            c'.Mc.invariant)
+
 (* Every control's counterexample replays from its printed spec to the
    same invariant — crash-free end-state counterexamples (point -1)
    included. *)
@@ -252,6 +269,8 @@ let () =
             test_replay_rejects_garbage;
           Alcotest.test_case "CoW protocol verifies (full space)" `Slow
             test_cow_correct_verifies;
+          Alcotest.test_case "CoW seeded bug caught and replays" `Quick
+            test_cow_control_caught_and_replays;
         ] );
       ( "conformance",
         [
