@@ -47,7 +47,8 @@ recovery-latency:
 # Open-loop multi-domain latency harness, gated on the committed baseline.
 openloop:
 	dune exec bench/main.exe -- openloop --domains 2 --ops 5000 --json openloop.now.json --baseline OPENLOOP_baseline.json
-	dune exec bench/main.exe -- openloop --shared --domains 4 --ops 2000 --json openloop.shared.json --baseline OPENLOOP_baseline.json
+	timeout 120 dune exec bench/main.exe -- openloop --shared --domains 4 --ops 2000 --psan --json openloop.shared.json --baseline OPENLOOP_baseline.json
+	timeout 120 dune exec bench/main.exe -- openloop --shared --domains 2 --ops 10000 --json openloop.shared2.json --baseline OPENLOOP_baseline.json
 
 doc:
 	dune build @doc

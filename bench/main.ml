@@ -646,7 +646,7 @@ let private_session () =
    session and, for after the run, a summary of the contended phase —
    fences and flushes per op over [total] ops and the combiner's epoch
    stats — as a report line and the JSON "shared" section. *)
-let shared_pool ~domains ~keyspace ~linger ~total =
+let shared_pool ~domains ~keyspace ~total =
   let pool =
     Pool_impl.create
       ~config:
@@ -657,7 +657,7 @@ let shared_pool ~domains ~keyspace ~linger ~total =
         }
       ~latency:Pmem.Latency.optane ()
   in
-  Pool_impl.set_group_commit ?linger pool true;
+  Pool_impl.set_group_commit pool true;
   let dev = Pool_impl.device pool in
   let kv = KV.create ~nbuckets:1024 (Engines.Corundum_engine.of_pool pool) in
   (* Deterministic single-domain preload so reads and deletes hit. *)
@@ -666,7 +666,7 @@ let shared_pool ~domains ~keyspace ~linger ~total =
   done;
   (* Fresh combiner after the (all-solo) preload so occupancy stats
      describe only the contended phase. *)
-  Pool_impl.set_group_commit ?linger pool true;
+  Pool_impl.set_group_commit pool true;
   let s0 = Pmem.Device.stats dev in
   let session () =
     ignore (Pool_impl.register_domain pool);
@@ -756,7 +756,7 @@ let openloop_row label (r : Loadgen.report) =
     (q r.Loadgen.response 0.999) (q r.Loadgen.service 0.5)
     (q r.Loadgen.service 0.99)
 
-let run_openloop ~shared ~linger ~domains ~rate ~poisson ~ops ~keyspace ~theta
+let run_openloop ~shared ~domains ~rate ~poisson ~ops ~keyspace ~theta
     ~seed ~json ~baseline ~instrument ~quiet =
   let name = if shared then "openloop --shared" else "openloop" in
   let arrivals =
@@ -779,7 +779,7 @@ let run_openloop ~shared ~linger ~domains ~rate ~poisson ~ops ~keyspace ~theta
   let (reports, dt, summary), clean =
     Instrument.run ~shards:domains instrument (fun () ->
         let session, summary =
-          if shared then shared_pool ~domains ~keyspace ~linger ~total
+          if shared then shared_pool ~domains ~keyspace ~total
           else (private_session, Fun.const None)
         in
         let reports, dt =
@@ -858,8 +858,8 @@ let usage () =
     \             [--ops N] [--keys N] [--theta T] [--seed S] [--quiet]\n\
     \             [--json FILE [--baseline FILE]] [--metrics FILE]\n\
     \             [--trace FILE] [--psan]\n\
-    \       bench openloop --shared [--linger SPINS] [same flags; one pool,\n\
-    \             group commit; the baseline gate pins fences/flushes per op]";
+    \       bench openloop --shared [same flags; one pool, group commit;\n\
+    \             the baseline gate pins fences/flushes per op]";
   exit 2
 
 (* The subcommands' hand parser: an option either sets a flag or takes
@@ -927,12 +927,10 @@ let () =
       and trace = ref None
       and shared = ref false
       and psan = ref false
-      and linger = ref None
       and quiet = ref false in
       parse_opts
         [
           ("--shared", Flag shared);
-          ("--linger", Str linger);
           ("--psan", Flag psan);
           ("--domains", Int domains);
           ("--rate", Float rate);
@@ -949,11 +947,9 @@ let () =
         ]
         rest;
       if !domains < 1 || !ops < 1 || !keyspace < 1 || !rate <= 0.0 then usage ();
-      run_openloop ~shared:!shared
-        ~linger:(Option.map int_of_string !linger)
-        ~domains:!domains ~rate:!rate ~poisson:!poisson ~ops:!ops
-        ~keyspace:!keyspace ~theta:!theta ~seed:!seed ~json:!json
-        ~baseline:!baseline
+      run_openloop ~shared:!shared ~domains:!domains ~rate:!rate
+        ~poisson:!poisson ~ops:!ops ~keyspace:!keyspace ~theta:!theta
+        ~seed:!seed ~json:!json ~baseline:!baseline
         ~instrument:
           { Instrument.none with trace = !trace; metrics = !metrics; psan = !psan }
         ~quiet:!quiet

@@ -86,6 +86,7 @@ type t = {
      flushing and fencing privately.  Volatile — rebuilt fresh on every
      open, never reused across a power cycle. *)
   mutable combiner : GC.t option;
+  joinables : GC.joinable option array; (* per slot, boxed once *)
   txs : (int, tx) Hashtbl.t; (* domain id -> active transaction *)
   txs_lock : Mutex.t;
   locks : (int, lock_entry) Hashtbl.t;
@@ -117,6 +118,7 @@ and tx = {
   slot_idx : int;
   bound : bool; (* slot owned by a registered domain: not released at end *)
   domain : int;
+  group : GC.t option; (* the combiner this transaction commits through *)
   mutable depth : int;
   valid : bool ref;
   mutable held : lock_entry list;
@@ -193,6 +195,7 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     slot_cond = Condition.create ();
     bound_slots = Hashtbl.create 8;
     combiner = None;
+    joinables = Array.init nslots (fun _ -> Some (GC.joinable ()));
     txs = Hashtbl.create 8;
     txs_lock = Mutex.create ();
     locks = Hashtbl.create 64;
@@ -383,13 +386,6 @@ let tx_valid tx = !(tx.valid)
 let tx_validity tx = tx.valid
 let tx_journal tx = if !(tx.valid) then tx.jrnl else raise Tx_escape
 
-let in_transaction t =
-  let did = (Domain.self () :> int) in
-  Mutex.lock t.txs_lock;
-  let r = Hashtbl.mem t.txs did in
-  Mutex.unlock t.txs_lock;
-  r
-
 let acquire_slot t =
   Mutex.lock t.slot_lock;
   let rec find i =
@@ -473,19 +469,22 @@ let slot_of_domain t =
   Mutex.unlock t.slot_lock;
   r
 
-(* The default leader linger (batch-until-quiet spin rounds).  Sized so
-   a leader waits tens of microseconds of wall time for concurrent
-   committers — enough for domains in a commit storm to pile into one
-   epoch (measured mean occupancy ~3 of 4 committing domains), invisible
-   to the simulated clock, and self-limiting when solo (the budget runs
-   out quietly). *)
-let default_linger = 4096
-
-let set_group_commit ?(linger = default_linger) t enabled =
+let set_group_commit t enabled =
   check_open t;
-  t.combiner <- (if enabled then Some (GC.create ~linger t.dev) else None)
+  t.combiner <- (if enabled then Some (GC.create t.dev) else None)
 
 let group_commit_stats t = Option.map GC.stats t.combiner
+
+(* The closure rule's mark: set on a transaction's first dirtying call. *)
+let mark tx =
+  match (tx.group, tx.pool.joinables.(tx.slot_idx)) with
+  | Some gc, Some j -> GC.mark gc j
+  | _ -> ()
+
+let unmark tx =
+  match (tx.group, tx.pool.joinables.(tx.slot_idx)) with
+  | Some gc, Some j -> GC.unmark gc j
+  | _ -> false
 
 let release_locks tx =
   List.iter
@@ -506,13 +505,19 @@ let clear_borrows tx =
 let unregister tx =
   let t = tx.pool in
   tx.valid := false;
+  ignore (unmark tx : bool);
   Mutex.lock t.txs_lock;
   Hashtbl.remove t.txs tx.domain;
   Mutex.unlock t.txs_lock;
   if not tx.bound then release_slot t tx.slot_idx
 
 let finish_commit tx =
-  J.commit ?group:tx.pool.combiner tx.jrnl;
+  let joinable = tx.pool.joinables.(tx.slot_idx) in
+  (match J.commit ?group:tx.group ?joinable tx.jrnl with
+  | () -> ()
+  | exception e ->
+      ignore (unmark tx : bool);
+      raise e);
   release_locks tx;
   clear_borrows tx;
   unregister tx;
@@ -568,6 +573,7 @@ let transaction t f =
           slot_idx;
           bound;
           domain = did;
+          group = t.combiner;
           depth = 0;
           valid = ref true;
           held = [];
@@ -620,38 +626,46 @@ let transaction t f =
 
 let live_tx tx = if not !(tx.valid) then raise Tx_escape
 
-let tx_alloc tx size =
-  live_tx tx;
-  let off = J.alloc tx.jrnl size in
-  let t = tx.pool in
-  Atomic.incr t.n_allocs;
+let bump_birth t off =
   Mutex.lock t.births_lock;
   Hashtbl.replace t.births off
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.births off));
-  Mutex.unlock t.births_lock;
+  Mutex.unlock t.births_lock
+
+let tx_alloc tx size =
+  live_tx tx;
+  mark tx;
+  let off = J.alloc tx.jrnl size in
+  Atomic.incr tx.pool.n_allocs;
+  bump_birth tx.pool off;
   off
 
 let tx_free tx off =
   live_tx tx;
+  mark tx;
   Atomic.incr tx.pool.n_frees;
   J.free tx.jrnl off
 
 let tx_log tx ~off ~len =
   live_tx tx;
+  mark tx;
   Atomic.incr tx.pool.n_logs;
   J.data_log tx.jrnl ~off ~len
 
 let tx_log_nodedup tx ~off ~len =
   live_tx tx;
+  mark tx;
   Atomic.incr tx.pool.n_logs;
   J.data_log_nodedup tx.jrnl ~off ~len
 
 let tx_add_target tx ~off ~len =
   live_tx tx;
+  mark tx;
   J.add_target tx.jrnl ~off ~len
 
 let tx_set_root tx ~off ~ty_hash =
   live_tx tx;
+  mark tx;
   J.data_log tx.jrnl ~off:hdr_root ~len:16;
   D.write_u64 tx.pool.dev hdr_root (Int64.of_int off);
   D.write_u64 tx.pool.dev hdr_root_hash (Int64.of_int ty_hash)
@@ -673,7 +687,14 @@ let tx_lock tx off =
   Mutex.unlock t.locks_lock;
   if entry.owner = Some tx.domain then entry.lock_depth <- entry.lock_depth + 1
   else begin
-    Mutex.lock entry.mutex;
+    if not (Mutex.try_lock entry.mutex) then begin
+      (* Contended: the holder may be an epoch leader or member that
+         keeps the lock across commit, so stop holding an epoch open
+         while blocked, and take the mark back once the entry is ours. *)
+      let was_marked = unmark tx in
+      Mutex.lock entry.mutex;
+      if was_marked then mark tx
+    end;
     entry.owner <- Some tx.domain;
     entry.lock_depth <- 1;
     tx.held <- entry :: tx.held
@@ -708,12 +729,6 @@ let birth t off =
   let r = Option.value ~default:0 (Hashtbl.find_opt t.births off) in
   Mutex.unlock t.births_lock;
   r
-
-let bump_birth t off =
-  Mutex.lock t.births_lock;
-  Hashtbl.replace t.births off
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.births off));
-  Mutex.unlock t.births_lock
 
 (* {1 Accounting} *)
 

@@ -141,9 +141,6 @@ val tx_validity : tx -> bool ref
 (** Shared flag that guards created inside the transaction capture; it
     flips to [false] when the transaction ends. *)
 
-val in_transaction : t -> bool
-(** Whether the calling domain currently runs a transaction on this pool. *)
-
 (** {1 Shared-pool domain binding and group commit}
 
     Several domains may share one pool handle.  A worker that will issue
@@ -172,11 +169,12 @@ val unregister_domain : t -> unit
 val slot_of_domain : t -> int option
 (** The calling domain's bound slot, if registered. *)
 
-val set_group_commit : ?linger:int -> t -> bool -> unit
+val set_group_commit : t -> bool -> unit
 (** Enable (with a fresh combiner) or disable cross-transaction group
-    commit for this pool.  [linger] is the leader's batch-until-quiet
-    spin budget (see {!Pjournal.Group_commit.create}); the default is a
-    few microseconds' worth. *)
+    commit for this pool.  An epoch closes once every dirty transaction
+    not blocked in {!tx_lock} has published, so a dirty transaction
+    must not wait for another domain's commit any other way
+    (DESIGN.md §13).  Call it with no transaction open. *)
 
 val group_commit_stats : t -> Pjournal.Group_commit.stats option
 (** Epoch/occupancy counters of the active combiner, if any. *)
@@ -213,8 +211,6 @@ val birth : t -> int -> int
 (** Volatile birth counter for a block offset: bumped every time the
     offset is (re)allocated during this open; lets volatile weak pointers
     detect block reuse. *)
-
-val bump_birth : t -> int -> unit
 
 (** {1 Accounting} *)
 

@@ -103,8 +103,6 @@ let inspect_device dev =
     cow_cells = (if magic_ok then Cow_root.inspect dev else []);
   }
 
-let inspect_file path = inspect_device (D.load path)
-
 let pp ppf i =
   let open Format in
   if not i.magic_ok then fprintf ppf "not a Corundum pool image@."

@@ -40,8 +40,5 @@ type info = {
 val inspect_device : Pmem.Device.t -> info
 (** Read the header, journal slot states and allocation table. *)
 
-val inspect_file : string -> info
-(** Load a pool image read-only and inspect it. *)
-
 val pp : Format.formatter -> info -> unit
 (** Human-readable rendering (used by [bin/pool_info.exe]). *)

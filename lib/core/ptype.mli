@@ -55,7 +55,7 @@ val pair : ('a, 'p) t -> ('b, 'p) t -> ('a * 'b, 'p) t
 val triple : ('a, 'p) t -> ('b, 'p) t -> ('c, 'p) t -> ('a * 'b * 'c, 'p) t
 val option : ('a, 'p) t -> ('a option, 'p) t
 (** Tagged: 8-byte tag + payload; [None] zeroes the payload so dead
-    pointers cannot linger. *)
+    pointers cannot survive in it. *)
 
 val either : ('a, 'p) t -> ('b, 'p) t -> (('a, 'b) Either.t, 'p) t
 (** Binary sum: 8-byte tag + the larger payload, with the unused tail

@@ -661,14 +661,14 @@ let group_commit ?(workers = 2) ?(increments = 3) () :
           let c = (Pbox.get (root ())).(w) in
           for _ = 1 to increments do
             P.transaction (fun j -> Pcell.set c (Pcell.get c + 1) j)
-          done
+          done;
+          P.unregister_domain ()
         with
-        | () ->
-            P.unregister_domain ();
-            false
+        | () -> false
         | exception Pmem.Device.Crashed -> true
         | exception Pool_impl.Pool_closed ->
-            (* a crash in a sibling domain invalidates the shared handle;
+            (* a crash in a sibling domain invalidates the shared handle
+               — even after this worker's last commit, at unregister;
                observing the closed handle IS observing the crash *)
             true
       in

@@ -11,10 +11,16 @@
    fence is every member's commit point at once: K concurrent commits
    cost one fence epoch instead of K.
 
-   A solo commit degenerates to today's path with zero extra fences:
-   the lone arrival is its own leader, finds no flush in flight, closes
-   the epoch immediately and pays exactly its own coalesced flush runs
-   plus the single fence.
+   The epoch closes on membership, never on a timer: the leader waits
+   (on the condition, not spinning) until no marked transaction is left
+   to publish.  A transaction is marked while it is dirty and not
+   blocked on a volatile lock, so read-only transactions never hold an
+   epoch open and lock waiters cannot deadlock it (DESIGN.md §13).
+
+   A solo commit degenerates to the private path with zero extra
+   fences: the lone joinable arrival is its own leader, finds no flush
+   in flight and nobody left to wait for, closes the epoch immediately
+   and pays exactly its own coalesced flush runs plus the single fence.
 
    Leader failure: if the device crashes under the leader's flush or
    fence, the combiner is poisoned — the crashed flag wakes every
@@ -64,35 +70,24 @@ type stats = {
   max_occupancy : int;
 }
 
+(* One transaction's joinable mark: a per-slot flag, written only by
+   the domain running that slot's transaction (under [lock] whenever it
+   changes [pending]). *)
+type joinable = { mutable marked : bool }
+
+let joinable () = { marked = false }
+
 type t = {
   dev : D.t;
-  linger : int;
-  (* Leader spin budget: after the previous epoch's device work drains,
-     the leader holds its epoch open for up to [linger] quiet spin
-     rounds, restarting the budget whenever a new member joins
-     (batch-until-quiet).  This widens the batching window beyond the
-     previous flush's duration — pure wall-clock cost on the leader,
-     never a fence and never simulated time, and 0 disables it.  The
-     window self-limits: a joined member is blocked until the epoch
-     fences, so the batch can never exceed the number of committing
-     domains. *)
   lock : Mutex.t;
   cond : Condition.t;
-  mutable cur_linger : int;
-  (* The adaptive budget actually spent: halved after every solo epoch
-     (down to a small floor), restored to [linger] after any grouped
-     one.  A steady solo workload decays within ~log2(linger) commits
-     to the floor — a microsecond-scale probe window that keeps
-     concurrency detectable — while a commit storm keeps the budget
-     pinned at full (a single grouped epoch re-arms it, and six
-     consecutive solo epochs are needed to halve it below 2% of
-     full). *)
   mutable open_epoch : int; (* the epoch currently accepting members *)
   mutable completed : int; (* highest epoch whose fence has been issued *)
   mutable flushing : bool; (* a leader is at the device right now *)
   mutable crashed : bool; (* poisoned: a leader hit Device.Crashed *)
   batch : (int, unit) Hashtbl.t; (* merged line set of the open epoch *)
   mutable members : int; (* commits joined to the open epoch *)
+  mutable pending : int; (* marked transactions that have not published *)
   (* volatile statistics, guarded by [lock] *)
   mutable s_epochs : int;
   mutable s_commits : int;
@@ -100,11 +95,9 @@ type t = {
   mutable s_max_occupancy : int;
 }
 
-let create ?(linger = 0) dev =
+let create dev =
   {
     dev;
-    linger;
-    cur_linger = linger;
     lock = Mutex.create ();
     cond = Condition.create ();
     open_epoch = 0;
@@ -113,6 +106,7 @@ let create ?(linger = 0) dev =
     crashed = false;
     batch = Hashtbl.create 64;
     members = 0;
+    pending = 0;
     s_epochs = 0;
     s_commits = 0;
     s_solo = 0;
@@ -135,12 +129,37 @@ let stats t =
 let mean_occupancy s =
   if s.epochs = 0 then 0.0 else float_of_int s.commits /. float_of_int s.epochs
 
+let mark t j =
+  if not j.marked then begin
+    Mutex.lock t.lock;
+    j.marked <- true;
+    t.pending <- t.pending + 1;
+    Mutex.unlock t.lock
+  end
+
+(* Unmarking may be what a waiting leader needs to close its epoch. *)
+let withdraw t j =
+  j.marked <- false;
+  t.pending <- t.pending - 1;
+  Condition.broadcast t.cond
+
+let unmark t j =
+  if not j.marked then false
+  else begin
+    Mutex.lock t.lock;
+    withdraw t j;
+    Mutex.unlock t.lock;
+    true
+  end
+
 (* Join the open epoch with [lines], the caller's deduplicated commit
-   line set.  Returns once the epoch's fence has been issued — by this
-   caller if it ended up leading, by the leader otherwise.  Raises
-   [D.Crashed] if the device dies before this epoch's fence. *)
-let commit t ~lines =
+   line set, withdrawing the caller's [joinable] mark in the same
+   critical section.  Returns once the epoch's fence has been issued —
+   by this caller if it ended up leading, by the leader otherwise.
+   Raises [D.Crashed] if the device dies before this epoch's fence. *)
+let commit ?joinable t ~lines =
   Mutex.lock t.lock;
+  (match joinable with Some j when j.marked -> withdraw t j | _ -> ());
   if t.crashed then begin
     Mutex.unlock t.lock;
     raise D.Crashed
@@ -149,32 +168,16 @@ let commit t ~lines =
   Hashtbl.iter (fun l () -> Hashtbl.replace t.batch l ()) lines;
   t.members <- t.members + 1;
   if t.members = 1 then begin
-    (* Leader.  Waiting for the previous epoch's device work to finish
-       is the batching window: everyone arriving meanwhile joins epoch
-       [e] and is fenced below in one go. *)
-    while t.flushing && not t.crashed do
+    (* Leader.  The epoch stays open while the previous epoch is still
+       at the device or a marked transaction has yet to publish: every
+       publisher meanwhile joins epoch [e] and is fenced below in one
+       go. *)
+    while (t.flushing || t.pending > 0) && not t.crashed do
       Condition.wait t.cond t.lock
     done;
     if t.crashed then begin
       Mutex.unlock t.lock;
       raise D.Crashed
-    end;
-    (* Linger: let commits racing in on other domains join this epoch
-       before it closes. *)
-    if t.cur_linger > 0 then begin
-      let budget = ref t.cur_linger and last = ref t.members in
-      while !budget > 0 && not t.crashed do
-        Mutex.unlock t.lock;
-        for _ = 1 to 32 do
-          Domain.cpu_relax ()
-        done;
-        Mutex.lock t.lock;
-        if t.members > !last then begin
-          last := t.members;
-          budget := t.linger
-        end
-        else decr budget
-      done
     end;
     let n = t.members in
     let batch = Hashtbl.copy t.batch in
@@ -197,10 +200,6 @@ let commit t ~lines =
     t.s_commits <- t.s_commits + n;
     if n = 1 then t.s_solo <- t.s_solo + 1;
     if n > t.s_max_occupancy then t.s_max_occupancy <- n;
-    if n > 1 then t.cur_linger <- t.linger
-    else
-      t.cur_linger <-
-        max (min t.linger 64) (t.cur_linger - (t.cur_linger / 4));
     (* Advance [completed] ONLY on success: members decide "was my
        epoch fenced?" by [completed >= e], so completing a failed
        epoch would make its members report commit (and truncate their

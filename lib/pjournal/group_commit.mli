@@ -14,28 +14,38 @@
 
 type t
 
-val create : ?linger:int -> Pmem.Device.t -> t
+val create : Pmem.Device.t -> t
 (** A fresh combiner for one device.  Build one per shared pool at
     open/attach time — never reuse a combiner across a power cycle (a
-    crash poisons it).  [linger] (default 0: disabled) is the leader's
-    batch-until-quiet spin budget: the epoch stays open for up to that
-    many quiet spin rounds after the previous epoch's flush drains,
-    restarting whenever a commit joins.  Lingering costs wall-clock
-    time on the leader only — never a fence, never simulated time — and
-    widens the batching window well beyond the previous flush's
-    duration.  The budget is adaptive: solo epochs decay it toward a
-    microsecond-scale probe floor (a steady solo workload pays almost
-    nothing), and any grouped epoch restores it in full. *)
+    crash poisons it). *)
 
-val commit : t -> lines:(int, unit) Hashtbl.t -> unit
+type joinable
+(** A transaction's joinable mark; one per journal slot, reused. *)
+
+val joinable : unit -> joinable
+
+val mark : t -> joinable -> unit
+(** The transaction became dirty: a leader keeps its epoch open for it
+    until it publishes or is unmarked.  Idempotent. *)
+
+val unmark : t -> joinable -> bool
+(** Withdraw the mark without publishing (the transaction ended, or
+    blocks on a lock a leader may hold) and wake the leader.  Returns
+    whether it was marked. *)
+
+val commit :
+  ?joinable:joinable -> t -> lines:(int, unit) Hashtbl.t -> unit
 (** Join the open epoch, publishing [lines] (the transaction's
     deduplicated commit line set: logged targets, table marks, drop
-    records).  Returns once the epoch's single fence has been issued —
-    everything published is then durable.  Raises
-    {!Pmem.Device.Crashed} if the device dies before this epoch's
-    fence (the member's slot is rolled back independently by
-    recovery); after that every call raises until a fresh combiner is
-    built. *)
+    records) and withdrawing [joinable]'s mark.  The first publisher
+    leads: it closes the epoch once the previous epoch's fence is
+    issued and no marked transaction is left to publish, then issues
+    the merged flush runs and the single fence.  Returns once the
+    epoch's fence has been issued — everything published is then
+    durable.  Raises {!Pmem.Device.Crashed} if the device dies before
+    this epoch's fence (the member's slot is rolled back independently
+    by recovery); after that every call raises until a fresh combiner
+    is built. *)
 
 type stats = {
   epochs : int;  (** fence epochs issued *)

@@ -121,7 +121,6 @@ let attach ?(alloc_hint = 0) dev buddy ~base ~size =
 
 let base t = t.base
 let size t = t.size
-let is_active t = t.active
 let entry_count t = t.count
 let drop_count t = t.ndrops
 let spill_count t = List.length t.spills
@@ -133,7 +132,6 @@ let tx_logged_bytes t = t.tx_logged
 let set_defer_seals t on = t.defer_seals <- on
 
 let drop_capacity t = t.size / 4 / drop_slot_bytes
-let remaining_bytes t = t.cur_limit - t.cursor
 
 let require_active t = if not t.active then raise Not_in_transaction
 
@@ -519,14 +517,14 @@ let commit_line_set t =
 (* One group-commit phase of {!Protocol.group_commit_plan}.  The fault
    elision/duplication knobs apply to the solo path only (the
    sanitizer's positive controls run private pools). *)
-let exec_group_phase t gc pending = function
+let exec_group_phase t gc joinable pending = function
   | Protocol.Merge_runs ->
-      (* Publish our line set and wait out the epoch: the leader (maybe
-         us) flushes the merged runs and issues the epoch fence inside
-         this call.  Raises [D.Crashed] if the device dies before our
-         epoch's fence — the slot rolls back independently at
-         recovery. *)
-      Group_commit.commit gc ~lines:(commit_line_set t)
+      (* Publish our line set (withdrawing our joinable mark) and wait
+         out the epoch: the leader (maybe us) flushes the merged runs
+         and issues the epoch fence inside this call.  Raises
+         [D.Crashed] if the device dies before our epoch's fence — the
+         slot rolls back independently at recovery. *)
+      Group_commit.commit ?joinable gc ~lines:(commit_line_set t)
   | Protocol.Epoch_fence ->
       (* The fence itself was issued once, by the epoch leader, inside
          [Merge_runs]; observing epoch completion is this member's
@@ -536,7 +534,7 @@ let exec_group_phase t gc pending = function
           (Pr.Commit_point { dev = D.id t.dev; ns = D.simulated_ns t.dev })
   | ph -> exec_commit_phase t pending ph
 
-let commit ?group t =
+let commit ?group ?joinable t =
   require_active t;
   t.active <- false;
   if t.count = 0 && t.ndrops = 0 then ()
@@ -550,7 +548,9 @@ let commit ?group t =
     let pending = Hashtbl.create (max 8 t.ndrops) in
     (match group with
     | Some gc ->
-        List.iter (exec_group_phase t gc pending) Protocol.group_commit_plan
+        List.iter
+          (exec_group_phase t gc joinable pending)
+          Protocol.group_commit_plan
     | None ->
         List.iter
           (exec_commit_phase t pending)

@@ -66,7 +66,6 @@ val attach :
 
 val base : t -> int
 val size : t -> int
-val is_active : t -> bool
 val tx_overhead_ns : int
 (** Fixed simulated cost charged per outermost transaction (the paper's
     [TxNop], ~198 ns, medium-independent). *)
@@ -102,7 +101,8 @@ val free : t -> int -> unit
     [Palloc.Buddy.Invalid_free] if the offset was already dropped in this
     transaction or is not a live block head. *)
 
-val commit : ?group:Group_commit.t -> t -> unit
+val commit :
+  ?group:Group_commit.t -> ?joinable:Group_commit.joinable -> t -> unit
 (** Commit the transaction.  Without [group], execute
     {!Protocol.commit_plan}: flush the logged targets, table marks and
     drop records, then one commit fence, then apply deferred frees and
@@ -110,8 +110,9 @@ val commit : ?group:Group_commit.t -> t -> unit
     instead: publish the same line set to the epoch combiner, whose
     leader flushes the merged runs of every concurrent committer and
     issues ONE fence for the whole epoch (a solo member pays exactly
-    the private cost).  The trailing truncate is per-member either
-    way.  May raise {!Pmem.Device.Crashed} if the device dies under
+    the private cost); publishing withdraws [joinable]'s mark (see
+    {!Group_commit.commit}).  The trailing truncate is per-member
+    either way.  May raise {!Pmem.Device.Crashed} if the device dies under
     the epoch leader. *)
 
 val abort : t -> unit
@@ -150,8 +151,6 @@ val tx_logged_bytes : t -> int
     — the per-transaction logging volume telemetry attributes to a
     commit.  Stable after {!commit}/{!abort} until the next
     {!begin_tx}. *)
-
-val remaining_bytes : t -> int
 
 (** {1 Fault injection (sanitizer positive controls)} *)
 

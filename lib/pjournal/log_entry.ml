@@ -104,14 +104,6 @@ let corrupt ~at fmt =
 
 (* Entry size without materializing the entry (for region-boundary
    decisions during walks). *)
-let peek_size dev ~at =
-  let kind = kind_of_word (D.read_u64 dev at) in
-  if kind = kind_data then
-    data_entry_size (Int64.to_int (D.read_u64 dev (at + 16)))
-  else if kind = kind_alloc then alloc_entry_size
-  else if kind = kind_drop then drop_entry_size
-  else corrupt ~at "bad kind %d" kind
-
 let verify dev ~salt ~at ~stored_crc ~body_len =
   if at + 8 + body_len > D.size dev then corrupt ~at "entry overruns the device";
   if crc_of_range dev ~salt ~off:(at + 8) ~len:body_len <> stored_crc then

@@ -86,9 +86,6 @@ val read : Pmem.Device.t -> salt:salt -> at:int -> t * int
     length, or checksum mismatch (including a stale entry sealed under a
     different slot or epoch). *)
 
-val peek_size : Pmem.Device.t -> at:int -> int
-(** Total size of the entry at [at] without decoding or verifying it. *)
-
 val spill_header : int
 (** Bytes of metadata at the head of a spill region ([next | limit]). *)
 

@@ -354,7 +354,7 @@ struct
     check_end_state stats variant cfg pidx prog full;
     let seen = Hashtbl.create 1024 in
     let fresh st statuses =
-      let key = Marshal.to_string (st, statuses) [] in
+      let key = Marshal.to_string (st, statuses) [ Marshal.No_sharing ] in
       let fresh = not (Hashtbl.mem seen key) in
       if fresh then begin
         Hashtbl.add seen key ();

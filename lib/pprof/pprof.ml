@@ -551,7 +551,6 @@ let sum_by key r =
   List.rev_map (fun k -> let fl, fe = Hashtbl.find tbl k in (k, fl, fe)) !order
 
 let waste_by_class r = sum_by (fun f -> f.cls) r
-let waste_by_site r = sum_by (fun f -> f.site) r
 
 (* {1 Rendering} *)
 

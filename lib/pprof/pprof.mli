@@ -137,8 +137,6 @@ val waste_fences : report -> int
 val waste_by_class : report -> (elision * int * int) list
 (** [(class, flush count, fence count)] summed over findings. *)
 
-val waste_by_site : report -> (string * int * int) list
-
 (** {1 Rendering} *)
 
 val report_text : report -> string

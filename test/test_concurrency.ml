@@ -270,9 +270,8 @@ let test_group_leader_failure () =
   let module D = Pmem.Device in
   let module G = Pjournal.Group_commit in
   let dev = D.create ~size:(1024 * 1024) () in
-  (* a generous linger so the two committers usually share one epoch;
-     the assertion holds for any interleaving *)
-  let gc = G.create ~linger:20_000 dev in
+  (* the assertion holds for any interleaving *)
+  let gc = G.create dev in
   D.set_crash_countdown dev 1;
   let commit_one l () =
     let lines = Hashtbl.create 1 in
@@ -286,6 +285,190 @@ let test_group_leader_failure () =
   check_bool "no member of the failed epoch reports success" true
     (List.for_all Fun.id crashed);
   check_bool "poisoned combiner refuses later commits" true (commit_one 9 ())
+
+(* {2 The epoch closure rule}
+
+   Deterministic: the domains are sequenced with Atomics so every
+   interleaving the OS picks gives the same epochs, and each test joins
+   its domains under a watchdog so a closure deadlock fails the test
+   instead of hanging the suite. *)
+
+let join_within name workers =
+  let secs = 20.0 and finished = Atomic.make 0 in
+  let ds =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () ->
+            let r = match f () with () -> None | exception e -> Some e in
+            Atomic.incr finished;
+            r))
+      workers
+  in
+  let n = List.length workers and deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get finished < n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if Atomic.get finished < n then
+    Alcotest.failf "%s: domains still blocked after %.0f s (deadlock)" name
+      secs;
+  List.iter (fun d -> Option.iter raise (Domain.join d)) ds
+
+let await flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
+
+(* A pool with a lock, two cells, and a fresh combiner installed after
+   the root's setup transaction. *)
+module Closure_pool () = struct
+  module P = Pool.Make ()
+
+  let () = P.create ~config:{ small with nslots = 4 } ()
+  let cell () = Pcell.make ~ty:Ptype.int 0
+
+  let m, cells =
+    Pbox.get
+      (P.root
+         ~ty:
+           (Ptype.pair (Pmutex.ptype Ptype.int)
+              (Ptype.array 2 (Pcell.ptype Ptype.int)))
+         ~init:(fun _ -> (Pmutex.make ~ty:Ptype.int 0, [| cell (); cell () |]))
+         ())
+
+  let () = P.set_group_commit true
+  let stats () = Option.get (Pool_impl.group_commit_stats (P.impl ()))
+end
+
+(* Both transactions are dirty before either publishes: whichever
+   publishes first leads and waits for the other. *)
+let test_closure_waits_for_dirty_peer () =
+  let module G = Pjournal.Group_commit in
+  let module C = Closure_pool () in
+  let module P = C.P in
+  let cells = C.cells in
+  let dirty = Array.init 2 (fun _ -> Atomic.make false) in
+  let worker w () =
+    ignore (P.register_domain () : int);
+    P.transaction (fun j ->
+        Pcell.set cells.(w) 1 j;
+        Atomic.set dirty.(w) true;
+        await dirty.(1 - w));
+    P.unregister_domain ()
+  in
+  join_within "dirty peer" [ worker 0; worker 1 ];
+  let s = C.stats () in
+  check_int "one epoch" 1 s.G.epochs;
+  check_int "two members" 2 s.G.max_occupancy;
+  Array.iter (fun c -> check_int "committed" 1 (Pcell.get c)) cells
+
+(* The peer is dirty, then blocks on the lock the leader holds across
+   its commit: the epoch must close without it (solo), and the peer
+   commits in the next one. *)
+let test_closure_skips_blocked_peer () =
+  let module G = Pjournal.Group_commit in
+  let module C = Closure_pool () in
+  let module P = C.P in
+  let m = C.m and cells = C.cells in
+  let locked = Atomic.make false and peer_dirty = Atomic.make false in
+  let leader () =
+    P.transaction (fun j ->
+        Pmutex.deref_set (Pmutex.lock m j) 1;
+        Atomic.set locked true;
+        await peer_dirty)
+  and peer () =
+    await locked;
+    P.transaction (fun j ->
+        Pcell.set cells.(0) 1 j;
+        Atomic.set peer_dirty true;
+        Pmutex.deref_update (Pmutex.lock m j) (fun v -> v + 10))
+  in
+  join_within "blocked peer" [ leader; peer ];
+  let s = C.stats () in
+  check_int "two epochs" 2 s.G.epochs;
+  check_int "both solo" 2 s.G.solo_epochs;
+  check_int "leader's and peer's updates landed" 11
+    (P.transaction (fun j -> Pmutex.deref (Pmutex.lock m j)));
+  check_int "peer's cell landed" 1 (Pcell.get cells.(0))
+
+(* A peer looping read-only transactions is never waited for. *)
+let test_closure_ignores_readers () =
+  let module G = Pjournal.Group_commit in
+  let module C = Closure_pool () in
+  let module P = C.P in
+  let cells = C.cells in
+  let reads = Atomic.make 0 and stop = Atomic.make false in
+  let n = 20 in
+  let reader () =
+    while not (Atomic.get stop) do
+      P.transaction (fun _ -> ignore (Pcell.get cells.(1) : int));
+      Atomic.incr reads
+    done
+  and writer () =
+    while Atomic.get reads = 0 do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to n do
+      P.transaction (fun j -> Pcell.set cells.(0) (Pcell.get cells.(0) + 1) j)
+    done;
+    Atomic.set stop true
+  in
+  join_within "read-only peer" [ reader; writer ];
+  let s = C.stats () in
+  check_int "one epoch per write" n s.G.epochs;
+  check_int "all solo" n s.G.solo_epochs;
+  check_int "writes landed" n (Pcell.get cells.(0))
+
+(* A marked peer that aborts, or dies on a crashed device, must wake the
+   leader waiting for it. *)
+let test_closure_wakes_on_abort_or_crash () =
+  let module G = Pjournal.Group_commit in
+  let run ~crash =
+    let module C = Closure_pool () in
+    let module P = C.P in
+    let cells = C.cells in
+    let dev = Pool_impl.device (P.impl ()) in
+    let peer_dirty = Atomic.make false and publishing = Atomic.make false in
+    let leader_crashed = Atomic.make false in
+    let leader () =
+      await peer_dirty;
+      match
+        P.transaction (fun j ->
+            Pcell.set cells.(0) 1 j;
+            Atomic.set publishing true)
+      with
+      | () -> ()
+      | exception Pmem.Device.Crashed -> Atomic.set leader_crashed true
+    and peer () =
+      match
+        P.transaction (fun j ->
+            Pcell.set cells.(1) 1 j;
+            Atomic.set peer_dirty true;
+            await publishing;
+            (* give the leader time to start waiting for us *)
+            Unix.sleepf 0.01;
+            if crash then begin
+              Pmem.Device.set_crash_countdown dev 1;
+              Pmem.Device.fence dev
+            end
+            else raise Exit)
+      with
+      | () -> Alcotest.fail "peer committed"
+      | exception (Exit | Pmem.Device.Crashed) -> ()
+    in
+    let what = if crash then "crashing peer" else "aborting peer" in
+    join_within what [ leader; peer ];
+    if crash then
+      check_bool "leader sees the crash, not a commit" true
+        (Atomic.get leader_crashed)
+    else begin
+      let s = C.stats () in
+      check_int "one solo epoch" 1 s.G.solo_epochs;
+      check_int "leader committed" 1 (Pcell.get cells.(0));
+      check_int "peer rolled back" 0 (Pcell.get cells.(1))
+    end
+  in
+  run ~crash:false;
+  run ~crash:true
 
 let test_pool_inspect_roundtrip () =
   let module P = Pool.Make () in
@@ -341,6 +524,14 @@ let () =
             test_group_commit_shared_pool;
           Alcotest.test_case "group leader failure" `Quick
             test_group_leader_failure;
+          Alcotest.test_case "closure waits for a dirty peer" `Quick
+            test_closure_waits_for_dirty_peer;
+          Alcotest.test_case "closure skips a peer blocked on a lock" `Quick
+            test_closure_skips_blocked_peer;
+          Alcotest.test_case "closure ignores read-only peers" `Quick
+            test_closure_ignores_readers;
+          Alcotest.test_case "closure woken by abort or crash" `Quick
+            test_closure_wakes_on_abort_or_crash;
         ] );
       ( "inspect",
         [
