@@ -206,6 +206,245 @@ let test_fsck_file_roundtrip () =
   check_bool "saved pool checks clean" true (Pool_check.ok r);
   Sys.remove path
 
+(* --- fsck characterisation corpus --------------------------------------
+
+   One fresh pool per damage case.  Each case pins [check_device]'s full
+   findings and [repair]'s actions, unrepairable list, counters and
+   verdict, then checks that a second repair has nothing left to do. *)
+
+let render_fsck dev =
+  let b = Buffer.create 256 in
+  let r = Pool_check.check_device dev in
+  List.iter
+    (fun (f : Pool_check.finding) ->
+      Printf.bprintf b "check [%s] %s\n" f.where f.problem)
+    r.Pool_check.findings;
+  let rr = Pool_check.repair dev in
+  List.iter
+    (fun (a : Pool_check.repair_action) ->
+      Printf.bprintf b "repair [%s] %s\n" a.where a.action)
+    rr.Pool_check.actions;
+  List.iter
+    (fun (f : Pool_check.finding) ->
+      Printf.bprintf b "unrepairable [%s] %s\n" f.where f.problem)
+    rr.Pool_check.unrepairable;
+  Printf.bprintf b "truncated %d entries, %d drops; quarantined %d; repaired %b\n"
+    rr.Pool_check.entries_truncated rr.Pool_check.drops_truncated
+    rr.Pool_check.blocks_quarantined (Pool_check.repaired rr);
+  let again = Pool_check.repair dev in
+  check_bool "second repair takes no actions" true
+    (again.Pool_check.actions = []);
+  Buffer.contents b
+
+let slot0 = 4096
+
+let damaged damage =
+  let _, dev = build () in
+  damage dev;
+  dev
+
+let table_base dev = (Pool_inspect.inspect_device dev).Pool_inspect.table_base
+
+let first_free_index dev =
+  let info = Pool_inspect.inspect_device dev in
+  let nblocks = info.Pool_inspect.heap_len / 64 in
+  let rec go i =
+    if i >= nblocks then Alcotest.fail "no free block"
+    else
+      let b = D.read_u8 dev (info.Pool_inspect.table_base + i) in
+      if b = 0 then i else go (i + (1 lsl (b - 1)))
+  in
+  go 0
+
+let corpus_cases =
+  [
+    ( "bad magic",
+      fun () -> damaged (fun dev -> D.write_u8 dev 0 0xFF) );
+    ( "wild journal count",
+      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + 8) 999999L) );
+    ( "torn journal entry",
+      fun () ->
+        damaged (fun dev ->
+            D.write_u64 dev (slot0 + 8) 1L;
+            D.write_u64 dev (slot0 + 64) 0xDEADL) );
+    ( "misaligned block",
+      fun () -> damaged (fun dev -> D.write_u8 dev (table_base dev + 3) 2) );
+    ( "root into free block",
+      fun () ->
+        damaged (fun dev ->
+            let info = Pool_inspect.inspect_device dev in
+            let off = info.Pool_inspect.heap_base + (first_free_index dev * 64) in
+            D.write_u64 dev 32 (Int64.of_int off)) );
+    ( "order-60 table rot",
+      fun () ->
+        damaged (fun dev -> D.write_u8 dev (table_base dev + first_free_index dev) 60) );
+    ( "zeroed header checksum",
+      fun () -> damaged (fun dev -> D.write_u64 dev 88 0L) );
+    ( "flipped layout word",
+      fun () ->
+        damaged (fun dev -> D.write_u64 dev 56 (Int64.logxor (D.read_u64 dev 56) 1L)) );
+    ( "torn terminator",
+      fun () ->
+        damaged (fun dev ->
+            D.write_u64 dev (slot0 + 64) (Int64.shift_left 0xABCDL 32)) );
+    ( "torn final entry",
+      fun () ->
+        damaged (fun dev ->
+            let module LE = Pjournal.Log_entry in
+            let info = Pool_inspect.inspect_device dev in
+            let salt =
+              LE.salt ~slot_base:slot0
+                ~epoch:(Int64.to_int (D.read_u64 dev (slot0 + 32)))
+            in
+            let heap_base = info.Pool_inspect.heap_base in
+            let at1 = slot0 + 64 in
+            let at2 = at1 + LE.data_entry_size 8 in
+            LE.write_data dev ~salt ~at:at1 ~off:heap_base ~len:8;
+            LE.write_data dev ~salt ~at:at2 ~off:(heap_base + 8) ~len:8;
+            D.write_u64 dev (at2 + LE.data_entry_size 8) 0L;
+            let b = D.read_u8 dev (at2 + 24) in
+            D.write_u8 dev (at2 + 24) (b lxor 0x40)) );
+    ( "stale advisory count",
+      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + 8) 7L) );
+    ( "cow dangling pointer",
+      fun () ->
+        let _, dev = build_mod () in
+        let info = Pool_inspect.inspect_device dev in
+        let ci =
+          List.find
+            (fun (ci : Cow_root.cell_info) -> ci.ci_gen > 0)
+            info.Pool_inspect.cow_cells
+        in
+        let victim =
+          match ci.ci_pair with Some (pb, _) -> pb | None -> ci.ci_ptr
+        in
+        D.write_u8 dev
+          (info.Pool_inspect.table_base
+          + ((victim - info.Pool_inspect.heap_base) / 64))
+          0;
+        dev );
+    ( "cow pending intent",
+      fun () ->
+        let module E = Engines.Mod_engine in
+        let rec at k =
+          if k >= 40 then Alcotest.fail "no crash point leaves a pending intent"
+          else begin
+            let eng, dev = build_mod () in
+            D.set_crash_countdown dev k;
+            (match
+               E.transaction eng (fun tx ->
+                   let old = E.root tx in
+                   let o = E.alloc tx 64 in
+                   E.write tx o 9L;
+                   E.set_root tx o;
+                   E.free tx old)
+             with
+            | () -> D.set_crash_countdown dev 0
+            | exception D.Crashed -> ());
+            D.power_cycle dev;
+            if
+              List.exists
+                (fun (ci : Cow_root.cell_info) -> ci.ci_pending)
+                (Cow_root.inspect dev)
+            then dev
+            else at (k + 1)
+          end
+        in
+        at 1 );
+    ( "bad phase on slot 1 of 1 KiB slots",
+      fun () ->
+        let module P = Pool.Make () in
+        P.create
+          ~config:{ Pool_impl.size = 2 * 1024 * 1024; nslots = 4; slot_size = 1024 }
+          ();
+        let dev = Pool_impl.device (P.impl ()) in
+        D.write_u64 dev (slot0 + 1024) 7L;
+        dev );
+    ( "drop count 100 on a 4 KiB slot",
+      fun () ->
+        let module P = Pool.Make () in
+        P.create
+          ~config:{ Pool_impl.size = 2 * 1024 * 1024; nslots = 2; slot_size = 4096 }
+          ();
+        let dev = Pool_impl.device (P.impl ()) in
+        D.write_u64 dev (slot0 + 16) 100L;
+        dev );
+  ]
+
+let corpus_expected =
+  [
+    ( "bad magic",
+      "check [header] bad magic: not a Corundum pool\n"
+      ^ "unrepairable [header] bad magic: not a Corundum pool\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired false\n" );
+    ( "wild journal count",
+      "check [journal slot 0] implausible entry count 999999\n"
+      ^ "repair [journal slot 0] reset slot: implausible entry count 999999\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "torn journal entry",
+      "check [journal slot 0] torn log tail: Log_entry: bad kind 57005 at 4160\n"
+      ^ "check [journal slot 0] advisory entry count 1 disagrees with walked tail (0 sealed entries)\n"
+      ^ "repair [journal slot 0] sealed torn log tail at 4160 (Log_entry: bad kind 57005 at 4160)\n"
+      ^ "repair [journal slot 0] reconciled advisory entry count 1 -> 0 walked entries\n"
+      ^ "truncated 1 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "misaligned block",
+      "check [alloc table] block 3 misaligned for order 1\n"
+      ^ "repair [alloc table] quarantined block 3: misaligned for order 1\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 1; repaired true\n" );
+    ( "root into free block",
+      "check [root] root points at a free block\n"
+      ^ "unrepairable [root] root points at a free block (open read-only)\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired false\n" );
+    ( "order-60 table rot",
+      "check [alloc table] block 1 (order 59) overflows the heap\n"
+      ^ "repair [alloc table] quarantined block 1: order 59 overflows the heap\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 1; repaired true\n" );
+    ( "zeroed header checksum",
+      "check [header] layout checksum mismatch (stored 0, computed 0xc5ec2305)\n"
+      ^ "repair [header] re-sealed layout checksum\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "flipped layout word",
+      "check [header] layout fields are inconsistent\n"
+      ^ "unrepairable [header] layout fields are inconsistent; nothing can be trusted\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired false\n" );
+    ( "torn terminator",
+      "check [journal slot 0] torn log tail: torn terminator word\n"
+      ^ "repair [journal slot 0] sealed torn log tail at 4160 (torn terminator word)\n"
+      ^ "truncated 1 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "torn final entry",
+      "check [journal slot 0] torn log tail: Log_entry: checksum mismatch at 4192\n"
+      ^ "repair [journal slot 0] sealed torn log tail at 4192 (Log_entry: checksum mismatch at 4192)\n"
+      ^ "truncated 1 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "stale advisory count",
+      "check [journal slot 0] advisory entry count 7 disagrees with walked tail (0 sealed entries)\n"
+      ^ "repair [journal slot 0] reconciled advisory entry count 7 -> 0 walked entries\n"
+      ^ "truncated 7 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "cow dangling pointer",
+      "check [cow cell 0] active pointer 552640 dangles into free space\n"
+      ^ "repair [cow cells] resolved commit intents: 1 rolled forward, 0 rolled back\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "cow pending intent",
+      "check [cow cell 0] pending commit intent (gen 2 -> 3): image predates recovery or resolution failed\n"
+      ^ "repair [cow cells] resolved commit intents: 1 rolled forward, 1 rolled back\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "bad phase on slot 1 of 1 KiB slots",
+      "check [journal slot 1] bad phase 7\n"
+      ^ "repair [journal slot 5] reset slot: bad phase 7\n"
+      ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
+    ( "drop count 100 on a 4 KiB slot",
+      String.concat ""
+        (List.init 100 (fun _ -> "check [journal slot 0] torn drop entry\n"))
+      ^ "repair [journal slot 0] truncated 100 corrupt drop entries\n"
+        ^ "truncated 0 entries, 100 drops; quarantined 0; repaired true\n" );
+  ]
+
+let test_fsck_corpus () =
+  List.iter
+    (fun (name, make) ->
+      let got = render_fsck (make ()) in
+      Alcotest.(check string) name (List.assoc name corpus_expected) got)
+    corpus_cases
+
 let () =
   Alcotest.run "corundum_tools"
     [
@@ -232,4 +471,6 @@ let () =
           Alcotest.test_case "dangling pointer verdict" `Quick
             test_cow_dangling_ptr_detected;
         ] );
+      ( "fsck corpus",
+        [ Alcotest.test_case "pinned findings and repairs" `Quick test_fsck_corpus ] );
     ]
