@@ -85,13 +85,6 @@ let store_swap c dev ~ptr ~gen = D.write_u64 dev (cell_off c) (pack ~ptr ~gen)
 
 let flush_swap c dev = D.flush dev (cell_off c) 8
 
-(* Promote: record the immutable pair geometry beside the swap word.
-   Dirty-only; rides the cell flush of the promoting transaction's
-   intent seal. *)
-let store_pair c dev ~pair_base ~half =
-  D.write_u64 dev (cell_off c + 8) (Int64.of_int pair_base);
-  D.write_u64 dev (cell_off c + 16) (Int64.of_int half)
-
 (* {1 Intent records} *)
 
 type kind =

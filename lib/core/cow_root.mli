@@ -17,14 +17,8 @@
     every action is an idempotent durable store, so recovery survives
     its own crashes.  See DESIGN.md §14 for the ordering argument. *)
 
-val cells : int
-(** Number of root cells in the region (4). *)
-
 val slots : int
 (** Intent record slots per cell (2, alternated by igen parity). *)
-
-val slot_bytes : int
-val cell_bytes : int
 
 val base : int
 (** Byte offset of the cell region inside the header page. *)
@@ -34,31 +28,16 @@ val region_len : int
 val gen_mask : int
 (** Generation wrap mask (generations live in the low 24 bits of w0). *)
 
-val pack : ptr:int -> gen:int -> int64
-val unpack : int64 -> int * int
-
-val cell_off : int -> int
-(** Device offset of cell [c]'s w0 line. *)
-
-val intent_off : int -> int -> int
-(** [intent_off c s]: device offset of cell [c]'s slot [s] record. *)
-
 val slot_of_igen : int -> int
 (** The slot an intent of generation [igen] seals into. *)
 
 val read : int -> Pmem.Device.t -> int * int
 (** [(active pointer, generation)] of cell [c]. *)
 
-val pair : int -> Pmem.Device.t -> (int * int) option
-(** The promoted root pair's [(base, half_len)], if any. *)
-
 val store_swap : int -> Pmem.Device.t -> ptr:int -> gen:int -> unit
 (** Dirty-only store of the packed root word (the Root_swap store). *)
 
 val flush_swap : int -> Pmem.Device.t -> unit
-
-val store_pair : int -> Pmem.Device.t -> pair_base:int -> half:int -> unit
-(** Record the immutable pair geometry (dirty-only, promoted once). *)
 
 type kind =
   | Gen_only
@@ -75,11 +54,6 @@ type intent = {
   allocs : (int * int) list;
   frees : (int * int) list;
 }
-
-val max_blocks : int
-(** Inline capacity of the intent's block list (allocs + frees). *)
-
-val max_publish : int
 
 val inline_ok : intent -> bool
 (** Whether the intent fits the inline record; otherwise the caller
@@ -112,9 +86,6 @@ val write_intent : int -> Pmem.Device.t -> intent -> unit
 
 val flush_intent : int -> int -> Pmem.Device.t -> unit
 (** [flush_intent c s dev]: flush slot [s]'s record (the seal flush). *)
-
-val read_intent : int -> int -> Pmem.Device.t -> intent option
-val invalidate_intent : int -> int -> Pmem.Device.t -> unit
 
 type stats = {
   mutable rolled_forward : int;

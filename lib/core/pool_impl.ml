@@ -11,42 +11,7 @@ module J = Pjournal.Journal_impl
 module GC = Pjournal.Group_commit
 module R = Pjournal.Recovery
 module Pr = Ptelemetry.Probe
-
-(* On-media header layout. *)
-let header_size = 4096
-let magic = "CORUNDUM-POOL-01"
-let version = 1
-let hdr_version = 16
-let hdr_generation = 24
-let hdr_root = 32 (* root_off u64 then root_ty_hash u64 *)
-let hdr_root_hash = 40
-let hdr_nslots = 48
-let hdr_slot_size = 56
-let hdr_heap_len = 64
-let hdr_table_base = 72
-let hdr_heap_base = 80
-let hdr_csum = 88 (* CRC-32 of the immutable layout fields *)
-let hdr_tx_total = 96 (* lifetime committed transactions, folded at save *)
-let hdr_abort_total = 104 (* lifetime aborted transactions, folded at save *)
-
-(* The header checksum covers the fields that never change after format:
-   version, nslots, slot size, heap length, table base, heap base.  The
-   generation counter and the root words are deliberately excluded — they
-   are updated through their own atomic, journal-protected protocols. *)
-let header_crc dev =
-  let buf = Bytes.create 48 in
-  List.iteri
-    (fun i off -> Bytes.set_int64_le buf (i * 8) (D.read_u64 dev off))
-    [ hdr_version; hdr_nslots; hdr_slot_size; hdr_heap_len; hdr_table_base;
-      hdr_heap_base ];
-  Pmem.Crc32.bytes buf
-
-let stored_header_crc dev = Int64.to_int (D.read_u64 dev hdr_csum)
-let header_crc_ok dev = stored_header_crc dev = header_crc dev
-
-let write_header_crc dev =
-  D.write_u64 dev hdr_csum (Int64.of_int (header_crc dev));
-  D.persist dev hdr_csum 8
+module H = Pool_header
 
 type open_mode = Read_write | Read_only
 
@@ -135,13 +100,13 @@ let uid t = t.uid
 let device t = t.dev
 let buddy t = t.buddy
 let recovery_stats t = t.recovery
-let generation t = Int64.to_int (D.read_u64 t.dev hdr_generation)
-let root_off t = Int64.to_int (D.read_u64 t.dev hdr_root)
-let root_ty_hash t = Int64.to_int (D.read_u64 t.dev hdr_root_hash)
+let generation t = Int64.to_int (D.read_u64 t.dev H.hdr_generation)
+let root_off t = Int64.to_int (D.read_u64 t.dev H.hdr_root)
+let root_ty_hash t = Int64.to_int (D.read_u64 t.dev H.hdr_root_hash)
 
 (* Compute the media layout for a device of [size] bytes. *)
 let layout ~size ~nslots ~slot_size =
-  let table_base = header_size + (nslots * slot_size) in
+  let table_base = H.header_size + (nslots * slot_size) in
   if table_base >= size then invalid_arg "Pool_impl: pool too small for journals";
   (* heap + table share the rest; the table is 1/64 of the heap *)
   let budget = size - table_base in
@@ -159,7 +124,7 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     Array.init nslots (fun i ->
         (* each slot prefers its own allocator stripe *)
         J.attach ~alloc_hint:i dev buddy
-          ~base:(header_size + (i * slot_size))
+          ~base:(H.header_size + (i * slot_size))
           ~size:slot_size)
   in
   if Pr.on () then begin
@@ -167,7 +132,7 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
       (Pr.Pool_layout
          {
            dev = D.id dev;
-           journal_base = header_size;
+           journal_base = H.header_size;
            slot_size;
            nslots;
            table_base;
@@ -185,7 +150,7 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     read_only;
     nslots;
     slot_size;
-    journal_base = header_size;
+    journal_base = H.header_size;
     table_base;
     heap_base;
     heap_len;
@@ -211,34 +176,34 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     n_allocs = Atomic.make 0;
     n_frees = Atomic.make 0;
     n_logged_bytes = Atomic.make 0;
-    lifetime_tx0 = Int64.to_int (D.read_u64 dev hdr_tx_total);
-    lifetime_abort0 = Int64.to_int (D.read_u64 dev hdr_abort_total);
+    lifetime_tx0 = Int64.to_int (D.read_u64 dev H.hdr_tx_total);
+    lifetime_abort0 = Int64.to_int (D.read_u64 dev H.hdr_abort_total);
   }
 
 let bump_generation dev =
-  let g = D.read_u64 dev hdr_generation in
-  D.write_u64 dev hdr_generation (Int64.add g 1L);
-  D.persist dev hdr_generation 8
+  let g = D.read_u64 dev H.hdr_generation in
+  D.write_u64 dev H.hdr_generation (Int64.add g 1L);
+  D.persist dev H.hdr_generation 8
 
 let create ?(config = default_config) ?latency ?path () =
   let { size; nslots; slot_size } = config in
   let dev = D.create ?latency ?path ~size () in
   let table_base, heap_base, heap_len = layout ~size ~nslots ~slot_size in
   (* Format: header, journal slots, allocation table. *)
-  D.write_string dev 0 magic;
-  D.write_u64 dev hdr_version (Int64.of_int version);
-  D.write_u64 dev hdr_generation 1L;
-  D.write_u64 dev hdr_root 0L;
-  D.write_u64 dev hdr_root_hash 0L;
-  D.write_u64 dev hdr_nslots (Int64.of_int nslots);
-  D.write_u64 dev hdr_slot_size (Int64.of_int slot_size);
-  D.write_u64 dev hdr_heap_len (Int64.of_int heap_len);
-  D.write_u64 dev hdr_table_base (Int64.of_int table_base);
-  D.write_u64 dev hdr_heap_base (Int64.of_int heap_base);
-  D.write_u64 dev hdr_csum (Int64.of_int (header_crc dev));
-  D.persist dev 0 header_size;
+  D.write_string dev 0 H.magic;
+  D.write_u64 dev H.hdr_version (Int64.of_int H.version);
+  D.write_u64 dev H.hdr_generation 1L;
+  D.write_u64 dev H.hdr_root 0L;
+  D.write_u64 dev H.hdr_root_hash 0L;
+  D.write_u64 dev H.hdr_nslots (Int64.of_int nslots);
+  D.write_u64 dev H.hdr_slot_size (Int64.of_int slot_size);
+  D.write_u64 dev H.hdr_heap_len (Int64.of_int heap_len);
+  D.write_u64 dev H.hdr_table_base (Int64.of_int table_base);
+  D.write_u64 dev H.hdr_heap_base (Int64.of_int heap_base);
+  D.write_u64 dev H.hdr_csum (Int64.of_int (H.header_crc dev));
+  D.persist dev 0 H.header_size;
   for i = 0 to nslots - 1 do
-    J.format dev ~base:(header_size + (i * slot_size)) ~size:slot_size
+    J.format dev ~base:(H.header_size + (i * slot_size)) ~size:slot_size
   done;
   let buddy = B.create ~stripes:nslots dev ~table_base ~heap_base ~heap_len in
   build dev ~buddy ~nslots ~slot_size ~table_base ~heap_base ~heap_len
@@ -249,21 +214,20 @@ let create ?(config = default_config) ?latency ?path () =
    bump are skipped — so a damaged-but-readable pool can still be
    salvaged; reads may then observe uncommitted in-flight data. *)
 let attach ?(mode = Read_write) dev =
-  let m = D.read_string dev 0 (String.length magic) in
-  if not (String.equal m magic) then
+  if not (H.has_magic dev) then
     raise (Recovery_needed "bad magic: not a Corundum pool");
-  let v = Int64.to_int (D.read_u64 dev hdr_version) in
-  if v <> version then
+  let v = Int64.to_int (D.read_u64 dev H.hdr_version) in
+  if v <> H.version then
     raise (Recovery_needed (Printf.sprintf "unsupported pool version %d" v));
-  if mode = Read_write && not (header_crc_ok dev) then
+  if mode = Read_write && not (H.header_crc_ok dev) then
     raise
       (Recovery_needed
          "pool header checksum mismatch (run fsck, or open read-only)");
-  let nslots = Int64.to_int (D.read_u64 dev hdr_nslots) in
-  let slot_size = Int64.to_int (D.read_u64 dev hdr_slot_size) in
-  let heap_len = Int64.to_int (D.read_u64 dev hdr_heap_len) in
-  let table_base = Int64.to_int (D.read_u64 dev hdr_table_base) in
-  let heap_base = Int64.to_int (D.read_u64 dev hdr_heap_base) in
+  let nslots = Int64.to_int (D.read_u64 dev H.hdr_nslots) in
+  let slot_size = Int64.to_int (D.read_u64 dev H.hdr_slot_size) in
+  let heap_len = Int64.to_int (D.read_u64 dev H.hdr_heap_len) in
+  let table_base = Int64.to_int (D.read_u64 dev H.hdr_table_base) in
+  let heap_base = Int64.to_int (D.read_u64 dev H.hdr_heap_base) in
   let recovery =
     match mode with
     | Read_only -> None
@@ -279,7 +243,7 @@ let attach ?(mode = Read_write) dev =
             ~finally:(fun () ->
               if Pr.on () then Pr.emit (Pr.Exempt_pop { dev = D.id dev }))
             (fun () ->
-              R.recover dev table ~journal_base:header_size ~slot_size ~nslots)
+              R.recover dev table ~journal_base:H.header_size ~slot_size ~nslots)
         in
         Some (t0, r)
   in
@@ -354,11 +318,11 @@ let reopen t =
    statistics, not correctness state). *)
 let persist_lifetime_totals t =
   if not (D.is_crashed t.dev) then begin
-    D.write_u64 t.dev hdr_tx_total
+    D.write_u64 t.dev H.hdr_tx_total
       (Int64.of_int (t.lifetime_tx0 + Atomic.get t.n_tx));
-    D.write_u64 t.dev hdr_abort_total
+    D.write_u64 t.dev H.hdr_abort_total
       (Int64.of_int (t.lifetime_abort0 + Atomic.get t.n_abort));
-    D.persist t.dev hdr_tx_total 16
+    D.persist t.dev H.hdr_tx_total 16
   end
 
 let save t =
@@ -666,9 +630,9 @@ let tx_add_target tx ~off ~len =
 let tx_set_root tx ~off ~ty_hash =
   live_tx tx;
   mark tx;
-  J.data_log tx.jrnl ~off:hdr_root ~len:16;
-  D.write_u64 tx.pool.dev hdr_root (Int64.of_int off);
-  D.write_u64 tx.pool.dev hdr_root_hash (Int64.of_int ty_hash)
+  J.data_log tx.jrnl ~off:H.hdr_root ~len:16;
+  D.write_u64 tx.pool.dev H.hdr_root (Int64.of_int off);
+  D.write_u64 tx.pool.dev H.hdr_root_hash (Int64.of_int ty_hash)
 
 (* {1 Volatile side tables} *)
 

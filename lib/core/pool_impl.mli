@@ -96,24 +96,6 @@ val device : t -> Pmem.Device.t
 val buddy : t -> Palloc.Buddy.t
 val check_open : t -> unit
 
-(** {1 Header checksum}
-
-    The pool header carries a CRC-32 of its immutable layout fields
-    (version, nslots, slot size, heap length, table base, heap base);
-    the generation counter and root words are excluded — they have their
-    own atomic, journal-protected update protocols.  Verified at every
-    read-write open; repaired by {!Pool_check.repair} when the layout
-    itself is still sane. *)
-
-val header_crc : Pmem.Device.t -> int
-(** Checksum recomputed from the layout fields currently on media. *)
-
-val stored_header_crc : Pmem.Device.t -> int
-val header_crc_ok : Pmem.Device.t -> bool
-
-val write_header_crc : Pmem.Device.t -> unit
-(** Recompute and durably (re)write the header checksum. *)
-
 (** {1 Root object} *)
 
 val root_off : t -> int

@@ -1,4 +1,6 @@
 module D = Pmem.Device
+module H = Pool_header
+module LE = Pjournal.Log_entry
 
 type slot_state = Idle | Active of int | Committing of int
 
@@ -27,48 +29,38 @@ type info = {
           cells on pools that never ran it *)
 }
 
-(* Header field offsets mirror Pool_impl's layout; kept in sync by the
-   roundtrip test in test_corundum. *)
-let magic = "CORUNDUM-POOL-01"
-let header_size = 4096
-
 (* A slot is classified the way recovery sees it: walk the checksummed
    entry stream to its tail.  The advisory header count is never trusted
    (and since commits stopped persisting it for drop-free transactions,
    an in-flight crash image usually has count=0 beside a walkable log);
    phase [Committing] only appears on legacy images. *)
 let read_slot dev ~base ~size =
-  let phase = D.read_u64 dev base in
-  let count = Int64.to_int (D.read_u64 dev (base + 8)) in
-  let epoch = Int64.to_int (D.read_u64 dev (base + 32)) in
-  if phase = 1L then (Committing count, epoch)
+  let field off = Int64.to_int (D.read_u64 dev (base + off)) in
+  let phase = D.read_u64 dev (base + LE.hdr_phase) in
+  let count = field LE.hdr_count in
+  let epoch = field LE.hdr_epoch in
+  if phase = LE.phase_committing then (Committing count, epoch)
   else begin
-    let salt = Pjournal.Log_entry.salt ~slot_base:base ~epoch in
+    let salt = LE.salt ~slot_base:base ~epoch in
     let visited, _, _ =
-      Pjournal.Log_entry.walk_to_tail dev ~slot_base:base ~slot_size:size
-        ~salt
-        (fun _ -> ())
+      LE.walk_to_tail dev ~slot_base:base ~slot_size:size ~salt (fun _ -> ())
     in
     ((if visited > 0 then Active visited else Idle), epoch)
   end
 
 let inspect_device dev =
-  let u64 off = Int64.to_int (D.read_u64 dev off) in
-  let magic_ok =
-    D.size dev >= header_size
-    && String.equal (D.read_string dev 0 (String.length magic)) magic
+  let magic_ok = D.size dev >= H.header_size && H.has_magic dev in
+  let field off = if magic_ok then Int64.to_int (D.read_u64 dev off) else 0 in
+  let nslots = field H.hdr_nslots in
+  let slot_size = field H.hdr_slot_size in
+  let heap_len = field H.hdr_heap_len in
+  let table_base = field H.hdr_table_base in
+  let heap_base = field H.hdr_heap_base in
+  let slots, slot_epochs =
+    List.split
+      (List.init nslots (fun i ->
+           read_slot dev ~base:(H.header_size + (i * slot_size)) ~size:slot_size))
   in
-  let nslots = if magic_ok then u64 48 else 0 in
-  let slot_size = if magic_ok then u64 56 else 0 in
-  let heap_len = if magic_ok then u64 64 else 0 in
-  let table_base = if magic_ok then u64 72 else 0 in
-  let heap_base = if magic_ok then u64 80 else 0 in
-  let slot_pairs =
-    List.init nslots (fun i ->
-        read_slot dev ~base:(header_size + (i * slot_size)) ~size:slot_size)
-  in
-  let slots = List.map fst slot_pairs in
-  let slot_epochs = List.map snd slot_pairs in
   let live_blocks = ref 0 and live_bytes = ref 0 and largest = ref 0 in
   if magic_ok && heap_len > 0 then begin
     let table =
@@ -82,13 +74,13 @@ let inspect_device dev =
   end;
   {
     magic_ok;
-    version = (if magic_ok then u64 16 else 0);
-    generation = (if magic_ok then u64 24 else 0);
-    root_off = (if magic_ok then u64 32 else 0);
-    root_ty_hash = (if magic_ok then u64 40 else 0);
+    version = field H.hdr_version;
+    generation = field H.hdr_generation;
+    root_off = field H.hdr_root;
+    root_ty_hash = field H.hdr_root_hash;
     nslots;
     slot_size;
-    journal_base = header_size;
+    journal_base = H.header_size;
     table_base;
     heap_base;
     heap_len;
@@ -98,8 +90,8 @@ let inspect_device dev =
     live_blocks = !live_blocks;
     live_bytes = !live_bytes;
     largest_block = !largest;
-    lifetime_tx = (if magic_ok then u64 96 else 0);
-    lifetime_aborts = (if magic_ok then u64 104 else 0);
+    lifetime_tx = field H.hdr_tx_total;
+    lifetime_aborts = field H.hdr_abort_total;
     cow_cells = (if magic_ok then Cow_root.inspect dev else []);
   }
 

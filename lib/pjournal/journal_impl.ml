@@ -31,23 +31,6 @@ let set_fault_duplication ~flush ~fence =
   dup_commit_flush := flush;
   dup_commit_fence := fence
 
-(* Header field offsets within a slot: phase, advisory undo entry count,
-   drop count, head of the spill chain, and the truncation epoch that
-   salts entry checksums.  Of these only [phase], [spill] and [epoch]
-   carry recovery semantics; [count] and [drops] are advisory and stay
-   volatile for the whole transaction (zeroed durably at truncation, so
-   a healthy image always reads 0) — the durable tail of the log is
-   defined by the terminator word and the drop area by its salted
-   checksums, never by the counts.  Legacy/hand-damaged images with
-   nonzero counts are still reconciled by fsck. *)
-let hdr_phase = 0
-let hdr_count = 8
-let hdr_drops = 16
-let hdr_spill = 24
-let hdr_epoch = 32
-let hdr_size = 64
-let phase_normal = 0L
-let drop_slot_bytes = 16
 let tx_overhead_ns = 198
 let spill_min = 16 * 1024
 let line = 64
@@ -85,14 +68,14 @@ type t = {
 }
 
 let format dev ~base ~size =
-  if size < hdr_size + 256 then invalid_arg "Journal_impl.format: slot too small";
-  D.fill dev base hdr_size '\000';
+  if size < Log_entry.hdr_size + 256 then invalid_arg "Journal_impl.format: slot too small";
+  D.fill dev base Log_entry.hdr_size '\000';
   (* terminator: the empty log ends right after the header *)
-  D.write_u64 dev (base + hdr_size) 0L;
-  D.persist dev base (hdr_size + Log_entry.terminator_size)
+  D.write_u64 dev (base + Log_entry.hdr_size) 0L;
+  D.persist dev base (Log_entry.hdr_size + Log_entry.terminator_size)
 
 let attach ?(alloc_hint = 0) dev buddy ~base ~size =
-  let epoch = Int64.to_int (D.read_u64 dev (base + hdr_epoch)) in
+  let epoch = Int64.to_int (D.read_u64 dev (base + Log_entry.hdr_epoch)) in
   {
     dev;
     buddy;
@@ -101,7 +84,7 @@ let attach ?(alloc_hint = 0) dev buddy ~base ~size =
     alloc_hint;
     active = false;
     count = 0;
-    cursor = base + hdr_size;
+    cursor = base + Log_entry.hdr_size;
     cur_limit = Log_entry.main_entry_limit ~slot_base:base ~slot_size:size;
     last_region = base;
     spills = [];
@@ -119,19 +102,16 @@ let attach ?(alloc_hint = 0) dev buddy ~base ~size =
     unsealed = None;
   }
 
-let base t = t.base
 let size t = t.size
 let entry_count t = t.count
 let drop_count t = t.ndrops
 let spill_count t = List.length t.spills
 let logged_bytes t =
-  if t.last_region = t.base then t.cursor - t.base - hdr_size
+  if t.last_region = t.base then t.cursor - t.base - Log_entry.hdr_size
   else t.cursor - t.last_region - Log_entry.spill_header
 
 let tx_logged_bytes t = t.tx_logged
 let set_defer_seals t on = t.defer_seals <- on
-
-let drop_capacity t = t.size / 4 / drop_slot_bytes
 
 let require_active t = if not t.active then raise Not_in_transaction
 
@@ -139,7 +119,7 @@ let begin_tx t =
   if t.active then invalid_arg "Journal_impl.begin_tx: already in a transaction";
   t.active <- true;
   t.count <- 0;
-  t.cursor <- t.base + hdr_size;
+  t.cursor <- t.base + Log_entry.hdr_size;
   t.cur_limit <- Log_entry.main_entry_limit ~slot_base:t.base ~slot_size:t.size;
   t.last_region <- t.base;
   t.spills <- [];
@@ -210,7 +190,7 @@ let add_spill t need =
   D.write_u64 t.dev (off + Log_entry.spill_header) 0L;
   D.persist t.dev off (Log_entry.spill_header + Log_entry.terminator_size);
   let link =
-    if t.last_region = t.base then t.base + hdr_spill else t.last_region
+    if t.last_region = t.base then t.base + Log_entry.hdr_spill else t.last_region
   in
   D.write_u64 t.dev link (Int64.of_int off);
   D.persist t.dev link 8;
@@ -333,11 +313,11 @@ let free t off =
     | Some size -> Palloc.Buddy.order_of_size size
     | None -> raise (Palloc.Buddy.Invalid_free off)
   in
-  if t.ndrops >= drop_capacity t then raise Journal_full;
+  if t.ndrops >= Log_entry.drop_capacity ~slot_size:t.size then raise Journal_full;
   (* Volatile append into the drop area; durable only at commit.  The
      block's order rides in the slot so recovery can re-mark the table
      byte if a crash interrupts the batched clear flush. *)
-  let at = t.base + t.size - ((t.ndrops + 1) * drop_slot_bytes) in
+  let at = Log_entry.drop_at ~slot_base:t.base ~slot_size:t.size (t.ndrops + 1) in
   Log_entry.write_drop t.dev ~salt:t.salt ~at ~off ~order;
   t.drops <- off :: t.drops;
   t.ndrops <- t.ndrops + 1;
@@ -384,13 +364,9 @@ let exec_truncate_phase t pending = function
       D.fence t.dev
   | Protocol.Reset_header ->
       t.epoch <- t.epoch + 1;
-      D.write_u64 t.dev (t.base + hdr_count) 0L;
-      D.write_u64 t.dev (t.base + hdr_drops) 0L;
-      D.write_u64 t.dev (t.base + hdr_spill) 0L;
-      D.write_u64 t.dev (t.base + hdr_epoch) (Int64.of_int t.epoch);
-      D.write_u64 t.dev (t.base + hdr_size) 0L;
-      D.write_u64 t.dev (t.base + hdr_phase) phase_normal;
-      D.persist t.dev t.base (hdr_size + Log_entry.terminator_size);
+      Log_entry.retire_header t.dev ~slot_base:t.base ~epoch:t.epoch;
+      D.write_u64 t.dev (t.base + Log_entry.hdr_phase) Log_entry.phase_normal;
+      D.persist t.dev t.base (Log_entry.hdr_size + Log_entry.terminator_size);
       if Pr.on () then
         Pr.emit
           (Pr.Journal_truncate
@@ -404,7 +380,7 @@ let truncate_pending t pending =
        ~clears:(Hashtbl.length pending > 0));
   t.salt <- Log_entry.salt ~slot_base:t.base ~epoch:t.epoch;
   t.count <- 0;
-  t.cursor <- t.base + hdr_size;
+  t.cursor <- t.base + Log_entry.hdr_size;
   t.cur_limit <- Log_entry.main_entry_limit ~slot_base:t.base ~slot_size:t.size;
   t.last_region <- t.base;
   t.spills <- [];
@@ -461,8 +437,9 @@ let exec_commit_phase t pending = function
          write-back waste (it used to cost every freeing transaction
          one E3 flush).  fsck treats advisory 0 beside a walked tail
          as the normal case. *)
-      let area = t.ndrops * drop_slot_bytes in
-      D.flush t.dev (t.base + t.size - area) area
+      D.flush t.dev
+        (Log_entry.drop_at ~slot_base:t.base ~slot_size:t.size t.ndrops)
+        (t.ndrops * Log_entry.drop_entry_size)
   | Protocol.Commit_fence ->
       if not !elide_commit_fence then begin
         D.fence t.dev;
@@ -507,8 +484,8 @@ let commit_line_set t =
     t.targets;
   Hashtbl.iter (fun l () -> Hashtbl.replace lines l ()) t.marks;
   if t.ndrops > 0 then begin
-    let area = t.ndrops * drop_slot_bytes in
-    for l = (t.base + t.size - area) / line to (t.base + t.size - 1) / line do
+    let lo = Log_entry.drop_at ~slot_base:t.base ~slot_size:t.size t.ndrops in
+    for l = lo / line to (t.base + t.size - 1) / line do
       Hashtbl.replace lines l ()
     done
   end;

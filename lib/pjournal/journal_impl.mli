@@ -64,7 +64,6 @@ val attach :
     slot's transactions prefer — pairing each journal with its own arena,
     the paper's per-thread allocator design. *)
 
-val base : t -> int
 val size : t -> int
 val tx_overhead_ns : int
 (** Fixed simulated cost charged per outermost transaction (the paper's

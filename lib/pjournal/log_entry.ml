@@ -14,6 +14,20 @@ let kind_drop = 3
 (* A jump sentinel marks "the log continues in the next region"; the tail
    of a region after it is dead space.  8 bytes, persisted when written. *)
 let kind_jump = 4
+
+(* Slot header field offsets.  Only [phase], [spill] and [epoch] carry
+   recovery semantics; [count] and [drops] stay volatile for the whole
+   transaction (zeroed durably at truncation) — the durable tail of the
+   log is its terminator word and the drop area is defined by salted
+   checksums, never by the counts. *)
+let hdr_phase = 0
+let hdr_count = 8
+let hdr_drops = 16
+let hdr_spill = 24
+let hdr_epoch = 32
+let hdr_size = 64
+let phase_normal = 0L
+let phase_committing = 1L
 let pad8 n = (n + 7) land lnot 7
 let data_entry_size len = 24 + pad8 len
 let alloc_entry_size = 24
@@ -135,7 +149,7 @@ let read dev ~salt ~at =
 (* --- walking a (possibly spilled) undo log ----------------------------- *)
 
 (* An undo log is the slot's entry area plus a chain of heap-allocated
-   spill regions (slot header word +24 points at the first; each region
+   spill regions ([hdr_spill] points at the first; each region
    starts with [next u64 | limit u64]).  An entry never crosses a region
    boundary: the writer jumps to the next region when one would, and the
    walker reproduces the same decision from the entry sizes. *)
@@ -147,6 +161,25 @@ let spill_header = 16
    the (volatile) drop count. *)
 let main_entry_limit ~slot_base ~slot_size =
   slot_base + slot_size - (slot_size / 4)
+
+(* Drop records are consed downward from the slot end, in the tail
+   quarter; a region is the slot itself or one of its spill regions. *)
+let drop_capacity ~slot_size = slot_size / 4 / drop_entry_size
+let drop_at ~slot_base ~slot_size i = slot_base + slot_size - (i * drop_entry_size)
+
+let region_start ~slot_base base =
+  if base = slot_base then base + hdr_size else base + spill_header
+
+let region_limit dev ~slot_base ~slot_size base =
+  if base = slot_base then main_entry_limit ~slot_base ~slot_size
+  else base + Int64.to_int (D.read_u64 dev (base + 8))
+
+let retire_header dev ~slot_base ~epoch =
+  D.write_u64 dev (slot_base + hdr_count) 0L;
+  D.write_u64 dev (slot_base + hdr_drops) 0L;
+  D.write_u64 dev (slot_base + hdr_spill) 0L;
+  D.write_u64 dev (slot_base + hdr_epoch) (Int64.of_int epoch);
+  D.write_u64 dev (slot_base + hdr_size) 0L
 
 let write_jump dev ~at =
   D.write_u64 dev at (pack_kind ~kind:kind_jump ~crc:0);
@@ -167,18 +200,13 @@ type stop_reason = Terminator | Bad_entry of string | Chain_end of string
 let walk_to_tail dev ~slot_base ~slot_size ~salt f =
   let next_region base =
     (* region 0 is the slot itself; its chain pointer is in the header *)
-    if base = slot_base then Int64.to_int (D.read_u64 dev (slot_base + 24))
+    if base = slot_base then Int64.to_int (D.read_u64 dev (slot_base + hdr_spill))
     else Int64.to_int (D.read_u64 dev base)
   in
-  let region_cursor base =
-    if base = slot_base then base + 64 else base + spill_header
-  in
-  let region_limit base =
-    if base = slot_base then main_entry_limit ~slot_base ~slot_size
-    else base + Int64.to_int (D.read_u64 dev (base + 8))
-  in
   let rec go visited hops base cursor =
-    let limit = min (region_limit base) (D.size dev) in
+    let limit =
+      min (region_limit dev ~slot_base ~slot_size base) (D.size dev)
+    in
     if cursor + 8 > limit then jump visited hops base cursor "region exhausted"
     else
       let w = D.read_u64 dev cursor in
@@ -207,9 +235,9 @@ let walk_to_tail dev ~slot_base ~slot_size ~salt f =
     else if nxt < 0 || nxt + spill_header > D.size dev then
       (visited, cursor, Bad_entry (Printf.sprintf "wild spill link to %d" nxt))
     else if hops >= 4096 then (visited, cursor, Bad_entry "spill chain is cyclic")
-    else go visited (hops + 1) nxt (region_cursor nxt)
+    else go visited (hops + 1) nxt (region_start ~slot_base nxt)
   in
-  go 0 0 slot_base (region_cursor slot_base)
+  go 0 0 slot_base (region_start ~slot_base slot_base)
 
 let spill_chain dev ~slot_base =
   (* Bounds- and cycle-guarded: this runs on corrupt images too. *)
@@ -221,4 +249,4 @@ let spill_chain dev ~slot_base =
     else if hops >= 4096 then invalid_arg "Log_entry.spill_chain: cyclic chain"
     else go (ptr :: acc) (hops + 1) (Int64.to_int (D.read_u64 dev ptr))
   in
-  go [] 0 (Int64.to_int (D.read_u64 dev (slot_base + 24)))
+  go [] 0 (Int64.to_int (D.read_u64 dev (slot_base + hdr_spill)))

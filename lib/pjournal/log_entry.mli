@@ -1,4 +1,4 @@
-(** Wire format of journal entries.
+(** Wire format of journal slots and their entries.
 
     Entries live in a journal slot's entry area; the stream of sealed
     entries ends at a {e terminator} — a full zero word persisted
@@ -26,6 +26,34 @@
     [Data] entry's padding.
 *)
 
+(** {1 The slot header}
+
+    A journal slot is [hdr_size] bytes of header, the main entry region
+    up to {!main_entry_limit}, then the drop area: the tail quarter,
+    {!drop_capacity} records consed downward from the slot end.  The
+    header's u64 fields are the phase, the advisory entry and drop
+    counts (0 on a healthy image; fsck reconciles others), the head of
+    the spill chain and the truncation epoch that salts checksums. *)
+
+val hdr_phase : int
+val hdr_count : int
+val hdr_drops : int
+val hdr_spill : int
+val hdr_epoch : int
+val hdr_size : int
+
+val phase_normal : int64
+val phase_committing : int64
+(** Only on legacy images, whose commits persisted the phase. *)
+
+val retire_header : Pmem.Device.t -> slot_base:int -> epoch:int -> unit
+(** The truncate's header stores: zero the count, drop and spill words,
+    store the new [epoch], rewrite the terminator at the head of the
+    entry area.  Writes no phase and persists nothing — each truncate
+    (runtime, recovery, fsck) orders those itself. *)
+
+(** {1 Entries} *)
+
 type t =
   | Data of { off : int; len : int; payload : int }
       (** Undo record: [len] saved bytes at device offset [payload] must be
@@ -37,16 +65,6 @@ type t =
           commit.  The order lets recovery re-mark the block's table byte
           when a crash interrupted the batched clear flush (images from
           before orders were recorded decode as order 0). *)
-
-val kind_term : int
-(** Tail terminator: a full zero word ends the entry stream. *)
-
-val kind_data : int
-val kind_alloc : int
-val kind_drop : int
-
-val kind_jump : int
-(** Region-jump sentinel: the log continues in the next spill region. *)
 
 val data_entry_size : int -> int
 (** Total bytes a [Data] entry of the given payload length occupies. *)
@@ -93,6 +111,18 @@ val main_entry_limit : slot_base:int -> slot_size:int -> int
 (** Absolute end of the slot's own entry region; the tail quarter of the
     slot is reserved for drop entries. *)
 
+val drop_capacity : slot_size:int -> int
+(** Drop records that fit the drop area ([slot_size / 4] bytes). *)
+
+val drop_at : slot_base:int -> slot_size:int -> int -> int
+(** [drop_at ~slot_base ~slot_size i]: address of drop record [i]
+    (1-based), [i] records below the slot end. *)
+
+val region_start : slot_base:int -> int -> int
+val region_limit : Pmem.Device.t -> slot_base:int -> slot_size:int -> int -> int
+(** First entry byte and absolute end of the entry region based at the
+    given offset: the slot itself or one of its spill regions. *)
+
 type stop_reason =
   | Terminator  (** clean tail: the zero terminator word was found *)
   | Bad_entry of string
@@ -112,7 +142,7 @@ val walk_to_tail :
   (t -> unit) ->
   int * int * stop_reason
 (** Visit the sealed entries of a slot's undo log in write order,
-    following the spill chain (slot header word +24) across region
+    following the spill chain ({!hdr_spill}) across region
     boundaries, stopping at the tail.  Returns [(visited, stop_cursor,
     reason)]: how many entries verified, the absolute address the walk
     stopped at, and why.  [f] is only called on verified entries, so the

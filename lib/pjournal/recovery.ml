@@ -65,10 +65,6 @@ let timed dev phases name f =
          { dev = D.id dev; phase = name; ns = t1; dur_ns = t1 -. t0 });
   r
 
-let drop_slot_bytes = 16
-let phase_committing = 1L
-let hdr_size = 64
-
 (* Revert an allocation-table byte if it is still set (idempotent).
    Recovery manages no batched line set, so the clear is persisted
    one-shot. *)
@@ -90,11 +86,11 @@ let clear_if_live table off =
    the epoch bump that would invalidate those slots rides in the same
    line and may equally not have landed. *)
 let scan_drops dev table ~base ~size ~salt =
-  let capacity = size / 4 / drop_slot_bytes in
+  let capacity = Log_entry.drop_capacity ~slot_size:size in
   let rec go i acc =
     if i > capacity then List.rev acc
     else
-      let at = base + size - (i * drop_slot_bytes) in
+      let at = Log_entry.drop_at ~slot_base:base ~slot_size:size i in
       match Log_entry.read dev ~salt ~at with
       | Log_entry.Drop { off; order }, _ -> (
           match Palloc.Alloc_table.index_of_offset table off with
@@ -161,47 +157,41 @@ let truncate ?(ordered = false) dev table ~base =
   (match spill_chain_or_empty dev ~slot_base:base with
   | [] -> ()
   | spills -> List.iter (fun off -> ignore (clear_if_live table off)) spills);
-  let epoch = D.read_u64 dev (base + 32) in
-  D.write_u64 dev (base + 8) 0L (* advisory entry count *);
-  D.write_u64 dev (base + 16) 0L (* drop count *);
-  D.write_u64 dev (base + 24) 0L (* spill head *);
-  D.write_u64 dev (base + 32) (Int64.add epoch 1L);
-  D.write_u64 dev (base + hdr_size) 0L (* terminator *);
+  let epoch = Int64.to_int (D.read_u64 dev (base + Log_entry.hdr_epoch)) + 1 in
+  Log_entry.retire_header dev ~slot_base:base ~epoch;
+  let phase = base + Log_entry.hdr_phase
+  and count = base + Log_entry.hdr_count
+  and term = base + Log_entry.hdr_size in
   (if ordered then begin
-     D.persist dev (base + 8) (hdr_size + Log_entry.terminator_size - 8);
-     D.write_u64 dev (base + 0) 0L (* phase *);
-     D.persist dev (base + 0) 8
+     D.persist dev count (term + Log_entry.terminator_size - count);
+     D.write_u64 dev phase Log_entry.phase_normal;
+     D.persist dev phase 8
    end
    else begin
-     D.write_u64 dev (base + 0) 0L (* phase *);
-     D.persist dev base hdr_size;
-     D.persist dev (base + hdr_size) Log_entry.terminator_size
+     D.write_u64 dev phase Log_entry.phase_normal;
+     D.persist dev base Log_entry.hdr_size;
+     D.persist dev term Log_entry.terminator_size
    end);
   if Pr.on () then
-    Pr.emit
-      (Pr.Journal_truncate
-         {
-           dev = D.id dev;
-           slot_base = base;
-           epoch = Int64.to_int (Int64.add epoch 1L);
-         })
+    Pr.emit (Pr.Journal_truncate { dev = D.id dev; slot_base = base; epoch })
 
 let recover_slot dev table ~base ~size =
-  let phase = D.read_u64 dev base in
-  let advisory = Int64.to_int (D.read_u64 dev (base + 8)) in
-  let ndrops = Int64.to_int (D.read_u64 dev (base + 16)) in
-  let epoch = Int64.to_int (D.read_u64 dev (base + 32)) in
+  let field off = D.read_u64 dev (base + off) in
+  let phase = field Log_entry.hdr_phase in
+  let advisory = Int64.to_int (field Log_entry.hdr_count) in
+  let ndrops = Int64.to_int (field Log_entry.hdr_drops) in
+  let epoch = Int64.to_int (field Log_entry.hdr_epoch) in
   let salt = Log_entry.salt ~slot_base:base ~epoch in
   let phases = ref [] in
   let finish stats = { stats with phase_ns = !phases } in
-  if phase = phase_committing then begin
+  if phase = Log_entry.phase_committing then begin
     (* The transaction durably committed; finish its deferred frees.  A
        drop entry that fails verification is skipped (frees are
        idempotent and independent); the leak is visible to fsck. *)
     let applied = ref 0 and skipped = ref 0 in
     timed dev phases "drop_apply" (fun () ->
         for i = 1 to ndrops do
-          let at = base + size - (i * drop_slot_bytes) in
+          let at = Log_entry.drop_at ~slot_base:base ~slot_size:size i in
           match Log_entry.read dev ~salt ~at with
           | Log_entry.Drop { off; order = _ }, _ ->
               if clear_if_live table off then incr applied
@@ -289,7 +279,7 @@ let recover_slot dev table ~base ~size =
             remark_drops table drops ~rollback:false)
       in
       if
-        torn || phase <> 0L || advisory <> 0 || ndrops <> 0 || drops <> []
+        torn || phase <> Log_entry.phase_normal || advisory <> 0 || ndrops <> 0 || drops <> []
         || spill_chain_or_empty dev ~slot_base:base <> []
       then timed dev phases "truncate" (fun () -> truncate dev table ~base);
       finish

@@ -56,12 +56,11 @@ type stats = {
 }
 
 val empty_stats : stats
-val add_stats : stats -> stats -> stats
 
 val add_phase :
   string -> float -> (string * float) list -> (string * float) list
 (** [add_phase name dur phases] sums [dur] into the entry for [name]
-    (appending a new entry if absent) — the merge {!add_stats} uses,
+    (appending a new entry if absent) — the merge per-slot stats use,
     exported so pool attach can fold its table-scan phase into the same
     ledger. *)
 

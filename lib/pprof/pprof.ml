@@ -1,6 +1,7 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
+module LE = Pjournal.Log_entry
 
 (* {1 Capture} *)
 
@@ -175,10 +176,11 @@ let classify g d off len =
     else Header
   else if off < g.table_base then begin
     let rel = (off - g.journal_base) mod g.slot_size in
-    (* The slot header line mixes advisory words (entry/drop counts at
-       +8/+16) with required ones (phase, spill link, epoch), so
-       advisory status is byte-range, not line, granular. *)
-    if rel >= 8 && rel + len <= 24 then Journal_adv else Journal
+    (* The slot header line mixes advisory words (the entry and drop
+       counts, which end where the spill link starts) with required ones
+       (phase, spill link, epoch), so advisory status is byte-range, not
+       line, granular. *)
+    if rel >= LE.hdr_count && rel + len <= LE.hdr_spill then Journal_adv else Journal
   end
   else if off < g.heap_base then Table
   else if

@@ -10,6 +10,7 @@ module R = Pjournal.Recovery
 module B = Palloc.Buddy
 module T = Palloc.Alloc_table
 open Corundum
+module H = Pool_header
 
 let check_int = Alcotest.(check int)
 let check_i64 = Alcotest.(check int64)
@@ -206,8 +207,8 @@ let build_pool () =
   ((module P : Pool.S), Pool_impl.device (P.impl ()), check_data)
 
 let free_table_index dev =
-  let table_base = Int64.to_int (D.read_u64 dev 72) in
-  let nblocks = Int64.to_int (D.read_u64 dev 64) / 64 in
+  let table_base = Int64.to_int (D.read_u64 dev H.hdr_table_base) in
+  let nblocks = Int64.to_int (D.read_u64 dev H.hdr_heap_len) / 64 in
   (* jump over allocated extents so we land on genuinely free space *)
   let idx = ref 0 in
   while
@@ -235,26 +236,27 @@ let test_bit_rot_detected_by_fsck () =
   check_bool "table rot detected" false (Pool_check.ok r);
   D.write_u8 dev (table_base + idx) 0;
   (* rot in the header layout: checksum no longer matches *)
-  let slot_word = D.read_u64 dev 56 in
-  D.write_u64 dev 56 (Int64.logxor slot_word 1L);
+  let slot_word = D.read_u64 dev H.hdr_slot_size in
+  D.write_u64 dev H.hdr_slot_size (Int64.logxor slot_word 1L);
   let r = Pool_check.check_device dev in
   check_bool "header rot detected" false (Pool_check.ok r);
-  D.write_u64 dev 56 slot_word;
+  D.write_u64 dev H.hdr_slot_size slot_word;
   check_bool "restored pool passes" true (Pool_check.ok (Pool_check.check_device dev))
 
 let test_repair_restores_consistency () =
   let _p, dev, check_data = build_pool () in
   (* damage 1: journal slot 0 claims two undo entries of garbage *)
-  D.write_u64 dev (4096 + 8) 2L;
-  D.write_u64 dev (4096 + 64) 0xDEADBEEFDEADBEEFL;
-  D.persist dev 4096 128;
+  let slot0 = H.header_size in
+  D.write_u64 dev (slot0 + LE.hdr_count) 2L;
+  D.write_u64 dev (slot0 + LE.hdr_size) 0xDEADBEEFDEADBEEFL;
+  D.persist dev slot0 128;
   (* damage 2: allocation-table byte claims an impossible block *)
   let table_base, idx = free_table_index dev in
   D.write_u8 dev (table_base + idx) 60;
   D.persist dev (table_base + idx) 1;
   (* damage 3: stale header checksum *)
-  D.write_u64 dev 88 0L;
-  D.persist dev 88 8;
+  D.write_u64 dev H.hdr_csum 0L;
+  D.persist dev H.hdr_csum 8;
   check_bool "damage detected" false (Pool_check.ok (Pool_check.check_device dev));
   let r = Pool_check.repair dev in
   check_bool "repair succeeded" true (Pool_check.repaired r);
@@ -279,8 +281,8 @@ let test_read_only_open () =
   P.close ();
   (* break the header checksum in the saved image *)
   let dev = D.load path in
-  D.write_u64 dev 88 0L;
-  D.persist dev 88 8;
+  D.write_u64 dev H.hdr_csum 0L;
+  D.persist dev H.hdr_csum 8;
   D.save dev;
   (* read-write open refuses *)
   let module Q = Pool.Make () in
@@ -309,15 +311,15 @@ let test_read_only_open () =
 (* --- hand-built damaged images on the checksummed-tail format --------- *)
 
 (* Each image damages journal slot 0 of a freshly built pool (slot base
-   4096, entry area at 4096+64) in a way the new format must tolerate:
+   right after the pool header) in a way the new format must tolerate:
    a torn terminator word, a torn final entry behind a valid prefix, and
    a stale advisory entry count.  Recovery must leave committed data
    intact, and the repairing fsck must restore a clean image. *)
-let slot0 = 4096
+let slot0 = H.header_size
 
 let pool_layout dev =
-  let u64 off = Int64.to_int (D.read_u64 dev off) in
-  (u64 72 (* table_base *), u64 80 (* heap_base *), u64 64 (* heap_len *))
+  let l = H.read_layout dev in
+  (l.H.table_base, l.H.heap_base, l.H.heap_len)
 
 let recover_slot0 dev =
   let table_base, heap_base, heap_len = pool_layout dev in
@@ -326,20 +328,20 @@ let recover_slot0 dev =
 
 let slot0_salt dev =
   LE.salt ~slot_base:slot0
-    ~epoch:(Int64.to_int (D.read_u64 dev (slot0 + 32)))
+    ~epoch:(Int64.to_int (D.read_u64 dev (slot0 + LE.hdr_epoch)))
 
 let damage_torn_terminator dev =
   (* a zero-kind word with a nonzero checksum half: the torn remains of a
      terminator store that never durably finished *)
-  D.write_u64 dev (slot0 + 64) (Int64.shift_left 0xABCDL 32);
-  D.persist dev (slot0 + 64) 8
+  D.write_u64 dev (slot0 + LE.hdr_size) (Int64.shift_left 0xABCDL 32);
+  D.persist dev (slot0 + LE.hdr_size) 8
 
 let damage_torn_final_entry dev =
   (* two sealed entries + terminator, then rot in the second's payload:
      the walk must keep entry 1 and treat the tail as never written *)
   let salt = slot0_salt dev in
   let _, heap_base, _ = pool_layout dev in
-  let at1 = slot0 + 64 in
+  let at1 = slot0 + LE.hdr_size in
   let at2 = at1 + LE.data_entry_size 8 in
   LE.write_data dev ~salt ~at:at1 ~off:heap_base ~len:8;
   LE.write_data dev ~salt ~at:at2 ~off:(heap_base + 8) ~len:8;
@@ -352,8 +354,8 @@ let damage_torn_final_entry dev =
 let damage_stale_advisory dev =
   (* an advisory count with no sealed entries behind it (the terminator
      still sits right after the header) *)
-  D.write_u64 dev (slot0 + 8) 7L;
-  D.persist dev (slot0 + 8) 8
+  D.write_u64 dev (slot0 + LE.hdr_count) 7L;
+  D.persist dev (slot0 + LE.hdr_count) 8
 
 let test_hand_built_damaged_images () =
   List.iter

@@ -3,6 +3,10 @@
 
 open Corundum
 module D = Pmem.Device
+module H = Pool_header
+module LE = Pjournal.Log_entry
+
+let slot0 = H.header_size
 
 let small =
   { Pool_impl.size = 2 * 1024 * 1024; nslots = 2; slot_size = 64 * 1024 }
@@ -58,18 +62,17 @@ let test_bad_magic_detected () =
 
 let test_wild_journal_count_detected () =
   let _, dev = build () in
-  (* slot 0 header: count at +8 *)
-  D.write_u64 dev (4096 + 8) 999999L;
-  D.persist dev (4096 + 8) 8;
+  D.write_u64 dev (slot0 + LE.hdr_count) 999999L;
+  D.persist dev (slot0 + LE.hdr_count) 8;
   let r = Pool_check.check_device dev in
   check_bool "wild count flagged" true (finding_in "journal slot 0" r)
 
 let test_torn_journal_entry_detected () =
   let _, dev = build () in
   (* pretend one entry exists but leave garbage where it should be *)
-  D.write_u64 dev (4096 + 8) 1L;
-  D.write_u64 dev (4096 + 64) 0xDEADL (* bogus kind *);
-  D.persist dev 4096 128;
+  D.write_u64 dev (slot0 + LE.hdr_count) 1L;
+  D.write_u64 dev (slot0 + LE.hdr_size) 0xDEADL (* bogus kind *);
+  D.persist dev slot0 128;
   let r = Pool_check.check_device dev in
   check_bool "torn entry flagged" true (finding_in "journal slot 0" r)
 
@@ -96,8 +99,8 @@ let test_root_into_free_block_detected () =
     else free_idx (i + 1)
   in
   let idx = free_idx 0 in
-  D.write_u64 dev 32 (Int64.of_int (heap_base + (idx * 64)));
-  D.persist dev 32 8;
+  D.write_u64 dev H.hdr_root (Int64.of_int (heap_base + (idx * 64)));
+  D.persist dev H.hdr_root 8;
   let r = Pool_check.check_device dev in
   check_bool "dangling root flagged" true (finding_in "root" r)
 
@@ -236,8 +239,6 @@ let render_fsck dev =
     (again.Pool_check.actions = []);
   Buffer.contents b
 
-let slot0 = 4096
-
 let damaged damage =
   let _, dev = build () in
   damage dev;
@@ -261,12 +262,12 @@ let corpus_cases =
     ( "bad magic",
       fun () -> damaged (fun dev -> D.write_u8 dev 0 0xFF) );
     ( "wild journal count",
-      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + 8) 999999L) );
+      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + LE.hdr_count) 999999L) );
     ( "torn journal entry",
       fun () ->
         damaged (fun dev ->
-            D.write_u64 dev (slot0 + 8) 1L;
-            D.write_u64 dev (slot0 + 64) 0xDEADL) );
+            D.write_u64 dev (slot0 + LE.hdr_count) 1L;
+            D.write_u64 dev (slot0 + LE.hdr_size) 0xDEADL) );
     ( "misaligned block",
       fun () -> damaged (fun dev -> D.write_u8 dev (table_base dev + 3) 2) );
     ( "root into free block",
@@ -274,30 +275,31 @@ let corpus_cases =
         damaged (fun dev ->
             let info = Pool_inspect.inspect_device dev in
             let off = info.Pool_inspect.heap_base + (first_free_index dev * 64) in
-            D.write_u64 dev 32 (Int64.of_int off)) );
+            D.write_u64 dev H.hdr_root (Int64.of_int off)) );
     ( "order-60 table rot",
       fun () ->
         damaged (fun dev -> D.write_u8 dev (table_base dev + first_free_index dev) 60) );
     ( "zeroed header checksum",
-      fun () -> damaged (fun dev -> D.write_u64 dev 88 0L) );
+      fun () -> damaged (fun dev -> D.write_u64 dev H.hdr_csum 0L) );
     ( "flipped layout word",
       fun () ->
-        damaged (fun dev -> D.write_u64 dev 56 (Int64.logxor (D.read_u64 dev 56) 1L)) );
+        damaged (fun dev ->
+            D.write_u64 dev H.hdr_slot_size
+              (Int64.logxor (D.read_u64 dev H.hdr_slot_size) 1L)) );
     ( "torn terminator",
       fun () ->
         damaged (fun dev ->
-            D.write_u64 dev (slot0 + 64) (Int64.shift_left 0xABCDL 32)) );
+            D.write_u64 dev (slot0 + LE.hdr_size) (Int64.shift_left 0xABCDL 32)) );
     ( "torn final entry",
       fun () ->
         damaged (fun dev ->
-            let module LE = Pjournal.Log_entry in
             let info = Pool_inspect.inspect_device dev in
             let salt =
               LE.salt ~slot_base:slot0
-                ~epoch:(Int64.to_int (D.read_u64 dev (slot0 + 32)))
+                ~epoch:(Int64.to_int (D.read_u64 dev (slot0 + LE.hdr_epoch)))
             in
             let heap_base = info.Pool_inspect.heap_base in
-            let at1 = slot0 + 64 in
+            let at1 = slot0 + LE.hdr_size in
             let at2 = at1 + LE.data_entry_size 8 in
             LE.write_data dev ~salt ~at:at1 ~off:heap_base ~len:8;
             LE.write_data dev ~salt ~at:at2 ~off:(heap_base + 8) ~len:8;
@@ -305,7 +307,7 @@ let corpus_cases =
             let b = D.read_u8 dev (at2 + 24) in
             D.write_u8 dev (at2 + 24) (b lxor 0x40)) );
     ( "stale advisory count",
-      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + 8) 7L) );
+      fun () -> damaged (fun dev -> D.write_u64 dev (slot0 + LE.hdr_count) 7L) );
     ( "cow dangling pointer",
       fun () ->
         let _, dev = build_mod () in
@@ -358,7 +360,7 @@ let corpus_cases =
           ~config:{ Pool_impl.size = 2 * 1024 * 1024; nslots = 4; slot_size = 1024 }
           ();
         let dev = Pool_impl.device (P.impl ()) in
-        D.write_u64 dev (slot0 + 1024) 7L;
+        D.write_u64 dev (slot0 + 1024 + LE.hdr_phase) 7L;
         dev );
     ( "drop count 100 on a 4 KiB slot",
       fun () ->
@@ -367,7 +369,7 @@ let corpus_cases =
           ~config:{ Pool_impl.size = 2 * 1024 * 1024; nslots = 2; slot_size = 4096 }
           ();
         let dev = Pool_impl.device (P.impl ()) in
-        D.write_u64 dev (slot0 + 16) 100L;
+        D.write_u64 dev (slot0 + LE.hdr_drops) 100L;
         dev );
   ]
 
@@ -429,20 +431,20 @@ let corpus_expected =
       ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
     ( "bad phase on slot 1 of 1 KiB slots",
       "check [journal slot 1] bad phase 7\n"
-      ^ "repair [journal slot 5] reset slot: bad phase 7\n"
+      ^ "repair [journal slot 1] reset slot: bad phase 7\n"
       ^ "truncated 0 entries, 0 drops; quarantined 0; repaired true\n" );
     ( "drop count 100 on a 4 KiB slot",
-      String.concat ""
-        (List.init 100 (fun _ -> "check [journal slot 0] torn drop entry\n"))
-      ^ "repair [journal slot 0] truncated 100 corrupt drop entries\n"
-        ^ "truncated 0 entries, 100 drops; quarantined 0; repaired true\n" );
+      "check [journal slot 0] implausible drop count 100\n"
+      ^ "repair [journal slot 0] cleared implausible drop count 100\n"
+      ^ "truncated 0 entries, 100 drops; quarantined 0; repaired true\n" );
   ]
 
-let test_fsck_corpus () =
-  List.iter
+let fsck_corpus_tests =
+  List.map
     (fun (name, make) ->
-      let got = render_fsck (make ()) in
-      Alcotest.(check string) name (List.assoc name corpus_expected) got)
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string)
+            name (List.assoc name corpus_expected) (render_fsck (make ()))))
     corpus_cases
 
 let () =
@@ -471,6 +473,5 @@ let () =
           Alcotest.test_case "dangling pointer verdict" `Quick
             test_cow_dangling_ptr_detected;
         ] );
-      ( "fsck corpus",
-        [ Alcotest.test_case "pinned findings and repairs" `Quick test_fsck_corpus ] );
+      ("fsck", fsck_corpus_tests);
     ]
