@@ -75,8 +75,8 @@ let read c dev =
   (ptr, gen)
 
 let pair c dev =
-  let b = Int64.to_int (D.read_u64 dev (cell_off c + 8)) in
-  let half = Int64.to_int (D.read_u64 dev (cell_off c + 16)) in
+  let b = D.read_int dev (cell_off c + 8) in
+  let half = D.read_int dev (cell_off c + 16) in
   if b = 0 then None else Some (b, half)
 
 (* Write the swap word (dirty-only).  The caller owns flush order: this
@@ -179,9 +179,9 @@ let write_intent c dev it =
     (fun i b -> set (96 + (i * 8)) (pack_block b))
     (it.allocs @ it.frees);
   D.write_bytes dev (intent_off c s) buf;
-  D.write_u64 dev
+  D.write_int dev
     (intent_off c s + intent_bytes)
-    (Int64.of_int (intent_crc ~cell:c ~slot:s ~igen:it.igen buf))
+    (intent_crc ~cell:c ~slot:s ~igen:it.igen buf)
 
 let spill_bytes it = (List.length (pubs_of it.kind) * 24) + (nblocks it * 8)
 
@@ -221,9 +221,9 @@ let write_intent_spilled c dev ~spill_off ~spill_order ~content_crc it =
   set 56 (Int64.of_int spill_order);
   set 64 (Int64.of_int content_crc);
   D.write_bytes dev (intent_off c s) buf;
-  D.write_u64 dev
+  D.write_int dev
     (intent_off c s + intent_bytes)
-    (Int64.of_int (intent_crc ~cell:c ~slot:s ~igen:it.igen buf))
+    (intent_crc ~cell:c ~slot:s ~igen:it.igen buf)
 
 let flush_intent c s dev = D.flush dev (intent_off c s) (intent_bytes + 8)
 
@@ -231,7 +231,7 @@ let read_intent c s dev =
   let buf = D.read_bytes dev (intent_off c s) intent_bytes in
   let get i = Bytes.get_int64_le buf i in
   let igen = Int64.to_int (get 0) in
-  let stored = Int64.to_int (D.read_u64 dev (intent_off c s + intent_bytes)) in
+  let stored = D.read_int dev (intent_off c s + intent_bytes) in
   if stored <> intent_crc ~cell:c ~slot:s ~igen buf then None
   else
     let npub = Int64.to_int (get 16) in

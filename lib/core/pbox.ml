@@ -36,38 +36,11 @@ let drop b j =
   Ptype.drop b.ty tx b.off;
   Pool_impl.tx_free tx b.off
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pbox" ~size:8
-    ~read:(fun pool off ->
-      {
-        off = Int64.to_int (D.read_u64 (Pool_impl.device pool) off);
-        pool;
-        ty = inner_of ();
-      })
-    ~write:(fun pool off b ->
-      D.write_u64 (Pool_impl.device pool) off (Int64.of_int b.off))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let target = Int64.to_int (D.read_u64 (Pool_impl.device pool) off) in
-      if target <> 0 then begin
-        Ptype.drop (inner_of ()) tx target;
-        Pool_impl.tx_free tx target
-      end)
-    ~reach:(fun pool off ->
-      let target = Int64.to_int (D.read_u64 (Pool_impl.device pool) off) in
-      if target = 0 then []
-      else
-        [
-          {
-            Ptype.block = target;
-            follow = (fun p -> Ptype.reach (inner_of ()) p target);
-          };
-        ])
+let handle elt =
+  Ptype.handle ~name:"pbox" ~hdr:off ~drop
+    ~wrap:(fun pool off ty -> { off; pool; ty })
+    ~edges:(fun b -> Ptype.reach b.ty b.pool b.off)
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make ~name:(Printf.sprintf "%s pbox" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

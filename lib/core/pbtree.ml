@@ -16,8 +16,8 @@ let dev pool = Pool_impl.device pool
 let vsize t = max 8 (Ptype.size t.vty)
 let leaf_size t = 64 + (max_keys * vsize t) + 8
 let internal_size = 128
-let read_root t = Int64.to_int (D.read_u64 (dev t.pool) t.hdr)
-let read_size t = Int64.to_int (D.read_u64 (dev t.pool) (t.hdr + 8))
+let read_root t = D.read_int (dev t.pool) t.hdr
+let read_size t = D.read_int (dev t.pool) (t.hdr + 8)
 
 let length t =
   Pool_impl.check_open t.pool;
@@ -27,28 +27,24 @@ let is_empty t = length t = 0
 
 (* --- node accessors (logged writes, exact 8-byte or value ranges) ------ *)
 
-let meta t n = Int64.to_int (D.read_u64 (dev t.pool) n)
+let meta t n = D.read_int (dev t.pool) n
 let is_leaf t n = meta t n land 1 = 1
 let count t n = meta t n lsr 1
 
-let setf t tx off v =
-  Pool_impl.tx_log tx ~off ~len:8;
-  D.write_u64 (dev t.pool) off (Int64.of_int v)
+let set_root t tx v = Pool_impl.tx_set_int tx t.hdr v
+let set_size t tx v = Pool_impl.tx_set_int tx (t.hdr + 8) v
 
-let set_root t tx v = setf t tx t.hdr v
-let set_size t tx v = setf t tx (t.hdr + 8) v
+let set_meta tx n ~leaf ~count =
+  Pool_impl.tx_set_int tx n ((count lsl 1) lor if leaf then 1 else 0)
 
-let set_meta t tx n ~leaf ~count =
-  setf t tx n ((count lsl 1) lor if leaf then 1 else 0)
-
-let key t n i = Int64.to_int (D.read_u64 (dev t.pool) (n + 8 + (i * 8)))
-let set_key t tx n i v = setf t tx (n + 8 + (i * 8)) v
+let key t n i = D.read_int (dev t.pool) (n + 8 + (i * 8))
+let set_key tx n i v = Pool_impl.tx_set_int tx (n + 8 + (i * 8)) v
 let value_off t n i = n + 64 + (i * vsize t)
-let child t n i = Int64.to_int (D.read_u64 (dev t.pool) (n + 64 + (i * 8)))
-let set_child t tx n i c = setf t tx (n + 64 + (i * 8)) c
+let child t n i = D.read_int (dev t.pool) (n + 64 + (i * 8))
+let set_child tx n i c = Pool_impl.tx_set_int tx (n + 64 + (i * 8)) c
 let next_off t n = n + 64 + (max_keys * vsize t)
-let next_leaf t n = Int64.to_int (D.read_u64 (dev t.pool) (next_off t n))
-let set_next_leaf t tx n c = setf t tx (next_off t n) c
+let next_leaf t n = D.read_int (dev t.pool) (next_off t n)
+let set_next_leaf t tx n c = Pool_impl.tx_set_int tx (next_off t n) c
 
 let read_value t n i = Ptype.read t.vty t.pool (value_off t n i)
 
@@ -69,7 +65,7 @@ let new_node t tx ~leaf =
   let size = if leaf then leaf_size t else internal_size in
   let n = Pool_impl.tx_alloc tx size in
   D.fill (dev t.pool) n size '\000';
-  D.write_u64 (dev t.pool) n (Int64.of_int (if leaf then 1 else 0));
+  D.write_int (dev t.pool) n (if leaf then 1 else 0);
   D.persist (dev t.pool) n size;
   n
 
@@ -77,8 +73,8 @@ let make ~vty j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) 0L;
+  D.write_int (dev pool) hdr 0;
+  D.write_int (dev pool) (hdr + 8) 0;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool; vty }
 
@@ -130,38 +126,38 @@ let split_child t tx parent i =
     if leaf then begin
       (* left keeps 0..2, right takes 3..6 *)
       for k = 3 to 6 do
-        set_key t tx right (k - 3) (key t c k);
+        set_key tx right (k - 3) (key t c k);
         move_value t tx ~src_node:c ~src_i:k ~dst_node:right ~dst_i:(k - 3)
       done;
-      set_meta t tx right ~leaf:true ~count:4;
+      set_meta tx right ~leaf:true ~count:4;
       set_next_leaf t tx right (next_leaf t c);
       set_next_leaf t tx c right;
-      set_meta t tx c ~leaf:true ~count:3;
+      set_meta tx c ~leaf:true ~count:3;
       key t right 0
     end
     else begin
       for k = 4 to 6 do
-        set_key t tx right (k - 4) (key t c k)
+        set_key tx right (k - 4) (key t c k)
       done;
       for k = 4 to 7 do
-        set_child t tx right (k - 4) (child t c k)
+        set_child tx right (k - 4) (child t c k)
       done;
-      set_meta t tx right ~leaf:false ~count:3;
+      set_meta tx right ~leaf:false ~count:3;
       let sep = key t c 3 in
-      set_meta t tx c ~leaf:false ~count:3;
+      set_meta tx c ~leaf:false ~count:3;
       sep
     end
   in
   let pc = count t parent in
   for k = pc - 1 downto i do
-    set_key t tx parent (k + 1) (key t parent k)
+    set_key tx parent (k + 1) (key t parent k)
   done;
   for k = pc downto i + 1 do
-    set_child t tx parent (k + 1) (child t parent k)
+    set_child tx parent (k + 1) (child t parent k)
   done;
-  set_key t tx parent i sep;
-  set_child t tx parent (i + 1) right;
-  set_meta t tx parent ~leaf:false ~count:(pc + 1)
+  set_key tx parent i sep;
+  set_child tx parent (i + 1) right;
+  set_meta tx parent ~leaf:false ~count:(pc + 1)
 
 let rec insert_nonfull t tx n k v added =
   if is_leaf t n then begin
@@ -175,12 +171,12 @@ let rec insert_nonfull t tx n k v added =
         added := true;
         let c = count t n in
         for m = c - 1 downto i do
-          set_key t tx n (m + 1) (key t n m);
+          set_key tx n (m + 1) (key t n m);
           move_value t tx ~src_node:n ~src_i:m ~dst_node:n ~dst_i:(m + 1)
         done;
-        set_key t tx n i k;
+        set_key tx n i k;
         put_value t tx n i v;
-        set_meta t tx n ~leaf:true ~count:(c + 1)
+        set_meta tx n ~leaf:true ~count:(c + 1)
   end
   else begin
     let i = descend_index t n k in
@@ -199,9 +195,9 @@ let add t ~key:k v j =
   let root = read_root t in
   if root = 0 then begin
     let leaf = new_node t tx ~leaf:true in
-    set_key t tx leaf 0 k;
+    set_key tx leaf 0 k;
     put_value t tx leaf 0 v;
-    set_meta t tx leaf ~leaf:true ~count:1;
+    set_meta tx leaf ~leaf:true ~count:1;
     set_root t tx leaf;
     added := true
   end
@@ -209,8 +205,8 @@ let add t ~key:k v j =
     let root =
       if count t root = max_keys then begin
         let nroot = new_node t tx ~leaf:false in
-        set_child t tx nroot 0 root;
-        set_meta t tx nroot ~leaf:false ~count:0;
+        set_child tx nroot 0 root;
+        set_meta tx nroot ~leaf:false ~count:0;
         split_child t tx nroot 0;
         set_root t tx nroot;
         nroot
@@ -226,65 +222,65 @@ let add t ~key:k v j =
 let remove_from_leaf t tx n i =
   let c = count t n in
   for m = i to c - 2 do
-    set_key t tx n m (key t n (m + 1));
+    set_key tx n m (key t n (m + 1));
     move_value t tx ~src_node:n ~src_i:(m + 1) ~dst_node:n ~dst_i:m
   done;
-  set_meta t tx n ~leaf:true ~count:(c - 1)
+  set_meta tx n ~leaf:true ~count:(c - 1)
 
 let borrow_from_left t tx parent i =
   let c = child t parent i and l = child t parent (i - 1) in
   let lc = count t l and cc = count t c in
   if is_leaf t c then begin
     for m = cc - 1 downto 0 do
-      set_key t tx c (m + 1) (key t c m);
+      set_key tx c (m + 1) (key t c m);
       move_value t tx ~src_node:c ~src_i:m ~dst_node:c ~dst_i:(m + 1)
     done;
-    set_key t tx c 0 (key t l (lc - 1));
+    set_key tx c 0 (key t l (lc - 1));
     move_value t tx ~src_node:l ~src_i:(lc - 1) ~dst_node:c ~dst_i:0;
-    set_meta t tx c ~leaf:true ~count:(cc + 1);
-    set_meta t tx l ~leaf:true ~count:(lc - 1);
-    set_key t tx parent (i - 1) (key t c 0)
+    set_meta tx c ~leaf:true ~count:(cc + 1);
+    set_meta tx l ~leaf:true ~count:(lc - 1);
+    set_key tx parent (i - 1) (key t c 0)
   end
   else begin
     for m = cc - 1 downto 0 do
-      set_key t tx c (m + 1) (key t c m)
+      set_key tx c (m + 1) (key t c m)
     done;
     for m = cc downto 0 do
-      set_child t tx c (m + 1) (child t c m)
+      set_child tx c (m + 1) (child t c m)
     done;
-    set_key t tx c 0 (key t parent (i - 1));
-    set_child t tx c 0 (child t l lc);
-    set_meta t tx c ~leaf:false ~count:(cc + 1);
-    set_key t tx parent (i - 1) (key t l (lc - 1));
-    set_meta t tx l ~leaf:false ~count:(lc - 1)
+    set_key tx c 0 (key t parent (i - 1));
+    set_child tx c 0 (child t l lc);
+    set_meta tx c ~leaf:false ~count:(cc + 1);
+    set_key tx parent (i - 1) (key t l (lc - 1));
+    set_meta tx l ~leaf:false ~count:(lc - 1)
   end
 
 let borrow_from_right t tx parent i =
   let c = child t parent i and r = child t parent (i + 1) in
   let rc = count t r and cc = count t c in
   if is_leaf t c then begin
-    set_key t tx c cc (key t r 0);
+    set_key tx c cc (key t r 0);
     move_value t tx ~src_node:r ~src_i:0 ~dst_node:c ~dst_i:cc;
-    set_meta t tx c ~leaf:true ~count:(cc + 1);
+    set_meta tx c ~leaf:true ~count:(cc + 1);
     for m = 0 to rc - 2 do
-      set_key t tx r m (key t r (m + 1));
+      set_key tx r m (key t r (m + 1));
       move_value t tx ~src_node:r ~src_i:(m + 1) ~dst_node:r ~dst_i:m
     done;
-    set_meta t tx r ~leaf:true ~count:(rc - 1);
-    set_key t tx parent i (key t r 0)
+    set_meta tx r ~leaf:true ~count:(rc - 1);
+    set_key tx parent i (key t r 0)
   end
   else begin
-    set_key t tx c cc (key t parent i);
-    set_child t tx c (cc + 1) (child t r 0);
-    set_meta t tx c ~leaf:false ~count:(cc + 1);
-    set_key t tx parent i (key t r 0);
+    set_key tx c cc (key t parent i);
+    set_child tx c (cc + 1) (child t r 0);
+    set_meta tx c ~leaf:false ~count:(cc + 1);
+    set_key tx parent i (key t r 0);
     for m = 0 to rc - 2 do
-      set_key t tx r m (key t r (m + 1))
+      set_key tx r m (key t r (m + 1))
     done;
     for m = 0 to rc - 1 do
-      set_child t tx r m (child t r (m + 1))
+      set_child tx r m (child t r (m + 1))
     done;
-    set_meta t tx r ~leaf:false ~count:(rc - 1)
+    set_meta tx r ~leaf:false ~count:(rc - 1)
   end
 
 let merge_children t tx parent i =
@@ -292,30 +288,30 @@ let merge_children t tx parent i =
   let lc = count t l and rc = count t r in
   if is_leaf t l then begin
     for m = 0 to rc - 1 do
-      set_key t tx l (lc + m) (key t r m);
+      set_key tx l (lc + m) (key t r m);
       move_value t tx ~src_node:r ~src_i:m ~dst_node:l ~dst_i:(lc + m)
     done;
-    set_meta t tx l ~leaf:true ~count:(lc + rc);
+    set_meta tx l ~leaf:true ~count:(lc + rc);
     set_next_leaf t tx l (next_leaf t r)
   end
   else begin
-    set_key t tx l lc (key t parent i);
+    set_key tx l lc (key t parent i);
     for m = 0 to rc - 1 do
-      set_key t tx l (lc + 1 + m) (key t r m)
+      set_key tx l (lc + 1 + m) (key t r m)
     done;
     for m = 0 to rc do
-      set_child t tx l (lc + 1 + m) (child t r m)
+      set_child tx l (lc + 1 + m) (child t r m)
     done;
-    set_meta t tx l ~leaf:false ~count:(lc + rc + 1)
+    set_meta tx l ~leaf:false ~count:(lc + rc + 1)
   end;
   let pc = count t parent in
   for m = i to pc - 2 do
-    set_key t tx parent m (key t parent (m + 1))
+    set_key tx parent m (key t parent (m + 1))
   done;
   for m = i + 1 to pc - 1 do
-    set_child t tx parent m (child t parent (m + 1))
+    set_child tx parent m (child t parent (m + 1))
   done;
-  set_meta t tx parent ~leaf:false ~count:(pc - 1);
+  set_meta tx parent ~leaf:false ~count:(pc - 1);
   Pool_impl.tx_free tx r
 
 let fix_child t tx parent i =
@@ -506,63 +502,33 @@ let check t =
 
 (* --- container descriptor ----------------------------------------------------*)
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pbtree" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        vty = inner_of ();
-      })
-    ~write:(fun pool off t -> D.write_u64 (dev pool) off (Int64.of_int t.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; vty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
+let handle elt =
+  Ptype.handle ~name:"pbtree" ~hdr:off ~drop
+    ~wrap:(fun pool hdr vty -> { hdr; pool; vty })
+    ~edges:(fun t ->
+      let rec nodes acc n =
+        if n = 0 then acc
+        else if is_leaf t n then
           {
-            Ptype.block = hdr;
+            Ptype.block = n;
             follow =
               (fun p ->
-                let t = { hdr; pool = p; vty = inner_of () } in
-                let rec nodes acc n =
-                  if n = 0 then acc
-                  else if is_leaf t n then
-                    {
-                      Ptype.block = n;
-                      follow =
-                        (fun p2 ->
-                          let t2 = { t with pool = p2 } in
-                          List.concat
-                            (List.init (count t2 n) (fun i ->
-                                 Ptype.reach t2.vty p2 (value_off t2 n i))));
-                    }
-                    :: acc
-                  else begin
-                    let acc =
-                      { Ptype.block = n; follow = (fun _ -> []) } :: acc
-                    in
-                    let acc = ref acc in
-                    for i = 0 to count t n do
-                      acc := nodes !acc (child t n i)
-                    done;
-                    !acc
-                  end
-                in
-                nodes [] (read_root t));
-          };
-        ])
+                let t = { t with pool = p } in
+                List.concat
+                  (List.init (count t n) (fun i ->
+                       Ptype.reach t.vty p (value_off t n i))));
+          }
+          :: acc
+        else begin
+          let acc = ref ({ Ptype.block = n; follow = (fun _ -> []) } :: acc) in
+          for i = 0 to count t n do
+            acc := nodes !acc (child t n i)
+          done;
+          !acc
+        end
+      in
+      nodes [] (read_root t))
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pbtree" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

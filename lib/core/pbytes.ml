@@ -7,9 +7,9 @@ type 'p t = { hdr : int; pool : Pool_impl.t }
 
 let off b = b.hdr
 let dev pool = Pool_impl.device pool
-let read_len b = Int64.to_int (D.read_u64 (dev b.pool) b.hdr)
-let read_cap b = Int64.to_int (D.read_u64 (dev b.pool) (b.hdr + 8))
-let read_data b = Int64.to_int (D.read_u64 (dev b.pool) (b.hdr + 16))
+let read_len b = D.read_int (dev b.pool) b.hdr
+let read_cap b = D.read_int (dev b.pool) (b.hdr + 8)
+let read_data b = D.read_int (dev b.pool) (b.hdr + 16)
 
 let length b =
   Pool_impl.check_open b.pool;
@@ -28,9 +28,9 @@ let make ?(capacity = 64) j =
   let pool = Pool_impl.tx_pool tx in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
   let data = Pool_impl.tx_alloc tx capacity in
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) (Int64.of_int capacity);
-  D.write_u64 (dev pool) (hdr + 16) (Int64.of_int data);
+  D.write_int (dev pool) hdr 0;
+  D.write_int (dev pool) (hdr + 8) capacity;
+  D.write_int (dev pool) (hdr + 16) data;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool }
 
@@ -77,8 +77,8 @@ let reserve b tx extra =
       D.persist (dev b.pool) ndata len
     end;
     Pool_impl.tx_log tx ~off:(b.hdr + 8) ~len:16;
-    D.write_u64 (dev b.pool) (b.hdr + 8) (Int64.of_int ncap);
-    D.write_u64 (dev b.pool) (b.hdr + 16) (Int64.of_int ndata);
+    D.write_int (dev b.pool) (b.hdr + 8) ncap;
+    D.write_int (dev b.pool) (b.hdr + 16) ndata;
     Pool_impl.tx_free tx data
   end
 
@@ -93,8 +93,7 @@ let append b s j =
        durability at commit *)
     D.write_string (dev b.pool) at s;
     Pool_impl.tx_add_target tx ~off:at ~len:extra;
-    Pool_impl.tx_log tx ~off:b.hdr ~len:8;
-    D.write_u64 (dev b.pool) b.hdr (Int64.of_int (len + extra))
+    Pool_impl.tx_set_int tx b.hdr (len + extra)
   end
 
 let of_string s j =
@@ -106,8 +105,7 @@ let truncate b n j =
   let tx = Journal.tx j in
   if n < 0 || n > read_len b then
     invalid_arg (Printf.sprintf "Pbytes.truncate: %d outside [0, %d]" n (read_len b));
-  Pool_impl.tx_log tx ~off:b.hdr ~len:8;
-  D.write_u64 (dev b.pool) b.hdr (Int64.of_int n)
+  Pool_impl.tx_set_int tx b.hdr n
 
 let drop b j =
   let tx = Journal.tx j in
@@ -115,24 +113,7 @@ let drop b j =
   Pool_impl.tx_free tx b.hdr
 
 let ptype () =
-  Ptype.make ~name:"pbytes" ~size:8
-    ~read:(fun pool off ->
-      { hdr = Int64.to_int (D.read_u64 (dev pool) off); pool })
-    ~write:(fun pool off b -> D.write_u64 (dev pool) off (Int64.of_int b.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then drop { hdr; pool } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let b = { hdr; pool = p } in
-                [ { Ptype.block = read_data b; follow = (fun _ -> []) } ]);
-          };
-        ])
+  Ptype.handle ~name:"pbytes" ~hdr:off ~drop
+    ~wrap:(fun pool hdr _ -> { hdr; pool })
+    ~edges:(fun b -> [ { Ptype.block = read_data b; follow = (fun _ -> []) } ])
+    (Ptype.Of_rec (lazy Ptype.unit))

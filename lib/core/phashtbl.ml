@@ -1,280 +1,27 @@
 module D = Pmem.Device
 
-(* Header block: [count u64 | nbuckets u64 | dir u64].
-   Directory:    nbuckets chain-head pointers.
-   Entry block:  [key i64 | next u64 | value]. *)
-let hdr_size = 24
-let entry_meta = 16
+(* Entry block: [key i64 | next u64 | value]. *)
+include Hash_core.Make (struct
+  type t = int
+  type word = int
 
-type ('a, 'p) t = { hdr : int; pool : Pool_impl.t; vty : ('a, 'p) Ptype.t }
+  let name = "Phashtbl"
+  let meta = 16
+  let word k = k
 
-let off h = h.hdr
-let dev pool = Pool_impl.device pool
-let vsize h = max 8 (Ptype.size h.vty)
-let entry_size h = entry_meta + vsize h
-let read_count h = Int64.to_int (D.read_u64 (dev h.pool) h.hdr)
-let read_nbuckets h = Int64.to_int (D.read_u64 (dev h.pool) (h.hdr + 8))
-let read_dir h = Int64.to_int (D.read_u64 (dev h.pool) (h.hdr + 16))
-let ekey h e = Int64.to_int (D.read_u64 (dev h.pool) e)
-let enext h e = Int64.to_int (D.read_u64 (dev h.pool) (e + 8))
-let evalue_off e = e + entry_meta
+  (* Fibonacci hashing spreads adversarial integer keys. *)
+  let bucket k nb =
+    Int64.to_int
+      (Int64.unsigned_rem (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L)
+         (Int64.of_int nb))
 
-let setf h tx off v =
-  Pool_impl.tx_log tx ~off ~len:8;
-  D.write_u64 (dev h.pool) off (Int64.of_int v)
-
-let set_count h tx v = setf h tx h.hdr v
-let set_enext h tx e v = setf h tx (e + 8) v
-
-let length h =
-  Pool_impl.check_open h.pool;
-  read_count h
-
-let buckets h =
-  Pool_impl.check_open h.pool;
-  read_nbuckets h
-
-let is_empty h = length h = 0
-
-(* Fibonacci hashing spreads adversarial integer keys. *)
-let bucket_of h k =
-  let nb = read_nbuckets h in
-  Int64.to_int
-    (Int64.unsigned_rem (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L)
-       (Int64.of_int nb))
-
-let head_addr h b = read_dir h + (b * 8)
-let head h b = Int64.to_int (D.read_u64 (dev h.pool) (head_addr h b))
-
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
-
-let make ~vty ?(nbuckets = 16) j =
-  if nbuckets <= 0 then invalid_arg "Phashtbl.make: nbuckets must be positive";
-  let nbuckets = pow2_at_least nbuckets 1 in
-  let tx = Journal.tx j in
-  let pool = Pool_impl.tx_pool tx in
-  let hdr = Pool_impl.tx_alloc tx hdr_size in
-  let dir = Pool_impl.tx_alloc tx (nbuckets * 8) in
-  D.fill (dev pool) dir (nbuckets * 8) '\000';
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) (Int64.of_int nbuckets);
-  D.write_u64 (dev pool) (hdr + 16) (Int64.of_int dir);
-  D.persist (dev pool) hdr hdr_size;
-  D.persist (dev pool) dir (nbuckets * 8);
-  { hdr; pool; vty }
-
-let find h k =
-  Pool_impl.check_open h.pool;
-  let rec go e =
-    if e = 0 then None
-    else if ekey h e = k then Some (Ptype.read h.vty h.pool (evalue_off e))
-    else go (enext h e)
-  in
-  go (head h (bucket_of h k))
-
-let mem h k = find h k <> None
-
-(* Double the directory and relink every entry.  Entries move between
-   chains by pointer surgery only (their blocks stay put); all the
-   touched words are undo-logged, so the whole rehash rolls back as a
-   unit. *)
-let grow h tx =
-  let old_nb = read_nbuckets h and old_dir = read_dir h in
-  let nb = old_nb * 2 in
-  let dir = Pool_impl.tx_alloc tx (nb * 8) in
-  D.fill (dev h.pool) dir (nb * 8) '\000';
-  Pool_impl.tx_add_target tx ~off:dir ~len:(nb * 8);
-  (* swap the directory in first so bucket_of uses the new geometry *)
-  Pool_impl.tx_log tx ~off:(h.hdr + 8) ~len:16;
-  D.write_u64 (dev h.pool) (h.hdr + 8) (Int64.of_int nb);
-  D.write_u64 (dev h.pool) (h.hdr + 16) (Int64.of_int dir);
-  for b = 0 to old_nb - 1 do
-    let rec relink e =
-      if e <> 0 then begin
-        let next = enext h e in
-        let nb' = bucket_of h (ekey h e) in
-        set_enext h tx e (head h nb');
-        setf h tx (head_addr h nb') e;
-        relink next
-      end
-    in
-    relink (Int64.to_int (D.read_u64 (dev h.pool) (old_dir + (b * 8))))
-  done;
-  Pool_impl.tx_free tx old_dir
-
-let add h ~key:k v j =
-  let tx = Journal.tx j in
-  let rec find_entry e =
-    if e = 0 then None else if ekey h e = k then Some e else find_entry (enext h e)
-  in
-  match find_entry (head h (bucket_of h k)) with
-  | Some e ->
-      Pool_impl.tx_log tx ~off:(evalue_off e) ~len:(vsize h);
-      Ptype.drop h.vty tx (evalue_off e);
-      Ptype.write h.vty h.pool (evalue_off e) v
-  | None ->
-      if read_count h >= 2 * read_nbuckets h then grow h tx;
-      let b = bucket_of h k in
-      let e = Pool_impl.tx_alloc tx (entry_size h) in
-      D.write_u64 (dev h.pool) e (Int64.of_int k);
-      D.write_u64 (dev h.pool) (e + 8) (Int64.of_int (head h b));
-      Ptype.write h.vty h.pool (evalue_off e) v;
-      D.persist (dev h.pool) e (entry_size h);
-      setf h tx (head_addr h b) e;
-      set_count h tx (read_count h + 1)
-
-let remove h k j =
-  let tx = Journal.tx j in
-  let rec unlink prev_addr e =
-    if e = 0 then false
-    else if ekey h e = k then begin
-      setf h tx prev_addr (enext h e);
-      Ptype.drop h.vty tx (evalue_off e);
-      Pool_impl.tx_free tx e;
-      set_count h tx (read_count h - 1);
-      true
-    end
-    else unlink (e + 8) (enext h e)
-  in
-  let b = bucket_of h k in
-  unlink (head_addr h b) (head h b)
-
-let fold h ~init ~f =
-  Pool_impl.check_open h.pool;
-  let acc = ref init in
-  for b = 0 to read_nbuckets h - 1 do
-    let rec go e =
-      if e <> 0 then begin
-        acc := f !acc (ekey h e) (Ptype.read h.vty h.pool (evalue_off e));
-        go (enext h e)
-      end
-    in
-    go (head h b)
-  done;
-  !acc
-
-let iter h f = fold h ~init:() ~f:(fun () k v -> f k v)
-
-let to_list h =
-  List.sort compare (fold h ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-
-let clear h j =
-  let tx = Journal.tx j in
-  for b = 0 to read_nbuckets h - 1 do
-    let rec drop_chain e =
-      if e <> 0 then begin
-        let next = enext h e in
-        Ptype.drop h.vty tx (evalue_off e);
-        Pool_impl.tx_free tx e;
-        drop_chain next
-      end
-    in
-    drop_chain (head h b);
-    setf h tx (head_addr h b) 0
-  done;
-  set_count h tx 0
-
-let drop h j =
-  let tx = Journal.tx j in
-  for b = 0 to read_nbuckets h - 1 do
-    let rec drop_chain e =
-      if e <> 0 then begin
-        let next = enext h e in
-        Ptype.drop h.vty tx (evalue_off e);
-        Pool_impl.tx_free tx e;
-        drop_chain next
-      end
-    in
-    drop_chain (head h b)
-  done;
-  Pool_impl.tx_free tx (read_dir h);
-  Pool_impl.tx_free tx h.hdr
-
-let check h =
-  Pool_impl.check_open h.pool;
-  let n = read_count h and nb = read_nbuckets h in
-  let seen = ref 0 in
-  let rec go b e steps =
-    if e <> 0 then
-      if steps > n then Error "chain cycle suspected"
-      else if bucket_of h (ekey h e) <> b then
-        Error (Printf.sprintf "key %d in wrong bucket %d" (ekey h e) b)
-      else begin
-        incr seen;
-        go b (enext h e) (steps + 1)
-      end
-    else Ok ()
-  in
-  let rec buckets b =
-    if b >= nb then Ok ()
-    else match go b (head h b) 0 with Ok () -> buckets (b + 1) | e -> e
-  in
-  match buckets 0 with
-  | Error _ as e -> e
-  | Ok () ->
-      if !seen <> n then
-        Error (Printf.sprintf "count %d but %d entries" n !seen)
-      else Ok ()
-
-let make_ptype inner_of =
-  Ptype.make ~name:"phashtbl" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        vty = inner_of ();
-      })
-    ~write:(fun pool off h -> D.write_u64 (dev pool) off (Int64.of_int h.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; vty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let h = { hdr; pool = p; vty = inner_of () } in
-                [
-                  {
-                    Ptype.block = read_dir h;
-                    follow =
-                      (fun p2 ->
-                        let h2 = { h with pool = p2 } in
-                        let edges = ref [] in
-                        for b = 0 to read_nbuckets h2 - 1 do
-                          let rec chain e =
-                            if e <> 0 then begin
-                              edges :=
-                                {
-                                  Ptype.block = e;
-                                  follow =
-                                    (fun p3 ->
-                                      Ptype.reach (inner_of ()) p3
-                                        (evalue_off e));
-                                }
-                                :: !edges;
-                              chain (enext h2 e)
-                            end
-                          in
-                          chain (head h2 b)
-                        done;
-                        !edges);
-                  };
-                ]);
-          };
-        ])
-
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s phashtbl" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+  let stored pool e = D.read_int (Pool_impl.device pool) e
+  let matches pool e k _ = stored pool e = k
+  let store _ _ = 0
+  let init pool e k _ = D.write_int (Pool_impl.device pool) e k
+  let release _ _ = ()
+  let get = stored
+  let check pool e = Ok (stored pool e)
+  let to_string = string_of_int
+  let reach _ _ = []
+end)

@@ -8,7 +8,7 @@ type 'p t = { hdr : int; pool : Pool_impl.t }
 
 let off l = l.hdr
 let dev pool = Pool_impl.device pool
-let read_records l = Int64.to_int (D.read_u64 (dev l.pool) l.hdr)
+let read_records l = D.read_int (dev l.pool) l.hdr
 
 let buffer l : 'p Pbytes.t =
   Ptype.read (Pbytes.ptype ()) l.pool (l.hdr + 8)
@@ -25,7 +25,7 @@ let make ?(capacity = 256) j =
   let pool = Pool_impl.tx_pool tx in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
   let buf = Pbytes.make ~capacity j in
-  D.write_u64 (dev pool) hdr 0L;
+  D.write_int (dev pool) hdr 0;
   Ptype.write (Pbytes.ptype ()) pool (hdr + 8) buf;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool }
@@ -38,8 +38,7 @@ let append l record j =
   let buf = buffer l in
   Pbytes.append buf (Bytes.to_string prefix) j;
   if len > 0 then Pbytes.append buf record j;
-  Pool_impl.tx_log tx ~off:l.hdr ~len:8;
-  D.write_u64 (dev l.pool) l.hdr (Int64.of_int (read_records l + 1))
+  Pool_impl.tx_set_int tx l.hdr (read_records l + 1)
 
 let fold l ~init ~f =
   Pool_impl.check_open l.pool;
@@ -70,8 +69,7 @@ let nth l i =
 let truncate l j =
   let tx = Journal.tx j in
   Pbytes.truncate (buffer l) 0 j;
-  Pool_impl.tx_log tx ~off:l.hdr ~len:8;
-  D.write_u64 (dev l.pool) l.hdr 0L
+  Pool_impl.tx_set_int tx l.hdr 0
 
 let drop l j =
   let tx = Journal.tx j in
@@ -79,22 +77,7 @@ let drop l j =
   Pool_impl.tx_free tx l.hdr
 
 let ptype () =
-  Ptype.make ~name:"plog" ~size:8
-    ~read:(fun pool off ->
-      { hdr = Int64.to_int (D.read_u64 (dev pool) off); pool })
-    ~write:(fun pool off l -> D.write_u64 (dev pool) off (Int64.of_int l.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then drop { hdr; pool } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p -> Ptype.reach (Pbytes.ptype ()) p (hdr + 8));
-          };
-        ])
+  Ptype.handle ~name:"plog" ~hdr:off ~drop
+    ~wrap:(fun pool hdr _ -> { hdr; pool })
+    ~edges:(fun l -> Ptype.reach (Pbytes.ptype ()) l.pool (l.hdr + 8))
+    (Ptype.Of_rec (lazy Ptype.unit))

@@ -11,24 +11,20 @@ let off m = m.hdr
 let dev pool = Pool_impl.device pool
 let vsize m = max 8 (Ptype.size m.vty)
 let node_size m = node_meta + vsize m
-let read_root m = Int64.to_int (D.read_u64 (dev m.pool) m.hdr)
-let read_size m = Int64.to_int (D.read_u64 (dev m.pool) (m.hdr + 8))
-let key m n = Int64.to_int (D.read_u64 (dev m.pool) n)
-let hgt m n = Int64.to_int (D.read_u64 (dev m.pool) (n + 8))
-let left m n = Int64.to_int (D.read_u64 (dev m.pool) (n + 16))
-let right m n = Int64.to_int (D.read_u64 (dev m.pool) (n + 24))
+let read_root m = D.read_int (dev m.pool) m.hdr
+let read_size m = D.read_int (dev m.pool) (m.hdr + 8)
+let key m n = D.read_int (dev m.pool) n
+let hgt m n = D.read_int (dev m.pool) (n + 8)
+let left m n = D.read_int (dev m.pool) (n + 16)
+let right m n = D.read_int (dev m.pool) (n + 24)
 let value_off n = n + node_meta
 
 (* Logged field writes (8-byte exact ranges; dedup makes repeats free). *)
-let setf m tx off v =
-  Pool_impl.tx_log tx ~off ~len:8;
-  D.write_u64 (dev m.pool) off (Int64.of_int v)
-
-let set_root m tx v = setf m tx m.hdr v
-let set_size m tx v = setf m tx (m.hdr + 8) v
-let set_hgt m tx n v = setf m tx (n + 8) v
-let set_left m tx n v = setf m tx (n + 16) v
-let set_right m tx n v = setf m tx (n + 24) v
+let set_root m tx v = Pool_impl.tx_set_int tx m.hdr v
+let set_size m tx v = Pool_impl.tx_set_int tx (m.hdr + 8) v
+let set_hgt tx n v = Pool_impl.tx_set_int tx (n + 8) v
+let set_left tx n v = Pool_impl.tx_set_int tx (n + 16) v
+let set_right tx n v = Pool_impl.tx_set_int tx (n + 24) v
 
 let length m =
   Pool_impl.check_open m.pool;
@@ -45,8 +41,8 @@ let make ~vty j =
   let tx = Journal.tx j in
   let pool = Pool_impl.tx_pool tx in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) 0L;
+  D.write_int (dev pool) hdr 0;
+  D.write_int (dev pool) (hdr + 8) 0;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool; vty }
 
@@ -57,21 +53,21 @@ let balance_of m n = node_height m (left m n) - node_height m (right m n)
 
 let fix_height m tx n =
   let h = 1 + max (node_height m (left m n)) (node_height m (right m n)) in
-  if hgt m n <> h then set_hgt m tx n h
+  if hgt m n <> h then set_hgt tx n h
 
 (* Classic rotations; return the subtree's new root. *)
 let rotate_right m tx n =
   let l = left m n in
-  set_left m tx n (right m l);
-  set_right m tx l n;
+  set_left tx n (right m l);
+  set_right tx l n;
   fix_height m tx n;
   fix_height m tx l;
   l
 
 let rotate_left m tx n =
   let r = right m n in
-  set_right m tx n (left m r);
-  set_left m tx r n;
+  set_right tx n (left m r);
+  set_left tx r n;
   fix_height m tx n;
   fix_height m tx r;
   r
@@ -80,12 +76,12 @@ let rebalance m tx n =
   fix_height m tx n;
   let bf = balance_of m n in
   if bf > 1 then begin
-    if balance_of m (left m n) < 0 then set_left m tx n (rotate_left m tx (left m n));
+    if balance_of m (left m n) < 0 then set_left tx n (rotate_left m tx (left m n));
     rotate_right m tx n
   end
   else if bf < -1 then begin
     if balance_of m (right m n) > 0 then
-      set_right m tx n (rotate_right m tx (right m n));
+      set_right tx n (rotate_right m tx (right m n));
     rotate_left m tx n
   end
   else n
@@ -94,10 +90,10 @@ let rebalance m tx n =
 
 let new_node m tx k v =
   let n = Pool_impl.tx_alloc tx (node_size m) in
-  D.write_u64 (dev m.pool) n (Int64.of_int k);
-  D.write_u64 (dev m.pool) (n + 8) 1L;
-  D.write_u64 (dev m.pool) (n + 16) 0L;
-  D.write_u64 (dev m.pool) (n + 24) 0L;
+  D.write_int (dev m.pool) n k;
+  D.write_int (dev m.pool) (n + 8) 1;
+  D.write_int (dev m.pool) (n + 16) 0;
+  D.write_int (dev m.pool) (n + 24) 0;
   Ptype.write m.vty m.pool (value_off n) v;
   D.persist (dev m.pool) n (node_size m);
   n
@@ -111,11 +107,11 @@ let add m ~key:k v j =
       new_node m tx k v
     end
     else if k < key m n then begin
-      set_left m tx n (ins (left m n));
+      set_left tx n (ins (left m n));
       rebalance m tx n
     end
     else if k > key m n then begin
-      set_right m tx n (ins (right m n));
+      set_right tx n (ins (right m n));
       rebalance m tx n
     end
     else begin
@@ -157,18 +153,18 @@ let remove m k j =
       right m n
     end
     else begin
-      set_left m tx n (take_min (left m n) kept);
+      set_left tx n (take_min (left m n) kept);
       rebalance m tx n
     end
   in
   let rec del n =
     if n = 0 then 0
     else if k < key m n then begin
-      set_left m tx n (del (left m n));
+      set_left tx n (del (left m n));
       rebalance m tx n
     end
     else if k > key m n then begin
-      set_right m tx n (del (right m n));
+      set_right tx n (del (right m n));
       rebalance m tx n
     end
     else begin
@@ -184,8 +180,8 @@ let remove m k j =
         let succ = ref 0 in
         let r' = take_min r succ in
         let s = !succ in
-        set_left m tx s l;
-        set_right m tx s r';
+        set_left tx s l;
+        set_right tx s r';
         rebalance m tx s
       end
     end
@@ -299,53 +295,23 @@ let check m =
 
 (* --- container descriptor ------------------------------------------------ *)
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pmap" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        vty = inner_of ();
-      })
-    ~write:(fun pool off m -> D.write_u64 (dev pool) off (Int64.of_int m.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; vty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let m = { hdr; pool = p; vty = inner_of () } in
-                let rec nodes acc n =
-                  if n = 0 then acc
-                  else
-                    let edge =
-                      {
-                        Ptype.block = n;
-                        follow =
-                          (fun p2 ->
-                            let m2 = { m with pool = p2 } in
-                            Ptype.reach m2.vty p2 (value_off n));
-                      }
-                    in
-                    nodes (nodes (edge :: acc) (left m n)) (right m n)
-                in
-                nodes [] (read_root m));
-          };
-        ])
+let handle elt =
+  Ptype.handle ~name:"pmap" ~hdr:off ~drop
+    ~wrap:(fun pool hdr vty -> { hdr; pool; vty })
+    ~edges:(fun m ->
+      let rec nodes acc n =
+        if n = 0 then acc
+        else
+          let edge =
+            {
+              Ptype.block = n;
+              follow = (fun p -> Ptype.reach m.vty p (value_off n));
+            }
+          in
+          nodes (nodes (edge :: acc) (left m n)) (right m n)
+      in
+      nodes [] (read_root m))
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pmap" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

@@ -67,7 +67,7 @@ let block_aligned (l : H.layout) off = (off - l.heap_base) mod T.min_block = 0
    header persist: terminator back at the head of the entry area and the
    epoch bumped, so whatever sealed bytes remain can never verify again. *)
 let reset_slot w dev base ?(truncated = 0) why () =
-  let epoch = Int64.to_int (D.read_u64 dev (base + LE.hdr_epoch)) in
+  let epoch = D.read_int dev (base + LE.hdr_epoch) in
   D.write_u64 dev (base + LE.hdr_phase) LE.phase_normal;
   LE.retire_header dev ~slot_base:base ~epoch:(epoch + 1);
   D.persist dev base (LE.hdr_size + LE.terminator_size);
@@ -75,7 +75,7 @@ let reset_slot w dev base ?(truncated = 0) why () =
   "reset slot: " ^ why
 
 let slot_salt dev base =
-  LE.salt ~slot_base:base ~epoch:(Int64.to_int (D.read_u64 dev (base + LE.hdr_epoch)))
+  LE.salt ~slot_base:base ~epoch:(D.read_int dev (base + LE.hdr_epoch))
 
 (* A slot's undo log: a walkable spill chain and entries, a tail sealed
    by a terminator, and an advisory count that agrees with the walk. *)
@@ -140,11 +140,11 @@ let walk_log w dev (l : H.layout) ~base ~where ~advisory =
       (* advisory = 0 with a walked tail is a normal in-flight transaction
          (the count persists only at commit); a non-zero advisory must
          agree with the walk.  Re-read: a reset above zeroed it. *)
-      let advisory = Int64.to_int (D.read_u64 dev (base + LE.hdr_count)) in
+      let advisory = D.read_int dev (base + LE.hdr_count) in
       if advisory <> 0 && advisory <> visited then
         problem
           ~fix:(fun () ->
-            D.write_u64 dev (base + LE.hdr_count) (Int64.of_int visited);
+            D.write_int dev (base + LE.hdr_count) visited;
             D.persist dev (base + LE.hdr_count) 8;
             (* a torn tail is one of the entries the count claimed *)
             let torn = if reason = LE.Terminator then 0 else 1 in
@@ -159,10 +159,10 @@ let walk_log w dev (l : H.layout) ~base ~where ~advisory =
    record naming a heap block in every counted place. *)
 let walk_drops w dev (l : H.layout) ~base ~where =
   let problem ?fix fmt = problem w ?fix where fmt in
-  let count () = Int64.to_int (D.read_u64 dev (base + LE.hdr_drops)) in
+  let count () = D.read_int dev (base + LE.hdr_drops) in
   let drops = count () in
   let set_count v =
-    D.write_u64 dev (base + LE.hdr_drops) (Int64.of_int v);
+    D.write_int dev (base + LE.hdr_drops) v;
     D.persist dev (base + LE.hdr_drops) 8;
     w.drops_truncated <- w.drops_truncated + max 0 (drops - v)
   in
@@ -200,7 +200,7 @@ let walk_slot w dev (l : H.layout) i =
   if phase <> LE.phase_normal && phase <> LE.phase_committing then
     implausible "bad phase" (Int64.to_int phase);
   (* fields are read where they are checked: a reset rewrites them *)
-  let advisory = Int64.to_int (D.read_u64 dev (base + LE.hdr_count)) in
+  let advisory = D.read_int dev (base + LE.hdr_count) in
   if advisory < 0 || advisory * 16 > 64 * l.slot_size then
     implausible "implausible entry count" advisory
   else walk_log w dev l ~base ~where ~advisory;
@@ -337,7 +337,7 @@ let walk ~fix dev =
   (if D.size dev < H.header_size then problem w "header" "device smaller than a pool header"
    else if not (H.has_magic dev) then problem w "header" "bad magic: not a Corundum pool"
    else
-     let version = Int64.to_int (D.read_u64 dev H.hdr_version) in
+     let version = D.read_int dev H.hdr_version in
      let l = H.read_layout dev in
      if version <> H.version then problem w "header" "unsupported version %d" version
      else if not (H.layout_sane dev l) then

@@ -29,11 +29,11 @@ let header_crc dev =
       hdr_heap_base ];
   Pmem.Crc32.bytes buf
 
-let stored_header_crc dev = Int64.to_int (D.read_u64 dev hdr_csum)
+let stored_header_crc dev = D.read_int dev hdr_csum
 let header_crc_ok dev = stored_header_crc dev = header_crc dev
 
 let write_header_crc dev =
-  D.write_u64 dev hdr_csum (Int64.of_int (header_crc dev));
+  D.write_int dev hdr_csum (header_crc dev);
   D.persist dev hdr_csum 8
 
 type layout = {
@@ -46,7 +46,7 @@ type layout = {
 }
 
 let read_layout dev =
-  let u64 off = Int64.to_int (D.read_u64 dev off) in
+  let u64 off = D.read_int dev off in
   {
     nslots = u64 hdr_nslots;
     slot_size = u64 hdr_slot_size;

@@ -100,9 +100,9 @@ let uid t = t.uid
 let device t = t.dev
 let buddy t = t.buddy
 let recovery_stats t = t.recovery
-let generation t = Int64.to_int (D.read_u64 t.dev H.hdr_generation)
-let root_off t = Int64.to_int (D.read_u64 t.dev H.hdr_root)
-let root_ty_hash t = Int64.to_int (D.read_u64 t.dev H.hdr_root_hash)
+let generation t = D.read_int t.dev H.hdr_generation
+let root_off t = D.read_int t.dev H.hdr_root
+let root_ty_hash t = D.read_int t.dev H.hdr_root_hash
 
 (* Compute the media layout for a device of [size] bytes. *)
 let layout ~size ~nslots ~slot_size =
@@ -176,13 +176,12 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     n_allocs = Atomic.make 0;
     n_frees = Atomic.make 0;
     n_logged_bytes = Atomic.make 0;
-    lifetime_tx0 = Int64.to_int (D.read_u64 dev H.hdr_tx_total);
-    lifetime_abort0 = Int64.to_int (D.read_u64 dev H.hdr_abort_total);
+    lifetime_tx0 = D.read_int dev H.hdr_tx_total;
+    lifetime_abort0 = D.read_int dev H.hdr_abort_total;
   }
 
 let bump_generation dev =
-  let g = D.read_u64 dev H.hdr_generation in
-  D.write_u64 dev H.hdr_generation (Int64.add g 1L);
+  D.write_int dev H.hdr_generation (D.read_int dev H.hdr_generation + 1);
   D.persist dev H.hdr_generation 8
 
 let create ?(config = default_config) ?latency ?path () =
@@ -191,16 +190,16 @@ let create ?(config = default_config) ?latency ?path () =
   let table_base, heap_base, heap_len = layout ~size ~nslots ~slot_size in
   (* Format: header, journal slots, allocation table. *)
   D.write_string dev 0 H.magic;
-  D.write_u64 dev H.hdr_version (Int64.of_int H.version);
-  D.write_u64 dev H.hdr_generation 1L;
-  D.write_u64 dev H.hdr_root 0L;
-  D.write_u64 dev H.hdr_root_hash 0L;
-  D.write_u64 dev H.hdr_nslots (Int64.of_int nslots);
-  D.write_u64 dev H.hdr_slot_size (Int64.of_int slot_size);
-  D.write_u64 dev H.hdr_heap_len (Int64.of_int heap_len);
-  D.write_u64 dev H.hdr_table_base (Int64.of_int table_base);
-  D.write_u64 dev H.hdr_heap_base (Int64.of_int heap_base);
-  D.write_u64 dev H.hdr_csum (Int64.of_int (H.header_crc dev));
+  D.write_int dev H.hdr_version H.version;
+  D.write_int dev H.hdr_generation 1;
+  D.write_int dev H.hdr_root 0;
+  D.write_int dev H.hdr_root_hash 0;
+  D.write_int dev H.hdr_nslots nslots;
+  D.write_int dev H.hdr_slot_size slot_size;
+  D.write_int dev H.hdr_heap_len heap_len;
+  D.write_int dev H.hdr_table_base table_base;
+  D.write_int dev H.hdr_heap_base heap_base;
+  D.write_int dev H.hdr_csum (H.header_crc dev);
   D.persist dev 0 H.header_size;
   for i = 0 to nslots - 1 do
     J.format dev ~base:(H.header_size + (i * slot_size)) ~size:slot_size
@@ -216,18 +215,18 @@ let create ?(config = default_config) ?latency ?path () =
 let attach ?(mode = Read_write) dev =
   if not (H.has_magic dev) then
     raise (Recovery_needed "bad magic: not a Corundum pool");
-  let v = Int64.to_int (D.read_u64 dev H.hdr_version) in
+  let v = D.read_int dev H.hdr_version in
   if v <> H.version then
     raise (Recovery_needed (Printf.sprintf "unsupported pool version %d" v));
   if mode = Read_write && not (H.header_crc_ok dev) then
     raise
       (Recovery_needed
          "pool header checksum mismatch (run fsck, or open read-only)");
-  let nslots = Int64.to_int (D.read_u64 dev H.hdr_nslots) in
-  let slot_size = Int64.to_int (D.read_u64 dev H.hdr_slot_size) in
-  let heap_len = Int64.to_int (D.read_u64 dev H.hdr_heap_len) in
-  let table_base = Int64.to_int (D.read_u64 dev H.hdr_table_base) in
-  let heap_base = Int64.to_int (D.read_u64 dev H.hdr_heap_base) in
+  let nslots = D.read_int dev H.hdr_nslots in
+  let slot_size = D.read_int dev H.hdr_slot_size in
+  let heap_len = D.read_int dev H.hdr_heap_len in
+  let table_base = D.read_int dev H.hdr_table_base in
+  let heap_base = D.read_int dev H.hdr_heap_base in
   let recovery =
     match mode with
     | Read_only -> None
@@ -318,10 +317,10 @@ let reopen t =
    statistics, not correctness state). *)
 let persist_lifetime_totals t =
   if not (D.is_crashed t.dev) then begin
-    D.write_u64 t.dev H.hdr_tx_total
-      (Int64.of_int (t.lifetime_tx0 + Atomic.get t.n_tx));
-    D.write_u64 t.dev H.hdr_abort_total
-      (Int64.of_int (t.lifetime_abort0 + Atomic.get t.n_abort));
+    D.write_int t.dev H.hdr_tx_total
+      (t.lifetime_tx0 + Atomic.get t.n_tx);
+    D.write_int t.dev H.hdr_abort_total
+      (t.lifetime_abort0 + Atomic.get t.n_abort);
     D.persist t.dev H.hdr_tx_total 16
   end
 
@@ -616,6 +615,10 @@ let tx_log tx ~off ~len =
   Atomic.incr tx.pool.n_logs;
   J.data_log tx.jrnl ~off ~len
 
+let tx_set_int tx off v =
+  tx_log tx ~off ~len:8;
+  D.write_int tx.pool.dev off v
+
 let tx_log_nodedup tx ~off ~len =
   live_tx tx;
   mark tx;
@@ -631,8 +634,8 @@ let tx_set_root tx ~off ~ty_hash =
   live_tx tx;
   mark tx;
   J.data_log tx.jrnl ~off:H.hdr_root ~len:16;
-  D.write_u64 tx.pool.dev H.hdr_root (Int64.of_int off);
-  D.write_u64 tx.pool.dev H.hdr_root_hash (Int64.of_int ty_hash)
+  D.write_int tx.pool.dev H.hdr_root off;
+  D.write_int tx.pool.dev H.hdr_root_hash ty_hash
 
 (* {1 Volatile side tables} *)
 

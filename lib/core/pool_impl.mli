@@ -168,6 +168,11 @@ val tx_free : tx -> int -> unit
 val tx_log : tx -> off:int -> len:int -> unit
 val tx_log_nodedup : tx -> off:int -> len:int -> unit
 
+val tx_set_int : tx -> int -> int -> unit
+(** [tx_set_int tx off v] undo-logs the word at [off], then stores [v]
+    there: the one logged word store, the log-before-write rule for
+    every single-word container update. *)
+
 val tx_add_target : tx -> off:int -> len:int -> unit
 (** Register a range for commit-time persistence without undo logging —
     only sound for ranges inside blocks allocated by this transaction. *)

@@ -35,7 +35,7 @@ type info = {
    an in-flight crash image usually has count=0 beside a walkable log);
    phase [Committing] only appears on legacy images. *)
 let read_slot dev ~base ~size =
-  let field off = Int64.to_int (D.read_u64 dev (base + off)) in
+  let field off = D.read_int dev (base + off) in
   let phase = D.read_u64 dev (base + LE.hdr_phase) in
   let count = field LE.hdr_count in
   let epoch = field LE.hdr_epoch in
@@ -50,7 +50,7 @@ let read_slot dev ~base ~size =
 
 let inspect_device dev =
   let magic_ok = D.size dev >= H.header_size && H.has_magic dev in
-  let field off = if magic_ok then Int64.to_int (D.read_u64 dev off) else 0 in
+  let field off = if magic_ok then D.read_int dev off else 0 in
   let nslots = field H.hdr_nslots in
   let slot_size = field H.hdr_slot_size in
   let heap_len = field H.hdr_heap_len in

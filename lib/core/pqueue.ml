@@ -8,10 +8,10 @@ type ('a, 'p) t = { hdr : int; pool : Pool_impl.t; ty : ('a, 'p) Ptype.t }
 let off q = q.hdr
 let dev pool = Pool_impl.device pool
 let esize q = max 8 (Ptype.size q.ty)
-let read_len q = Int64.to_int (D.read_u64 (dev q.pool) q.hdr)
-let read_cap q = Int64.to_int (D.read_u64 (dev q.pool) (q.hdr + 8))
-let read_head q = Int64.to_int (D.read_u64 (dev q.pool) (q.hdr + 16))
-let read_data q = Int64.to_int (D.read_u64 (dev q.pool) (q.hdr + 24))
+let read_len q = D.read_int (dev q.pool) q.hdr
+let read_cap q = D.read_int (dev q.pool) (q.hdr + 8)
+let read_head q = D.read_int (dev q.pool) (q.hdr + 16)
+let read_data q = D.read_int (dev q.pool) (q.hdr + 24)
 
 let length q =
   Pool_impl.check_open q.pool;
@@ -33,10 +33,10 @@ let make ~ty ?(capacity = 8) j =
   let es = max 8 (Ptype.size ty) in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
   let data = Pool_impl.tx_alloc tx (capacity * es) in
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) (Int64.of_int capacity);
-  D.write_u64 (dev pool) (hdr + 16) 0L;
-  D.write_u64 (dev pool) (hdr + 24) (Int64.of_int data);
+  D.write_int (dev pool) hdr 0;
+  D.write_int (dev pool) (hdr + 8) capacity;
+  D.write_int (dev pool) (hdr + 16) 0;
+  D.write_int (dev pool) (hdr + 24) data;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool; ty }
 
@@ -56,10 +56,10 @@ let grow q tx =
   done;
   if len > 0 then D.persist (dev q.pool) ndata (len * es);
   Pool_impl.tx_log tx ~off:(q.hdr + 8) ~len:24;
-  D.write_u64 (dev q.pool) (q.hdr + 8) (Int64.of_int ncap);
-  D.write_u64 (dev q.pool) (q.hdr + 16) 0L;
+  D.write_int (dev q.pool) (q.hdr + 8) ncap;
+  D.write_int (dev q.pool) (q.hdr + 16) 0;
   let old = read_data q in
-  D.write_u64 (dev q.pool) (q.hdr + 24) (Int64.of_int ndata);
+  D.write_int (dev q.pool) (q.hdr + 24) ndata;
   Pool_impl.tx_free tx old
 
 let push q x j =
@@ -70,8 +70,7 @@ let push q x j =
   let s = slot q len in
   Pool_impl.tx_log tx ~off:s ~len:(esize q);
   Ptype.write q.ty q.pool s x;
-  Pool_impl.tx_log tx ~off:q.hdr ~len:8;
-  D.write_u64 (dev q.pool) q.hdr (Int64.of_int (len + 1))
+  Pool_impl.tx_set_int tx q.hdr (len + 1)
 
 let pop q j =
   let tx = Journal.tx j in
@@ -81,9 +80,8 @@ let pop q j =
     let x = Ptype.read q.ty q.pool (slot q 0) in
     let cap = read_cap q and head = read_head q in
     Pool_impl.tx_log tx ~off:q.hdr ~len:24;
-    D.write_u64 (dev q.pool) q.hdr (Int64.of_int (len - 1));
-    D.write_u64 (dev q.pool) (q.hdr + 16)
-      (Int64.of_int ((head + 1) land (cap - 1)));
+    D.write_int (dev q.pool) q.hdr (len - 1);
+    D.write_int (dev q.pool) (q.hdr + 16) ((head + 1) land (cap - 1));
     Some x
   end
 
@@ -111,8 +109,8 @@ let clear q j =
     Ptype.drop q.ty tx (slot q i)
   done;
   Pool_impl.tx_log tx ~off:q.hdr ~len:24;
-  D.write_u64 (dev q.pool) q.hdr 0L;
-  D.write_u64 (dev q.pool) (q.hdr + 16) 0L
+  D.write_int (dev q.pool) q.hdr 0;
+  D.write_int (dev q.pool) (q.hdr + 16) 0
 
 let drop q j =
   let tx = Journal.tx j in
@@ -123,49 +121,21 @@ let drop q j =
   Pool_impl.tx_free tx (read_data q);
   Pool_impl.tx_free tx q.hdr
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pqueue" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        ty = inner_of ();
-      })
-    ~write:(fun pool off q -> D.write_u64 (dev pool) off (Int64.of_int q.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; ty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let q = { hdr; pool = p; ty = inner_of () } in
-                [
-                  {
-                    Ptype.block = read_data q;
-                    follow =
-                      (fun p2 ->
-                        let q2 = { hdr; pool = p2; ty = inner_of () } in
-                        List.concat
-                          (List.init (read_len q2) (fun i ->
-                               Ptype.reach q2.ty p2 (slot q2 i))));
-                  };
-                ]);
-          };
-        ])
+let handle elt =
+  Ptype.handle ~name:"pqueue" ~hdr:off ~drop
+    ~wrap:(fun pool hdr ty -> { hdr; pool; ty })
+    ~edges:(fun q ->
+      [
+        {
+          Ptype.block = read_data q;
+          follow =
+            (fun p ->
+              let q = { q with pool = p } in
+              List.concat
+                (List.init (read_len q) (fun i -> Ptype.reach q.ty p (slot q i))));
+        };
+      ])
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pqueue" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

@@ -95,20 +95,20 @@ let sum_of c =
     [ c.seq; c.kind; c.node; c.exp; Int64.to_int c.v64 land max_int ]
 
 let dev t = Pool_impl.device t.pool
-let read_head t = Int64.to_int (D.read_u64 (dev t) t.hdr)
+let read_head t = D.read_int (dev t) t.hdr
 
 let write_ckpt t c =
   let o = slot_off t (slot_of_seq c.seq) in
-  D.write_u64 (dev t) o (Int64.of_int c.seq);
-  D.write_u64 (dev t) (o + 8) (Int64.of_int c.kind);
-  D.write_u64 (dev t) (o + 16) (Int64.of_int c.node);
-  D.write_u64 (dev t) (o + 24) (Int64.of_int c.exp);
+  D.write_int (dev t) o c.seq;
+  D.write_int (dev t) (o + 8) c.kind;
+  D.write_int (dev t) (o + 16) c.node;
+  D.write_int (dev t) (o + 24) c.exp;
   D.write_u64 (dev t) (o + 32) c.v64;
-  D.write_u64 (dev t) (o + 40) (Int64.of_int (sum_of c))
+  D.write_int (dev t) (o + 40) (sum_of c)
 
 let read_ckpt t s =
   let o = slot_off t s in
-  let w i = Int64.to_int (D.read_u64 (dev t) (o + (i * 8))) in
+  let w i = D.read_int (dev t) (o + (i * 8)) in
   let c =
     { seq = w 0; kind = w 1; node = w 2; exp = w 3; v64 = D.read_u64 (dev t) (o + 32) }
   in
@@ -142,8 +142,8 @@ let cas d off ~expect ~nv =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock cas_mutex)
     (fun () ->
-      let ok = D.read_u64 d off = Int64.of_int expect in
-      if ok then D.write_u64 d off (Int64.of_int nv);
+      let ok = D.read_int d off = expect in
+      if ok then D.write_int d off nv;
       ok)
 
 let make ~ty j =
@@ -164,7 +164,7 @@ let rec push_loop t x j =
   Ptype.write t.ty t.pool node x;
   let v64 = D.read_u64 d node in
   let cur = read_head t in
-  D.write_u64 d (node + 8) (Int64.of_int cur);
+  D.write_int d (node + 8) cur;
   let c = { seq = next_seq t; kind = k_push; node; exp = cur; v64 } in
   write_ckpt t c;
   D.flush d node node_size;
@@ -192,7 +192,7 @@ let rec pop_loop t j =
   if cur = 0 then None
   else begin
     let v64 = D.read_u64 d cur in
-    let nxt = Int64.to_int (D.read_u64 d (cur + 8)) in
+    let nxt = D.read_int d (cur + 8) in
     let x = Ptype.read t.ty t.pool cur in
     let c = { seq = next_seq t; kind = k_pop; node = cur; exp = nxt; v64 } in
     write_ckpt t c;
@@ -231,13 +231,13 @@ let chain t =
   let limit = D.size (dev t) / T.min_block in
   let rec go acc n off =
     if off = 0 || n > limit then acc
-    else go (off :: acc) (n + 1) (Int64.to_int (D.read_u64 (dev t) (off + 8)))
+    else go (off :: acc) (n + 1) (D.read_int (dev t) (off + 8))
   in
   go [] 0 (read_head t)
 
 let content_matches t c =
   D.read_u64 (dev t) c.node = c.v64
-  && D.read_u64 (dev t) (c.node + 8) = Int64.of_int c.exp
+  && D.read_int (dev t) (c.node + 8) = c.exp
 
 (* Clear the node's table mark iff it is provably dead: still holding
    the checkpointed image (not reused) and unreachable from the durable
@@ -287,8 +287,8 @@ let resolve t reachable c =
 
 let invalidate_slot t s =
   let o = slot_off t s in
-  D.write_u64 (dev t) (o + 8) (Int64.of_int k_none);
-  D.write_u64 (dev t) (o + 40) 0L;
+  D.write_int (dev t) (o + 8) k_none;
+  D.write_int (dev t) (o + 40) 0;
   D.persist (dev t) o 48
 
 let recover t =
@@ -320,7 +320,7 @@ let iter t f =
   let rec go off =
     if off <> 0 then begin
       f (Ptype.read t.ty t.pool off);
-      go (Int64.to_int (D.read_u64 (dev t) (off + 8)))
+      go (D.read_int (dev t) (off + 8))
     end
   in
   go (read_head t)
@@ -346,7 +346,7 @@ let drop t j =
   let tx = Journal.tx j in
   let rec go off =
     if off <> 0 then begin
-      let nxt = Int64.to_int (D.read_u64 (dev t) (off + 8)) in
+      let nxt = D.read_int (dev t) (off + 8) in
       Ptype.drop t.ty tx off;
       Pool_impl.tx_free tx off;
       go nxt
@@ -357,55 +357,25 @@ let drop t j =
 
 (* --- Ptype ------------------------------------------------------------ *)
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pstack" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (Pool_impl.device pool) off);
-        pool;
-        ty = inner_of ();
-      })
-    ~write:(fun pool off q ->
-      D.write_u64 (Pool_impl.device pool) off (Int64.of_int q.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (Pool_impl.device pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; ty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (Pool_impl.device pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let t = { hdr; pool = p; ty = inner_of () } in
-                let rec links off =
-                  if off = 0 then []
-                  else
-                    {
-                      Ptype.block = off;
-                      follow =
-                        (fun p2 ->
-                          let t2 = { t with pool = p2 } in
-                          Ptype.reach t2.ty p2 off
-                          @ links
-                              (Int64.to_int
-                                 (D.read_u64 (Pool_impl.device p2) (off + 8))));
-                    }
-                    :: []
-                in
-                links (read_head t));
-          };
-        ])
+let handle elt =
+  Ptype.handle ~name:"pstack" ~hdr:(fun t -> t.hdr) ~drop
+    ~wrap:(fun pool hdr ty -> { hdr; pool; ty })
+    ~edges:(fun t ->
+      let rec links off =
+        if off = 0 then []
+        else
+          [
+            {
+              Ptype.block = off;
+              follow =
+                (fun p ->
+                  Ptype.reach t.ty p off
+                  @ links (D.read_int (Pool_impl.device p) (off + 8)));
+            };
+          ]
+      in
+      links (read_head t))
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pstack" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

@@ -10,18 +10,18 @@ let make str j =
   let pool = Pool_impl.tx_pool tx in
   let len = String.length str in
   let off = Pool_impl.tx_alloc tx (8 + len) in
-  D.write_u64 (dev pool) off (Int64.of_int len);
+  D.write_int (dev pool) off len;
   if len > 0 then D.write_string (dev pool) (off + 8) str;
   D.persist (dev pool) off (8 + len);
   { off; pool }
 
 let length s =
   Pool_impl.check_open s.pool;
-  Int64.to_int (D.read_u64 (dev s.pool) s.off)
+  D.read_int (dev s.pool) s.off
 
 let get s =
   Pool_impl.check_open s.pool;
-  let len = Int64.to_int (D.read_u64 (dev s.pool) s.off) in
+  let len = D.read_int (dev s.pool) s.off in
   D.read_string (dev s.pool) (s.off + 8) len
 
 let equal a b = a.off = b.off || String.equal (get a) (get b)
@@ -41,16 +41,7 @@ let drop s j =
   Pool_impl.tx_free tx s.off
 
 let ptype () =
-  Ptype.make ~name:"pstring" ~size:8
-    ~read:(fun pool off ->
-      { off = Int64.to_int (D.read_u64 (dev pool) off); pool })
-    ~write:(fun pool off s ->
-      D.write_u64 (dev pool) off (Int64.of_int s.off))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let target = Int64.to_int (D.read_u64 (dev pool) off) in
-      if target <> 0 then Pool_impl.tx_free tx target)
-    ~reach:(fun pool off ->
-      let target = Int64.to_int (D.read_u64 (dev pool) off) in
-      if target = 0 then []
-      else [ { Ptype.block = target; follow = (fun _ -> []) } ])
+  Ptype.handle ~name:"pstring" ~hdr:off ~drop
+    ~wrap:(fun pool off _ -> { off; pool })
+    ~edges:(fun _ -> [])
+    (Ptype.Of_rec (lazy Ptype.unit))

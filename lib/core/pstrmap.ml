@@ -1,33 +1,5 @@
 module D = Pmem.Device
 
-(* Header block: [count u64 | nbuckets u64 | dir u64].
-   Directory:    nbuckets chain-head pointers.
-   Entry block:  [hash u64 | next u64 | key (Pstring ptr) | value]. *)
-let hdr_size = 24
-let entry_meta = 24
-
-type ('a, 'p) t = { hdr : int; pool : Pool_impl.t; vty : ('a, 'p) Ptype.t }
-
-let off h = h.hdr
-let dev pool = Pool_impl.device pool
-let vsize h = max 8 (Ptype.size h.vty)
-let entry_size h = entry_meta + vsize h
-let read_count h = Int64.to_int (D.read_u64 (dev h.pool) h.hdr)
-let read_nbuckets h = Int64.to_int (D.read_u64 (dev h.pool) (h.hdr + 8))
-let read_dir h = Int64.to_int (D.read_u64 (dev h.pool) (h.hdr + 16))
-let ehash h e = D.read_u64 (dev h.pool) e
-let enext h e = Int64.to_int (D.read_u64 (dev h.pool) (e + 8))
-let ekey_off e = e + 16
-let evalue_off e = e + entry_meta
-
-let ekey h e : 'p Pstring.t = Ptype.read (Pstring.ptype ()) h.pool (ekey_off e)
-
-let setf h tx off v =
-  Pool_impl.tx_log tx ~off ~len:8;
-  D.write_u64 (dev h.pool) off (Int64.of_int v)
-
-let set_count h tx v = setf h tx h.hdr v
-
 (* A stable 64-bit string hash (FNV-1a), independent of OCaml's runtime
    hash randomization so pools hash identically across processes. *)
 let hash_string s =
@@ -39,255 +11,38 @@ let hash_string s =
     s;
   !h
 
-let length h =
-  Pool_impl.check_open h.pool;
-  read_count h
+let key_ty : (unit Pstring.t, unit) Ptype.t = Pstring.ptype ()
 
-let buckets h =
-  Pool_impl.check_open h.pool;
-  read_nbuckets h
+(* Entry block: [hash u64 | next u64 | key (Pstring ptr) | value]. *)
+include Hash_core.Make (struct
+  type t = string
+  type word = int64
 
-let is_empty h = length h = 0
+  let name = "Pstrmap"
+  let meta = 24
+  let word = hash_string
+  let bucket hv nb = Int64.to_int (Int64.unsigned_rem hv (Int64.of_int nb))
+  let stored pool e = D.read_u64 (Pool_impl.device pool) e
+  let key pool e = Ptype.read key_ty pool (e + 16)
+  let get pool e = Pstring.get (key pool e)
 
-let bucket_of_hash h hv =
-  Int64.to_int (Int64.unsigned_rem hv (Int64.of_int (read_nbuckets h)))
+  (* the stored hash first: key bytes are loaded only on a hash hit *)
+  let matches pool e hv k = Int64.equal (stored pool e) hv && String.equal (get pool e) k
+  let store tx k = Pstring.off (Pstring.make k (Journal.unsafe_of_tx tx))
 
-let head_addr h b = read_dir h + (b * 8)
-let head h b = Int64.to_int (D.read_u64 (dev h.pool) (head_addr h b))
+  let init pool e hv ks =
+    D.write_u64 (Pool_impl.device pool) e hv;
+    D.write_int (Pool_impl.device pool) (e + 16) ks
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+  let release tx e =
+    Pstring.drop (key (Pool_impl.tx_pool tx) e) (Journal.unsafe_of_tx tx)
 
-let make ~vty ?(nbuckets = 16) j =
-  if nbuckets <= 0 then invalid_arg "Pstrmap.make: nbuckets must be positive";
-  let nbuckets = pow2_at_least nbuckets 1 in
-  let tx = Journal.tx j in
-  let pool = Pool_impl.tx_pool tx in
-  let hdr = Pool_impl.tx_alloc tx hdr_size in
-  let dir = Pool_impl.tx_alloc tx (nbuckets * 8) in
-  D.fill (dev pool) dir (nbuckets * 8) '\000';
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) (Int64.of_int nbuckets);
-  D.write_u64 (dev pool) (hdr + 16) (Int64.of_int dir);
-  D.persist (dev pool) hdr hdr_size;
-  D.persist (dev pool) dir (nbuckets * 8);
-  { hdr; pool; vty }
+  let check pool e =
+    let k = get pool e in
+    if not (Int64.equal (stored pool e) (hash_string k)) then
+      Error (Printf.sprintf "stale hash for key %S" k)
+    else Ok (stored pool e)
 
-let find_entry h key =
-  let hv = hash_string key in
-  let rec go e =
-    if e = 0 then None
-    else if Int64.equal (ehash h e) hv && String.equal (Pstring.get (ekey h e)) key
-    then Some e
-    else go (enext h e)
-  in
-  go (head h (bucket_of_hash h hv))
-
-let find h key =
-  Pool_impl.check_open h.pool;
-  Option.map (fun e -> Ptype.read h.vty h.pool (evalue_off e)) (find_entry h key)
-
-let mem h key = find_entry h key <> None
-
-let grow h tx =
-  let old_nb = read_nbuckets h and old_dir = read_dir h in
-  let nb = old_nb * 2 in
-  let dir = Pool_impl.tx_alloc tx (nb * 8) in
-  D.fill (dev h.pool) dir (nb * 8) '\000';
-  Pool_impl.tx_add_target tx ~off:dir ~len:(nb * 8);
-  Pool_impl.tx_log tx ~off:(h.hdr + 8) ~len:16;
-  D.write_u64 (dev h.pool) (h.hdr + 8) (Int64.of_int nb);
-  D.write_u64 (dev h.pool) (h.hdr + 16) (Int64.of_int dir);
-  for b = 0 to old_nb - 1 do
-    let rec relink e =
-      if e <> 0 then begin
-        let next = enext h e in
-        let nb' = bucket_of_hash h (ehash h e) in
-        setf h tx (e + 8) (head h nb');
-        setf h tx (head_addr h nb') e;
-        relink next
-      end
-    in
-    relink (Int64.to_int (D.read_u64 (dev h.pool) (old_dir + (b * 8))))
-  done;
-  Pool_impl.tx_free tx old_dir
-
-let add h ~key v j =
-  let tx = Journal.tx j in
-  match find_entry h key with
-  | Some e ->
-      Pool_impl.tx_log tx ~off:(evalue_off e) ~len:(vsize h);
-      Ptype.drop h.vty tx (evalue_off e);
-      Ptype.write h.vty h.pool (evalue_off e) v
-  | None ->
-      if read_count h >= 2 * read_nbuckets h then grow h tx;
-      let hv = hash_string key in
-      let b = bucket_of_hash h hv in
-      let ks = Pstring.make key j in
-      let e = Pool_impl.tx_alloc tx (entry_size h) in
-      D.write_u64 (dev h.pool) e hv;
-      D.write_u64 (dev h.pool) (e + 8) (Int64.of_int (head h b));
-      Ptype.write (Pstring.ptype ()) h.pool (ekey_off e) ks;
-      Ptype.write h.vty h.pool (evalue_off e) v;
-      D.persist (dev h.pool) e (entry_size h);
-      setf h tx (head_addr h b) e;
-      set_count h tx (read_count h + 1)
-
-let remove h key j =
-  let tx = Journal.tx j in
-  let hv = hash_string key in
-  let rec unlink prev_addr e =
-    if e = 0 then false
-    else if Int64.equal (ehash h e) hv && String.equal (Pstring.get (ekey h e)) key
-    then begin
-      setf h tx prev_addr (enext h e);
-      Pstring.drop (ekey h e) j;
-      Ptype.drop h.vty tx (evalue_off e);
-      Pool_impl.tx_free tx e;
-      set_count h tx (read_count h - 1);
-      true
-    end
-    else unlink (e + 8) (enext h e)
-  in
-  let b = bucket_of_hash h hv in
-  unlink (head_addr h b) (head h b)
-
-let fold h ~init ~f =
-  Pool_impl.check_open h.pool;
-  let acc = ref init in
-  for b = 0 to read_nbuckets h - 1 do
-    let rec go e =
-      if e <> 0 then begin
-        acc :=
-          f !acc (Pstring.get (ekey h e)) (Ptype.read h.vty h.pool (evalue_off e));
-        go (enext h e)
-      end
-    in
-    go (head h b)
-  done;
-  !acc
-
-let iter h f = fold h ~init:() ~f:(fun () k v -> f k v)
-let keys h = List.sort compare (fold h ~init:[] ~f:(fun acc k _ -> k :: acc))
-
-let to_list h =
-  List.sort compare (fold h ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-
-let drop_chains h tx =
-  let j = Journal.unsafe_of_tx tx in
-  for b = 0 to read_nbuckets h - 1 do
-    let rec go e =
-      if e <> 0 then begin
-        let next = enext h e in
-        Pstring.drop (ekey h e) j;
-        Ptype.drop h.vty tx (evalue_off e);
-        Pool_impl.tx_free tx e;
-        go next
-      end
-    in
-    go (head h b);
-    setf h tx (head_addr h b) 0
-  done
-
-let clear h j =
-  let tx = Journal.tx j in
-  drop_chains h tx;
-  set_count h tx 0
-
-let drop h j =
-  let tx = Journal.tx j in
-  drop_chains h tx;
-  Pool_impl.tx_free tx (read_dir h);
-  Pool_impl.tx_free tx h.hdr
-
-let check h =
-  Pool_impl.check_open h.pool;
-  let n = read_count h and nb = read_nbuckets h in
-  let seen = ref 0 in
-  let rec chain b e steps =
-    if e = 0 then Ok ()
-    else if steps > n then Error "chain cycle suspected"
-    else
-      let key = Pstring.get (ekey h e) in
-      if not (Int64.equal (ehash h e) (hash_string key)) then
-        Error (Printf.sprintf "stale hash for key %S" key)
-      else if bucket_of_hash h (ehash h e) <> b then
-        Error (Printf.sprintf "key %S in wrong bucket" key)
-      else begin
-        incr seen;
-        chain b (enext h e) (steps + 1)
-      end
-  in
-  let rec buckets b =
-    if b >= nb then Ok ()
-    else match chain b (head h b) 0 with Ok () -> buckets (b + 1) | e -> e
-  in
-  match buckets 0 with
-  | Error _ as e -> e
-  | Ok () ->
-      if !seen <> n then Error (Printf.sprintf "count %d but %d entries" n !seen)
-      else Ok ()
-
-let make_ptype inner_of =
-  Ptype.make ~name:"pstrmap" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        vty = inner_of ();
-      })
-    ~write:(fun pool off h -> D.write_u64 (dev pool) off (Int64.of_int h.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; vty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let h = { hdr; pool = p; vty = inner_of () } in
-                [
-                  {
-                    Ptype.block = read_dir h;
-                    follow =
-                      (fun p2 ->
-                        let h2 = { h with pool = p2 } in
-                        let edges = ref [] in
-                        for b = 0 to read_nbuckets h2 - 1 do
-                          let rec chain e =
-                            if e <> 0 then begin
-                              edges :=
-                                {
-                                  Ptype.block = e;
-                                  follow =
-                                    (fun p3 ->
-                                      Ptype.reach (Pstring.ptype ()) p3
-                                        (ekey_off e)
-                                      @ Ptype.reach (inner_of ()) p3
-                                          (evalue_off e));
-                                }
-                                :: !edges;
-                              chain (enext h2 e)
-                            end
-                          in
-                          chain (head h2 b)
-                        done;
-                        !edges);
-                  };
-                ]);
-          };
-        ])
-
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pstrmap" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+  let to_string = Printf.sprintf "%S"
+  let reach pool e = Ptype.reach key_ty pool (e + 16)
+end)

@@ -50,8 +50,8 @@ let unit =
 
 let int =
   scalar "int"
-    (fun p off -> Int64.to_int (D.read_u64 (dev p) off))
-    (fun p off v -> D.write_u64 (dev p) off (Int64.of_int v))
+    (fun p off -> D.read_int (dev p) off)
+    (fun p off v -> D.write_int (dev p) off v)
 
 let int64 =
   scalar "int64"
@@ -60,13 +60,13 @@ let int64 =
 
 let bool =
   scalar "bool"
-    (fun p off -> D.read_u64 (dev p) off <> 0L)
-    (fun p off v -> D.write_u64 (dev p) off (if v then 1L else 0L))
+    (fun p off -> D.read_int (dev p) off <> 0)
+    (fun p off v -> D.write_int (dev p) off (if v then 1 else 0))
 
 let char =
   scalar "char"
-    (fun p off -> Char.chr (Int64.to_int (D.read_u64 (dev p) off) land 0xFF))
-    (fun p off v -> D.write_u64 (dev p) off (Int64.of_int (Char.code v)))
+    (fun p off -> Char.chr (D.read_int (dev p) off land 0xFF))
+    (fun p off v -> D.write_int (dev p) off (Char.code v))
 
 let float =
   scalar "float"
@@ -104,24 +104,24 @@ let option a =
     size = 8 + a.size;
     read =
       (fun p off ->
-        if D.read_u64 (dev p) off = 0L then None
+        if D.read_int (dev p) off = 0 then None
         else Some (a.read p (off + 8)));
     write =
       (fun p off v ->
         match v with
         | None ->
-            D.write_u64 (dev p) off 0L;
+            D.write_int (dev p) off 0;
             if a.size > 0 then D.fill (dev p) (off + 8) a.size '\000'
         | Some x ->
-            D.write_u64 (dev p) off 1L;
+            D.write_int (dev p) off 1;
             a.write p (off + 8) x);
     drop =
       (fun tx off ->
         let p = Pool_impl.tx_pool tx in
-        if D.read_u64 (dev p) off <> 0L then a.drop tx (off + 8));
+        if D.read_int (dev p) off <> 0 then a.drop tx (off + 8));
     reach =
       (fun p off ->
-        if D.read_u64 (dev p) off <> 0L then a.reach p (off + 8) else []);
+        if D.read_int (dev p) off <> 0 then a.reach p (off + 8) else []);
   }
 
 let either a b =
@@ -134,27 +134,27 @@ let either a b =
     size = 8 + payload;
     read =
       (fun p off ->
-        if D.read_u64 (dev p) off = 0L then Either.Left (a.read p (off + 8))
+        if D.read_int (dev p) off = 0 then Either.Left (a.read p (off + 8))
         else Either.Right (b.read p (off + 8)));
     write =
       (fun p off v ->
         match v with
         | Either.Left x ->
-            D.write_u64 (dev p) off 0L;
+            D.write_int (dev p) off 0;
             a.write p (off + 8) x;
             zero_tail p off a.size
         | Either.Right y ->
-            D.write_u64 (dev p) off 1L;
+            D.write_int (dev p) off 1;
             b.write p (off + 8) y;
             zero_tail p off b.size);
     drop =
       (fun tx off ->
         let p = Pool_impl.tx_pool tx in
-        if D.read_u64 (dev p) off = 0L then a.drop tx (off + 8)
+        if D.read_int (dev p) off = 0 then a.drop tx (off + 8)
         else b.drop tx (off + 8));
     reach =
       (fun p off ->
-        if D.read_u64 (dev p) off = 0L then a.reach p (off + 8)
+        if D.read_int (dev p) off = 0 then a.reach p (off + 8)
         else b.reach p (off + 8));
   }
 
@@ -167,7 +167,7 @@ let fixed_string n =
     size = 8 + pad8 n;
     read =
       (fun p off ->
-        let len = Int64.to_int (D.read_u64 (dev p) off) in
+        let len = D.read_int (dev p) off in
         D.read_string (dev p) (off + 8) len);
     write =
       (fun p off s ->
@@ -175,7 +175,7 @@ let fixed_string n =
         if len > n then
           invalid_arg
             (Printf.sprintf "fixed_string[%d]: value of length %d" n len);
-        D.write_u64 (dev p) off (Int64.of_int len);
+        D.write_int (dev p) off len;
         if len > 0 then D.write_string (dev p) (off + 8) s);
     drop = no_drop;
     reach = no_reach;
@@ -245,6 +245,34 @@ let record6 ~name ~inj ~proj a b c d e g =
       let x, y, z, w, v, u = proj r in
       (x, (y, (z, (w, (v, u))))))
     (pair a (pair b (pair c (pair d (pair e g)))))
+
+type ('a, 'p) elt = Of of ('a, 'p) t | Of_rec of ('a, 'p) t Lazy.t
+
+(* The one pointer-field format of every container: an 8-byte offset to
+   the container's header block, 0 for none. *)
+let handle ~name ~wrap ~hdr ~drop ~edges elt =
+  let name, elt_of =
+    match elt with
+    | Of ty -> (Printf.sprintf "%s %s" ty.name name, fun () -> ty)
+    | Of_rec ty -> (name, fun () -> Lazy.force ty)
+  in
+  let target pool off = D.read_int (dev pool) off in
+  {
+    name;
+    size = 8;
+    read = (fun pool off -> wrap pool (target pool off) (elt_of ()));
+    write = (fun pool off h -> D.write_int (dev pool) off (hdr h));
+    drop =
+      (fun tx off ->
+        let pool = Pool_impl.tx_pool tx in
+        let b = target pool off in
+        if b <> 0 then drop (wrap pool b (elt_of ())) (Journal.unsafe_of_tx tx));
+    reach =
+      (fun pool off ->
+        let b = target pool off in
+        if b = 0 then []
+        else [ { block = b; follow = (fun p -> edges (wrap p b (elt_of ()))) } ]);
+  }
 
 let field_offsets tys =
   let rec go acc off = function

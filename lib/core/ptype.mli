@@ -132,9 +132,33 @@ val make :
   drop:(Pool_impl.tx -> int -> unit) ->
   reach:(Pool_impl.t -> int -> edge list) ->
   ('a, 'p) t
-(** Escape hatch used by {!Pbox}, {!Prc}, {!Parc}, {!Pstring}, {!Pvec},
-    and the wrapper types to define their own layouts.  [size] must be a
-    multiple of 8. *)
+(** Escape hatch used by {!Prc}, {!Parc} and the cell wrapper types to
+    define their own layouts; containers use {!handle}.  [size] must be
+    a multiple of 8. *)
+
+(** {1 Container handles} *)
+
+type ('a, 'p) elt =
+  | Of of ('a, 'p) t  (** element type known: named ["<elt> <name>"] *)
+  | Of_rec of ('a, 'p) t Lazy.t
+      (** recursive knot, forced on first use: named ["<name>"] *)
+
+val handle :
+  name:string ->
+  wrap:(Pool_impl.t -> int -> ('a, 'p) t -> 'h) ->
+  hdr:('h -> int) ->
+  drop:('h -> 'p Journal.t -> unit) ->
+  edges:('h -> edge list) ->
+  ('a, 'p) elt ->
+  ('h, 'p) t
+(** The one descriptor of a container handle stored as an 8-byte offset
+    to its header block (0 = none).  [wrap pool hdr elt] rebuilds the
+    handle, [hdr] is its header offset, [drop] releases a non-null
+    handle, and [edges h] enumerates the references out of its header
+    block.  Every container's [ptype] and [ptype_rec] come from here;
+    element-less handles pass [Of_rec (lazy unit)] to keep their bare
+    name.  Names are stable: {!hash} of the root type is stored in the
+    pool header. *)
 
 val field_offsets : ('a, 'p) t list -> int list
 (** Cumulative offsets of consecutive fields (test support). *)

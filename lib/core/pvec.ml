@@ -8,9 +8,9 @@ type ('a, 'p) t = { hdr : int; pool : Pool_impl.t; ty : ('a, 'p) Ptype.t }
 let off v = v.hdr
 let dev pool = Pool_impl.device pool
 let esize v = max 8 (Ptype.size v.ty)
-let read_len v = Int64.to_int (D.read_u64 (dev v.pool) v.hdr)
-let read_cap v = Int64.to_int (D.read_u64 (dev v.pool) (v.hdr + 8))
-let read_data v = Int64.to_int (D.read_u64 (dev v.pool) (v.hdr + 16))
+let read_len v = D.read_int (dev v.pool) v.hdr
+let read_cap v = D.read_int (dev v.pool) (v.hdr + 8)
+let read_data v = D.read_int (dev v.pool) (v.hdr + 16)
 
 let length v =
   Pool_impl.check_open v.pool;
@@ -29,9 +29,9 @@ let make ~ty ?(capacity = 8) j =
   let es = max 8 (Ptype.size ty) in
   let hdr = Pool_impl.tx_alloc tx hdr_size in
   let data = Pool_impl.tx_alloc tx (capacity * es) in
-  D.write_u64 (dev pool) hdr 0L;
-  D.write_u64 (dev pool) (hdr + 8) (Int64.of_int capacity);
-  D.write_u64 (dev pool) (hdr + 16) (Int64.of_int data);
+  D.write_int (dev pool) hdr 0;
+  D.write_int (dev pool) (hdr + 8) capacity;
+  D.write_int (dev pool) (hdr + 16) data;
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool; ty }
 
@@ -67,8 +67,8 @@ let grow v tx =
     D.persist (dev v.pool) ndata (len * es)
   end;
   Pool_impl.tx_log tx ~off:(v.hdr + 8) ~len:16;
-  D.write_u64 (dev v.pool) (v.hdr + 8) (Int64.of_int ncap);
-  D.write_u64 (dev v.pool) (v.hdr + 16) (Int64.of_int ndata);
+  D.write_int (dev v.pool) (v.hdr + 8) ncap;
+  D.write_int (dev v.pool) (v.hdr + 16) ndata;
   Pool_impl.tx_free tx data
 
 let push v x j =
@@ -78,8 +78,7 @@ let push v x j =
   let s = slot v len in
   Pool_impl.tx_log tx ~off:s ~len:(esize v);
   Ptype.write v.ty v.pool s x;
-  Pool_impl.tx_log tx ~off:v.hdr ~len:8;
-  D.write_u64 (dev v.pool) v.hdr (Int64.of_int (len + 1))
+  Pool_impl.tx_set_int tx v.hdr (len + 1)
 
 (* Shift-based editing; O(n) like Array-backed vectors everywhere. *)
 let insert_at v i x j =
@@ -97,8 +96,7 @@ let insert_at v i x j =
   end
   else Pool_impl.tx_log tx ~off:(slot v i) ~len:es;
   Ptype.write v.ty v.pool (slot v i) x;
-  Pool_impl.tx_log tx ~off:v.hdr ~len:8;
-  D.write_u64 (dev v.pool) v.hdr (Int64.of_int (len + 1))
+  Pool_impl.tx_set_int tx v.hdr (len + 1)
 
 let remove_at v i j =
   let tx = Journal.tx j in
@@ -111,8 +109,7 @@ let remove_at v i j =
     D.copy_within (dev v.pool) ~src:(slot v (i + 1)) ~dst:(slot v i)
       ~len:((len - 1 - i) * es)
   end;
-  Pool_impl.tx_log tx ~off:v.hdr ~len:8;
-  D.write_u64 (dev v.pool) v.hdr (Int64.of_int (len - 1));
+  Pool_impl.tx_set_int tx v.hdr (len - 1);
   x
 
 let pop v j =
@@ -121,8 +118,7 @@ let pop v j =
   if len = 0 then None
   else begin
     let x = Ptype.read v.ty v.pool (slot v (len - 1)) in
-    Pool_impl.tx_log tx ~off:v.hdr ~len:8;
-    D.write_u64 (dev v.pool) v.hdr (Int64.of_int (len - 1));
+    Pool_impl.tx_set_int tx v.hdr (len - 1);
     Some x
   end
 
@@ -145,8 +141,7 @@ let clear v j =
   for i = 0 to len - 1 do
     Ptype.drop v.ty tx (slot v i)
   done;
-  Pool_impl.tx_log tx ~off:v.hdr ~len:8;
-  D.write_u64 (dev v.pool) v.hdr 0L
+  Pool_impl.tx_set_int tx v.hdr 0
 
 let drop v j =
   let tx = Journal.tx j in
@@ -157,52 +152,21 @@ let drop v j =
   Pool_impl.tx_free tx (read_data v);
   Pool_impl.tx_free tx v.hdr
 
-let make_ptype inner_of =
-  Ptype.make ~name:"pvec" ~size:8
-    ~read:(fun pool off ->
-      {
-        hdr = Int64.to_int (D.read_u64 (dev pool) off);
-        pool;
-        ty = inner_of ();
-      })
-    ~write:(fun pool off v ->
-      D.write_u64 (dev pool) off (Int64.of_int v.hdr))
-    ~drop:(fun tx off ->
-      let pool = Pool_impl.tx_pool tx in
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr <> 0 then
-        drop { hdr; pool; ty = inner_of () } (Journal.unsafe_of_tx tx))
-    ~reach:(fun pool off ->
-      let hdr = Int64.to_int (D.read_u64 (dev pool) off) in
-      if hdr = 0 then []
-      else
-        [
-          {
-            Ptype.block = hdr;
-            follow =
-              (fun p ->
-                let v = { hdr; pool = p; ty = inner_of () } in
-                let data = read_data v in
-                [
-                  {
-                    Ptype.block = data;
-                    follow =
-                      (fun p2 ->
-                        let v2 = { hdr; pool = p2; ty = inner_of () } in
-                        let len = read_len v2 in
-                        List.concat
-                          (List.init len (fun i ->
-                               Ptype.reach v2.ty p2 (slot v2 i))));
-                  };
-                ]);
-          };
-        ])
+let handle elt =
+  Ptype.handle ~name:"pvec" ~hdr:off ~drop
+    ~wrap:(fun pool hdr ty -> { hdr; pool; ty })
+    ~edges:(fun v ->
+      [
+        {
+          Ptype.block = read_data v;
+          follow =
+            (fun p ->
+              let v = { v with pool = p } in
+              List.concat
+                (List.init (read_len v) (fun i -> Ptype.reach v.ty p (slot v i))));
+        };
+      ])
+    elt
 
-let ptype inner =
-  let t = make_ptype (fun () -> inner) in
-  Ptype.make
-    ~name:(Printf.sprintf "%s pvec" (Ptype.name inner))
-    ~size:(Ptype.size t) ~read:(Ptype.read t) ~write:(Ptype.write t)
-    ~drop:(Ptype.drop t) ~reach:(Ptype.reach t)
-
-let ptype_rec inner = make_ptype (fun () -> Lazy.force inner)
+let ptype inner = handle (Ptype.Of inner)
+let ptype_rec inner = handle (Ptype.Of_rec inner)

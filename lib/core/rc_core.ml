@@ -28,10 +28,10 @@ let header = 16
 let ctrl rc = rc.ctrl
 let equal a b = a.ctrl = b.ctrl
 let dev pool = Pool_impl.device pool
-let read_strong pool c = Int64.to_int (D.read_u64 (dev pool) c)
-let read_weak pool c = Int64.to_int (D.read_u64 (dev pool) (c + 8))
-let write_strong pool c v = D.write_u64 (dev pool) c (Int64.of_int v)
-let write_weak pool c v = D.write_u64 (dev pool) (c + 8) (Int64.of_int v)
+let read_strong pool c = D.read_int (dev pool) c
+let read_weak pool c = D.read_int (dev pool) (c + 8)
+let write_strong pool c v = D.write_int (dev pool) c v
+let write_weak pool c v = D.write_int (dev pool) (c + 8) v
 
 let strong_count rc =
   Pool_impl.check_open rc.pool;
@@ -203,14 +203,14 @@ let promote vw j =
     end
   end
 
-let read_ptr pool off = Int64.to_int (D.read_u64 (dev pool) off)
+let read_ptr pool off = D.read_int (dev pool) off
 
 let rc_ptype ~atomic ~name inner_of =
   Ptype.make ~name ~size:8
     ~read:(fun pool off ->
       { ctrl = read_ptr pool off; pool; ty = inner_of (); atomic })
     ~write:(fun pool off rc ->
-      D.write_u64 (dev pool) off (Int64.of_int rc.ctrl))
+      D.write_int (dev pool) off rc.ctrl)
     ~drop:(fun tx off ->
       let pool = Pool_impl.tx_pool tx in
       let c = read_ptr pool off in
@@ -240,7 +240,7 @@ let pweak_ptype ~atomic ~name inner_of =
         w_atomic = atomic;
       })
     ~write:(fun pool off w ->
-      D.write_u64 (dev pool) off (Int64.of_int w.w_ctrl))
+      D.write_int (dev pool) off w.w_ctrl)
     ~drop:(fun tx off ->
       let pool = Pool_impl.tx_pool tx in
       let c = read_ptr pool off in

@@ -67,10 +67,10 @@ let probe_pool ?(probes = 32) pool =
   for i = 1 to probes do
     P.transaction pool (fun tx ->
         P.tx_log tx ~off:scratch ~len:64;
-        D.write_u64 d scratch (Int64.of_int i);
+        D.write_int d scratch i;
         if i mod 4 = 0 then begin
           let b = P.tx_alloc tx 64 in
-          D.write_u64 d b (Int64.of_int i);
+          D.write_int d b i;
           P.tx_add_target tx ~off:b ~len:8
         end)
   done;

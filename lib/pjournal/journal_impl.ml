@@ -75,7 +75,7 @@ let format dev ~base ~size =
   D.persist dev base (Log_entry.hdr_size + Log_entry.terminator_size)
 
 let attach ?(alloc_hint = 0) dev buddy ~base ~size =
-  let epoch = Int64.to_int (D.read_u64 dev (base + Log_entry.hdr_epoch)) in
+  let epoch = D.read_int dev (base + Log_entry.hdr_epoch) in
   {
     dev;
     buddy;
@@ -186,13 +186,13 @@ let add_spill t need =
     Pr.emit
       (Pr.Region_reserve { dev = D.id t.dev; off; len = actual; ns = D.simulated_ns t.dev });
   D.write_u64 t.dev off 0L;
-  D.write_u64 t.dev (off + 8) (Int64.of_int actual);
+  D.write_int t.dev (off + 8) actual;
   D.write_u64 t.dev (off + Log_entry.spill_header) 0L;
   D.persist t.dev off (Log_entry.spill_header + Log_entry.terminator_size);
   let link =
     if t.last_region = t.base then t.base + Log_entry.hdr_spill else t.last_region
   in
-  D.write_u64 t.dev link (Int64.of_int off);
+  D.write_int t.dev link off;
   D.persist t.dev link 8;
   Palloc.Buddy.commit t.buddy r;
   t.spills <- off :: t.spills;

@@ -87,14 +87,14 @@ let seal dev ~salt ~at ~kind ~body_len =
   D.write_u64 dev at (pack_kind ~kind ~crc)
 
 let write_data dev ~salt ~at ~off ~len =
-  D.write_u64 dev (at + 8) (Int64.of_int off);
-  D.write_u64 dev (at + 16) (Int64.of_int len);
+  D.write_int dev (at + 8) off;
+  D.write_int dev (at + 16) len;
   D.copy_within dev ~src:off ~dst:(at + 24) ~len;
   seal dev ~salt ~at ~kind:kind_data ~body_len:(body_len_data len)
 
 let write_alloc dev ~salt ~at ~off ~order =
-  D.write_u64 dev (at + 8) (Int64.of_int off);
-  D.write_u64 dev (at + 16) (Int64.of_int order);
+  D.write_int dev (at + 8) off;
+  D.write_int dev (at + 16) order;
   seal dev ~salt ~at ~kind:kind_alloc ~body_len:body_len_alloc
 
 (* A drop slot packs the block's order into the top byte of its offset
@@ -107,8 +107,7 @@ let drop_order_shift = 56
 let drop_off_mask = (1 lsl drop_order_shift) - 1
 
 let write_drop dev ~salt ~at ~off ~order =
-  D.write_u64 dev (at + 8)
-    (Int64.of_int (off lor (order lsl drop_order_shift)));
+  D.write_int dev (at + 8) (off lor (order lsl drop_order_shift));
   seal dev ~salt ~at ~kind:kind_drop ~body_len:body_len_drop
 
 let corrupt ~at fmt =
@@ -126,16 +125,16 @@ let verify dev ~salt ~at ~stored_crc ~body_len =
 let read dev ~salt ~at =
   let w = D.read_u64 dev at in
   let kind = kind_of_word w and stored_crc = crc_of_word w in
-  let off = Int64.to_int (D.read_u64 dev (at + 8)) in
+  let off = D.read_int dev (at + 8) in
   if kind = kind_data then begin
-    let len = Int64.to_int (D.read_u64 dev (at + 16)) in
+    let len = D.read_int dev (at + 16) in
     if len <= 0 || len > D.size dev then corrupt ~at "implausible length %d" len;
     verify dev ~salt ~at ~stored_crc ~body_len:(body_len_data len);
     (Data { off; len; payload = at + 24 }, data_entry_size len)
   end
   else if kind = kind_alloc then begin
     verify dev ~salt ~at ~stored_crc ~body_len:body_len_alloc;
-    let order = Int64.to_int (D.read_u64 dev (at + 16)) in
+    let order = D.read_int dev (at + 16) in
     (Alloc { off; order }, alloc_entry_size)
   end
   else if kind = kind_drop then begin
@@ -172,13 +171,13 @@ let region_start ~slot_base base =
 
 let region_limit dev ~slot_base ~slot_size base =
   if base = slot_base then main_entry_limit ~slot_base ~slot_size
-  else base + Int64.to_int (D.read_u64 dev (base + 8))
+  else base + D.read_int dev (base + 8)
 
 let retire_header dev ~slot_base ~epoch =
   D.write_u64 dev (slot_base + hdr_count) 0L;
   D.write_u64 dev (slot_base + hdr_drops) 0L;
   D.write_u64 dev (slot_base + hdr_spill) 0L;
-  D.write_u64 dev (slot_base + hdr_epoch) (Int64.of_int epoch);
+  D.write_int dev (slot_base + hdr_epoch) epoch;
   D.write_u64 dev (slot_base + hdr_size) 0L
 
 let write_jump dev ~at =
@@ -200,8 +199,8 @@ type stop_reason = Terminator | Bad_entry of string | Chain_end of string
 let walk_to_tail dev ~slot_base ~slot_size ~salt f =
   let next_region base =
     (* region 0 is the slot itself; its chain pointer is in the header *)
-    if base = slot_base then Int64.to_int (D.read_u64 dev (slot_base + hdr_spill))
-    else Int64.to_int (D.read_u64 dev base)
+    if base = slot_base then D.read_int dev (slot_base + hdr_spill)
+    else D.read_int dev base
   in
   let rec go visited hops base cursor =
     let limit =
@@ -247,6 +246,6 @@ let spill_chain dev ~slot_base =
       invalid_arg
         (Printf.sprintf "Log_entry.spill_chain: wild link to %d" ptr)
     else if hops >= 4096 then invalid_arg "Log_entry.spill_chain: cyclic chain"
-    else go (ptr :: acc) (hops + 1) (Int64.to_int (D.read_u64 dev ptr))
+    else go (ptr :: acc) (hops + 1) (D.read_int dev ptr)
   in
-  go [] 0 (Int64.to_int (D.read_u64 dev (slot_base + hdr_spill)))
+  go [] 0 (D.read_int dev (slot_base + hdr_spill))

@@ -157,7 +157,7 @@ let truncate ?(ordered = false) dev table ~base =
   (match spill_chain_or_empty dev ~slot_base:base with
   | [] -> ()
   | spills -> List.iter (fun off -> ignore (clear_if_live table off)) spills);
-  let epoch = Int64.to_int (D.read_u64 dev (base + Log_entry.hdr_epoch)) + 1 in
+  let epoch = D.read_int dev (base + Log_entry.hdr_epoch) + 1 in
   Log_entry.retire_header dev ~slot_base:base ~epoch;
   let phase = base + Log_entry.hdr_phase
   and count = base + Log_entry.hdr_count
@@ -176,11 +176,11 @@ let truncate ?(ordered = false) dev table ~base =
     Pr.emit (Pr.Journal_truncate { dev = D.id dev; slot_base = base; epoch })
 
 let recover_slot dev table ~base ~size =
-  let field off = D.read_u64 dev (base + off) in
-  let phase = field Log_entry.hdr_phase in
-  let advisory = Int64.to_int (field Log_entry.hdr_count) in
-  let ndrops = Int64.to_int (field Log_entry.hdr_drops) in
-  let epoch = Int64.to_int (field Log_entry.hdr_epoch) in
+  let field off = D.read_int dev (base + off) in
+  let phase = D.read_u64 dev (base + Log_entry.hdr_phase) in
+  let advisory = field Log_entry.hdr_count in
+  let ndrops = field Log_entry.hdr_drops in
+  let epoch = field Log_entry.hdr_epoch in
   let salt = Log_entry.salt ~slot_base:base ~epoch in
   let phases = ref [] in
   let finish stats = { stats with phase_ns = !phases } in

@@ -162,28 +162,50 @@ let mark_dirty t off len =
 
 (* {1 Loads} *)
 
-let read_u8 t off =
+(* The one prologue of every fixed-width load and store: liveness, range,
+   counter; a store then dirties its lines and emits its probe. *)
+let[@inline] access t off len what =
   check_alive t;
-  check_range t off 1 "read_u8";
-  Atomic.incr t.loads;
+  check_range t off len what
+
+let[@inline] load t off len what =
+  access t off len what;
+  Atomic.incr t.loads
+
+let[@inline] store t off len what =
+  access t off len what;
+  Atomic.incr t.stores
+
+let[@inline] stored t off len =
+  mark_dirty t off len;
+  if Pr.on () then probe_store t off len
+
+(* Unchecked little-endian word primitives: applied directly, the
+   compiler keeps the [int64] unboxed, so [read_int] and [write_int]
+   allocate nothing. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let read_u8 t off =
+  load t off 1 "read_u8";
   Char.code (Bytes.unsafe_get t.view off)
 
 let read_u32 t off =
-  check_alive t;
-  check_range t off 4 "read_u32";
-  Atomic.incr t.loads;
+  load t off 4 "read_u32";
   Int32.to_int (Bytes.get_int32_le t.view off) land 0xFFFFFFFF
 
 let read_u64 t off =
-  check_alive t;
-  check_range t off 8 "read_u64";
-  Atomic.incr t.loads;
+  load t off 8 "read_u64";
   Bytes.get_int64_le t.view off
 
+let read_int t off =
+  load t off 8 "read_int";
+  if Sys.big_endian then Int64.to_int (swap64 (get64 t.view off))
+  else Int64.to_int (get64 t.view off)
+
 let read_bytes t off len =
-  check_alive t;
-  check_range t off len "read_bytes";
-  Atomic.incr t.loads;
+  load t off len "read_bytes";
   Bytes.sub t.view off len
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
@@ -191,71 +213,61 @@ let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 (* {1 Stores} *)
 
 let write_u8 t off v =
-  check_alive t;
-  check_range t off 1 "write_u8";
-  Atomic.incr t.stores;
+  store t off 1 "write_u8";
   Bytes.unsafe_set t.view off (Char.unsafe_chr (v land 0xFF));
-  mark_dirty t off 1;
-  if Pr.on () then probe_store t off 1
+  stored t off 1
 
 let write_u32 t off v =
-  check_alive t;
-  check_range t off 4 "write_u32";
-  Atomic.incr t.stores;
+  store t off 4 "write_u32";
   Bytes.set_int32_le t.view off (Int32.of_int v);
-  mark_dirty t off 4;
-  if Pr.on () then probe_store t off 4
+  stored t off 4
 
 let write_u64 t off v =
-  check_alive t;
-  check_range t off 8 "write_u64";
-  Atomic.incr t.stores;
+  store t off 8 "write_u64";
   Bytes.set_int64_le t.view off v;
-  mark_dirty t off 8;
-  if Pr.on () then probe_store t off 8
+  stored t off 8
 
+let write_int t off v =
+  store t off 8 "write_int";
+  if Sys.big_endian then set64 t.view off (swap64 (Int64.of_int v))
+  else set64 t.view off (Int64.of_int v);
+  stored t off 8
+
+(* Ranged stores of zero bytes are checked but not counted. *)
 let write_bytes t off b =
-  check_alive t;
   let len = Bytes.length b in
-  check_range t off len "write_bytes";
+  access t off len "write_bytes";
   if len > 0 then begin
     Atomic.incr t.stores;
     Bytes.blit b 0 t.view off len;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len
+    stored t off len
   end
 
 let write_string t off s =
-  check_alive t;
   let len = String.length s in
-  check_range t off len "write_string";
+  access t off len "write_string";
   if len > 0 then begin
     Atomic.incr t.stores;
     Bytes.blit_string s 0 t.view off len;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len
+    stored t off len
   end
 
 let fill t off len c =
-  check_alive t;
-  check_range t off len "fill";
+  access t off len "fill";
   if len > 0 then begin
     Atomic.incr t.stores;
     Bytes.fill t.view off len c;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len
+    stored t off len
   end
 
 let copy_within t ~src ~dst ~len =
-  check_alive t;
-  check_range t src len "copy_within(src)";
+  access t src len "copy_within(src)";
   check_range t dst len "copy_within(dst)";
   if len > 0 then begin
     Atomic.incr t.loads;
     Atomic.incr t.stores;
     Bytes.blit t.view src t.view dst len;
-    mark_dirty t dst len;
-    if Pr.on () then probe_store t dst len
+    stored t dst len
   end
 
 (* {1 Persist points and crash scheduling} *)

@@ -58,11 +58,20 @@ val path : t -> string option
 val read_u8 : t -> int -> int
 val read_u32 : t -> int -> int
 val read_u64 : t -> int -> int64
+val read_int : t -> int -> int
+(** [read_int t off] is [Int64.to_int (read_u64 t off)] (the low 63
+    bits of the little-endian word), with the same checks and accounting,
+    but allocation-free. *)
+
 val read_bytes : t -> int -> int -> Bytes.t
 val read_string : t -> int -> int -> string
 val write_u8 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 val write_u64 : t -> int -> int64 -> unit
+val write_int : t -> int -> int -> unit
+(** [write_int t off v] is [write_u64 t off (Int64.of_int v)],
+    allocation-free. *)
+
 val write_bytes : t -> int -> Bytes.t -> unit
 val write_string : t -> int -> string -> unit
 val fill : t -> int -> int -> char -> unit

@@ -143,7 +143,32 @@ let test_closed_pool_handles () =
   in
   let v = Pbox.get root in
   P.transaction (fun j -> Pvec.push v 3 j);
+  let tbl =
+    P.transaction (fun j ->
+        let h = Phashtbl.make ~vty:Ptype.int j in
+        Phashtbl.add h ~key:7 70 j;
+        h)
+  in
+  let smap =
+    P.transaction (fun j ->
+        let h = Pstrmap.make ~vty:Ptype.int j in
+        Pstrmap.add h ~key:"a" 1 j;
+        h)
+  in
   P.close ();
+  (* present and absent keys alike: a miss must not read the closed pool *)
+  List.iter
+    (fun (what, f) -> Alcotest.check_raises what Pool_impl.Pool_closed f)
+    [
+      ("phashtbl mem present", fun () -> ignore (Phashtbl.mem tbl 7));
+      ("phashtbl mem absent", fun () -> ignore (Phashtbl.mem tbl 8));
+      ("phashtbl find present", fun () -> ignore (Phashtbl.find tbl 7));
+      ("phashtbl find absent", fun () -> ignore (Phashtbl.find tbl 8));
+      ("pstrmap mem present", fun () -> ignore (Pstrmap.mem smap "a"));
+      ("pstrmap mem absent", fun () -> ignore (Pstrmap.mem smap "zz"));
+      ("pstrmap find present", fun () -> ignore (Pstrmap.find smap "a"));
+      ("pstrmap find absent", fun () -> ignore (Pstrmap.find smap "zz"));
+    ];
   Alcotest.check_raises "vector handle dead" Pool_impl.Pool_closed (fun () ->
       ignore (Pvec.length v));
   Alcotest.check_raises "box handle dead" Pool_impl.Pool_closed (fun () ->

@@ -160,6 +160,62 @@ let test_stats_and_time () =
   D.charge_ns d 100;
   Alcotest.(check (float 0.001)) "charge_ns" (expect +. 100.0) (D.simulated_ns d)
 
+(* [read_int]/[write_int] are the low 63 bits of the [u64] word, both
+   ways, including negative ints and words with the top bit set. *)
+let test_int_words () =
+  let d = mk () in
+  List.iter
+    (fun v ->
+      D.write_int d 0 v;
+      check_i64 "write_int = write_u64 of_int" (Int64.of_int v) (D.read_u64 d 0);
+      check_int "read_int round-trips" v (D.read_int d 0))
+    [ 0; 1; -5; max_int; min_int; 0x1122334455667788 ];
+  List.iter
+    (fun w ->
+      D.write_u64 d 8 w;
+      check_int "read_int = to_int read_u64" (Int64.to_int w) (D.read_int d 8))
+    [ 0x8000000000000001L; -1L; 0x7FFFFFFFFFFFFFFFL ];
+  match D.read_int d (D.size d - 4) with
+  | _ -> Alcotest.fail "read_int past the end"
+  | exception Invalid_argument _ -> ()
+
+(* The unboxed accessors allocate nothing, and leave the counters, the
+   simulated clock and the dirty lines exactly as the boxed pair does. *)
+let test_int_accessors () =
+  let n = 10_000 in
+  let run ~boxed =
+    let d = mk ~latency:Pmem.Latency.optane () in
+    let sum = ref 0 in
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      let off = i * 24 mod 16384 in
+      if boxed then begin
+        D.write_u64 d off (Int64.of_int (i - 77));
+        sum := !sum + Int64.to_int (D.read_u64 d (off + 8))
+      end
+      else begin
+        D.write_int d off (i - 77);
+        sum := !sum + D.read_int d (off + 8)
+      end
+    done;
+    let words = Gc.minor_words () -. w0 in
+    let s = D.stats d and ns = D.simulated_ns d in
+    (* fence_lines after a full flush counts the lines the stores dirtied *)
+    D.flush d 0 (D.size d);
+    D.fence d;
+    (words, !sum, s, ns, (D.stats d).D.fence_lines, D.read_string d 0 (D.size d))
+  in
+  let words, sum, s, ns, dirty, img = run ~boxed:false in
+  let _, bsum, bs, bns, bdirty, bimg = run ~boxed:true in
+  if words >= 100. then
+    Alcotest.failf "%d read_int + write_int allocated %.0f minor words" n words;
+  check_int "same values read" bsum sum;
+  check_int "loads" bs.D.loads s.D.loads;
+  check_int "stores" bs.D.stores s.D.stores;
+  Alcotest.(check (float 0.)) "simulated ns" bns ns;
+  check_int "dirty lines" bdirty dirty;
+  Alcotest.(check bool) "same image" true (String.equal bimg img)
+
 let test_latency_presets () =
   Alcotest.(check bool) "optane by name" true
     (Pmem.Latency.by_name "optane" = Some Pmem.Latency.optane);
@@ -396,6 +452,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "size rounding" `Quick test_size_rounding;
+          Alcotest.test_case "int words" `Quick test_int_words;
         ] );
       ( "persistence",
         [
@@ -429,6 +486,7 @@ let () =
           Alcotest.test_case "stats and simulated time" `Quick
             test_stats_and_time;
           Alcotest.test_case "latency presets" `Quick test_latency_presets;
+          Alcotest.test_case "int accessors" `Quick test_int_accessors;
         ] );
       ( "property",
         [
