@@ -317,10 +317,8 @@ let reopen t =
    statistics, not correctness state). *)
 let persist_lifetime_totals t =
   if not (D.is_crashed t.dev) then begin
-    D.write_int t.dev H.hdr_tx_total
-      (t.lifetime_tx0 + Atomic.get t.n_tx);
-    D.write_int t.dev H.hdr_abort_total
-      (t.lifetime_abort0 + Atomic.get t.n_abort);
+    D.write_int t.dev H.hdr_tx_total (t.lifetime_tx0 + Atomic.get t.n_tx);
+    D.write_int t.dev H.hdr_abort_total (t.lifetime_abort0 + Atomic.get t.n_abort);
     D.persist t.dev H.hdr_tx_total 16
   end
 
