@@ -117,6 +117,39 @@ let test_persist_points_counter () =
   D.persist d 0 8;
   check_int "two persist points per persist" (p0 + 2) (D.persist_points d)
 
+(* A seeded script whose write-pending queue holds more than 64 lines,
+   some of them re-flushed after a new store (Wpq_dirty), drained by a
+   fence and then cut by a power cycle with torn writes.  The pinned
+   image CRC and counters fix the drain order and the survival RNG's
+   draws: any change to how the WPQ is stored must leave them as is. *)
+let test_wpq_determinism () =
+  let d = mk ~size:(64 * 1024) () in
+  let rng = Random.State.make [| 17 |] in
+  let nlines = D.size d / D.line_size in
+  let store_line l =
+    D.write_int d (l * D.line_size + (8 * Random.State.int rng 8)) (Random.State.bits rng)
+  in
+  let flush_line l = D.flush d (l * D.line_size) D.line_size in
+  let round n =
+    let lines = List.init n (fun _ -> Random.State.int rng nlines) in
+    List.iter store_line lines;
+    List.iter flush_line lines;
+    (* re-store and re-flush every third line while it is still queued *)
+    List.iteri (fun i l -> if i mod 3 = 0 then (store_line l; flush_line l)) lines
+  in
+  round 90;
+  D.fence d;
+  round 150;
+  (* a multi-line flush over a partly queued range *)
+  for l = 300 to 340 do store_line l done;
+  D.flush d (300 * D.line_size) (41 * D.line_size);
+  D.set_torn_write_prob d 0.5;
+  D.power_cycle d;
+  let s = D.stats d in
+  let crc = Pmem.Crc32.string (D.read_string d 0 (D.size d)) in
+  Alcotest.(check (list int)) "image crc, torn lines, fence lines"
+    [ 2461489795; 84; 90 ] [ crc; s.D.torn_lines; s.D.fence_lines ]
+
 let test_save_load () =
   let path = Filename.temp_file "corundum" ".pool" in
   let d = mk ~size:4096 ~path () in
@@ -475,6 +508,7 @@ let () =
             test_crash_before_first_point;
           Alcotest.test_case "persist point counter" `Quick
             test_persist_points_counter;
+          Alcotest.test_case "wpq determinism pin" `Quick test_wpq_determinism;
         ] );
       ( "file",
         [
