@@ -21,7 +21,7 @@ let default_config = { size = 64 * 1024 * 1024; nslots = 8; slot_size = 256 * 10
 
 type lock_entry = {
   mutex : Mutex.t;
-  mutable owner : int option; (* owning domain id *)
+  mutable owner : int; (* owning domain id, or -1 *)
   mutable lock_depth : int;
 }
 
@@ -37,23 +37,17 @@ type t = {
   table_base : int;
   heap_base : int;
   heap_len : int;
-  slots : J.t array;
-  slot_free : bool array;
+  slots : slot array;
+  (* Only a transaction that finds every slot busy takes [slot_lock],
+     to wait on [slot_cond]; [waiters] tells a releaser to signal. *)
   slot_lock : Mutex.t;
   slot_cond : Condition.t;
-  (* Shared-pool domain binding: a registered domain owns one dedicated
-     journal slot (and with it that slot's allocator stripe) for its
-     whole registration, so its transactions never contend on slot
-     acquisition.  Guarded by [slot_lock]. *)
-  bound_slots : (int, int) Hashtbl.t; (* domain id -> dedicated slot *)
+  waiters : int Atomic.t;
   (* Cross-transaction group-commit combiner: when set, every commit on
      this pool publishes its line set to the epoch combiner instead of
      flushing and fencing privately.  Volatile — rebuilt fresh on every
      open, never reused across a power cycle. *)
   mutable combiner : GC.t option;
-  joinables : GC.joinable option array; (* per slot, boxed once *)
-  txs : (int, tx) Hashtbl.t; (* domain id -> active transaction *)
-  txs_lock : Mutex.t;
   locks : (int, lock_entry) Hashtbl.t;
   locks_lock : Mutex.t;
   borrows : (int, unit) Hashtbl.t;
@@ -75,6 +69,22 @@ type t = {
      {!close}, so steady-state commits add no persist points. *)
   lifetime_tx0 : int;
   lifetime_abort0 : int;
+}
+
+(* One journal slot's volatile state.  A domain finds its running
+   transaction, or its registered slot, by scanning the [nslots]
+   entries: only that domain writes an entry naming it, so the scan
+   needs no lock. *)
+and slot = {
+  journal : J.t;
+  joinable : GC.joinable option; (* boxed once *)
+  busy : bool Atomic.t; (* held by a transaction or a registered domain *)
+  (* Shared-pool domain binding: a registered domain owns one dedicated
+     journal slot (and with it that slot's allocator stripe) for its
+     whole registration, so its transactions never contend on slot
+     acquisition. *)
+  mutable bound_to : int; (* registered domain id, or -1 *)
+  mutable active : tx option; (* the transaction running on this slot *)
 }
 
 and tx = {
@@ -122,10 +132,17 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     ~heap_base ~heap_len ~recovery =
   let slots =
     Array.init nslots (fun i ->
-        (* each slot prefers its own allocator stripe *)
-        J.attach ~alloc_hint:i dev buddy
-          ~base:(H.header_size + (i * slot_size))
-          ~size:slot_size)
+        {
+          (* each slot prefers its own allocator stripe *)
+          journal =
+            J.attach ~alloc_hint:i dev buddy
+              ~base:(H.header_size + (i * slot_size))
+              ~size:slot_size;
+          joinable = Some (GC.joinable ());
+          busy = Atomic.make false;
+          bound_to = -1;
+          active = None;
+        })
   in
   if Pr.on () then begin
     Pr.emit
@@ -155,14 +172,10 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     heap_base;
     heap_len;
     slots;
-    slot_free = Array.make nslots true;
     slot_lock = Mutex.create ();
     slot_cond = Condition.create ();
-    bound_slots = Hashtbl.create 8;
+    waiters = Atomic.make 0;
     combiner = None;
-    joinables = Array.init nslots (fun _ -> Some (GC.joinable ()));
-    txs = Hashtbl.create 8;
-    txs_lock = Mutex.create ();
     locks = Hashtbl.create 64;
     locks_lock = Mutex.create ();
     borrows = Hashtbl.create 64;
@@ -330,10 +343,8 @@ let save t =
 
 let close t =
   check_open t;
-  Mutex.lock t.txs_lock;
-  let busy = Hashtbl.length t.txs > 0 in
-  Mutex.unlock t.txs_lock;
-  if busy then invalid_arg "Pool_impl.close: transactions in progress";
+  if Array.exists (fun s -> s.active <> None) t.slots then
+    invalid_arg "Pool_impl.close: transactions in progress";
   if not t.read_only then begin
     persist_lifetime_totals t;
     if D.path t.dev <> None then D.save t.dev
@@ -347,30 +358,61 @@ let tx_valid tx = !(tx.valid)
 let tx_validity tx = tx.valid
 let tx_journal tx = if !(tx.valid) then tx.jrnl else raise Tx_escape
 
+(* The first free slot, claimed; -1 when every slot is busy. *)
+let try_acquire t =
+  let rec go i =
+    if i >= t.nslots then -1
+    else if Atomic.compare_and_set t.slots.(i).busy false true then i
+    else go (i + 1)
+  in
+  go 0
+
+(* A waiter counts itself before its last scan, and a releaser frees
+   its slot before reading the count: either the scan sees the free
+   slot or the releaser sees the waiter and signals it. *)
 let acquire_slot t =
-  Mutex.lock t.slot_lock;
-  let rec find i =
-    if i >= t.nslots then None
-    else if t.slot_free.(i) then Some i
-    else find (i + 1)
-  in
-  let rec wait () =
-    match find 0 with
-    | Some i ->
-        t.slot_free.(i) <- false;
-        Mutex.unlock t.slot_lock;
-        i
-    | None ->
-        Condition.wait t.slot_cond t.slot_lock;
-        wait ()
-  in
-  wait ()
+  match try_acquire t with
+  | -1 ->
+      Mutex.lock t.slot_lock;
+      Atomic.incr t.waiters;
+      let rec wait () =
+        match try_acquire t with
+        | -1 ->
+            Condition.wait t.slot_cond t.slot_lock;
+            wait ()
+        | i -> i
+      in
+      let i = wait () in
+      Atomic.decr t.waiters;
+      Mutex.unlock t.slot_lock;
+      i
+  | i -> i
 
 let release_slot t i =
-  Mutex.lock t.slot_lock;
-  t.slot_free.(i) <- true;
-  Condition.signal t.slot_cond;
-  Mutex.unlock t.slot_lock
+  Atomic.set t.slots.(i).busy false;
+  if Atomic.get t.waiters > 0 then begin
+    Mutex.lock t.slot_lock;
+    Condition.signal t.slot_cond;
+    Mutex.unlock t.slot_lock
+  end
+
+(* The slot registered to domain [did], or -1. *)
+let bound_slot t did =
+  let rec go i =
+    if i >= t.nslots then -1 else if t.slots.(i).bound_to = did then i else go (i + 1)
+  in
+  go 0
+
+(* The transaction domain [did] is running, if any. *)
+let running_tx t did =
+  let rec go i =
+    if i >= t.nslots then None
+    else
+      match t.slots.(i).active with
+      | Some tx as r when tx.domain = did -> r
+      | _ -> go (i + 1)
+  in
+  go 0
 
 (* {1 Shared-pool domain binding and group commit}
 
@@ -384,51 +426,29 @@ let release_slot t i =
 let register_domain t =
   check_open t;
   let did = (Domain.self () :> int) in
-  Mutex.lock t.slot_lock;
-  let slot =
-    match Hashtbl.find_opt t.bound_slots did with
-    | Some i -> i (* idempotent: already bound *)
-    | None ->
-        let rec find i =
-          if i >= t.nslots then None
-          else if t.slot_free.(i) then Some i
-          else find (i + 1)
-        in
-        (match find 0 with
-        | Some i ->
-            t.slot_free.(i) <- false;
-            Hashtbl.replace t.bound_slots did i;
-            i
-        | None ->
-            Mutex.unlock t.slot_lock;
-            invalid_arg
-              "Pool_impl.register_domain: no free journal slot (raise nslots)")
-  in
-  Mutex.unlock t.slot_lock;
-  slot
+  match bound_slot t did with
+  | -1 -> (
+      match try_acquire t with
+      | -1 ->
+          invalid_arg
+            "Pool_impl.register_domain: no free journal slot (raise nslots)"
+      | i ->
+          t.slots.(i).bound_to <- did;
+          i)
+  | i -> i (* idempotent: already bound *)
 
 let unregister_domain t =
   let did = (Domain.self () :> int) in
-  Mutex.lock t.txs_lock;
-  let busy = Hashtbl.mem t.txs did in
-  Mutex.unlock t.txs_lock;
-  if busy then
+  if running_tx t did <> None then
     invalid_arg "Pool_impl.unregister_domain: transaction in progress";
-  Mutex.lock t.slot_lock;
-  (match Hashtbl.find_opt t.bound_slots did with
-  | Some i ->
-      Hashtbl.remove t.bound_slots did;
-      t.slot_free.(i) <- true;
-      Condition.signal t.slot_cond
-  | None -> ());
-  Mutex.unlock t.slot_lock
+  match bound_slot t did with
+  | -1 -> ()
+  | i ->
+      t.slots.(i).bound_to <- -1;
+      release_slot t i
 
 let slot_of_domain t =
-  let did = (Domain.self () :> int) in
-  Mutex.lock t.slot_lock;
-  let r = Hashtbl.find_opt t.bound_slots did in
-  Mutex.unlock t.slot_lock;
-  r
+  match bound_slot t (Domain.self () :> int) with -1 -> None | i -> Some i
 
 let set_group_commit t enabled =
   check_open t;
@@ -438,42 +458,42 @@ let group_commit_stats t = Option.map GC.stats t.combiner
 
 (* The closure rule's mark: set on a transaction's first dirtying call. *)
 let mark tx =
-  match (tx.group, tx.pool.joinables.(tx.slot_idx)) with
+  match (tx.group, tx.pool.slots.(tx.slot_idx).joinable) with
   | Some gc, Some j -> GC.mark gc j
   | _ -> ()
 
 let unmark tx =
-  match (tx.group, tx.pool.joinables.(tx.slot_idx)) with
+  match (tx.group, tx.pool.slots.(tx.slot_idx).joinable) with
   | Some gc, Some j -> GC.unmark gc j
   | _ -> false
 
 let release_locks tx =
   List.iter
     (fun e ->
-      e.owner <- None;
+      e.owner <- -1;
       e.lock_depth <- 0;
       Mutex.unlock e.mutex)
     tx.held;
   tx.held <- []
 
 let clear_borrows tx =
-  let t = tx.pool in
-  Mutex.lock t.borrows_lock;
-  List.iter (fun off -> Hashtbl.remove t.borrows off) tx.borrowed;
-  Mutex.unlock t.borrows_lock;
-  tx.borrowed <- []
+  if tx.borrowed <> [] then begin
+    let t = tx.pool in
+    Mutex.lock t.borrows_lock;
+    List.iter (fun off -> Hashtbl.remove t.borrows off) tx.borrowed;
+    Mutex.unlock t.borrows_lock;
+    tx.borrowed <- []
+  end
 
 let unregister tx =
   let t = tx.pool in
   tx.valid := false;
   ignore (unmark tx : bool);
-  Mutex.lock t.txs_lock;
-  Hashtbl.remove t.txs tx.domain;
-  Mutex.unlock t.txs_lock;
+  t.slots.(tx.slot_idx).active <- None;
   if not tx.bound then release_slot t tx.slot_idx
 
 let finish_commit tx =
-  let joinable = tx.pool.joinables.(tx.slot_idx) in
+  let joinable = tx.pool.slots.(tx.slot_idx).joinable in
   (match J.commit ?group:tx.group ?joinable tx.jrnl with
   | () -> ()
   | exception e ->
@@ -495,33 +515,50 @@ let finish_abort tx =
   ignore
     (Atomic.fetch_and_add tx.pool.n_logged_bytes (J.tx_logged_bytes tx.jrnl))
 
-(* A simulated power failure: the media is frozen, so neither commit nor
-   abort may run; drop the volatile transaction state and propagate. *)
-let finish_crashed tx =
+(* The probe outcome event after each finisher carries the transaction's
+   logging attribution; [simulated_ns] is a pure counter fold, safe even
+   on a crashed device. *)
+let probe_end tx outcome ~undo_depth =
+  if Pr.on () then begin
+    let dev = tx.pool.dev in
+    Pr.emit
+      (Pr.Tx_end
+         {
+           dev = D.id dev;
+           outcome;
+           ns = D.simulated_ns dev;
+           logged_bytes = J.tx_logged_bytes tx.jrnl;
+           undo_depth;
+         })
+  end
+
+(* A simulated power failure, raised by the body, the commit or the
+   abort: the media is frozen, so neither commit nor abort may run;
+   drop the volatile transaction state and propagate. *)
+let finish_crashed tx ~undo_depth =
   release_locks tx;
   clear_borrows tx;
   unregister tx;
-  tx.pool.open_ <- false
+  tx.pool.open_ <- false;
+  probe_end tx Pr.Crash ~undo_depth;
+  raise D.Crashed
 
 let transaction t f =
   check_open t;
   check_writable t;
   let did = (Domain.self () :> int) in
-  Mutex.lock t.txs_lock;
-  let existing = Hashtbl.find_opt t.txs did in
-  Mutex.unlock t.txs_lock;
-  match existing with
+  match running_tx t did with
   | Some tx ->
       (* Nested transaction: flatten onto the enclosing one. *)
       tx.depth <- tx.depth + 1;
       Fun.protect ~finally:(fun () -> tx.depth <- tx.depth - 1) (fun () -> f tx)
   | None ->
-      let slot_idx, bound =
-        match slot_of_domain t with
-        | Some i -> (i, true) (* registered domain: its dedicated slot *)
-        | None -> (acquire_slot t, false)
-      in
-      let jrnl = t.slots.(slot_idx) in
+      (* a registered domain runs on its dedicated slot *)
+      let slot_idx = bound_slot t did in
+      let bound = slot_idx >= 0 in
+      let slot_idx = if bound then slot_idx else acquire_slot t in
+      let slot = t.slots.(slot_idx) in
+      let jrnl = slot.journal in
       (match J.begin_tx jrnl with
       | () -> ()
       | exception e ->
@@ -541,46 +578,25 @@ let transaction t f =
           borrowed = [];
         }
       in
-      Mutex.lock t.txs_lock;
-      Hashtbl.replace t.txs did tx;
-      Mutex.unlock t.txs_lock;
+      slot.active <- Some tx;
       if Pr.on () then
         Pr.emit
           (Pr.Tx_begin { dev = D.id t.dev; ns = D.simulated_ns t.dev; slot = slot_idx });
-      (* The probe outcome event after each finisher carries the
-         transaction's logging attribution; [simulated_ns] is a pure
-         counter fold, safe even on a crashed device. *)
-      let probe_end outcome ~undo_depth =
-        if Pr.on () then
-          Pr.emit
-            (Pr.Tx_end
-               {
-                 dev = D.id t.dev;
-                 outcome;
-                 ns = D.simulated_ns t.dev;
-                 logged_bytes = J.tx_logged_bytes jrnl;
-                 undo_depth;
-               })
-      in
       (match f tx with
-      | result ->
+      | result -> (
           let undo_depth = J.entry_count jrnl in
-          finish_commit tx;
-          probe_end Pr.Commit ~undo_depth;
-          result
-      | exception D.Crashed ->
-          finish_crashed tx;
-          probe_end Pr.Crash ~undo_depth:(J.entry_count jrnl);
-          raise D.Crashed
+          match finish_commit tx with
+          | () ->
+              probe_end tx Pr.Commit ~undo_depth;
+              result
+          | exception D.Crashed -> finish_crashed tx ~undo_depth)
+      | exception D.Crashed -> finish_crashed tx ~undo_depth:(J.entry_count jrnl)
       | exception e ->
           let undo_depth = J.entry_count jrnl in
           (match finish_abort tx with
           | () -> ()
-          | exception D.Crashed ->
-              finish_crashed tx;
-              probe_end Pr.Crash ~undo_depth;
-              raise D.Crashed);
-          probe_end Pr.Abort ~undo_depth;
+          | exception D.Crashed -> finish_crashed tx ~undo_depth);
+          probe_end tx Pr.Abort ~undo_depth;
           raise e)
 
 (* {1 Logged heap operations} *)
@@ -645,12 +661,12 @@ let tx_lock tx off =
     match Hashtbl.find_opt t.locks off with
     | Some e -> e
     | None ->
-        let e = { mutex = Mutex.create (); owner = None; lock_depth = 0 } in
+        let e = { mutex = Mutex.create (); owner = -1; lock_depth = 0 } in
         Hashtbl.add t.locks off e;
         e
   in
   Mutex.unlock t.locks_lock;
-  if entry.owner = Some tx.domain then entry.lock_depth <- entry.lock_depth + 1
+  if entry.owner = tx.domain then entry.lock_depth <- entry.lock_depth + 1
   else begin
     if not (Mutex.try_lock entry.mutex) then begin
       (* Contended: the holder may be an epoch leader or member that
@@ -660,7 +676,7 @@ let tx_lock tx off =
       Mutex.lock entry.mutex;
       if was_marked then mark tx
     end;
-    entry.owner <- Some tx.domain;
+    entry.owner <- tx.domain;
     entry.lock_depth <- 1;
     tx.held <- entry :: tx.held
   end

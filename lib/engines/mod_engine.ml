@@ -50,6 +50,7 @@ module B = Palloc.Buddy
 module D = Pmem.Device
 module Pr = Ptelemetry.Probe
 module Proto = Pjournal.Protocol
+module LB = Pjournal.Line_buf
 
 let name = "mod"
 let cell = 0
@@ -61,7 +62,7 @@ type pending = {
   mutable pub_order : int list;  (* publish addresses, newest first *)
   pub_old : (int, int64) Hashtbl.t;
   pub_new : (int, int64) Hashtbl.t;  (* read-own-writes view *)
-  shadow_lines : (int, unit) Hashtbl.t;  (* device line numbers to flush *)
+  shadow_lines : LB.t;  (* device line numbers to flush *)
   mutable pending_root : int option;
   mutable marked : bool;  (* reservations committed to the table *)
   mutable spill : B.reservation option;  (* this commit's spill block *)
@@ -104,7 +105,7 @@ let fresh_pending () =
     pub_order = [];
     pub_old = Hashtbl.create 8;
     pub_new = Hashtbl.create 8;
-    shadow_lines = Hashtbl.create 8;
+    shadow_lines = LB.create ();
     pending_root = None;
     marked = false;
     spill = None;
@@ -125,7 +126,7 @@ let write tx off v =
   let dev = P.device tx.eng.pool in
   if in_resv px off then begin
     D.write_u64 dev off v;
-    Hashtbl.replace px.shadow_lines (off lsr 6) ()
+    LB.add px.shadow_lines (off lsr 6)
   end
   else begin
     if not (Hashtbl.mem px.pub_old off) then begin
@@ -154,9 +155,7 @@ let free tx off =
   | (r, o, s) :: _, rest ->
       (* own-transaction allocation: unwind it volatilely *)
       px.resvs <- rest;
-      for l = o lsr 6 to (o + s - 1) lsr 6 do
-        Hashtbl.remove px.shadow_lines l
-      done;
+      LB.remove_lines px.shadow_lines ~first:(o lsr 6) ~last:((o + s - 1) lsr 6);
       B.cancel b r
   | [], _ -> (
       match B.block_size b off with
@@ -192,7 +191,7 @@ let commit t px =
       [] px.pub_order
   in
   let has_allocs = px.resvs <> [] and has_frees = px.frees <> [] in
-  let has_shadow = Hashtbl.length px.shadow_lines > 0 || pubs <> [] in
+  let has_shadow = (not (LB.is_empty px.shadow_lines)) || pubs <> [] in
   if has_allocs || has_frees || has_shadow || px.pending_root <> None then begin
     let igen = (t.gen + 1) land R.gen_mask in
     let kind =
@@ -262,10 +261,10 @@ let commit t px =
             List.iter
               (fun (r, _, _) ->
                 B.commit b r;
-                Hashtbl.replace px.shadow_lines (B.mark_line b r) ())
+                LB.add px.shadow_lines (B.mark_line b r))
               px.resvs;
             px.marked <- true;
-            Pjournal.Group_commit.flush_lines dev px.shadow_lines
+            LB.flush dev px.shadow_lines
         | Proto.Commit_fence ->
             D.fence dev;
             fenced := true;
@@ -284,27 +283,27 @@ let commit t px =
             end;
             if not !committed then commit_point ();
             if pubs <> [] then begin
-              let publines = Hashtbl.create 8 in
+              let publines = LB.create () in
               List.iter
                 (fun (addr, _, v) ->
                   D.write_u64 dev addr v;
-                  Hashtbl.replace publines (addr lsr 6) ())
+                  LB.add publines (addr lsr 6))
                 pubs;
-              Pjournal.Group_commit.flush_lines dev publines
+              LB.flush dev publines
             end;
             R.store_swap cell dev ~ptr:new_ptr ~gen:igen;
             R.flush_swap cell dev
         | Proto.Retire_old ->
             D.fence dev;
-            let clears = Hashtbl.create 4 in
+            let clears = LB.create () in
             List.iter
               (fun (o, _, s) ->
                 if Pr.on () then
                   Pr.emit (Pr.Cow_retire { dev = devid; off = o; len = s });
                 B.dealloc ~durable:false b o;
-                Hashtbl.replace clears (B.line_of_offset b o) ())
+                LB.add clears (B.line_of_offset b o))
               px.frees;
-            Pjournal.Group_commit.flush_lines dev clears
+            LB.flush dev clears
         | _ -> assert false)
       plan;
     t.prev_spill.(slot) <- px.spill;

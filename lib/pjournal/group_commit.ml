@@ -34,35 +34,6 @@
 module D = Pmem.Device
 module Pr = Ptelemetry.Probe
 
-(* Flush a set of 64-byte line indexes: one flush call per contiguous
-   run.  Runs are never merged across a gap — a clean line between two
-   dirty ones must not be flushed (it would be a useless flush, and the
-   sanitizer says so).  Shared with the solo commit path in
-   {!Journal_impl}. *)
-let line = 64
-
-let flush_lines dev lines =
-  let sorted =
-    List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) lines [])
-  in
-  let flush_run first last =
-    D.flush dev (first * line) ((last - first + 1) * line)
-  in
-  match sorted with
-  | [] -> ()
-  | l0 :: rest ->
-      let first = ref l0 and last = ref l0 in
-      List.iter
-        (fun l ->
-          if l = !last + 1 then last := l
-          else begin
-            flush_run !first !last;
-            first := l;
-            last := l
-          end)
-        rest;
-      flush_run !first !last
-
 type stats = {
   epochs : int;
   commits : int;
@@ -85,7 +56,8 @@ type t = {
   mutable completed : int; (* highest epoch whose fence has been issued *)
   mutable flushing : bool; (* a leader is at the device right now *)
   mutable crashed : bool; (* poisoned: a leader hit Device.Crashed *)
-  batch : (int, unit) Hashtbl.t; (* merged line set of the open epoch *)
+  mutable batch : Line_buf.t; (* merged line set of the open epoch *)
+  mutable spare : Line_buf.t; (* the previous epoch's batch, flushed *)
   mutable members : int; (* commits joined to the open epoch *)
   mutable pending : int; (* marked transactions that have not published *)
   (* volatile statistics, guarded by [lock] *)
@@ -104,7 +76,8 @@ let create dev =
     completed = -1;
     flushing = false;
     crashed = false;
-    batch = Hashtbl.create 64;
+    batch = Line_buf.create ();
+    spare = Line_buf.create ();
     members = 0;
     pending = 0;
     s_epochs = 0;
@@ -165,7 +138,7 @@ let commit ?joinable t ~lines =
     raise D.Crashed
   end;
   let e = t.open_epoch in
-  Hashtbl.iter (fun l () -> Hashtbl.replace t.batch l ()) lines;
+  Line_buf.append t.batch lines;
   t.members <- t.members + 1;
   if t.members = 1 then begin
     (* Leader.  The epoch stays open while the previous epoch is still
@@ -180,8 +153,11 @@ let commit ?joinable t ~lines =
       raise D.Crashed
     end;
     let n = t.members in
-    let batch = Hashtbl.copy t.batch in
-    Hashtbl.reset t.batch;
+    (* Swap in the spare: the previous leader is done flushing it. *)
+    let batch = t.batch in
+    t.batch <- t.spare;
+    t.spare <- batch;
+    Line_buf.clear t.batch;
     t.members <- 0;
     t.open_epoch <- e + 1;
     t.flushing <- true;
@@ -190,7 +166,7 @@ let commit ?joinable t ~lines =
       (* Merge_runs + Epoch_fence, outside the lock: members of the next
          epoch accumulate while the device works. *)
       try
-        flush_lines t.dev batch;
+        Line_buf.flush t.dev batch;
         D.fence t.dev;
         None
       with exn -> Some exn

@@ -33,11 +33,10 @@ val unmark : t -> joinable -> bool
     blocks on a lock a leader may hold) and wake the leader.  Returns
     whether it was marked. *)
 
-val commit :
-  ?joinable:joinable -> t -> lines:(int, unit) Hashtbl.t -> unit
-(** Join the open epoch, publishing [lines] (the transaction's
-    deduplicated commit line set: logged targets, table marks, drop
-    records) and withdrawing [joinable]'s mark.  The first publisher
+val commit : ?joinable:joinable -> t -> lines:Line_buf.t -> unit
+(** Join the open epoch, publishing [lines] (the transaction's commit
+    line set: logged targets, table marks, drop records; copied, so the
+    caller may reuse the buffer) and withdrawing [joinable]'s mark.  The first publisher
     leads: it closes the epoch once the previous epoch's fence is
     issued and no marked transaction is left to publish, then issues
     the merged flush runs and the single fence.  Returns once the
@@ -57,8 +56,3 @@ type stats = {
 val stats : t -> stats
 val mean_occupancy : stats -> float
 (** [commits /. epochs]; 0 when no epoch has completed. *)
-
-val flush_lines : Pmem.Device.t -> (int, unit) Hashtbl.t -> unit
-(** Flush a set of 64-byte line indexes as coalesced runs: one flush
-    call per contiguous run, never merged across a gap.  Shared with
-    the solo commit path in {!Journal_impl}. *)

@@ -54,11 +54,15 @@ type t = {
   dedup : (int * int, unit) Hashtbl.t; (* (off, len) ranges already logged *)
   lines : (int, unit) Hashtbl.t; (* line indexes fully covered by the log *)
   dropped : (int, unit) Hashtbl.t;
-  mutable targets : (int * int) list; (* data ranges to persist at commit *)
+  targets : Line_buf.t; (* lines of the data ranges to persist at commit *)
   mutable tx_logged : int; (* entry bytes sealed in the current transaction *)
-  marks : (int, unit) Hashtbl.t;
+  marks : Line_buf.t;
       (* alloc-table lines dirtied by this tx's allocation marks; flushed
          as coalesced runs under the commit fence (mark-after-seal) *)
+  clears : Line_buf.t;
+      (* alloc-table lines dirtied by clears (applied drops, reverted
+         allocations, released spills), persisted by the truncate *)
+  commit_lines : Line_buf.t; (* the group-commit line set, rebuilt per commit *)
   mutable defer_seals : bool;
       (* collapse per-entry seal persists into one log-tail flush+fence
          just before the commit plan runs (redo-style users only) *)
@@ -95,9 +99,11 @@ let attach ?(alloc_hint = 0) dev buddy ~base ~size =
     dedup = Hashtbl.create 64;
     lines = Hashtbl.create 64;
     dropped = Hashtbl.create 16;
-    targets = [];
+    targets = Line_buf.create ();
     tx_logged = 0;
-    marks = Hashtbl.create 16;
+    marks = Line_buf.create ();
+    clears = Line_buf.create ();
+    commit_lines = Line_buf.create ();
     defer_seals = false;
     unsealed = None;
   }
@@ -125,13 +131,13 @@ let begin_tx t =
   t.spills <- [];
   t.drops <- [];
   t.ndrops <- 0;
-  t.targets <- [];
+  Line_buf.clear t.targets;
   t.tx_logged <- 0;
   t.unsealed <- None;
   Hashtbl.reset t.dedup;
   Hashtbl.reset t.lines;
   Hashtbl.reset t.dropped;
-  Hashtbl.reset t.marks;
+  Line_buf.clear t.marks;
   D.charge_ns t.dev tx_overhead_ns
 
 (* Seal the entry just written at absolute [at] of [len] bytes: write the
@@ -249,7 +255,7 @@ let append_data t ~off ~len =
   t.cursor <- t.cursor + need;
   seal_entry t ~at ~len:need;
   mark_covered_lines t ~off ~len;
-  t.targets <- (off, len) :: t.targets;
+  Line_buf.add_range t.targets ~off ~len;
   if Pr.on () then
     Pr.emit (Pr.Log { dev = D.id t.dev; off; len; entry = need; ns = D.simulated_ns t.dev })
 
@@ -264,7 +270,7 @@ let data_log t ~off ~len =
 
 let add_target t ~off ~len =
   require_active t;
-  t.targets <- (off, len) :: t.targets
+  Line_buf.add_range t.targets ~off ~len
 
 let data_log_nodedup t ~off ~len =
   require_active t;
@@ -292,7 +298,7 @@ let alloc t bytes =
      and only reaches media in the batched mark flush under the commit
      fence, so a durable mark always has a durable entry to revert it. *)
   Palloc.Buddy.commit t.buddy r;
-  Hashtbl.replace t.marks (Palloc.Buddy.mark_line t.buddy r) ();
+  Line_buf.add t.marks (Palloc.Buddy.mark_line t.buddy r);
   if Pr.on () then
     Pr.emit
       (Pr.Alloc
@@ -323,18 +329,13 @@ let free t off =
   t.ndrops <- t.ndrops + 1;
   Hashtbl.add t.dropped off ()
 
-(* Flush a set of 64-byte line indexes: one flush call per contiguous
-   run, never merged across a gap (see {!Group_commit.flush_lines} —
-   the same runs the epoch leader issues for a merged batch). *)
-let flush_lines = Group_commit.flush_lines
-
 (* Truncate the slot: terminator back at the head of the entry area,
    advisory counts zeroed, spill head unchained, phase reset, and —
    crucially — the epoch bumped, so any sealed entry bytes left beyond
    the terminator (in the slot or in a recycled spill region) can never
    again verify against this slot's salt.
 
-   [pending] carries the alloc-table lines dirtied by clears the caller
+   [t.clears] carries the alloc-table lines dirtied by clears the caller
    just applied (deferred frees at commit, allocation reverts at abort);
    spill-region releases add their own clear lines to it.  The whole set
    is flushed as coalesced runs and fenced {e before} the header persist
@@ -348,11 +349,11 @@ let flush_lines = Group_commit.flush_lines
    rolling back a committed-but-unacknowledged transaction is already a
    legal outcome of a crash between the commit fence and the truncate)
    or invalidated, and the phase word is 0 on both sides. *)
-let exec_truncate_phase t pending = function
+let exec_truncate_phase t = function
   | Protocol.Release_spills ->
       List.iter
         (fun off ->
-          Hashtbl.replace pending (Palloc.Buddy.line_of_offset t.buddy off) ();
+          Line_buf.add t.clears (Palloc.Buddy.line_of_offset t.buddy off);
           Palloc.Buddy.dealloc_if_live ~durable:false t.buddy off)
         t.spills;
       if Pr.on () then
@@ -360,7 +361,7 @@ let exec_truncate_phase t pending = function
           (fun off -> Pr.emit (Pr.Region_release { dev = D.id t.dev; off }))
           t.spills
   | Protocol.Persist_clears ->
-      flush_lines t.dev pending;
+      Line_buf.flush t.dev t.clears;
       D.fence t.dev
   | Protocol.Reset_header ->
       t.epoch <- t.epoch + 1;
@@ -373,11 +374,17 @@ let exec_truncate_phase t pending = function
              { dev = D.id t.dev; slot_base = t.base; epoch = t.epoch })
   | _ -> assert false (* not a truncate phase *)
 
-let truncate_pending t pending =
-  List.iter
-    (exec_truncate_phase t pending)
+(* Interpret a plan phase by phase, with no closure built per call. *)
+let rec run exec t = function
+  | [] -> ()
+  | ph :: rest ->
+      exec t ph;
+      run exec t rest
+
+let truncate_clears t =
+  run exec_truncate_phase t
     (Protocol.truncate_plan ~spills:(t.spills <> [])
-       ~clears:(Hashtbl.length pending > 0));
+       ~clears:(not (Line_buf.is_empty t.clears)));
   t.salt <- Log_entry.salt ~slot_base:t.base ~epoch:t.epoch;
   t.count <- 0;
   t.cursor <- t.base + Log_entry.hdr_size;
@@ -386,34 +393,28 @@ let truncate_pending t pending =
   t.spills <- [];
   t.drops <- [];
   t.ndrops <- 0;
-  t.targets <- [];
+  Line_buf.clear t.targets;
   (* abandoned unsealed bytes are dirty-unflushed lines: they can never
      land, and the header persist above re-epochs the slot anyway *)
   t.unsealed <- None;
   Hashtbl.reset t.dedup;
   Hashtbl.reset t.lines;
   Hashtbl.reset t.dropped;
-  Hashtbl.reset t.marks
+  Line_buf.clear t.marks
 
-let truncate t = truncate_pending t (Hashtbl.create 1)
+let truncate t =
+  Line_buf.clear t.clears;
+  truncate_clears t
 
-(* Flush the logged target ranges as a set of unique 64-byte lines:
-   overlapping and duplicate ranges cost one flush per dirty line, and
-   contiguous lines coalesce into a single flush call. *)
-let flush_target_lines t =
-  let lines = Hashtbl.create 64 in
-  List.iter
-    (fun (off, len) ->
-      for l = off / line to (off + len - 1) / line do
-        Hashtbl.replace lines l ()
-      done)
-    t.targets;
-  flush_lines t.dev lines
+(* Flush the logged target lines: overlapping and duplicate ranges cost
+   one flush per dirty line, and contiguous lines coalesce into a single
+   flush call. *)
+let flush_target_lines t = Line_buf.flush t.dev t.targets
 
 (* One commit phase of {!Protocol.commit_plan}, interpreted against the
-   device.  [pending] accumulates the table-clear lines that the
+   device.  [t.clears] accumulates the table-clear lines that the
    trailing truncate persists. *)
-let exec_commit_phase t pending = function
+let exec_commit_phase t = function
   | Protocol.Flush_targets ->
       (* Make every logged target range durable, one flush per unique
          dirty line (contiguous lines coalesce). *)
@@ -428,7 +429,7 @@ let exec_commit_phase t pending = function
          was sealed before the mark was written (mark-after-seal), so
          the marks may only become durable here, under the commit
          fence. *)
-      flush_lines t.dev t.marks
+      Line_buf.flush t.dev t.marks
   | Protocol.Persist_drop_area ->
       (* The drop records become durable at the commit point, not
          before.  The header counts stay volatile: recovery scans the
@@ -463,38 +464,32 @@ let exec_commit_phase t pending = function
          commit fence) if the clear flush is interrupted. *)
       List.iter
         (fun off ->
-          Hashtbl.replace pending (Palloc.Buddy.line_of_offset t.buddy off) ();
+          Line_buf.add t.clears (Palloc.Buddy.line_of_offset t.buddy off);
           Palloc.Buddy.dealloc_if_live ~durable:false t.buddy off;
           if Pr.on () then Pr.emit (Pr.Drop_apply { dev = D.id t.dev; off }))
         t.drops
   | _ -> assert false (* not a commit phase *)
 
-(* The transaction's full commit line set — logged target ranges, the
-   batched alloc-table marks, and the drop records — as unique 64-byte
-   line indexes.  This is exactly what [commit_plan]'s three flush
-   phases would flush; under group commit the whole set is published to
-   the epoch combiner and rides in the leader's merged run. *)
+(* The transaction's full commit line set — logged target lines, the
+   batched alloc-table marks, and the drop records.  This is exactly
+   what [commit_plan]'s three flush phases would flush; under group
+   commit the whole set is published to the epoch combiner and rides in
+   the leader's merged run. *)
 let commit_line_set t =
-  let lines = Hashtbl.create 64 in
-  List.iter
-    (fun (off, len) ->
-      for l = off / line to (off + len - 1) / line do
-        Hashtbl.replace lines l ()
-      done)
-    t.targets;
-  Hashtbl.iter (fun l () -> Hashtbl.replace lines l ()) t.marks;
+  let lines = t.commit_lines in
+  Line_buf.clear lines;
+  Line_buf.append lines t.targets;
+  Line_buf.append lines t.marks;
   if t.ndrops > 0 then begin
     let lo = Log_entry.drop_at ~slot_base:t.base ~slot_size:t.size t.ndrops in
-    for l = lo / line to (t.base + t.size - 1) / line do
-      Hashtbl.replace lines l ()
-    done
+    Line_buf.add_range lines ~off:lo ~len:(t.base + t.size - lo)
   end;
   lines
 
 (* One group-commit phase of {!Protocol.group_commit_plan}.  The fault
    elision/duplication knobs apply to the solo path only (the
    sanitizer's positive controls run private pools). *)
-let exec_group_phase t gc joinable pending = function
+let exec_group_phase t gc joinable = function
   | Protocol.Merge_runs ->
       (* Publish our line set (withdrawing our joinable mark) and wait
          out the epoch: the leader (maybe us) flushes the merged runs
@@ -509,7 +504,13 @@ let exec_group_phase t gc joinable pending = function
       if Pr.on () then
         Pr.emit
           (Pr.Commit_point { dev = D.id t.dev; ns = D.simulated_ns t.dev })
-  | ph -> exec_commit_phase t pending ph
+  | ph -> exec_commit_phase t ph
+
+let rec run_group t gc joinable = function
+  | [] -> ()
+  | ph :: rest ->
+      exec_group_phase t gc joinable ph;
+      run_group t gc joinable rest
 
 let commit ?group ?joinable t =
   require_active t;
@@ -522,26 +523,20 @@ let commit ?group ?joinable t =
        it, exactly as with per-entry seals — only the fence count
        changes. *)
     flush_pending_seal t;
-    let pending = Hashtbl.create (max 8 t.ndrops) in
+    Line_buf.clear t.clears;
     (match group with
-    | Some gc ->
-        List.iter
-          (exec_group_phase t gc joinable pending)
-          Protocol.group_commit_plan
-    | None ->
-        List.iter
-          (exec_commit_phase t pending)
-          (Protocol.commit_plan ~ndrops:t.ndrops));
+    | Some gc -> run_group t gc joinable Protocol.group_commit_plan
+    | None -> run exec_commit_phase t (Protocol.commit_plan ~ndrops:t.ndrops));
     (* Truncate: clear flush + fence (when needed), then one batched
        header persist retires the log.  Per-member even under group
        commit: the header persist is this transaction's durability
        acknowledgment. *)
-    truncate_pending t pending
+    truncate_clears t
   end
 
 (* One abort phase of {!Protocol.abort_plan}.  [entries] is the walked
    durable log, newest-first — the order undo must apply. *)
-let exec_abort_phase t entries pending = function
+let exec_abort_phase t entries = function
   | Protocol.Restore_data ->
       List.iter
         (fun e ->
@@ -561,8 +556,7 @@ let exec_abort_phase t entries pending = function
         (fun e ->
           match e with
           | Log_entry.Alloc { off; order = _ } ->
-              Hashtbl.replace pending
-                (Palloc.Buddy.line_of_offset t.buddy off) ();
+              Line_buf.add t.clears (Palloc.Buddy.line_of_offset t.buddy off);
               Palloc.Buddy.dealloc_if_live ~durable:false t.buddy off
           | Log_entry.Data _ | Log_entry.Drop _ -> ())
         entries
@@ -584,9 +578,9 @@ let abort t =
       Log_entry.walk_to_tail t.dev ~slot_base:t.base ~slot_size:t.size
         ~salt:t.salt (fun e -> entries := e :: !entries)
     in
-    let pending = Hashtbl.create 8 in
+    Line_buf.clear t.clears;
     List.iter
-      (exec_abort_phase t !entries pending)
+      (exec_abort_phase t !entries)
       (Protocol.abort_plan ~entries:(List.length !entries));
-    truncate_pending t pending
+    truncate_clears t
   end

@@ -69,14 +69,8 @@ let fold_u64 acc v =
 let salt ~slot_base ~epoch = fold_u64 (fold_u64 Pmem.Crc32.seed epoch) slot_base
 
 (* Salted CRC of [len] device bytes at [off]; reading through the device
-   charges the loads the checksum really costs. *)
-let crc_of_range dev ~salt ~off ~len =
-  let b = D.read_bytes dev off len in
-  let acc = ref salt in
-  for i = 0 to len - 1 do
-    acc := Pmem.Crc32.update !acc (Char.code (Bytes.unsafe_get b i))
-  done;
-  Pmem.Crc32.finish !acc
+   charges the load the checksum really costs. *)
+let crc_of_range dev ~salt ~off ~len = Pmem.Crc32.finish (D.crc32_fold dev salt off len)
 
 let body_len_data len = 16 + len
 let body_len_alloc = 16

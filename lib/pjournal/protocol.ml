@@ -74,11 +74,13 @@ let name = function
 (* Commit: targets, marks and the drop area all become durable under the
    single commit fence; only then do the deferred frees apply.  The
    trailing truncate phases are appended by the caller via
-   {!truncate_plan} (they depend on what the commit accumulated). *)
+   {!truncate_plan} (they depend on what the commit accumulated).  Every
+   plan below is one of a few constant lists, chosen, not built, per
+   transaction. *)
 let commit_plan ~ndrops =
-  [ Flush_targets; Flush_marks ]
-  @ (if ndrops > 0 then [ Persist_drop_area ] else [])
-  @ [ Commit_fence; Apply_drops ]
+  if ndrops > 0 then
+    [ Flush_targets; Flush_marks; Persist_drop_area; Commit_fence; Apply_drops ]
+  else [ Flush_targets; Flush_marks; Commit_fence; Apply_drops ]
 
 (* Group commit: the per-transaction flush phases collapse into the
    leader's single merged run, and the per-transaction commit fence into
@@ -101,9 +103,9 @@ let abort_plan ~entries =
    the still-walkable log.  Releasing spills itself produces clears, so
    [Release_spills] always implies [Persist_clears]. *)
 let truncate_plan ~spills ~clears =
-  (if spills then [ Release_spills ] else [])
-  @ (if clears || spills then [ Persist_clears ] else [])
-  @ [ Reset_header ]
+  if spills then [ Release_spills; Persist_clears; Reset_header ]
+  else if clears then [ Persist_clears; Reset_header ]
+  else [ Reset_header ]
 
 (* CoW commit (the mod engine's minimally-ordered protocol).  A
    transaction with neither allocations nor frees needs no intent — its
@@ -121,7 +123,11 @@ let truncate_plan ~spills ~clears =
    4/2; free is [Seal_intent; Root_swap; Retire_old] = 3/2 (no shadow
    lines, so the commit fence collapses into the retire fence). *)
 let cow_commit_plan ~allocs ~frees ~shadow =
-  (if allocs || frees then [ Seal_intent ] else [])
-  @ (if shadow || allocs then [ Shadow_flush; Commit_fence ] else [])
-  @ [ Root_swap ]
-  @ if frees then [ Retire_old ] else []
+  match (allocs || frees, shadow || allocs, frees) with
+  | false, false, _ -> [ Root_swap ]
+  | false, true, _ -> [ Shadow_flush; Commit_fence; Root_swap ]
+  | true, false, false -> [ Seal_intent; Root_swap ]
+  | true, false, true -> [ Seal_intent; Root_swap; Retire_old ]
+  | true, true, false -> [ Seal_intent; Shadow_flush; Commit_fence; Root_swap ]
+  | true, true, true ->
+      [ Seal_intent; Shadow_flush; Commit_fence; Root_swap; Retire_old ]

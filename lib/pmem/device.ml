@@ -13,8 +13,13 @@ type t = {
   durable : Bytes.t; (* what survives a power failure *)
   view : Bytes.t; (* what loads observe (durable + cached stores) *)
   state : Bytes.t; (* one encoded Persist_line.state per line *)
-  wpq : (int, Bytes.t) Hashtbl.t; (* line number -> 64-byte snapshot *)
-  lock : Mutex.t; (* protects wpq, state transitions in flush/fence *)
+  (* The write-pending queue: [wpq_len] queued lines in flush order,
+     line [wpq_lines.(i)]'s 64-byte snapshot at [wpq_snaps.(64 i)].
+     Both grow by doubling and are never shrunk. *)
+  mutable wpq_lines : int array;
+  mutable wpq_snaps : Bytes.t;
+  mutable wpq_len : int;
+  lock : Mutex.t; (* protects the WPQ, state transitions in flush/fence *)
   mutable rng : Random.State.t;
   mutable crashed : bool;
   mutable crash_countdown : int; (* <= 0 means disabled *)
@@ -61,7 +66,9 @@ let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
     durable = Bytes.make size '\000';
     view = Bytes.make size '\000';
     state = Bytes.make (size / line_size) (PL.encode PL.Clean);
-    wpq = Hashtbl.create 256;
+    wpq_lines = Array.make 64 0;
+    wpq_snaps = Bytes.create (64 * line_size);
+    wpq_len = 0;
     lock = Mutex.create ();
     rng = Random.State.make [| seed |];
     crashed = false;
@@ -210,6 +217,14 @@ let read_bytes t off len =
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 
+let crc32_fold t crc off len =
+  load t off len "crc32_fold";
+  let crc = ref crc in
+  for i = off to off + len - 1 do
+    crc := Crc32.update !crc (Char.code (Bytes.unsafe_get t.view i))
+  done;
+  !crc
+
 (* {1 Stores} *)
 
 let write_u8 t off v =
@@ -309,9 +324,28 @@ let persist_point_locked t =
     end
   end
 
-let snapshot_line t l =
-  let off = PL.line_start l in
-  Bytes.sub t.view off (min line_size (t.size - off))
+(* Snapshot line [l] into WPQ slot [i]: a re-flushed [Wpq_dirty] line
+   overwrites its own slot, a newly queued one takes the next. *)
+let snapshot_line t l i =
+  Bytes.blit t.view (PL.line_start l) t.wpq_snaps (i * line_size) line_size
+
+let wpq_slot t l =
+  let i = ref (t.wpq_len - 1) in
+  while t.wpq_lines.(!i) <> l do decr i done;
+  !i
+
+let wpq_push t l =
+  let n = t.wpq_len in
+  if n = Array.length t.wpq_lines then begin
+    let lines = Array.make (2 * n) 0 and snaps = Bytes.create (2 * n * line_size) in
+    Array.blit t.wpq_lines 0 lines 0 n;
+    Bytes.blit t.wpq_snaps 0 snaps 0 (n * line_size);
+    t.wpq_lines <- lines;
+    t.wpq_snaps <- snaps
+  end;
+  t.wpq_lines.(n) <- l;
+  t.wpq_len <- n + 1;
+  n
 
 let flush t off len =
   check_alive t;
@@ -323,10 +357,11 @@ let flush t off len =
     let first = PL.line_of off and last = PL.line_of (off + len - 1) in
     for l = first to last do
       Atomic.incr t.flushes;
-      match PL.flush (line_state t l) with
-      | Some s ->
-          Hashtbl.replace t.wpq l (snapshot_line t l);
-          set_line_state t l s
+      let s = line_state t l in
+      match PL.flush s with
+      | Some s' ->
+          snapshot_line t l (if PL.pending s then wpq_slot t l else wpq_push t l);
+          set_line_state t l s'
       | None -> ()
     done;
     Mutex.unlock t.lock;
@@ -339,32 +374,24 @@ let flush t off len =
     end
   end
 
-(* WPQ entries in ascending line order.  Draining through a sorted list
-   (rather than [Hashtbl.iter], whose order depends on hashing history)
-   makes fence semantics and — more importantly — the RNG consumption of
-   [power_cycle] deterministic for a given seed, so torn-write injection
-   sweeps are bit-reproducible across runs. *)
-let wpq_sorted t =
-  let entries = Hashtbl.fold (fun l snap acc -> (l, snap) :: acc) t.wpq [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) entries
-
+(* A fence drains the WPQ in place, in flush order: every queued line
+   is distinct, so the order cannot change the durable image. *)
 let fence t =
   check_alive t;
   Mutex.lock t.lock;
   persist_point_locked t;
   Atomic.incr t.fences;
-  let drained = ref 0 in
-  let drain (l, snap) =
-    Atomic.incr t.fence_lines;
-    incr drained;
-    Bytes.blit snap 0 t.durable (PL.line_start l) (Bytes.length snap);
+  let lines = t.wpq_len in
+  for i = 0 to lines - 1 do
+    let l = t.wpq_lines.(i) in
+    Bytes.blit t.wpq_snaps (i * line_size) t.durable (PL.line_start l) line_size;
     set_line_state t l (PL.drain (line_state t l))
-  in
-  List.iter drain (wpq_sorted t);
-  Hashtbl.reset t.wpq;
+  done;
+  ignore (Atomic.fetch_and_add t.fence_lines lines);
+  t.wpq_len <- 0;
   Mutex.unlock t.lock;
   if Pr.on () then begin
-    let m = t.latency and lines = !drained in
+    let m = t.latency in
     let dur_ns =
       m.Latency.fence_base_ns +. (float_of_int lines *. m.Latency.fence_per_line_ns)
     in
@@ -382,23 +409,26 @@ let power_cycle t =
      set, a line's write-back can additionally be interrupted mid-line:
      media guarantees 8-byte atomicity only, so each u64 word of the line
      independently lands new or stays old. *)
-  let maybe_drain (l, snap) =
-    let off = PL.line_start l in
-    let len = Bytes.length snap in
+  let maybe_drain i =
+    let off = PL.line_start t.wpq_lines.(i) and snap = i * line_size in
     if t.torn_write_prob > 0.0 && Random.State.float t.rng 1.0 < t.torn_write_prob
     then begin
       Atomic.incr t.torn_lines;
-      let w = ref 0 in
-      while !w < len do
-        let n = min 8 (len - !w) in
-        if Random.State.bool t.rng then Bytes.blit snap !w t.durable (off + !w) n;
-        w := !w + 8
+      for w = 0 to (line_size / 8) - 1 do
+        if Random.State.bool t.rng then
+          Bytes.blit t.wpq_snaps (snap + (8 * w)) t.durable (off + (8 * w)) 8
       done
     end
-    else if Random.State.bool t.rng then Bytes.blit snap 0 t.durable off len
+    else if Random.State.bool t.rng then
+      Bytes.blit t.wpq_snaps snap t.durable off line_size
   in
-  List.iter maybe_drain (wpq_sorted t);
-  Hashtbl.reset t.wpq;
+  (* Ascending line order, not flush order: the survival RNG's draws then
+     depend only on which lines are queued, so torn-write injection
+     sweeps are bit-reproducible for a given seed. *)
+  let order = Array.init t.wpq_len Fun.id in
+  Array.sort (fun a b -> compare t.wpq_lines.(a) t.wpq_lines.(b)) order;
+  Array.iter maybe_drain order;
+  t.wpq_len <- 0;
   Bytes.blit t.durable 0 t.view 0 t.size;
   Bytes.fill t.state 0 t.nlines (PL.encode PL.Clean);
   t.crashed <- false;

@@ -14,7 +14,9 @@
 
     The per-line transitions are {!Persist_line}'s, the one definition
     psan and pprof replay too; the device keeps them densely, one byte
-    per line, next to a WPQ of line snapshots.
+    per line, next to a WPQ of line snapshots (an array of queued line
+    indexes and one reusable 64-byte buffer per entry, so flushes and
+    fences allocate nothing).
 
     Durable contents can be saved to / loaded from a backing file so that
     pools survive process restarts, mirroring DAX-mmap files.
@@ -65,6 +67,12 @@ val read_int : t -> int -> int
 
 val read_bytes : t -> int -> int -> Bytes.t
 val read_string : t -> int -> int -> string
+
+val crc32_fold : t -> int -> int -> int -> int
+(** [crc32_fold t crc off len] folds the [len] bytes at [off] into the
+    CRC-32 accumulator [crc] ({!Crc32.update}), reading the view in
+    place: one load, like [read_bytes t off len], and no copy. *)
+
 val write_u8 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 val write_u64 : t -> int -> int64 -> unit

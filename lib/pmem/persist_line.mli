@@ -45,6 +45,9 @@ val flush : state -> state option
 val drain : state -> state
 (** A fence: the queued snapshot reaches media. *)
 
+val pending : state -> bool
+(** The line has a snapshot queued in the WPQ ([Wpq] or [Wpq_dirty]). *)
+
 (** {1 Sparse shadow} *)
 
 (** Line states of one device, rebuilt from store/flush/fence events

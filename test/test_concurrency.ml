@@ -299,8 +299,8 @@ let test_group_leader_failure () =
   let gc = G.create dev in
   D.set_crash_countdown dev 1;
   let commit_one l () =
-    let lines = Hashtbl.create 1 in
-    Hashtbl.replace lines l ();
+    let lines = Pjournal.Line_buf.create () in
+    Pjournal.Line_buf.add lines l;
     match G.commit gc ~lines with
     | () -> false (* a false commit: the fence never happened *)
     | exception D.Crashed -> true
@@ -495,6 +495,51 @@ let test_closure_wakes_on_abort_or_crash () =
   run ~crash:false;
   run ~crash:true
 
+(* A crash raised by the commit itself (its fence, solo or as an epoch
+   leader) ends the transaction like a crash in its body: the pool
+   closes, the next transaction refuses it, and a second domain blocked
+   on a lock the transaction held is released. *)
+let test_commit_crash_releases () =
+  let run ~group =
+    let pool = Pool_impl.create ~config:small () in
+    let dev = Pool_impl.device pool in
+    let off = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_alloc tx 64) in
+    Pool_impl.set_group_commit pool group;
+    let locked = Atomic.make false and waiting = Atomic.make false in
+    let crashed = Atomic.make false in
+    let holder () =
+      match
+        Pool_impl.transaction pool (fun tx ->
+            Pool_impl.tx_lock tx off;
+            Pool_impl.tx_set_int tx off 1;
+            Atomic.set locked true;
+            await waiting;
+            (* give the peer time to block on the lock *)
+            Unix.sleepf 0.05;
+            (* persist points left: the commit's target flush, then its fence *)
+            Pmem.Device.set_crash_countdown dev 2)
+      with
+      | () -> ()
+      | exception Pmem.Device.Crashed -> Atomic.set crashed true
+    and peer () =
+      await locked;
+      match
+        Pool_impl.transaction pool (fun tx ->
+            Atomic.set waiting true;
+            Pool_impl.tx_lock tx off)
+      with
+      | () | (exception (Pmem.Device.Crashed | Pool_impl.Pool_closed)) -> ()
+    in
+    let what = if group then "commit crash (group)" else "commit crash" in
+    join_within what [ holder; peer ];
+    check_bool (what ^ ": the commit crashed") true (Atomic.get crashed);
+    check_bool (what ^ ": pool closed") false (Pool_impl.is_open pool);
+    Alcotest.check_raises (what ^ ": next transaction") Pool_impl.Pool_closed
+      (fun () -> Pool_impl.transaction pool ignore)
+  in
+  run ~group:false;
+  run ~group:true
+
 let test_pool_inspect_roundtrip () =
   let module P = Pool.Make () in
   P.create ~config:small ();
@@ -557,6 +602,8 @@ let () =
             test_closure_ignores_readers;
           Alcotest.test_case "closure woken by abort or crash" `Quick
             test_closure_wakes_on_abort_or_crash;
+          Alcotest.test_case "commit crash releases locks" `Quick
+            test_commit_crash_releases;
         ] );
       ( "inspect",
         [

@@ -24,6 +24,26 @@ let test_lifecycle () =
   Alcotest.check_raises "transaction on closed pool" Pool_impl.Pool_closed
     (fun () -> P.transaction (fun _ -> ()))
 
+(* A logged word update (begin, undo-log one word, store, commit) stays
+   under a fixed allocation budget: the journal's commit line buffers
+   and the device's WPQ are reused, and begin/end take no pool table. *)
+let test_word_update_allocs () =
+  let pool = Pool_impl.create ~config:small () in
+  let off = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_alloc tx 64) in
+  let update v = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_set_int tx off v) in
+  for v = 1 to 100 do
+    update v
+  done;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for v = 1 to n do
+    update v
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "last value" n (Pmem.Device.read_int (Pool_impl.device pool) off);
+  if words > 150. then
+    Alcotest.failf "a logged word-update transaction allocated %.1f minor words" words
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "corundum" ".pool" in
   Sys.remove path;
@@ -312,6 +332,7 @@ let () =
           Alcotest.test_case "derefmut logs once" `Quick
             test_derefmut_first_logs_only;
           Alcotest.test_case "txnop touches no PM" `Quick test_txnop_touches_no_pm;
+          Alcotest.test_case "word update allocs" `Quick test_word_update_allocs;
         ] );
       ( "ptype",
         [

@@ -249,6 +249,28 @@ let test_int_accessors () =
   check_int "dirty lines" bdirty dirty;
   Alcotest.(check bool) "same image" true (String.equal bimg img)
 
+(* The persist path allocates nothing once the WPQ has grown: a flush
+   copies its line into a reused snapshot slot and a fence drains the
+   queue in place. *)
+let test_persist_allocs () =
+  let d = mk () in
+  let pair i =
+    let off = i * 72 mod 16384 in
+    D.write_int d off i;
+    D.flush d off 16;
+    D.fence d
+  in
+  for i = 0 to 999 do
+    pair i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    pair i
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 100. then
+    Alcotest.failf "10000 flush+fence pairs allocated %.0f minor words" words
+
 let test_latency_presets () =
   Alcotest.(check bool) "optane by name" true
     (Pmem.Latency.by_name "optane" = Some Pmem.Latency.optane);
@@ -521,6 +543,7 @@ let () =
             test_stats_and_time;
           Alcotest.test_case "latency presets" `Quick test_latency_presets;
           Alcotest.test_case "int accessors" `Quick test_int_accessors;
+          Alcotest.test_case "persist allocs" `Quick test_persist_allocs;
         ] );
       ( "property",
         [
