@@ -6,6 +6,7 @@ let hdr_size = 24
 type 'p t = { hdr : int; pool : Pool_impl.t }
 
 let off b = b.hdr
+let unsafe_at pool hdr = { hdr; pool }
 let dev pool = Pool_impl.device pool
 let read_len b = D.read_int (dev b.pool) b.hdr
 let read_cap b = D.read_int (dev b.pool) (b.hdr + 8)
@@ -114,6 +115,6 @@ let drop b j =
 
 let ptype () =
   Ptype.handle ~name:"pbytes" ~hdr:off ~drop
-    ~wrap:(fun pool hdr _ -> { hdr; pool })
+    ~wrap:(fun pool hdr _ -> unsafe_at pool hdr)
     ~edges:(fun b -> [ { Ptype.block = read_data b; follow = (fun _ -> []) } ])
     (Ptype.Of_rec (lazy Ptype.unit))

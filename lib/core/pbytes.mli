@@ -33,4 +33,10 @@ val truncate : 'p t -> int -> 'p Journal.t -> unit
 
 val drop : 'p t -> 'p Journal.t -> unit
 val off : 'p t -> int
+
+val unsafe_at : Pool_impl.t -> int -> 'p t
+(** The buffer whose header block is at the given offset, unchecked.
+    Library-internal: lets a container that stores a buffer handle read
+    it without building a {!ptype} descriptor per access. *)
+
 val ptype : unit -> ('p t, 'p) Ptype.t

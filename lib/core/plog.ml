@@ -10,8 +10,7 @@ let off l = l.hdr
 let dev pool = Pool_impl.device pool
 let read_records l = D.read_int (dev l.pool) l.hdr
 
-let buffer l : 'p Pbytes.t =
-  Ptype.read (Pbytes.ptype ()) l.pool (l.hdr + 8)
+let buffer l : 'p Pbytes.t = Pbytes.unsafe_at l.pool (D.read_int (dev l.pool) (l.hdr + 8))
 
 let records l =
   Pool_impl.check_open l.pool;
@@ -26,7 +25,7 @@ let make ?(capacity = 256) j =
   let hdr = Pool_impl.tx_alloc tx hdr_size in
   let buf = Pbytes.make ~capacity j in
   D.write_int (dev pool) hdr 0;
-  Ptype.write (Pbytes.ptype ()) pool (hdr + 8) buf;
+  D.write_int (dev pool) (hdr + 8) (Pbytes.off buf);
   D.persist (dev pool) hdr hdr_size;
   { hdr; pool }
 

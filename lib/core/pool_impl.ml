@@ -259,9 +259,10 @@ let attach ?(mode = Read_write) dev =
         in
         Some (t0, r)
   in
-  (* The buddy attach rescans the whole allocation table to rebuild its
-     volatile free lists — the O(pool size) component of recovery
-     latency, timed as its own phase. *)
+  (* The buddy attach rescans the allocation table to rebuild its
+     volatile free lists, one load per table line it enters (a line per
+     4 KiB of heap) — the component of recovery latency that grows with
+     pool size, timed as its own phase. *)
   let ts0 = D.simulated_ns dev in
   let buddy = B.attach ~stripes:nslots dev ~table_base ~heap_base ~heap_len in
   let recovery =

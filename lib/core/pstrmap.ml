@@ -38,10 +38,10 @@ include Hash_core.Make (struct
     Pstring.drop (key (Pool_impl.tx_pool tx) e) (Journal.unsafe_of_tx tx)
 
   let check pool e =
-    let k = get pool e in
-    if not (Int64.equal (stored pool e) (hash_string k)) then
+    let k = get pool e and h = stored pool e in
+    if not (Int64.equal h (hash_string k)) then
       Error (Printf.sprintf "stale hash for key %S" k)
-    else Ok (stored pool e)
+    else Ok h
 
   let to_string = Printf.sprintf "%S"
   let reach pool e = Ptype.reach key_ty pool (e + 16)

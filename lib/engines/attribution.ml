@@ -20,21 +20,24 @@ let measure ?(size = 16 * 1024 * 1024) ?(ops = 64) (module E : Engine_sig.S) =
         E.set_root tx r;
         r)
   in
+  (* [P.stats] walks the allocation table, so both logged-bytes reads
+     stay outside the counter window. *)
   let window op f =
+    let lb0 = (P.stats pool).P.logged_bytes in
     let s0 = D.stats dev in
     let ns0 = D.simulated_ns dev in
-    let lb0 = (P.stats pool).P.logged_bytes in
     for i = 1 to ops do
       f i
     done;
     let s1 = D.stats dev in
+    let sim_ns = D.simulated_ns dev -. ns0 in
     {
       op;
       ops;
       flushes = s1.D.flush_calls - s0.D.flush_calls;
       fences = s1.D.fences - s0.D.fences;
       logged_bytes = (P.stats pool).P.logged_bytes - lb0;
-      sim_ns = D.simulated_ns dev -. ns0;
+      sim_ns;
     }
   in
   let update =

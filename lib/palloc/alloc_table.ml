@@ -66,13 +66,39 @@ let order_at t ~idx =
   | 0 -> None
   | b -> Some (b - 1)
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* First non-zero byte of [buf] at or after [i] (or [len]): whole zero
+   words are skipped 8 bytes at a time. *)
+let rec skip_zeros buf i len =
+  if i + 8 <= len && Int64.equal (get64u buf i) 0L then skip_zeros buf (i + 8) len
+  else if i < len && Bytes.unsafe_get buf i = '\000' then skip_zeros buf (i + 1) len
+  else i
+
+(* One device load per table line the walk enters: [line idx] loads from
+   entry [idx] to the end of its line (or of the table) into [buf], and
+   [scan] walks it, so a jump that lands past the line — over an
+   allocation's interior — loads nothing in between.  The heads visited,
+   and their order, are exactly those of a byte-at-a-time walk. *)
 let iter_allocated t f =
-  let rec go idx =
-    if idx < t.nblocks then
-      match order_at t ~idx with
-      | Some order ->
-          f ~idx ~order;
-          go (idx + (1 lsl order))
-      | None -> go (idx + 1)
+  let buf = Bytes.create Pmem.Device.line_size in
+  let table_end = t.table_base + t.nblocks in
+  let rec line idx =
+    if idx < t.nblocks then begin
+      let a = t.table_base + idx in
+      let len = min ((a lor (Pmem.Device.line_size - 1)) + 1) table_end - a in
+      Pmem.Device.read_into t.dev a buf len;
+      scan idx len 0
+    end
+  and scan base len i =
+    let i = skip_zeros buf i len in
+    if i < len then begin
+      let idx = base + i and order = Char.code (Bytes.unsafe_get buf i) - 1 in
+      f ~idx ~order;
+      let next = idx + (1 lsl order) in
+      let j = next - base in
+      if j > i && j < len then scan base len j else line next
+    end
+    else line (base + len)
   in
-  go 0
+  line 0

@@ -63,4 +63,7 @@ val order_at : t -> idx:int -> int option
 
 val iter_allocated : t -> (idx:int -> order:int -> unit) -> unit
 (** Visit every allocated head in index order; the iteration skips the
-    interior blocks of each allocation. *)
+    interior blocks of each allocation.  The table is read one cache line
+    per load (lines wholly inside an allocation are not read at all), so
+    [f] must not write the table: the rest of the current line is already
+    buffered and would go stale. *)

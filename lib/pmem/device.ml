@@ -217,6 +217,13 @@ let read_bytes t off len =
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 
+let read_into t off buf len =
+  if len > Bytes.length buf then invalid_arg "Device.read_into: buffer too small";
+  if len > 0 && PL.line_of off <> PL.line_of (off + len - 1) then
+    invalid_arg "Device.read_into: range crosses a line";
+  load t off len "read_into";
+  Bytes.blit t.view off buf 0 len
+
 let crc32_fold t crc off len =
   load t off len "crc32_fold";
   let crc = ref crc in

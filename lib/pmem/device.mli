@@ -68,6 +68,13 @@ val read_int : t -> int -> int
 val read_bytes : t -> int -> int -> Bytes.t
 val read_string : t -> int -> int -> string
 
+val read_into : t -> int -> Bytes.t -> int -> unit
+(** [read_into t off buf len] copies the [len] bytes at [off] into the
+    head of [buf]: one load, like [read_bytes t off len], and no
+    allocation.  The range must lie inside one cache line; a wider one
+    (or a [buf] shorter than [len]) raises [Invalid_argument], so a bulk
+    read can never pass for a single load. *)
+
 val crc32_fold : t -> int -> int -> int -> int
 (** [crc32_fold t crc off len] folds the [len] bytes at [off] into the
     CRC-32 accumulator [crc] ({!Crc32.update}), reading the view in

@@ -333,6 +333,124 @@ let qcheck_rebuild_equiv =
       | Error msg -> QCheck.Test.fail_report msg);
       B.free_bytes buddy2 = free_before)
 
+(* {1 Line-granular table walk} *)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* The byte-at-a-time walk that [Alloc_table.iter_allocated] replaced,
+   kept as the reference: one table byte per visited index. *)
+let byte_walk tbl =
+  let rec go idx acc =
+    if idx >= Bytes.length tbl then List.rev acc
+    else
+      match Char.code (Bytes.get tbl idx) with
+      | 0 -> go (idx + 1) acc
+      | b -> go (idx + (1 lsl (b - 1))) ((idx, b - 1) :: acc)
+  in
+  go 0 []
+
+(* The free lists a one-stripe rebuild carves from [heads]: each gap
+   split into maximal aligned blocks. *)
+let ref_free heads nblocks =
+  let max_order = log2 nblocks in
+  let rec carve lo hi acc =
+    if lo >= hi then acc
+    else
+      let by_align = if lo = 0 then max_order else log2 (lo land -lo) in
+      let order = min max_order (min by_align (log2 (hi - lo))) in
+      carve (lo + (1 lsl order)) hi ((lo, order) :: acc)
+  in
+  let cursor, acc =
+    List.fold_left
+      (fun (cur, acc) (idx, order) -> (idx + (1 lsl order), carve cur idx acc))
+      (0, []) heads
+  in
+  List.sort compare (carve cursor nblocks acc)
+
+(* A random table of [nblocks] entries whose entry 0 sits at device
+   offset [table_base]: free gaps, aligned heads of order 0..6 (half of
+   them with garbage interior bytes), and order-0 heads on the last byte
+   of a device line. *)
+let random_table rng ~table_base nblocks =
+  let tbl = Bytes.make nblocks '\000' in
+  let rec fill idx =
+    if idx < nblocks then
+      match Random.State.int rng 4 with
+      | 0 -> fill (idx + 1 + Random.State.int rng 80)
+      | 1 ->
+          let last = idx + (63 - ((table_base + idx) land 63)) in
+          if last < nblocks then begin
+            Bytes.set tbl last '\001';
+            fill (last + 1)
+          end
+      | _ ->
+          let want = Random.State.int rng 7 in
+          let order = if idx = 0 then want else min want (log2 (idx land -idx)) in
+          let rec fit o = if idx + (1 lsl o) <= nblocks then o else fit (o - 1) in
+          let order = fit order in
+          Bytes.set tbl idx (Char.chr (order + 1));
+          if Random.State.bool rng then
+            for i = idx + 1 to idx + (1 lsl order) - 1 do
+              Bytes.set tbl i (Char.chr (Random.State.int rng 256))
+            done;
+          fill (idx + (1 lsl order))
+  in
+  fill 0;
+  tbl
+
+(* A device holding [tbl] at [table_base], its heap on the next line.
+   The bytes around the table that share its first and last lines are
+   garbage, so a walk that reads past either end shows. *)
+let table_device ~table_base tbl =
+  let nblocks = Bytes.length tbl in
+  let heap_base = (table_base + nblocks + 63) land lnot 63 in
+  let heap_len = nblocks * T.min_block in
+  let dev = D.create ~size:(heap_base + heap_len) () in
+  D.fill dev 0 heap_base '\255';
+  D.write_bytes dev table_base tbl;
+  (dev, heap_base, heap_len)
+
+let lines_of nblocks = (nblocks + 63) / 64
+
+let qcheck_line_walk_equiv =
+  let gen = QCheck.(triple (int_bound 127) (int_range 1 1000) int) in
+  QCheck.Test.make ~name:"line walk visits the byte walk's heads" ~count:300 gen
+    (fun (table_base, nblocks, seed) ->
+      let tbl = random_table (Random.State.make [| seed |]) ~table_base nblocks in
+      let dev, heap_base, heap_len = table_device ~table_base tbl in
+      let heads = byte_walk tbl in
+      let walked = ref [] and loads0 = (D.stats dev).D.loads in
+      T.iter_allocated (T.attach dev ~table_base ~heap_base ~heap_len)
+        (fun ~idx ~order -> walked := (idx, order) :: !walked);
+      let loads = (D.stats dev).D.loads - loads0 in
+      if List.rev !walked <> heads then QCheck.Test.fail_report "heads differ";
+      if loads > lines_of nblocks + 1 then
+        QCheck.Test.fail_reportf "%d loads for %d table bytes" loads nblocks;
+      let buddy = B.attach dev ~table_base ~heap_base ~heap_len in
+      let free =
+        B.fold_free buddy ~init:[] ~f:(fun acc ~idx ~order -> (idx, order) :: acc)
+      in
+      List.sort compare free = ref_free heads nblocks)
+
+(* Known answers for [Buddy.attach]: a table straddling 9 device lines
+   costs one load per line it enters, at most ceil(bytes / 64) + 1. *)
+let test_attach_load_bound () =
+  let table_base = 32 and nblocks = 512 in
+  let attach_loads tbl =
+    let dev, heap_base, heap_len = table_device ~table_base tbl in
+    let l0 = (D.stats dev).D.loads in
+    ignore (B.attach dev ~table_base ~heap_base ~heap_len);
+    (D.stats dev).D.loads - l0
+  in
+  check_int "bound" 9 (lines_of nblocks + 1);
+  check_int "empty table: every line once" 9
+    (attach_loads (Bytes.make nblocks '\000'));
+  check_int "dense order-0 heads: every line once" 9
+    (attach_loads (Bytes.make nblocks '\001'));
+  let whole = Bytes.make nblocks '\255' in
+  Bytes.set whole 0 (Char.chr (log2 nblocks + 1));
+  check_int "one block over the heap: its head line only" 1 (attach_loads whole)
+
 let () =
   Alcotest.run "palloc_buddy"
     [
@@ -385,5 +503,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_random_ops;
           QCheck_alcotest.to_alcotest qcheck_rebuild_equiv;
+          QCheck_alcotest.to_alcotest qcheck_line_walk_equiv;
         ] );
+      ( "restart loads",
+        [ Alcotest.test_case "attach load bound" `Quick test_attach_load_bound ] );
     ]

@@ -23,7 +23,11 @@ let test_roundtrip () =
   D.fill d 300 10 'x';
   Alcotest.(check string) "fill" "xxxxxxxxxx" (D.read_string d 300 10);
   D.copy_within d ~src:100 ~dst:400 ~len:5;
-  Alcotest.(check string) "copy_within" "hello" (D.read_string d 400 5)
+  Alcotest.(check string) "copy_within" "hello" (D.read_string d 400 5);
+  let buf = Bytes.make 8 '.' and loads0 = (D.stats d).D.loads in
+  D.read_into d 100 buf 5;
+  Alcotest.(check string) "read_into" "hello..." (Bytes.to_string buf);
+  check_int "read_into is one load" 1 ((D.stats d).D.loads - loads0)
 
 let test_bounds () =
   let d = mk ~size:128 () in
@@ -37,7 +41,10 @@ let test_bounds () =
   must_fail (fun () -> D.write_u8 d (-1) 0);
   must_fail (fun () -> D.write_u64 d 125 0L);
   must_fail (fun () -> ignore (D.read_bytes d 120 9));
-  must_fail (fun () -> D.flush d 120 9)
+  must_fail (fun () -> D.flush d 120 9);
+  must_fail (fun () -> D.read_into d 60 (Bytes.create 8) 8);
+  must_fail (fun () -> D.read_into d 0 (Bytes.create 4) 8);
+  must_fail (fun () -> D.read_into d 124 (Bytes.create 8) 8)
 
 let test_unflushed_lost () =
   let d = mk () in
