@@ -482,7 +482,10 @@ let () =
             test_unpersisted_reserve_invisible_after_crash;
         ] );
       ( "restart",
-        [ Alcotest.test_case "attach rebuilds" `Quick test_attach_rebuilds ] );
+        [
+          Alcotest.test_case "attach rebuilds" `Quick test_attach_rebuilds;
+          Alcotest.test_case "attach load bound" `Quick test_attach_load_bound;
+        ] );
       ( "stripes",
         [
           Alcotest.test_case "hints place locally" `Quick test_stripes_basic;
@@ -505,6 +508,4 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_rebuild_equiv;
           QCheck_alcotest.to_alcotest qcheck_line_walk_equiv;
         ] );
-      ( "restart loads",
-        [ Alcotest.test_case "attach load bound" `Quick test_attach_load_bound ] );
     ]
