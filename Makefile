@@ -54,11 +54,13 @@ doc:
 	dune build @doc
 
 # Net lines, the size metric ROADMAP tracks: the libraries (.ml + .mli),
-# the tools (bench, bin, examples; bench/suite excluded) and their total.
+# the tools (bench, bin, examples; bench/suite excluded) and their total,
+# then each library directory on its own.
 loc:
 	@printf 'lib   %s\n' $$(cat lib/*/*.ml lib/*/*.mli | wc -l)
 	@printf 'tools %s\n' $$(cat bench/*.ml bin/*.ml examples/*.ml | wc -l)
 	@printf 'total %s\n' $$(cat lib/*/*.ml lib/*/*.mli bench/*.ml bin/*.ml examples/*.ml | wc -l)
+	@for d in lib/*/; do printf '%-16s %s\n' $${d%/} $$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l); done
 
 clean:
 	dune clean

@@ -94,8 +94,13 @@ let iter_allocated t f =
     let i = skip_zeros buf i len in
     if i < len then begin
       let idx = base + i and order = Char.code (Bytes.unsafe_get buf i) - 1 in
-      f ~idx ~order;
       let next = idx + (1 lsl order) in
+      (* [1 lsl order] wraps for orders past the int width: 0 for 63,
+         127 and 191, negative for 62 and 254 *)
+      if next <= idx then
+        invalid_arg
+          (Printf.sprintf "Alloc_table.iter_allocated: block %d has order %d" idx order);
+      f ~idx ~order;
       let j = next - base in
       if j > i && j < len then scan base len j else line next
     end

@@ -66,4 +66,6 @@ val iter_allocated : t -> (idx:int -> order:int -> unit) -> unit
     interior blocks of each allocation.  The table is read one cache line
     per load (lines wholly inside an allocation are not read at all), so
     [f] must not write the table: the rest of the current line is already
-    buffered and would go stale. *)
+    buffered and would go stale.  Raises [Invalid_argument] at a head
+    whose order is too large for its block size to be an [int] (a
+    corrupt table byte such as [0x40]), before [f] sees it. *)

@@ -1,7 +1,7 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
-module LE = Pjournal.Log_entry
+module M = Psan.Monitor
 
 (* {1 Capture} *)
 
@@ -69,9 +69,10 @@ type report = {
 
 (* {1 Shadow analyzer}
 
-   Lines move through the shared persist-line machine
-   ({!Pmem.Persist_line.Shadow}): a store dirties a line, a flush queues
-   it, a fence drains the queue.  On top of it, each open transaction
+   The probe-stream context — layout, region classification, spill
+   regions, recovery brackets and the lines' persist states
+   ({!Pmem.Persist_line.Shadow}) — is {!Psan.Monitor}'s, shared with
+   psan and conformance.  On top of it, each open transaction
    accumulates the line sets the protocol's ordering barriers require
    durable, split by region (journal/spill vs data/mark vs post-commit
    clears vs header reset), from which the minimal schedule falls out as
@@ -80,25 +81,14 @@ type report = {
 module PL = Pmem.Persist_line
 module Sh = PL.Shadow
 
-type geom = {
-  journal_base : int;
-  slot_size : int;
-  table_base : int;
-  heap_base : int;
-  cow_base : int;
-  cow_len : int;
-}
-
-type region = Header | Cow | Journal | Journal_adv | Table | Heap | Spill
-
 let site_of_region = function
-  | Header -> "header"
-  | Cow -> "cow-root"
-  | Journal -> "journal"
-  | Journal_adv -> "journal-advisory"
-  | Table -> "table"
-  | Heap -> "heap"
-  | Spill -> "spill"
+  | M.Header -> "header"
+  | M.Cow -> "cow-root"
+  | M.Journal -> "journal"
+  | M.Journal_adv -> "journal-advisory"
+  | M.Table -> "table"
+  | M.Heap -> "heap"
+  | M.Spill -> "spill"
 
 (* One flush call awaiting its governing fence (for E2-superseded and
    E4-coalescing attribution). *)
@@ -126,33 +116,21 @@ type txstate = {
 }
 
 type dstate = {
-  ddev : int;
-  mutable geom : geom option;
-  lines : Sh.t;
-  spills : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
+  c : M.dev;
   mutable pending : frec list; (* since the last fence, newest first *)
+  mutable pending_cycle : int; (* [c.cycles] when [pending] was queued *)
   mutable tx : txstate option;
   mutable tx_overlap : int; (* extra Tx_begins the stream can't attribute *)
-  mutable exempt : int;
 }
 
-(* The state of one [analyze] run. *)
+(* The state of one [analyze] run: the report so far, findings newest
+   first. *)
 type acc = {
+  ctx : M.ctx;
   devs : (int, dstate) Hashtbl.t;
   mutable live : bool; (* past the prelude: persists are scored *)
-  mutable n_txs : int;
-  mutable n_unanalyzed : int;
-  mutable t_a_fl : int;
-  mutable t_a_fe : int;
-  mutable t_m_fl : int;
-  mutable t_m_fe : int;
-  mutable t_bg_fl : int;
-  mutable t_bg_fe : int;
-  mutable t_rv_fl : int;
-  mutable t_rv_fe : int;
-  mutable all_findings : finding list; (* newest first *)
   mutable next_tx : int;
-  mutable phases : (string * float) list;
+  mutable r : report;
 }
 
 let runs_of_sorted = function
@@ -168,27 +146,6 @@ let runs_of_tbl tbl =
     (List.sort_uniq compare (Hashtbl.fold (fun l () a -> l :: a) tbl []))
 
 let runs_of_list ls = runs_of_sorted (List.sort_uniq compare ls)
-
-let classify g d off len =
-  if off < g.journal_base then
-    if g.cow_len > 0 && off >= g.cow_base && off < g.cow_base + g.cow_len then
-      Cow
-    else Header
-  else if off < g.table_base then begin
-    let rel = (off - g.journal_base) mod g.slot_size in
-    (* The slot header line mixes advisory words (the entry and drop
-       counts, which end where the spill link starts) with required ones
-       (phase, spill link, epoch), so advisory status is byte-range, not
-       line, granular. *)
-    if rel >= LE.hdr_count && rel + len <= LE.hdr_spill then Journal_adv else Journal
-  end
-  else if off < g.heap_base then Table
-  else if
-    Hashtbl.fold
-      (fun o l acc -> acc || (off >= o && off < o + l))
-      d.spills false
-  then Spill
-  else Heap
 
 let fresh_tx id =
   {
@@ -217,23 +174,18 @@ let dstate acc dev =
   | Some d -> d
   | None ->
       let d =
-        {
-          ddev = dev;
-          geom = None;
-          lines = Sh.create ();
-          spills = Hashtbl.create 4;
-          pending = [];
-          tx = None;
-          tx_overlap = 0;
-          exempt = 0;
-        }
+        { c = M.dev acc.ctx dev; pending = []; pending_cycle = 0; tx = None; tx_overlap = 0 }
       in
       Hashtbl.add acc.devs dev d;
       d
 
+(* Flushes queued before a power cycle died with the write-pending
+   queue. *)
+let pending d = if d.pending_cycle = d.c.M.cycles then d.pending else []
+
 let note tx d ~cls ~kind ~off ~len ~ns ~site ~count detail =
   tx.tfind <-
-    { cls; kind; dev = d.ddev; off; len; ns; tx = tx.tx_id; site; count; detail }
+    { cls; kind; dev = d.c.M.id; off; len; ns; tx = tx.tx_id; site; count; detail }
     :: tx.tfind
 
 (* {2 Per-event handlers} *)
@@ -241,12 +193,10 @@ let note tx d ~cls ~kind ~off ~len ~ns ~site ~count detail =
 (* A store files its lines under the barrier group that its region and
    the transaction's commit phase make them part of. *)
 let on_store d off len =
-  (* the untagged stream carries no domain: one owner for every line *)
-  Sh.store d.lines ~who:0 ~off ~len;
-  if d.exempt = 0 then
+  if d.c.M.exempt = 0 then
     match d.tx with
     | Some tx when not tx.poisoned -> (
-        match d.geom with
+        match d.c.M.layout with
         | None -> tx.poisoned <- true
         | Some g -> (
             let add tbl =
@@ -254,7 +204,7 @@ let on_store d off len =
                 Hashtbl.replace tbl l ()
               done
             in
-            match (tx.commit_seen, classify g d off len) with
+            match (tx.commit_seen, M.region d.c g ~off ~len) with
             | false, (Journal | Spill) -> add tx.pre_log
             | false, Journal_adv -> add tx.pre_adv
             | false, (Table | Heap | Header) -> add tx.pre_other
@@ -269,17 +219,18 @@ let on_store d off len =
 (* A flush that queues no line is E2 and one that queues advisory bytes
    only is E3; the rest wait for their governing fence. *)
 let on_flush acc d off len ns =
-  let newly = Sh.flush d.lines ~off ~len in
+  let newly = d.c.M.queued in
   if acc.live then
-    if d.exempt > 0 then acc.t_rv_fl <- acc.t_rv_fl + 1
+    if d.c.M.exempt > 0 then
+      acc.r <- { acc.r with recovery_flushes = acc.r.recovery_flushes + 1 }
     else
       match d.tx with
-      | None -> acc.t_bg_fl <- acc.t_bg_fl + 1
+      | None -> acc.r <- { acc.r with bg_flushes = acc.r.bg_flushes + 1 }
       | Some tx -> (
           tx.a_fl <- tx.a_fl + 1;
           tx.last_ns <- ns;
           if not tx.poisoned then
-            match d.geom with
+            match d.c.M.layout with
             | None -> tx.poisoned <- true
             | Some g ->
                 let req l =
@@ -297,7 +248,7 @@ let on_flush acc d off len ns =
                 let classified cls detail =
                   tx.classified_fl <- tx.classified_fl + 1;
                   note tx d ~cls ~kind:`Flush ~off ~len ~ns
-                    ~site:(site_of_region (classify g d off len))
+                    ~site:(site_of_region (M.region d.c g ~off ~len))
                     ~count:1 detail
                 in
                 if newly = [] then
@@ -305,10 +256,12 @@ let on_flush acc d off len ns =
                 else if List.for_all (fun l -> adv l && not (req l)) newly then
                   classified E3
                     "advisory bytes only (never trusted by recovery); deferrable"
-                else
+                else begin
                   d.pending <-
                     { fr_off = off; fr_len = len; fr_ns = ns; fr_newly = newly }
-                    :: d.pending)
+                    :: pending d;
+                  d.pending_cycle <- d.c.M.cycles
+                end)
 
 (* Judge the flushes a fence governs, before it drains: a flush whose
    every queued line was re-dirtied since is E2, flushes beyond the
@@ -316,16 +269,16 @@ let on_flush acc d off len ns =
    is E1. *)
 let score_fence d tx ns =
   let site_of fr =
-    match d.geom with
-    | Some g -> site_of_region (classify g d fr.fr_off fr.fr_len)
+    match d.c.M.layout with
+    | Some g -> site_of_region (M.region d.c g ~off:fr.fr_off ~len:fr.fr_len)
     | None -> "unknown"
   in
   let superseded, effective =
     List.partition
       (fun fr ->
         fr.fr_newly <> []
-        && List.for_all (fun l -> Sh.state d.lines l = PL.Wpq_dirty) fr.fr_newly)
-      (List.rev d.pending)
+        && List.for_all (fun l -> Sh.state d.c.M.lines l = PL.Wpq_dirty) fr.fr_newly)
+      (List.rev (pending d))
   in
   List.iter
     (fun fr ->
@@ -345,24 +298,26 @@ let score_fence d tx ns =
          (Printf.sprintf "%d flush calls cover %d contiguous run(s) under this fence"
             k r)
      end);
-  if Sh.pending_count d.lines = 0 then begin
+  if Sh.pending_count d.c.M.lines = 0 then begin
     tx.empty_fences <- tx.empty_fences + 1;
     note tx d ~cls:E1 ~kind:`Fence ~off:0 ~len:0 ~ns ~site:"fence" ~count:1
       "fence drained nothing"
   end
 
+(* Runs before the context sees the fence: scoring reads the queue the
+   fence is about to drain. *)
 let on_fence acc d ns =
   (if acc.live then
-     if d.exempt > 0 then acc.t_rv_fe <- acc.t_rv_fe + 1
+     if d.c.M.exempt > 0 then
+       acc.r <- { acc.r with recovery_fences = acc.r.recovery_fences + 1 }
      else
        match d.tx with
-       | None -> acc.t_bg_fe <- acc.t_bg_fe + 1
+       | None -> acc.r <- { acc.r with bg_fences = acc.r.bg_fences + 1 }
        | Some tx ->
            tx.a_fe <- tx.a_fe + 1;
            tx.last_ns <- ns;
            if not tx.poisoned then score_fence d tx ns);
-  d.pending <- [];
-  ignore (Sh.fence d.lines)
+  d.pending <- []
 
 (* The minimal (flushes, fences) of a committed transaction: one flush
    per contiguous run of each barrier group, one fence per barrier
@@ -390,20 +345,20 @@ let min_schedule tx =
 let finish_tx acc d tx ~committed =
   d.tx <- None;
   if acc.live then begin
-    let a_fl = tx.a_fl and a_fe = tx.a_fe in
-    acc.t_a_fl <- acc.t_a_fl + a_fl;
-    acc.t_a_fe <- acc.t_a_fe + a_fe;
+    let a_fl = tx.a_fl and a_fe = tx.a_fe and r = acc.r in
+    let r =
+      { r with
+        actual_flushes = r.actual_flushes + a_fl;
+        actual_fences = r.actual_fences + a_fe }
+    in
     if
       committed && (not tx.poisoned)
       && (tx.commit_seen || (a_fl = 0 && a_fe = 0))
     then begin
-      acc.n_txs <- acc.n_txs + 1;
       let min_fl, min_fe = min_schedule tx in
       (* A buggy (flush/fence-eliding) trace can undershoot the
          minimum; waste is never negative. *)
       let m_fl = min min_fl a_fl and m_fe = min min_fe a_fe in
-      acc.t_m_fl <- acc.t_m_fl + m_fl;
-      acc.t_m_fe <- acc.t_m_fe + m_fe;
       let rem_fl = a_fl - m_fl - tx.classified_fl in
       if rem_fl > 0 then
         note tx d ~cls:E1 ~kind:`Flush ~off:0 ~len:0 ~ns:tx.last_ns ~site:"journal"
@@ -413,13 +368,14 @@ let finish_tx acc d tx ~committed =
         note tx d ~cls:E1 ~kind:`Fence ~off:0 ~len:0 ~ns:tx.last_ns ~site:"fence"
           ~count:rem_fe
           "per-entry seal fences collapsible into one (independent lines)";
-      acc.all_findings <- tx.tfind @ acc.all_findings
+      acc.r <-
+        { r with txs = r.txs + 1; min_flushes = r.min_flushes + m_fl;
+          min_fences = r.min_fences + m_fe; findings = tx.tfind @ r.findings }
     end
-    else begin
-      acc.n_unanalyzed <- acc.n_unanalyzed + 1;
-      acc.t_m_fl <- acc.t_m_fl + a_fl;
-      acc.t_m_fe <- acc.t_m_fe + a_fe
-    end
+    else
+      acc.r <-
+        { r with unanalyzed = r.unanalyzed + 1; min_flushes = r.min_flushes + a_fl;
+          min_fences = r.min_fences + a_fe }
   end
 
 let on_tx_begin acc d =
@@ -437,70 +393,53 @@ let on_tx_end acc d outcome =
   if d.tx_overlap > 0 then d.tx_overlap <- d.tx_overlap - 1
   else Option.iter (fun tx -> finish_tx acc d tx ~committed:(outcome = Pr.Commit)) d.tx
 
-(* All cache state is gone, and live spill regions roll back at
-   recovery, so they stop classifying stores as journal protocol. *)
-let on_power_cycle d =
-  Sh.reset d.lines;
-  Hashtbl.reset d.spills;
-  d.pending <- []
-
 let on_recovery_phase acc phase dur_ns =
+  let phases = acc.r.recovery_phases in
   if acc.live then
-    acc.phases <-
-      (match List.assoc_opt phase acc.phases with
-      | Some prev -> (phase, prev +. dur_ns) :: List.remove_assoc phase acc.phases
-      | None -> acc.phases @ [ (phase, dur_ns) ])
+    acc.r <-
+      { acc.r with
+        recovery_phases =
+          (match List.assoc_opt phase phases with
+          | Some prev -> (phase, prev +. dur_ns) :: List.remove_assoc phase phases
+          | None -> phases @ [ (phase, dur_ns) ]) }
 
 let on_event acc ev =
+  let d = dstate acc (Pr.dev_of ev) in
+  (match ev with Pr.Fence { ns; _ } -> on_fence acc d ns | _ -> ());
+  (* the untagged stream carries no domain: one owner for every line *)
+  ignore (M.observe acc.ctx ~who:0 ev : int * M.dev);
   match ev with
-  | Pr.Store { dev; off; len; ns = _ } -> on_store (dstate acc dev) off len
-  | Pr.Flush { dev; off; len; ns; _ } -> on_flush acc (dstate acc dev) off len ns
-  | Pr.Fence { dev; ns; _ } -> on_fence acc (dstate acc dev) ns
-  | Pr.Power_cycle { dev } -> on_power_cycle (dstate acc dev)
-  | Pr.Pool_layout
-      { dev; journal_base; slot_size; nslots = _; table_base; heap_base;
-        heap_len = _; cow_base; cow_len } ->
-      (dstate acc dev).geom <-
-        Some { journal_base; slot_size; table_base; heap_base; cow_base; cow_len }
-  | Pr.Tx_begin { dev; _ } -> on_tx_begin acc (dstate acc dev)
-  | Pr.Tx_end { dev; outcome; _ } -> on_tx_end acc (dstate acc dev) outcome
-  | Pr.Commit_point { dev; ns = _ } ->
-      Option.iter (fun tx -> tx.commit_seen <- true) (dstate acc dev).tx
-  | Pr.Region_reserve { dev; off; len; _ } ->
-      Hashtbl.replace (dstate acc dev).spills off len
-  | Pr.Region_release { dev; off } -> Hashtbl.remove (dstate acc dev).spills off
-  | Pr.Exempt_push { dev } ->
-      let d = dstate acc dev in
-      d.exempt <- d.exempt + 1
-  | Pr.Exempt_pop { dev } ->
-      let d = dstate acc dev in
-      d.exempt <- max 0 (d.exempt - 1)
+  | Pr.Store { off; len; _ } -> on_store d off len
+  | Pr.Flush { off; len; ns; _ } -> on_flush acc d off len ns
+  | Pr.Tx_begin _ -> on_tx_begin acc d
+  | Pr.Tx_end { outcome; _ } -> on_tx_end acc d outcome
+  | Pr.Commit_point _ -> Option.iter (fun tx -> tx.commit_seen <- true) d.tx
   | Pr.Recovery_phase { phase; dur_ns; _ } -> on_recovery_phase acc phase dur_ns
-  | Pr.Log _ | Pr.Alloc _ | Pr.Journal_truncate _ | Pr.Drop_apply _
-  | Pr.Cow_shadow _ | Pr.Cow_retire _ | Pr.Recovery _ | Pr.Epoch _
-  | Pr.Block_alloc _ | Pr.Block_free _ ->
+  | _ ->
+      (* geometry, spill regions, recovery brackets and power cycles
+         are the shared context's *)
       ()
 
 let analyze ?(label = "trace") ?(prelude = []) events =
-  let acc =
+  let r =
     {
-      devs = Hashtbl.create 4;
-      live = false;
-      n_txs = 0;
-      n_unanalyzed = 0;
-      t_a_fl = 0;
-      t_a_fe = 0;
-      t_m_fl = 0;
-      t_m_fe = 0;
-      t_bg_fl = 0;
-      t_bg_fe = 0;
-      t_rv_fl = 0;
-      t_rv_fe = 0;
-      all_findings = [];
-      next_tx = 0;
-      phases = [];
+      label;
+      events = List.length events;
+      txs = 0;
+      unanalyzed = 0;
+      actual_flushes = 0;
+      actual_fences = 0;
+      min_flushes = 0;
+      min_fences = 0;
+      bg_flushes = 0;
+      bg_fences = 0;
+      recovery_flushes = 0;
+      recovery_fences = 0;
+      findings = [];
+      recovery_phases = [];
     }
   in
+  let acc = { ctx = M.context (); devs = Hashtbl.create 4; live = false; next_tx = 0; r } in
   List.iter (on_event acc) prelude;
   (* A transaction spanning the prelude boundary has uncounted persists;
      score it conservatively. *)
@@ -510,22 +449,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
   Hashtbl.iter
     (fun _ d -> Option.iter (fun tx -> finish_tx acc d tx ~committed:false) d.tx)
     acc.devs;
-  {
-    label;
-    events = List.length events;
-    txs = acc.n_txs;
-    unanalyzed = acc.n_unanalyzed;
-    actual_flushes = acc.t_a_fl;
-    actual_fences = acc.t_a_fe;
-    min_flushes = acc.t_m_fl;
-    min_fences = acc.t_m_fe;
-    bg_flushes = acc.t_bg_fl;
-    bg_fences = acc.t_bg_fe;
-    recovery_flushes = acc.t_rv_fl;
-    recovery_fences = acc.t_rv_fe;
-    findings = List.rev acc.all_findings;
-    recovery_phases = acc.phases;
-  }
+  { acc.r with findings = List.rev acc.r.findings }
 
 let waste_flushes r = r.actual_flushes - r.min_flushes
 let waste_fences r = r.actual_fences - r.min_fences

@@ -5,9 +5,10 @@
     question ROADMAP item 3 asks: how far above the {e provable
     minimum} persist cost does each engine run? It replays a
     probe-captured event stream ({!Ptelemetry.Probe}) through a
-    shadow dependency analyzer built on {!Pmem.Persist_line.Shadow}
-    (the per-line persist semantics the device and {!Psan} share),
-    reconstructs the happens-before ordering DAG that crash
+    shadow dependency analyzer built on the probe-stream context of
+    {!Psan.Monitor} (layout, spill regions, recovery bracket and the
+    {!Pmem.Persist_line.Shadow} line states psan and conformance
+    judge), reconstructs the happens-before ordering DAG that crash
     consistency actually requires, computes the minimal flush/fence
     schedule for the trace, and attributes [actual - minimum] per
     transaction and per emission site, classifying every excess

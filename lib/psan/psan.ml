@@ -1,10 +1,10 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
-module PL = Pmem.Persist_line
-module Sh = PL.Shadow
 
-type violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
+module Monitor = Monitor
+
+type violation_class = Monitor.violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
 
 let class_name = function
   | V1 -> "V1"
@@ -26,7 +26,7 @@ let class_title = function
 
 let is_warning = function W1 | W2 -> true | V1 | V2 | V3 | V4 | V5 -> false
 
-type finding = {
+type finding = Monitor.finding = {
   cls : violation_class;
   dev : int;
   off : int;
@@ -36,327 +36,82 @@ type finding = {
   detail : string;
 }
 
-(* The device's cache is a Persist_line shadow whose line owners are
-   domains.  On a shared pool a commit judges only the committing
-   domain's own stores: a line another domain dirtied between this
-   member's epoch fence and its commit point must not read as this
-   member's missing flush. *)
-type dev_state = {
-  mutable heap : (int * int) option; (* from Pool_layout *)
-  lines : Sh.t;
-  dyn_exempt : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
-  retired : (int, int) Hashtbl.t; (* CoW-retired blocks: off -> len *)
-  mutable exempt_depth : int; (* recovery bracket nesting *)
-  mutable last_fence_empty : bool; (* previous fence drained nothing *)
-}
-
-(* One open outermost transaction, keyed by (domain, device). *)
-type tx_state = {
-  tx_id : int;
-  mutable covered : (int * int) list; (* logged ranges ∪ fresh allocs *)
-  mutable stored : (int * int) list; (* heap, non-exempt stores *)
-  mutable commit_seen : bool;
-}
+(* The live front-end: one monitor for the whole process, stepped under
+   [lock] with the emitting domain as [who] (probe handlers run
+   synchronously on the emitting thread). *)
 
 let lock = Mutex.create ()
-let devs : (int, dev_state) Hashtbl.t = Hashtbl.create 8
-let txs : (int * int, tx_state) Hashtbl.t = Hashtbl.create 8
-let user_exempt : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8
-let next_tx = ref 0
-let found : finding list ref = ref [] (* newest first *)
-let seen : (string * int * int, unit) Hashtbl.t = Hashtbl.create 64
-let active = ref false
+let user_exempt : (int, int * int) Hashtbl.t = Hashtbl.create 8
 
-let dev_state dev =
-  match Hashtbl.find_opt devs dev with
-  | Some ds -> ds
-  | None ->
-      let ds =
-        {
-          heap = None;
-          lines = Sh.create ();
-          dyn_exempt = Hashtbl.create 8;
-          retired = Hashtbl.create 8;
-          exempt_depth = 0;
-          last_fence_empty = false;
-        }
-      in
-      Hashtbl.add devs dev ds;
-      ds
+(* Surface each finding in the trace too, so it lands inside the tx span
+   it belongs to when a ring is installed. *)
+let trace_finding f =
+  if Tr.on () then
+    Tr.emit
+      ~args:
+        ([
+           ("class", class_name f.cls);
+           ("title", class_title f.cls);
+           ("dev", string_of_int f.dev);
+           ("off", string_of_int f.off);
+           ("len", string_of_int f.len);
+           ("detail", f.detail);
+         ]
+        @ match f.tx with Some i -> [ ("tx", string_of_int i) ] | None -> [])
+      ~cat:"psan"
+      ~name:("psan." ^ class_name f.cls)
+      ~ph:Tr.I ~ts_ns:f.ns ()
 
-(* {1 Interval arithmetic}
+let fresh () =
+  Monitor.create ~on_finding:trace_finding
+    ~exempt:(Hashtbl.find_all user_exempt) ()
 
-   Ranges are (off, len) lists, unordered and possibly overlapping;
-   coverage checks subtract covering intervals from the query segment
-   and look at what survives.  Lists are per-transaction and small. *)
-
-let subtract segs (o, l) =
-  let e = o + l in
-  List.concat_map
-    (fun (so, sl) ->
-      let se = so + sl in
-      if e <= so || o >= se then [ (so, sl) ]
-      else
-        (if o > so then [ (so, o - so) ] else [])
-        @ if e < se then [ (e, se - e) ] else [])
-    segs
-
-let remaining segs cover = List.fold_left subtract segs cover
-
-let exempt_ranges dev ds =
-  let user =
-    match Hashtbl.find_opt user_exempt dev with Some r -> !r | None -> []
-  in
-  Hashtbl.fold (fun o l acc -> (o, l) :: acc) ds.dyn_exempt user
-
-(* Clip a store range to the device's heap; [] when no pool is attached
-   or the range is pure metadata. *)
-let heap_clip ds ~off ~len =
-  match ds.heap with
-  | None -> []
-  | Some (hb, hl) ->
-      let lo = max off hb and hi = min (off + len) (hb + hl) in
-      if hi > lo then [ (lo, hi - lo) ] else []
-
-(* {1 Findings} *)
-
-let record cls ~dev ~off ~len ~tx ~ns ~detail =
-  let key = (class_name cls, dev, PL.line_of off) in
-  if not (Hashtbl.mem seen key) then begin
-    Hashtbl.add seen key ();
-    found := { cls; dev; off; len; tx; ns; detail } :: !found;
-    (* Surface the finding in the trace too, so it lands inside the tx
-       span it belongs to when a ring is installed. *)
-    if Tr.on () then
-      Tr.emit
-        ~args:
-          ([
-             ("class", class_name cls);
-             ("title", class_title cls);
-             ("dev", string_of_int dev);
-             ("off", string_of_int off);
-             ("len", string_of_int len);
-             ("detail", detail);
-           ]
-          @ match tx with Some i -> [ ("tx", string_of_int i) ] | None -> [])
-        ~cat:"psan"
-        ~name:("psan." ^ class_name cls)
-        ~ph:Tr.I ~ts_ns:ns ()
-  end
-
-let tx_of dev = Hashtbl.find_opt txs ((Domain.self () :> int), dev)
-let tx_id_of dev = Option.map (fun t -> t.tx_id) (tx_of dev)
-
-(* {1 The shadow machine} *)
-
-let on_store ~dev ~off ~len ~ns =
-  let ds = dev_state dev in
-  (* Probe handlers run synchronously on the emitting thread, so
-     [Domain.self] here is the storing domain. *)
-  Sh.store ds.lines ~who:(Domain.self () :> int) ~off ~len;
-  if ds.exempt_depth = 0 then begin
-    (* Use-after-retire: no store may land in a retired block until the
-       allocator reissues it, no matter how well-covered the tx is. *)
-    Hashtbl.iter
-      (fun o l ->
-        let lo = max off o and hi = min (off + len) (o + l) in
-        if hi > lo then
-          record V5 ~dev ~off:lo ~len:(hi - lo) ~tx:(tx_id_of dev) ~ns
-            ~detail:"block was retired by a root swap and not reissued")
-      ds.retired;
-    match heap_clip ds ~off ~len with
-    | [] -> ()
-    | segs -> (
-        match remaining segs (exempt_ranges dev ds) with
-        | [] -> ()
-        | segs -> (
-            match tx_of dev with
-            | None ->
-                List.iter
-                  (fun (o, l) ->
-                    record V4 ~dev ~off:o ~len:l ~tx:None ~ns
-                      ~detail:"heap store with no open transaction")
-                  segs
-            | Some tx ->
-                tx.stored <- segs @ tx.stored;
-                List.iter
-                  (fun (o, l) ->
-                    record V1 ~dev ~off:o ~len:l ~tx:(Some tx.tx_id) ~ns
-                      ~detail:
-                        "no covering undo-log entry or same-tx allocation")
-                  (remaining segs tx.covered)))
-  end
-
-let on_flush ~dev ~off ~len ~ns =
-  let ds = dev_state dev in
-  if Sh.flush ds.lines ~off ~len = [] && ds.exempt_depth = 0 then
-    record W1 ~dev ~off ~len ~tx:(tx_id_of dev) ~ns
-      ~detail:"flushed lines held no unwritten-back data"
-
-let on_fence ~dev ~ns =
-  let ds = dev_state dev in
-  let empty = Sh.fence ds.lines = 0 in
-  if empty && ds.last_fence_empty && ds.exempt_depth = 0 then
-    record W2 ~dev ~off:0 ~len:0 ~tx:(tx_id_of dev) ~ns
-      ~detail:"consecutive fences with an empty write-pending queue";
-  ds.last_fence_empty <- empty
-
-(* At the commit point every range the transaction stored must already
-   be durable: dirty means the flush is missing, write-pending means
-   the fence is.  Judged here — before the journal truncates — because
-   truncation's own persists drain the WPQ and would mask both.  Only
-   the committing domain's own residue counts: on a shared pool another
-   domain may have re-dirtied one of these lines between this member's
-   epoch fence and its commit point, and that is its transaction's
-   problem, not this one's. *)
-let check_commit ds tx ~who ~dev ~ns =
-  tx.commit_seen <- true;
-  List.iter
-    (fun (o, l) ->
-      for ln = PL.line_of o to PL.line_of (o + l - 1) do
-        let off = PL.line_start ln and len = PL.line_size in
-        if List.mem who (Sh.dirty_owners ds.lines ln) then
-          record V2 ~dev ~off ~len ~tx:(Some tx.tx_id) ~ns
-            ~detail:"line still dirty at commit point (missing flush)"
-        else if List.mem who (Sh.pending_owners ds.lines ln) then
-          record V3 ~dev ~off ~len ~tx:(Some tx.tx_id) ~ns
-            ~detail:"line write-pending at commit point (flush without fence)"
-      done)
-    tx.stored
+let monitor = ref (fresh ())
 
 let on_event ev =
   Mutex.lock lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      match ev with
-      | Pr.Store { dev; off; len; ns } -> on_store ~dev ~off ~len ~ns
-      | Pr.Flush { dev; off; len; ns; _ } -> on_flush ~dev ~off ~len ~ns
-      | Pr.Fence { dev; ns; _ } -> on_fence ~dev ~ns
-      | Pr.Power_cycle { dev } ->
-          (* All cache state is gone; in-flight spills roll back at
-             recovery, so their exemptions die with them.  User
-             exemptions are statements about regions and survive. *)
-          let ds = dev_state dev in
-          Sh.reset ds.lines;
-          Hashtbl.reset ds.dyn_exempt;
-          Hashtbl.reset ds.retired;
-          ds.exempt_depth <- 0;
-          ds.last_fence_empty <- false;
-          Hashtbl.filter_map_inplace
-            (fun (_, d) tx -> if d = dev then None else Some tx)
-            txs
-      | Pr.Pool_layout { dev; heap_base; heap_len; _ } ->
-          (dev_state dev).heap <- Some (heap_base, heap_len)
-      | Pr.Tx_begin { dev; _ } ->
-          incr next_tx;
-          Hashtbl.replace txs
-            ((Domain.self () :> int), dev)
-            { tx_id = !next_tx; covered = []; stored = []; commit_seen = false }
-      | Pr.Tx_end { dev; outcome; ns; _ } ->
-          let key = ((Domain.self () :> int), dev) in
-          (match (outcome, Hashtbl.find_opt txs key) with
-          | Pr.Commit, Some tx when not tx.commit_seen ->
-              (* The journal had nothing to commit, so no commit point
-                 was emitted (nor any fence run) — judge here. *)
-              check_commit (dev_state dev) tx ~who:(fst key) ~dev ~ns
-          | _ -> ());
-          Hashtbl.remove txs key
-      | Pr.Log { dev; off; len; _ } -> (
-          match tx_of dev with
-          | Some tx -> tx.covered <- (off, len) :: tx.covered
-          | None -> ())
-      | Pr.Alloc { dev; off; len; _ } | Pr.Cow_shadow { dev; off; len } ->
-          (* Shadow state is unreachable until the root swap publishes
-             it, so it is rollback-safe exactly like a fresh alloc; a
-             reissued block is no longer retired. *)
-          let ds = dev_state dev in
-          Hashtbl.filter_map_inplace
-            (fun o l -> if max off o < min (off + len) (o + l) then None else Some l)
-            ds.retired;
-          (match tx_of dev with
-          | Some tx -> tx.covered <- (off, len) :: tx.covered
-          | None -> ())
-      | Pr.Cow_retire { dev; off; len } ->
-          Hashtbl.replace (dev_state dev).retired off len
-      | Pr.Commit_point { dev; ns } -> (
-          match tx_of dev with
-          | Some tx ->
-              check_commit (dev_state dev) tx
-                ~who:(Domain.self () :> int)
-                ~dev ~ns
-          | None -> ())
-      | Pr.Region_reserve { dev; off; len; _ } ->
-          Hashtbl.replace (dev_state dev).dyn_exempt off len
-      | Pr.Region_release { dev; off } ->
-          Hashtbl.remove (dev_state dev).dyn_exempt off
-      | Pr.Exempt_push { dev } ->
-          let ds = dev_state dev in
-          ds.exempt_depth <- ds.exempt_depth + 1
-      | Pr.Exempt_pop { dev } ->
-          let ds = dev_state dev in
-          ds.exempt_depth <- max 0 (ds.exempt_depth - 1)
-      | Pr.Journal_truncate _ | Pr.Drop_apply _
-      | Pr.Recovery_phase _ | Pr.Recovery _ | Pr.Epoch _ | Pr.Block_alloc _
-      | Pr.Block_free _ ->
-          (* Geometry, protocol-progress and accounting events for other
-             subscribers; the sanitizer's rules key off the coarser
-             events. *)
-          ())
+    (fun () -> Monitor.step !monitor ~who:(Domain.self () :> int) ev)
 
 (* {1 Lifecycle} *)
 
-let reset_state () =
-  Hashtbl.reset devs;
-  Hashtbl.reset txs;
-  Hashtbl.reset seen;
-  found := [];
-  next_tx := 0
-
 let reset () =
   Mutex.lock lock;
-  reset_state ();
+  monitor := fresh ();
   Mutex.unlock lock
 
 let subscription = ref None
 
 let enable () =
-  Mutex.lock lock;
-  reset_state ();
-  active := true;
-  Mutex.unlock lock;
+  reset ();
   if !subscription = None then subscription := Some (Pr.subscribe on_event)
 
 let disable () =
-  Mutex.lock lock;
-  active := false;
-  Mutex.unlock lock;
   Option.iter Pr.unsubscribe !subscription;
   subscription := None
 
-let enabled () = !active
+let enabled () = !subscription <> None
 
 (* {1 Exemptions} *)
 
 let exempt ~dev ~off ~len =
   Mutex.lock lock;
-  (match Hashtbl.find_opt user_exempt dev with
-  | Some r -> r := (off, len) :: !r
-  | None -> Hashtbl.add user_exempt dev (ref [ (off, len) ]));
+  Hashtbl.add user_exempt dev (off, len);
   Mutex.unlock lock
 
 let unexempt ~dev ~off ~len =
   Mutex.lock lock;
-  (match Hashtbl.find_opt user_exempt dev with
-  | Some r -> r := List.filter (fun x -> x <> (off, len)) !r
-  | None -> ());
+  Hashtbl.filter_map_inplace
+    (fun d r -> if d = dev && r = (off, len) then None else Some r)
+    user_exempt;
   Mutex.unlock lock
 
 (* {1 Findings and reports} *)
 
 let all_findings () =
   Mutex.lock lock;
-  let r = List.rev !found in
+  let r = Monitor.findings !monitor in
   Mutex.unlock lock;
   r
 

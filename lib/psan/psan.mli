@@ -1,15 +1,16 @@
-(** Online persist-ordering and logging sanitizer.
+(** Online persist-ordering and logging sanitizer: the live front-end
+    of {!Monitor}, which [Pmodel.Mconform] replays captures through.
 
-    Psan subscribes to the {!Ptelemetry.Probe} bus and replays every
-    store, flush and fence through a {!Pmem.Persist_line.Shadow} —
-    the device's own per-line persist semantics (Clean → Dirty →
-    write-pending → durable), defined once in {!Pmem.Persist_line} —
-    tracking in parallel which heap ranges the open transaction has
-    undo-logged or freshly allocated. It judges the event stream
-    online and reports each violation with the offset, the line's
-    shadow state, the owning transaction, and the simulated time —
-    Corundum's static guarantees, checked dynamically against the
-    actual event order (DESIGN.md §10).
+    Psan steps one process-wide monitor with every {!Ptelemetry.Probe}
+    event and the emitting domain.  The monitor replays every store,
+    flush and fence through a {!Pmem.Persist_line.Shadow} — the
+    device's own per-line persist semantics — tracking which heap
+    ranges the open transaction has undo-logged or freshly allocated,
+    and psan reports each violation with the offset, the owning
+    transaction and the simulated time: Corundum's static guarantees,
+    checked against the actual event order (DESIGN.md §10).
+    {!Monitor.replay} of a {!Ptelemetry.Probe.Recorder} capture finds
+    what psan reported live.
 
     {2 Violation classes}
 
@@ -46,7 +47,9 @@
 
     Findings are deduplicated per (class, device, line). *)
 
-type violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
+module Monitor = Monitor
+
+type violation_class = Monitor.violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
 
 val class_name : violation_class -> string
 (** ["V1"] … ["W2"]. *)
@@ -57,7 +60,7 @@ val class_title : violation_class -> string
 val is_warning : violation_class -> bool
 (** True for W1/W2. *)
 
-type finding = {
+type finding = Monitor.finding = {
   cls : violation_class;
   dev : int;  (** {!Pmem.Device.id} of the offending device *)
   off : int;  (** byte offset of the offending range (line-clipped) *)

@@ -49,6 +49,16 @@ type event =
   | Block_alloc of { dev : int; off : int; len : int; ns : float }
   | Block_free of { dev : int; off : int; len : int; ns : float }
 
+let dev_of = function
+  | Store { dev; _ } | Flush { dev; _ } | Fence { dev; _ } | Power_cycle { dev }
+  | Tx_begin { dev; _ } | Tx_end { dev; _ } | Log { dev; _ } | Alloc { dev; _ }
+  | Commit_point { dev; _ } | Region_reserve { dev; _ } | Region_release { dev; _ }
+  | Exempt_push { dev } | Exempt_pop { dev } | Pool_layout { dev; _ }
+  | Journal_truncate { dev; _ } | Drop_apply { dev; _ } | Recovery_phase { dev; _ }
+  | Recovery { dev; _ } | Cow_shadow { dev; _ } | Cow_retire { dev; _ }
+  | Epoch { dev; _ } | Block_alloc { dev; _ } | Block_free { dev; _ } ->
+      dev
+
 (* {1 The bus}
 
    The subscriber list is an immutable snapshot swapped under [lock], so

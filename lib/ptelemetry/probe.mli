@@ -4,10 +4,13 @@
     reports what it does as a typed protocol event on this bus, and
     every consumer is a subscriber: the Chrome-trace ring
     ({!Trace.install_ring}), the metrics registry ({!Metrics.install}),
-    the persistency sanitizer ([Psan]), the persist-waste capture
-    ([Pprof.Capture]) and the conformance checker
-    ([Pmodel.Mconform.capture]).  Any number of them may watch the same
-    run at once; each sees every event in emission order.
+    the persistency sanitizer ([Psan]) and any {!Recorder} — the
+    persist-waste capture ([Pprof.Capture]) and the conformance capture
+    ([Pmodel.Mconform.capture]) are recorders.  Any number of them may
+    watch the same run at once; each sees every event in emission
+    order.  Psan and conformance are the live and the replay front-end
+    of one protocol monitor ([Psan.Monitor]), so a recorded run replays
+    to the findings psan reported live.
 
     One atomic gate covers all subscribers.  With none subscribed every
     emission site reduces to a single atomic load and a branch, and no
@@ -124,6 +127,9 @@ type event =
   | Block_free of { dev : int; off : int; len : int; ns : float }
       (** The allocator returned the block [off, off+len) to its free
           lists. *)
+
+val dev_of : event -> int
+(** The device an event happened on; every event names one. *)
 
 (** {1 Subscription} *)
 

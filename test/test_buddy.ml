@@ -451,6 +451,28 @@ let test_attach_load_bound () =
   Bytes.set whole 0 (Char.chr (log2 nblocks + 1));
   check_int "one block over the heap: its head line only" 1 (attach_loads whole)
 
+(* A head byte whose order overflows the block-size shift (0x40, 0x80
+   and 0xC0 make [1 lsl order] zero, 0x3F and 0xFF negative) is
+   rejected by the walk and by attach, naming the block, instead of
+   looping forever or loading at a negative offset. *)
+let test_attach_rejects_wrapped_order () =
+  let table_base = 32 and nblocks = 512 in
+  List.iter
+    (fun b ->
+      let tbl = Bytes.make nblocks '\000' in
+      Bytes.set tbl 100 (Char.chr b);
+      let dev, heap_base, heap_len = table_device ~table_base tbl in
+      let err =
+        Invalid_argument
+          (Printf.sprintf "Alloc_table.iter_allocated: block 100 has order %d" (b - 1))
+      in
+      Alcotest.check_raises (Printf.sprintf "walk of 0x%02X" b) err (fun () ->
+          T.iter_allocated (T.attach dev ~table_base ~heap_base ~heap_len)
+            (fun ~idx:_ ~order:_ -> ()));
+      Alcotest.check_raises (Printf.sprintf "attach of 0x%02X" b) err (fun () ->
+          ignore (B.attach dev ~table_base ~heap_base ~heap_len)))
+    [ 0x3F; 0x40; 0x80; 0xC0; 0xFF ]
+
 let () =
   Alcotest.run "palloc_buddy"
     [
@@ -485,6 +507,8 @@ let () =
         [
           Alcotest.test_case "attach rebuilds" `Quick test_attach_rebuilds;
           Alcotest.test_case "attach load bound" `Quick test_attach_load_bound;
+          Alcotest.test_case "wrapped order rejected" `Quick
+            test_attach_rejects_wrapped_order;
         ] );
       ( "stripes",
         [

@@ -280,18 +280,15 @@ let test_capture_keeps_psan () =
       check_bool "psan still reports V2 after the capture" true
         (has_class Psan.V2))
 
-(* Two domains committing on one shared pool while a pprof capture
-   records: the capture must hold every persist the device counted — no
-   event lost to a racing append. *)
-let test_two_domain_capture_counts () =
+(* A shared pool and the run of two domains committing 300 logged
+   updates each on it. *)
+let two_domain_pool () =
   let pool = Pool_impl.create ~config:small () in
   let dev = Pool_impl.device pool in
   let blocks =
     Pool_impl.transaction pool (fun tx ->
         [ Pool_impl.tx_alloc tx 64; Pool_impl.tx_alloc tx 64 ])
   in
-  let s0 = D.stats dev in
-  Pprof.Capture.start ();
   let worker off () =
     for i = 1 to 300 do
       Pool_impl.transaction pool (fun tx ->
@@ -299,8 +296,19 @@ let test_two_domain_capture_counts () =
           D.write_u64 dev off (Int64.of_int i))
     done
   in
-  List.iter Domain.join
-    (List.map (fun off -> Domain.spawn (worker off)) blocks);
+  ( dev,
+    fun () ->
+      List.iter Domain.join
+        (List.map (fun off -> Domain.spawn (worker off)) blocks) )
+
+(* Two domains committing on one shared pool while a pprof capture
+   records: the capture must hold every persist the device counted — no
+   event lost to a racing append. *)
+let test_two_domain_capture_counts () =
+  let dev, run = two_domain_pool () in
+  let s0 = D.stats dev in
+  Pprof.Capture.start ();
+  run ();
   let events = Pprof.Capture.stop () in
   let s1 = D.stats dev in
   let count p = List.length (List.filter p events) in
@@ -309,6 +317,45 @@ let test_two_domain_capture_counts () =
     (count (function Ptelemetry.Probe.Flush _ -> true | _ -> false));
   check_int "captured fences = device fences" (s1.D.fences - s0.D.fences)
     (count (function Ptelemetry.Probe.Fence _ -> true | _ -> false))
+
+(* Psan and conformance are the live and the replay front-end of one
+   monitor: a fresh monitor folded over the Recorder capture of a run
+   finds exactly what psan reported live, and the capture's
+   conformance verdict is the one the separate checkers gave — on the
+   missing-flush positive control and on the 2-domain shared run. *)
+let test_live_replay_parity () =
+  with_psan (fun () ->
+      let parity name run =
+        Psan.enable ();
+        let events, () = Pmodel.Mconform.capture run in
+        Psan.disable ();
+        let replayed = Psan.Monitor.(findings (replay events)) in
+        check_bool (name ^ ": replay finds what psan found live") true
+          (List.partition (fun f -> not (Psan.is_warning f.Psan.cls)) replayed
+          = (Psan.violations (), Psan.warnings ()));
+        Format.asprintf "%a" Pmodel.Mconform.pp_verdict
+          (Pmodel.Mconform.validate events)
+      in
+      FP.set FP.Missing_flush;
+      let verdict = parity "missing-flush" (fun () -> ignore (sweep_faults ())) in
+      FP.set FP.Clean;
+      check_bool "missing-flush: psan found V2" true (has_class Psan.V2);
+      Alcotest.(check string)
+        "missing-flush: conformance verdict"
+        "23392 events, 364 txs, 268 commit points, 343 truncates, 0 drop \
+         applies: 5 violations\n\
+        \  at event 6102: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
+        \  at event 6268: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
+        \  at event 22635: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
+        \  at event 23119: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
+        \  at event 23367: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n"
+        verdict;
+      let verdict = parity "2-domain" (fun () -> snd (two_domain_pool ()) ()) in
+      Alcotest.(check string)
+        "2-domain: conformance verdict"
+        "13857 events, 601 txs, 601 commit points, 601 truncates, 0 drop \
+         applies: conformant\n"
+        verdict)
 
 (* --- lifecycle --------------------------------------------------------- *)
 
@@ -365,6 +412,8 @@ let () =
             test_capture_keeps_psan;
           Alcotest.test_case "2-domain capture counts every persist" `Quick
             test_two_domain_capture_counts;
+          Alcotest.test_case "replay equals live psan" `Quick
+            test_live_replay_parity;
         ] );
       ( "lifecycle",
         [
