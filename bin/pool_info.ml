@@ -27,6 +27,18 @@ let load ?latency path =
       Printf.eprintf "error: %s: truncated or not a pmem image\n" path;
       exit 1
 
+(* A walk over a corrupt image can itself fail (an allocation-table byte
+   naming an impossible order raises [Invalid_argument]): that is
+   detected corruption, so it exits 1 as fsck's findings do. *)
+let corrupt path msg =
+  Printf.eprintf "error: %s: %s (run fsck)\n" path msg;
+  exit 1
+
+let inspect path dev =
+  match Corundum.Pool_inspect.inspect_device dev with
+  | info -> info
+  | exception Invalid_argument msg -> corrupt path msg
+
 let write_json path json =
   Harness.Instrument.write_file path (Ptelemetry.Json.to_string json)
 
@@ -133,7 +145,7 @@ let run_info check json path =
   (* Optane latencies so the recovery phase_ns in --json is meaningful;
      the plain layout print doesn't read the clock. *)
   let dev = load ~latency:Pmem.Latency.optane path in
-  let info = Corundum.Pool_inspect.inspect_device dev in
+  let info = inspect path dev in
   Format.printf "%a" Corundum.Pool_inspect.pp info;
   (match json with
   | None -> ()
@@ -145,6 +157,7 @@ let run_info check json path =
           match Corundum.Pool_impl.attach dev with
           | pool -> Ok (Corundum.Pool_impl.recovery_stats pool)
           | exception Corundum.Pool_impl.Recovery_needed msg -> Error msg
+          | exception Invalid_argument msg -> corrupt path msg
         end
       in
       write_json out (info_json ~path info recovery);
@@ -239,7 +252,7 @@ let run_fsck repair json path =
    here; [bench alloc-scale] reports them live. *)
 let run_heap metrics_out path =
   let dev = load path in
-  let info = Corundum.Pool_inspect.inspect_device dev in
+  let info = inspect path dev in
   if not info.Corundum.Pool_inspect.magic_ok then begin
     Printf.eprintf "error: %s: not a Corundum pool image\n" path;
     exit 1
@@ -371,6 +384,7 @@ let run_leak root json path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 2
+    | exception Invalid_argument msg -> corrupt path msg
   in
   let report =
     match root with
@@ -405,6 +419,7 @@ let run_top probes path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1
+    | exception Invalid_argument msg -> corrupt path msg
   in
   let module A = Engines.Attribution in
   let s = A.probe_summary ~probes pool in

@@ -12,18 +12,14 @@ module GC = Pjournal.Group_commit
 module R = Pjournal.Recovery
 module Pr = Ptelemetry.Probe
 module H = Pool_header
+module IP = Pjournal.Int_pairs
+module IM = Map.Make (Int)
 
 type open_mode = Read_write | Read_only
 
 type config = { size : int; nslots : int; slot_size : int }
 
 let default_config = { size = 64 * 1024 * 1024; nslots = 8; slot_size = 256 * 1024 }
-
-type lock_entry = {
-  mutex : Mutex.t;
-  mutable owner : int; (* owning domain id, or -1 *)
-  mutable lock_depth : int;
-}
 
 type t = {
   dev : D.t;
@@ -48,12 +44,13 @@ type t = {
      flushing and fencing privately.  Volatile — rebuilt fresh on every
      open, never reused across a power cycle. *)
   mutable combiner : GC.t option;
-  locks : (int, lock_entry) Hashtbl.t;
+  locks : IP.t; (* held offset -> owner domain, under [locks_lock] *)
   locks_lock : Mutex.t;
+  locks_cond : Condition.t;
+  mutable lock_waiters : int; (* blocked on [locks_cond] for a release *)
   borrows : (int, unit) Hashtbl.t;
   borrows_lock : Mutex.t;
-  births : (int, int) Hashtbl.t;
-  births_lock : Mutex.t;
+  births : int Atomic.t IM.t Atomic.t; (* counters of offsets [birth] saw *)
   recovery : R.stats;
   (* Volatile statistics counters.  Atomic because transactions on a
      shared pool bump them from several domains concurrently; plain
@@ -85,6 +82,8 @@ and slot = {
      acquisition. *)
   mutable bound_to : int; (* registered domain id, or -1 *)
   mutable active : tx option; (* the transaction running on this slot *)
+  mutable held : int array; (* offsets its transaction locked, [nheld] of them *)
+  mutable nheld : int;
 }
 
 and tx = {
@@ -96,7 +95,6 @@ and tx = {
   group : GC.t option; (* the combiner this transaction commits through *)
   mutable depth : int;
   valid : bool ref;
-  mutable held : lock_entry list;
   mutable borrowed : int list;
 }
 
@@ -142,6 +140,8 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
           busy = Atomic.make false;
           bound_to = -1;
           active = None;
+          held = Array.make 8 0;
+          nheld = 0;
         })
   in
   if Pr.on () then begin
@@ -176,12 +176,13 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     slot_cond = Condition.create ();
     waiters = Atomic.make 0;
     combiner = None;
-    locks = Hashtbl.create 64;
+    locks = IP.create ();
     locks_lock = Mutex.create ();
+    locks_cond = Condition.create ();
+    lock_waiters = 0;
     borrows = Hashtbl.create 64;
     borrows_lock = Mutex.create ();
-    births = Hashtbl.create 64;
-    births_lock = Mutex.create ();
+    births = Atomic.make IM.empty;
     recovery;
     n_tx = Atomic.make 0;
     n_abort = Atomic.make 0;
@@ -469,13 +470,16 @@ let unmark tx =
   | _ -> false
 
 let release_locks tx =
-  List.iter
-    (fun e ->
-      e.owner <- -1;
-      e.lock_depth <- 0;
-      Mutex.unlock e.mutex)
-    tx.held;
-  tx.held <- []
+  let t = tx.pool and s = tx.pool.slots.(tx.slot_idx) in
+  if s.nheld > 0 then begin
+    Mutex.lock t.locks_lock;
+    for i = 0 to s.nheld - 1 do
+      IP.remove t.locks s.held.(i)
+    done;
+    if t.lock_waiters > 0 then Condition.broadcast t.locks_cond;
+    Mutex.unlock t.locks_lock;
+    s.nheld <- 0
+  end
 
 let clear_borrows tx =
   if tx.borrowed <> [] then begin
@@ -575,7 +579,6 @@ let transaction t f =
           group = t.combiner;
           depth = 0;
           valid = ref true;
-          held = [];
           borrowed = [];
         }
       in
@@ -605,10 +608,7 @@ let transaction t f =
 let live_tx tx = if not !(tx.valid) then raise Tx_escape
 
 let bump_birth t off =
-  Mutex.lock t.births_lock;
-  Hashtbl.replace t.births off
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.births off));
-  Mutex.unlock t.births_lock
+  Option.iter Atomic.incr (IM.find_opt off (Atomic.get t.births))
 
 let tx_alloc tx size =
   live_tx tx;
@@ -658,29 +658,27 @@ let tx_lock tx off =
   live_tx tx;
   let t = tx.pool in
   Mutex.lock t.locks_lock;
-  let entry =
-    match Hashtbl.find_opt t.locks off with
-    | Some e -> e
-    | None ->
-        let e = { mutex = Mutex.create (); owner = -1; lock_depth = 0 } in
-        Hashtbl.add t.locks off e;
-        e
-  in
-  Mutex.unlock t.locks_lock;
-  if entry.owner = tx.domain then entry.lock_depth <- entry.lock_depth + 1
-  else begin
-    if not (Mutex.try_lock entry.mutex) then begin
+  let owner = IP.find t.locks off in
+  if owner <> tx.domain then begin
+    if owner <> -1 then begin
       (* Contended: the holder may be an epoch leader or member that
-         keeps the lock across commit, so stop holding an epoch open
-         while blocked, and take the mark back once the entry is ours. *)
+         keeps the offset across commit, so stop holding an epoch open
+         while blocked, and take the mark back once the offset is ours. *)
       let was_marked = unmark tx in
-      Mutex.lock entry.mutex;
+      t.lock_waiters <- t.lock_waiters + 1;
+      while IP.find t.locks off <> -1 do
+        Condition.wait t.locks_cond t.locks_lock
+      done;
+      t.lock_waiters <- t.lock_waiters - 1;
       if was_marked then mark tx
     end;
-    entry.owner <- tx.domain;
-    entry.lock_depth <- 1;
-    tx.held <- entry :: tx.held
-  end
+    let s = t.slots.(tx.slot_idx) in
+    IP.add t.locks off tx.domain;
+    if s.nheld = Array.length s.held then s.held <- Array.append s.held s.held;
+    s.held.(s.nheld) <- off;
+    s.nheld <- s.nheld + 1
+  end;
+  Mutex.unlock t.locks_lock
 
 let borrow_mut_flag tx off =
   live_tx tx;
@@ -706,11 +704,13 @@ let is_borrowed t off =
   Mutex.unlock t.borrows_lock;
   r
 
-let birth t off =
-  Mutex.lock t.births_lock;
-  let r = Option.value ~default:0 (Hashtbl.find_opt t.births off) in
-  Mutex.unlock t.births_lock;
-  r
+let rec birth t off =
+  let m = Atomic.get t.births in
+  match IM.find_opt off m with
+  | Some n -> Atomic.get n
+  | None ->
+      if Atomic.compare_and_set t.births m (IM.add off (Atomic.make 0) m) then 0
+      else birth t off
 
 (* {1 Accounting} *)
 

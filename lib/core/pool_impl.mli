@@ -3,8 +3,8 @@
     This module owns everything below the typed API: the on-media layout
     (header, journal slots, allocation table, heap), open/create/recovery,
     journal-slot assignment, the flat transaction engine with per-domain
-    nesting, the volatile lock and borrow tables backing [Pmutex] and
-    [Prefcell], and the volatile birth-counter table backing [Vweak]
+    nesting, the volatile held-locks and borrow tables backing [Pmutex]
+    and [Prefcell], and the volatile birth counters backing [Vweak]
     promotion safety.
 
     The typed layer ({!Pool}, {!Pbox}, …) adds pool branding on top; no
@@ -182,8 +182,13 @@ val tx_set_root : tx -> off:int -> ty_hash:int -> unit
 (** {1 Volatile side tables} *)
 
 val tx_lock : tx -> int -> unit
-(** Acquire the pool-level lock keyed by a block offset; held until the
-    outermost transaction ends; reentrant within one transaction. *)
+(** Acquire the pool-level lock keyed by a block offset, held until the
+    outermost transaction ends (commit, abort or crash).  Returns at once
+    when the calling domain already holds it.  When another domain holds
+    it, the caller drops its group-commit mark, sleeps until the offset
+    is released, and takes the mark back once the offset is its own.
+    The pool keeps only the offsets currently held, and a lock allocates
+    nothing. *)
 
 val borrow_mut_flag : tx -> int -> unit
 (** Mark a cell offset mutably borrowed for the rest of the transaction.
@@ -195,9 +200,12 @@ val release_borrow_flag : t -> int -> unit
 val is_borrowed : t -> int -> bool
 
 val birth : t -> int -> int
-(** Volatile birth counter for a block offset: bumped every time the
-    offset is (re)allocated during this open; lets volatile weak pointers
-    detect block reuse. *)
+(** Volatile birth counter for a block offset, registered at the first
+    call (0) and bumped by every later allocation at the offset during
+    this open; lets volatile weak pointers detect block reuse.  Only
+    registered offsets are counted: an allocation costs one lookup in
+    the map of registered offsets (empty until a weak pointer is
+    demoted) and takes no mutex. *)
 
 (** {1 Accounting} *)
 

@@ -51,9 +51,9 @@ type t = {
   mutable ndrops : int; (* length of [drops], kept O(1) *)
   mutable epoch : int; (* volatile mirror of the persistent epoch *)
   mutable salt : Log_entry.salt; (* checksum salt for (base, epoch) *)
-  dedup : (int * int, unit) Hashtbl.t; (* (off, len) ranges already logged *)
-  lines : (int, unit) Hashtbl.t; (* line indexes fully covered by the log *)
-  dropped : (int, unit) Hashtbl.t;
+  dedup : Int_pairs.t; (* (off, len) ranges already logged *)
+  lines : Int_pairs.t; (* line indexes fully covered by the log, as (l, 0) *)
+  dropped : Int_pairs.t; (* offsets freed by this transaction, as (off, 0) *)
   targets : Line_buf.t; (* lines of the data ranges to persist at commit *)
   mutable tx_logged : int; (* entry bytes sealed in the current transaction *)
   marks : Line_buf.t;
@@ -96,9 +96,9 @@ let attach ?(alloc_hint = 0) dev buddy ~base ~size =
     ndrops = 0;
     epoch;
     salt = Log_entry.salt ~slot_base:base ~epoch;
-    dedup = Hashtbl.create 64;
-    lines = Hashtbl.create 64;
-    dropped = Hashtbl.create 16;
+    dedup = Int_pairs.create ();
+    lines = Int_pairs.create ();
+    dropped = Int_pairs.create ();
     targets = Line_buf.create ();
     tx_logged = 0;
     marks = Line_buf.create ();
@@ -134,9 +134,9 @@ let begin_tx t =
   Line_buf.clear t.targets;
   t.tx_logged <- 0;
   t.unsealed <- None;
-  Hashtbl.reset t.dedup;
-  Hashtbl.reset t.lines;
-  Hashtbl.reset t.dropped;
+  Int_pairs.clear t.dedup;
+  Int_pairs.clear t.lines;
+  Int_pairs.clear t.dropped;
   Line_buf.clear t.marks;
   D.charge_ns t.dev tx_overhead_ns
 
@@ -239,13 +239,15 @@ let ensure_room t need =
 let mark_covered_lines t ~off ~len =
   let first = (off + line - 1) / line and last = ((off + len) / line) - 1 in
   for l = first to last do
-    Hashtbl.replace t.lines l ()
+    if not (Int_pairs.mem t.lines l 0) then Int_pairs.add t.lines l 0
   done
 
 let lines_covered t ~off ~len =
-  let last = (off + len - 1) / line in
-  let rec all l = l > last || (Hashtbl.mem t.lines l && all (l + 1)) in
-  all (off / line)
+  let l = ref (off / line) and last = (off + len - 1) / line in
+  while !l <= last && Int_pairs.mem t.lines !l 0 do
+    incr l
+  done;
+  !l > last
 
 let append_data t ~off ~len =
   let need = Log_entry.data_entry_size len in
@@ -262,10 +264,10 @@ let append_data t ~off ~len =
 let data_log t ~off ~len =
   require_active t;
   if len <= 0 then invalid_arg "Journal_impl.data_log: non-positive length";
-  if not (Hashtbl.mem t.dedup (off, len)) && not (lines_covered t ~off ~len)
+  if not (Int_pairs.mem t.dedup off len) && not (lines_covered t ~off ~len)
   then begin
     append_data t ~off ~len;
-    Hashtbl.add t.dedup (off, len) ()
+    Int_pairs.add t.dedup off len
   end
 
 let add_target t ~off ~len =
@@ -313,7 +315,7 @@ let alloc t bytes =
 
 let free t off =
   require_active t;
-  if Hashtbl.mem t.dropped off then raise (Palloc.Buddy.Invalid_free off);
+  if Int_pairs.mem t.dropped off 0 then raise (Palloc.Buddy.Invalid_free off);
   let order =
     match Palloc.Buddy.block_size t.buddy off with
     | Some size -> Palloc.Buddy.order_of_size size
@@ -327,7 +329,7 @@ let free t off =
   Log_entry.write_drop t.dev ~salt:t.salt ~at ~off ~order;
   t.drops <- off :: t.drops;
   t.ndrops <- t.ndrops + 1;
-  Hashtbl.add t.dropped off ()
+  Int_pairs.add t.dropped off 0
 
 (* Truncate the slot: terminator back at the head of the entry area,
    advisory counts zeroed, spill head unchained, phase reset, and —
@@ -397,9 +399,9 @@ let truncate_clears t =
   (* abandoned unsealed bytes are dirty-unflushed lines: they can never
      land, and the header persist above re-epochs the slot anyway *)
   t.unsealed <- None;
-  Hashtbl.reset t.dedup;
-  Hashtbl.reset t.lines;
-  Hashtbl.reset t.dropped;
+  Int_pairs.clear t.dedup;
+  Int_pairs.clear t.lines;
+  Int_pairs.clear t.dropped;
   Line_buf.clear t.marks
 
 let truncate t =

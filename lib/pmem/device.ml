@@ -4,14 +4,16 @@ module PL = Persist_line
 
 let line_size = PL.line_size
 
+type image = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   id : int; (* process-unique; lets subscribers key state per device *)
   size : int;
   nlines : int;
   latency : Latency.t;
   path : string option;
-  durable : Bytes.t; (* what survives a power failure *)
-  view : Bytes.t; (* what loads observe (durable + cached stores) *)
+  durable : image; (* what survives a power failure *)
+  view : image; (* what loads observe (durable + cached stores) *)
   state : Bytes.t; (* one encoded Persist_line.state per line *)
   (* The write-pending queue: [wpq_len] queued lines in flush order,
      line [wpq_lines.(i)]'s 64-byte snapshot at [wpq_snaps.(64 i)].
@@ -54,6 +56,16 @@ let round_up_lines size = (size + line_size - 1) / line_size * line_size
 
 let next_id = Atomic.make 0
 
+(* A private mapping of /dev/zero: created in O(1), and a page costs
+   memory only once it is written. *)
+let zero_image size =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]))
+
 let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
   if size <= 0 then invalid_arg "Device.create: size must be positive";
   let size = round_up_lines size in
@@ -63,8 +75,8 @@ let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
     nlines = size / line_size;
     latency;
     path;
-    durable = Bytes.make size '\000';
-    view = Bytes.make size '\000';
+    durable = zero_image size;
+    view = zero_image size;
     state = Bytes.make (size / line_size) (PL.encode PL.Clean);
     wpq_lines = Array.make 64 0;
     wpq_snaps = Bytes.create (64 * line_size);
@@ -187,33 +199,87 @@ let[@inline] stored t off len =
   mark_dirty t off len;
   if Pr.on () then probe_store t off len
 
-(* Unchecked little-endian word primitives: applied directly, the
-   compiler keeps the [int64] unboxed, so [read_int] and [write_int]
-   allocate nothing. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+(* Unchecked native-endian word primitives: applied directly, the
+   compiler keeps the [int64] unboxed, so word loads and stores allocate
+   nothing. *)
+external get64 : image -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : image -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external get32 : image -> int -> int32 = "%caml_bigstring_get32u"
+external set32 : image -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] le64 w = if Sys.big_endian then swap64 w else w
+let[@inline] le32 w = if Sys.big_endian then swap32 w else w
+let[@inline] byte (a : image) i = Bigarray.Array1.unsafe_get a i
+let[@inline] set_byte (a : image) i c = Bigarray.Array1.unsafe_set a i c
+let clean = PL.encode PL.Clean
+let clean_word = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code clean))
+
+(* Range copies between images and buffers, a word at a time and then
+   the tail byte by byte.  Callers check the ranges. *)
+let blit_to_bytes src so dst d len =
+  let w = len land lnot 7 in
+  for i = 0 to (w / 8) - 1 do
+    bytes_set64 dst (d + (8 * i)) (get64 src (so + (8 * i)))
+  done;
+  for i = w to len - 1 do
+    Bytes.unsafe_set dst (d + i) (byte src (so + i))
+  done
+
+let blit_from_bytes src so dst d len =
+  let w = len land lnot 7 in
+  for i = 0 to (w / 8) - 1 do
+    set64 dst (d + (8 * i)) (bytes_get64 src (so + (8 * i)))
+  done;
+  for i = w to len - 1 do
+    set_byte dst (d + i) (Bytes.unsafe_get src (so + i))
+  done
+
+(* Overlap-safe: a forward copy when the destination starts at or below
+   the source, a backward one otherwise. *)
+let blit_image src so dst d len =
+  let w = len land lnot 7 in
+  if src != dst || d <= so then begin
+    for i = 0 to (w / 8) - 1 do
+      set64 dst (d + (8 * i)) (get64 src (so + (8 * i)))
+    done;
+    for i = w to len - 1 do
+      set_byte dst (d + i) (byte src (so + i))
+    done
+  end
+  else begin
+    for i = len - 1 downto w do
+      set_byte dst (d + i) (byte src (so + i))
+    done;
+    for i = (w / 8) - 1 downto 0 do
+      set64 dst (d + (8 * i)) (get64 src (so + (8 * i)))
+    done
+  end
 
 let read_u8 t off =
   load t off 1 "read_u8";
-  Char.code (Bytes.unsafe_get t.view off)
+  Char.code (byte t.view off)
 
 let read_u32 t off =
   load t off 4 "read_u32";
-  Int32.to_int (Bytes.get_int32_le t.view off) land 0xFFFFFFFF
+  Int32.to_int (le32 (get32 t.view off)) land 0xFFFFFFFF
 
 let read_u64 t off =
   load t off 8 "read_u64";
-  Bytes.get_int64_le t.view off
+  le64 (get64 t.view off)
 
 let read_int t off =
   load t off 8 "read_int";
-  if Sys.big_endian then Int64.to_int (swap64 (get64 t.view off))
-  else Int64.to_int (get64 t.view off)
+  Int64.to_int (le64 (get64 t.view off))
 
 let read_bytes t off len =
   load t off len "read_bytes";
-  Bytes.sub t.view off len
+  let b = Bytes.create len in
+  blit_to_bytes t.view off b 0 len;
+  b
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 
@@ -222,13 +288,13 @@ let read_into t off buf len =
   if len > 0 && PL.line_of off <> PL.line_of (off + len - 1) then
     invalid_arg "Device.read_into: range crosses a line";
   load t off len "read_into";
-  Bytes.blit t.view off buf 0 len
+  blit_to_bytes t.view off buf 0 len
 
 let crc32_fold t crc off len =
   load t off len "crc32_fold";
-  let crc = ref crc in
+  let crc = ref crc and view = t.view in
   for i = off to off + len - 1 do
-    crc := Crc32.update !crc (Char.code (Bytes.unsafe_get t.view i))
+    crc := Crc32.update !crc (Char.code (byte view i))
   done;
   !crc
 
@@ -236,23 +302,22 @@ let crc32_fold t crc off len =
 
 let write_u8 t off v =
   store t off 1 "write_u8";
-  Bytes.unsafe_set t.view off (Char.unsafe_chr (v land 0xFF));
+  set_byte t.view off (Char.unsafe_chr (v land 0xFF));
   stored t off 1
 
 let write_u32 t off v =
   store t off 4 "write_u32";
-  Bytes.set_int32_le t.view off (Int32.of_int v);
+  set32 t.view off (le32 (Int32.of_int v));
   stored t off 4
 
 let write_u64 t off v =
   store t off 8 "write_u64";
-  Bytes.set_int64_le t.view off v;
+  set64 t.view off (le64 v);
   stored t off 8
 
 let write_int t off v =
   store t off 8 "write_int";
-  if Sys.big_endian then set64 t.view off (swap64 (Int64.of_int v))
-  else set64 t.view off (Int64.of_int v);
+  set64 t.view off (le64 (Int64.of_int v));
   stored t off 8
 
 (* Ranged stores of zero bytes are checked but not counted. *)
@@ -261,7 +326,7 @@ let write_bytes t off b =
   access t off len "write_bytes";
   if len > 0 then begin
     Atomic.incr t.stores;
-    Bytes.blit b 0 t.view off len;
+    blit_from_bytes b 0 t.view off len;
     stored t off len
   end
 
@@ -270,7 +335,7 @@ let write_string t off s =
   access t off len "write_string";
   if len > 0 then begin
     Atomic.incr t.stores;
-    Bytes.blit_string s 0 t.view off len;
+    blit_from_bytes (Bytes.unsafe_of_string s) 0 t.view off len;
     stored t off len
   end
 
@@ -278,7 +343,13 @@ let fill t off len c =
   access t off len "fill";
   if len > 0 then begin
     Atomic.incr t.stores;
-    Bytes.fill t.view off len c;
+    let w = len land lnot 7 and word = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code c)) in
+    for i = 0 to (w / 8) - 1 do
+      set64 t.view (off + (8 * i)) word
+    done;
+    for i = w to len - 1 do
+      set_byte t.view (off + i) c
+    done;
     stored t off len
   end
 
@@ -288,7 +359,7 @@ let copy_within t ~src ~dst ~len =
   if len > 0 then begin
     Atomic.incr t.loads;
     Atomic.incr t.stores;
-    Bytes.blit t.view src t.view dst len;
+    blit_image t.view src t.view dst len;
     stored t dst len
   end
 
@@ -334,7 +405,7 @@ let persist_point_locked t =
 (* Snapshot line [l] into WPQ slot [i]: a re-flushed [Wpq_dirty] line
    overwrites its own slot, a newly queued one takes the next. *)
 let snapshot_line t l i =
-  Bytes.blit t.view (PL.line_start l) t.wpq_snaps (i * line_size) line_size
+  blit_to_bytes t.view (PL.line_start l) t.wpq_snaps (i * line_size) line_size
 
 let wpq_slot t l =
   let i = ref (t.wpq_len - 1) in
@@ -391,7 +462,7 @@ let fence t =
   let lines = t.wpq_len in
   for i = 0 to lines - 1 do
     let l = t.wpq_lines.(i) in
-    Bytes.blit t.wpq_snaps (i * line_size) t.durable (PL.line_start l) line_size;
+    blit_from_bytes t.wpq_snaps (i * line_size) t.durable (PL.line_start l) line_size;
     set_line_state t l (PL.drain (line_state t l))
   done;
   ignore (Atomic.fetch_and_add t.fence_lines lines);
@@ -423,11 +494,11 @@ let power_cycle t =
       Atomic.incr t.torn_lines;
       for w = 0 to (line_size / 8) - 1 do
         if Random.State.bool t.rng then
-          Bytes.blit t.wpq_snaps (snap + (8 * w)) t.durable (off + (8 * w)) 8
+          set64 t.durable (off + (8 * w)) (bytes_get64 t.wpq_snaps (snap + (8 * w)))
       done
     end
     else if Random.State.bool t.rng then
-      Bytes.blit t.wpq_snaps snap t.durable off line_size
+      blit_from_bytes t.wpq_snaps snap t.durable off line_size
   in
   (* Ascending line order, not flush order: the survival RNG's draws then
      depend only on which lines are queued, so torn-write injection
@@ -436,8 +507,26 @@ let power_cycle t =
   Array.sort (fun a b -> compare t.wpq_lines.(a) t.wpq_lines.(b)) order;
   Array.iter maybe_drain order;
   t.wpq_len <- 0;
-  Bytes.blit t.durable 0 t.view 0 t.size;
-  Bytes.fill t.state 0 t.nlines (PL.encode PL.Clean);
+  (* A Clean line's view already equals its durable bytes (a fence
+     drains the snapshot the view held, and [corrupt_line] rots both),
+     so only the other lines are restored.  The state is scanned a word
+     of eight lines at a time. *)
+  let restore l =
+    if Bytes.unsafe_get t.state l <> clean then begin
+      blit_image t.durable (PL.line_start l) t.view (PL.line_start l) line_size;
+      Bytes.unsafe_set t.state l clean
+    end
+  in
+  let words = t.nlines / 8 in
+  for i = 0 to words - 1 do
+    if bytes_get64 t.state (8 * i) <> clean_word then
+      for l = 8 * i to (8 * i) + 7 do
+        restore l
+      done
+  done;
+  for l = 8 * words to t.nlines - 1 do
+    restore l
+  done;
   t.crashed <- false;
   (* The crash countdown is a harness injection knob, not device state:
      it survives the power cycle so a test can arm a crash that fires
@@ -456,16 +545,17 @@ let corrupt_line t off =
   check_range t off 1 "corrupt_line";
   Mutex.lock t.lock;
   let bit = 1 lsl Random.State.int t.rng 8 in
-  let flipped = Char.chr (Char.code (Bytes.get t.durable off) lxor bit) in
-  Bytes.set t.durable off flipped;
+  let flipped = Char.chr (Char.code (byte t.durable off) lxor bit) in
+  set_byte t.durable off flipped;
   (* a Clean line holds no cached store: nothing is dirty or queued *)
-  if line_state t (PL.line_of off) = PL.Clean then Bytes.set t.view off flipped;
+  if line_state t (PL.line_of off) = PL.Clean then set_byte t.view off flipped;
   Atomic.incr t.corrupted_lines;
   Mutex.unlock t.lock
 
 (* {1 File backing} *)
 
 let magic = "CORUNDUM-PMEM-V1"
+let chunk = 1 lsl 16 (* file I/O buffer *)
 
 let save t =
   match t.path with
@@ -479,7 +569,16 @@ let save t =
           let hdr = Bytes.create 8 in
           Bytes.set_int64_le hdr 0 (Int64.of_int t.size);
           output_bytes oc hdr;
-          output_bytes oc t.durable)
+          let buf = Bytes.create chunk in
+          let rec go off =
+            if off < t.size then begin
+              let n = min chunk (t.size - off) in
+              blit_to_bytes t.durable off buf 0 n;
+              output oc buf 0 n;
+              go (off + n)
+            end
+          in
+          go 0)
 
 let load ?(latency = Latency.zero) ?(seed = 0xC0FFEE) path =
   let ic = open_in_bin path in
@@ -493,6 +592,24 @@ let load ?(latency = Latency.zero) ?(seed = 0xC0FFEE) path =
       really_input ic hdr 0 8;
       let size = Int64.to_int (Bytes.get_int64_le hdr 0) in
       let t = create ~latency ~seed ~path ~size () in
-      really_input ic t.durable 0 size;
-      Bytes.blit t.durable 0 t.view 0 size;
+      (* Zero words are skipped, so the image's zero pages stay unmapped. *)
+      let buf = Bytes.create chunk in
+      let rec go off =
+        if off < size then begin
+          let n = min chunk (size - off) in
+          really_input ic buf 0 n;
+          let w = n land lnot 7 in
+          for i = 0 to (w / 8) - 1 do
+            let word = bytes_get64 buf (8 * i) in
+            if word <> 0L then begin
+              set64 t.durable (off + (8 * i)) word;
+              set64 t.view (off + (8 * i)) word
+            end
+          done;
+          blit_from_bytes buf w t.durable (off + w) (n - w);
+          blit_from_bytes buf w t.view (off + w) (n - w);
+          go (off + n)
+        end
+      in
+      go 0;
       t)

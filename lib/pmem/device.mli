@@ -18,6 +18,10 @@
     indexes and one reusable 64-byte buffer per entry, so flushes and
     fences allocate nothing).
 
+    The durable image and the view are private mappings of [/dev/zero]:
+    creating a device is O(1), and a page costs host memory only once
+    it is written.
+
     Durable contents can be saved to / loaded from a backing file so that
     pools survive process restarts, mirroring DAX-mmap files.
 
@@ -130,8 +134,8 @@ val reseed : t -> int -> unit
 val power_cycle : t -> unit
 (** Apply power-failure semantics: each write-pending line independently
     survives with probability 1/2 (device RNG); dirty lines are lost; the
-    volatile view is re-read from durable media; the device becomes usable
-    again.  Idempotent on a non-crashed device (it simply drops volatile
+    volatile view is re-read from durable media (only lines that were not
+    clean need it); the device becomes usable again.  Idempotent on a non-crashed device (it simply drops volatile
     state, which also models a restart without a crash).
 
     With a nonzero {!set_torn_write_prob}, a write-pending line's

@@ -540,6 +540,89 @@ let test_commit_crash_releases () =
   run ~group:false;
   run ~group:true
 
+(* A domain blocked on an offset another domain's transaction holds
+   wakes once that transaction ends, however it ends, and then holds
+   the offset itself. *)
+let test_lock_waiter_wakes () =
+  let run ending =
+    let pool = Pool_impl.create ~config:small () in
+    let dev = Pool_impl.device pool in
+    let off = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_alloc tx 64) in
+    let locked = Atomic.make false and waiting = Atomic.make false in
+    let early = Atomic.make false and got = Atomic.make false in
+    let holder () =
+      match
+        Pool_impl.transaction pool (fun tx ->
+            Pool_impl.tx_lock tx off;
+            Pool_impl.tx_set_int tx off 1;
+            Atomic.set locked true;
+            await waiting;
+            (* give the peer time to block on the offset *)
+            Unix.sleepf 0.05;
+            Atomic.set early (Atomic.get got);
+            match ending with
+            | `Commit -> ()
+            | `Abort -> raise Exit
+            | `Crash ->
+                Pmem.Device.set_crash_countdown dev 1;
+                Pmem.Device.fence dev)
+      with
+      | () | (exception (Exit | Pmem.Device.Crashed)) -> ()
+    and peer () =
+      await locked;
+      match
+        Pool_impl.transaction pool (fun tx ->
+            Atomic.set waiting true;
+            Pool_impl.tx_lock tx off;
+            Atomic.set got true)
+      with
+      | () | (exception (Pmem.Device.Crashed | Pool_impl.Pool_closed)) -> ()
+    in
+    let what =
+      match ending with `Commit -> "commit" | `Abort -> "abort" | `Crash -> "crash"
+    in
+    join_within what [ holder; peer ];
+    check_bool (what ^ ": peer blocked while held") false (Atomic.get early);
+    check_bool (what ^ ": peer took the offset") true (Atomic.get got)
+  in
+  run `Commit;
+  run `Abort;
+  run `Crash
+
+(* Locking an offset the running transaction already holds returns at
+   once, from a nested transaction too, and the end of the transaction
+   releases it for another domain. *)
+let test_relock_does_not_block () =
+  let pool = Pool_impl.create ~config:small () in
+  let off = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_alloc tx 64) in
+  let relock () =
+    Pool_impl.transaction pool (fun tx ->
+        Pool_impl.tx_lock tx off;
+        Pool_impl.tx_lock tx off;
+        Pool_impl.transaction pool (fun tx' -> Pool_impl.tx_lock tx' off))
+  in
+  join_within "re-lock" [ relock ];
+  join_within "lock after release" [ relock ]
+
+(* The held-locks table allocates nothing per lock: transactions that
+   each lock a fresh offset allocate no more minor words than as many
+   that lock nothing. *)
+let test_lock_allocs () =
+  let pool = Pool_impl.create ~config:small () in
+  let n = 100_000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      Pool_impl.transaction pool (fun tx -> f tx (64 * i))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let bare = words (fun _ _ -> ()) in
+  let locked = words Pool_impl.tx_lock in
+  if locked -. bare > 0.5 then
+    Alcotest.failf "a lock costs %.2f minor words (%.2f vs %.2f per transaction)"
+      (locked -. bare) locked bare
+
 let test_pool_inspect_roundtrip () =
   let module P = Pool.Make () in
   P.create ~config:small ();
@@ -604,6 +687,11 @@ let () =
             test_closure_wakes_on_abort_or_crash;
           Alcotest.test_case "commit crash releases locks" `Quick
             test_commit_crash_releases;
+          Alcotest.test_case "lock waiter wakes on any end" `Quick
+            test_lock_waiter_wakes;
+          Alcotest.test_case "re-lock does not block" `Quick
+            test_relock_does_not_block;
+          Alcotest.test_case "lock allocates nothing" `Quick test_lock_allocs;
         ] );
       ( "inspect",
         [

@@ -44,6 +44,32 @@ let test_word_update_allocs () =
   if words > 150. then
     Alcotest.failf "a logged word-update transaction allocated %.1f minor words" words
 
+(* Each further logged range costs a few minor words: the journal's
+   dedup sets are keyed by plain ints, with no boxed key or bucket per
+   range.  A transaction logging 9 words on distinct lines took 201
+   words when the dedup table boxed an (off, len) key. *)
+let test_logged_ranges_allocs () =
+  let pool = Pool_impl.create ~config:small () in
+  let off = Pool_impl.transaction pool (fun tx -> Pool_impl.tx_alloc tx 1024) in
+  let update v =
+    Pool_impl.transaction pool (fun tx ->
+        for i = 0 to 8 do
+          Pool_impl.tx_set_int tx (off + (64 * i)) v
+        done)
+  in
+  for v = 1 to 100 do
+    update v
+  done;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for v = 1 to n do
+    update v
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "last value" n (Pmem.Device.read_int (Pool_impl.device pool) (off + 512));
+  if words > 100. then
+    Alcotest.failf "a transaction logging 9 words allocated %.1f minor words" words
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "corundum" ".pool" in
   Sys.remove path;
@@ -333,6 +359,7 @@ let () =
             test_derefmut_first_logs_only;
           Alcotest.test_case "txnop touches no PM" `Quick test_txnop_touches_no_pm;
           Alcotest.test_case "word update allocs" `Quick test_word_update_allocs;
+          Alcotest.test_case "logged ranges allocs" `Quick test_logged_ranges_allocs;
         ] );
       ( "ptype",
         [

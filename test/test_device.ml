@@ -170,6 +170,27 @@ let test_save_load () =
   check_int "size restored" 4096 (D.size d2);
   Sys.remove path
 
+(* A save of a loaded image writes the very bytes it was loaded from,
+   zero words (which [load] skips) included. *)
+let test_save_load_identical () =
+  let path = Filename.temp_file "corundum" ".pool" in
+  let d = mk ~size:(64 * 1024) ~path () in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 200 do
+    let off = Random.State.int rng (D.size d - 8) in
+    D.write_u64 d off (Random.State.int64 rng Int64.max_int);
+    D.persist d off 8
+  done;
+  D.write_u32 d (D.size d - 4) 0xFFFFFFFF;
+  D.persist d (D.size d - 4) 4;
+  D.save d;
+  let saved = In_channel.with_open_bin path In_channel.input_all in
+  D.save (D.load path);
+  Alcotest.(check bool)
+    "second save is byte-identical" true
+    (String.equal saved (In_channel.with_open_bin path In_channel.input_all));
+  Sys.remove path
+
 let test_save_without_path () =
   let d = mk () in
   Alcotest.match_raises "no path"
@@ -392,6 +413,62 @@ let qcheck_model_based =
       done;
       !ok)
 
+(* A power cycle restores only the lines that are not Clean.  The
+   reference is the full-image copy the old cycle made: after every
+   cycle the view must equal the durable image, which [save] writes out
+   whole (after the 16-byte magic and the u64 size).  Ten lines, so the
+   state scan's eight-line words leave a tail. *)
+let qcheck_power_cycle_view =
+  let size = 640 in
+  QCheck.Test.make ~name:"power cycle restores the view" ~count:200
+    QCheck.(
+      list_of_size Gen.(int_bound 60)
+        (oneof
+           [
+             map
+               (fun (o, v) -> `Store (o, v))
+               (pair (int_bound (size - 8)) (int_bound 0xFFFF));
+             map (fun (o, n) -> `Fill (o, n)) (pair (int_bound (size - 1)) (int_bound 100));
+             map (fun (o, n) -> `Flush (o, n)) (pair (int_bound (size - 1)) (int_range 1 130));
+             always `Fence;
+             map (fun o -> `Rot o) (int_bound (size - 1));
+             map (fun p -> `Torn p) (float_bound_inclusive 1.0);
+             always `Cycle;
+           ]))
+    (fun program ->
+      let path = Filename.temp_file "corundum" ".img" in
+      let d = mk ~size ~path () in
+      let cycle () =
+        D.power_cycle d;
+        D.save d;
+        let image = In_channel.with_open_bin path In_channel.input_all in
+        String.equal (String.sub image 24 size) (D.read_string d 0 size)
+      in
+      let step = function
+        | `Store (o, v) ->
+            D.write_u64 d o (Int64.of_int (v * 0x10001));
+            true
+        | `Fill (o, n) ->
+            D.fill d o (min n (size - o)) (Char.chr (n land 0xFF));
+            true
+        | `Flush (o, n) ->
+            D.flush d o (min n (size - o));
+            true
+        | `Fence ->
+            D.fence d;
+            true
+        | `Rot o ->
+            D.corrupt_line d o;
+            true
+        | `Torn p ->
+            D.set_torn_write_prob d p;
+            true
+        | `Cycle -> cycle ()
+      in
+      let ok = List.for_all step program && cycle () in
+      Sys.remove path;
+      ok)
+
 (* The device and the analyzers share one persist-line machine: a
    [Persist_line.Shadow] fed by the device's own probe events must drain,
    at every fence, exactly as many lines as the device's write-pending
@@ -542,6 +619,8 @@ let () =
       ( "file",
         [
           Alcotest.test_case "save/load" `Quick test_save_load;
+          Alcotest.test_case "save/load byte-identical" `Quick
+            test_save_load_identical;
           Alcotest.test_case "save without path" `Quick test_save_without_path;
         ] );
       ( "accounting",
@@ -556,6 +635,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_persisted_survives;
           QCheck_alcotest.to_alcotest qcheck_model_based;
+          QCheck_alcotest.to_alcotest qcheck_power_cycle_view;
         ] );
       ( "conformance",
         [

@@ -207,6 +207,28 @@ let test_vweak_after_reuse () =
       check_bool "promote after block reuse" true (Prc.promote vw j = None));
   ()
 
+(* Demote, free, and reallocate the very block: the new block's strong
+   count is live, so only its birth counter, registered by the demote
+   and bumped by the reallocation, can refuse the promote. *)
+let test_vweak_same_offset () =
+  let module P = Pool.Make () in
+  P.create ~config:small ();
+  ignore (P.root ~ty:Ptype.int ~init:(fun _ -> 0) ());
+  let vw, off =
+    P.transaction (fun j ->
+        let rc = Prc.make ~ty:Ptype.int 9 j in
+        let vw = Prc.demote rc j in
+        Prc.drop rc j;
+        (vw, Prc.off rc))
+  in
+  P.transaction (fun j ->
+      let rec realloc n =
+        if n = 0 then Alcotest.fail "the freed block was never reallocated"
+        else if Prc.off (Prc.make ~ty:Ptype.int 0 j) <> off then realloc (n - 1)
+      in
+      realloc 16;
+      check_bool "promote after same-offset reuse" true (Prc.promote vw j = None))
+
 let test_vweak_after_reopen () =
   let module P = Pool.Make () in
   P.create ~config:small ();
@@ -297,6 +319,7 @@ let () =
           Alcotest.test_case "promotion" `Quick test_vweak_promotion;
           Alcotest.test_case "after free" `Quick test_vweak_after_free;
           Alcotest.test_case "after reuse" `Quick test_vweak_after_reuse;
+          Alcotest.test_case "same offset reused" `Quick test_vweak_same_offset;
           Alcotest.test_case "after reopen" `Quick test_vweak_after_reopen;
         ] );
     ]
