@@ -29,7 +29,8 @@ let load ?latency path =
 
 (* A walk over a corrupt image can itself fail (an allocation-table byte
    naming an impossible order raises [Invalid_argument]): that is
-   detected corruption, so it exits 1 as fsck's findings do. *)
+   detected corruption, so it exits 1 as fsck's findings do.  Any other
+   [Invalid_argument] is a program error and is not caught. *)
 let corrupt path msg =
   Printf.eprintf "error: %s: %s (run fsck)\n" path msg;
   exit 1
@@ -37,7 +38,8 @@ let corrupt path msg =
 let inspect path dev =
   match Corundum.Pool_inspect.inspect_device dev with
   | info -> info
-  | exception Invalid_argument msg -> corrupt path msg
+  | exception Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
+      corrupt path msg
 
 let write_json path json =
   Harness.Instrument.write_file path (Ptelemetry.Json.to_string json)
@@ -157,7 +159,9 @@ let run_info check json path =
           match Corundum.Pool_impl.attach dev with
           | pool -> Ok (Corundum.Pool_impl.recovery_stats pool)
           | exception Corundum.Pool_impl.Recovery_needed msg -> Error msg
-          | exception Invalid_argument msg -> corrupt path msg
+          | exception Invalid_argument msg
+            when Palloc.Alloc_table.is_order_error msg ->
+              corrupt path msg
         end
       in
       write_json out (info_json ~path info recovery);
@@ -384,7 +388,8 @@ let run_leak root json path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 2
-    | exception Invalid_argument msg -> corrupt path msg
+    | exception Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
+        corrupt path msg
   in
   let report =
     match root with
@@ -419,7 +424,8 @@ let run_top probes path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1
-    | exception Invalid_argument msg -> corrupt path msg
+    | exception Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
+        corrupt path msg
   in
   let module A = Engines.Attribution in
   let s = A.probe_summary ~probes pool in

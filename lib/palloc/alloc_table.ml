@@ -80,6 +80,9 @@ let rec skip_zeros buf i len =
    [scan] walks it, so a jump that lands past the line — over an
    allocation's interior — loads nothing in between.  The heads visited,
    and their order, are exactly those of a byte-at-a-time walk. *)
+let order_error = "Alloc_table.iter_allocated: "
+let is_order_error msg = String.starts_with ~prefix:order_error msg
+
 let iter_allocated t f =
   let buf = Bytes.create Pmem.Device.line_size in
   let table_end = t.table_base + t.nblocks in
@@ -99,7 +102,7 @@ let iter_allocated t f =
          127 and 191, negative for 62 and 254 *)
       if next <= idx then
         invalid_arg
-          (Printf.sprintf "Alloc_table.iter_allocated: block %d has order %d" idx order);
+          (Printf.sprintf "%sblock %d has order %d" order_error idx order);
       f ~idx ~order;
       let j = next - base in
       if j > i && j < len then scan base len j else line next

@@ -69,3 +69,8 @@ val iter_allocated : t -> (idx:int -> order:int -> unit) -> unit
     buffered and would go stale.  Raises [Invalid_argument] at a head
     whose order is too large for its block size to be an [int] (a
     corrupt table byte such as [0x40]), before [f] sees it. *)
+
+val is_order_error : string -> bool
+(** Whether an [Invalid_argument] message is {!iter_allocated}'s
+    rejection of an impossible order: corruption of the image, not a
+    misuse of the API.  Tools report it as a finding. *)

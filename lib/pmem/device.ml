@@ -14,14 +14,22 @@ type t = {
   path : string option;
   durable : image; (* what survives a power failure *)
   view : image; (* what loads observe (durable + cached stores) *)
-  state : Bytes.t; (* one encoded Persist_line.state per line *)
+  (* A line's [Persist_line.state], one byte per line in each of two
+     arrays.  The unlocked store path only ever writes ['\001'] into
+     [dirty], so it cannot lose an update to a flush or a fence racing it
+     from another domain: a flush clears [dirty] (under [lock]) before it
+     snapshots the line, and only [lock] holders write [queued].  A store
+     relies on its view write becoming visible no later than its flag
+     write, as x86-64 keeps stores in order. *)
+  dirty : Bytes.t; (* stored since the line's last flush *)
+  queued : Bytes.t; (* in the write-pending queue *)
   (* The write-pending queue: [wpq_len] queued lines in flush order,
      line [wpq_lines.(i)]'s 64-byte snapshot at [wpq_snaps.(64 i)].
      Both grow by doubling and are never shrunk. *)
   mutable wpq_lines : int array;
   mutable wpq_snaps : Bytes.t;
   mutable wpq_len : int;
-  lock : Mutex.t; (* protects the WPQ, state transitions in flush/fence *)
+  lock : Mutex.t; (* protects the WPQ and [queued]; flushes clear [dirty] under it *)
   mutable rng : Random.State.t;
   mutable crashed : bool;
   mutable crash_countdown : int; (* <= 0 means disabled *)
@@ -77,7 +85,8 @@ let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
     path;
     durable = zero_image size;
     view = zero_image size;
-    state = Bytes.make (size / line_size) (PL.encode PL.Clean);
+    dirty = Bytes.make (size / line_size) '\000';
+    queued = Bytes.make (size / line_size) '\000';
     wpq_lines = Array.make 64 0;
     wpq_snaps = Bytes.create (64 * line_size);
     wpq_len = 0;
@@ -167,16 +176,13 @@ module Pr = Ptelemetry.Probe
 let probe_store t off len =
   Pr.emit (Pr.Store { dev = t.id; off; len; ns = simulated_ns t })
 
-let line_state t l = PL.decode (Bytes.unsafe_get t.state l)
-let set_line_state t l s = Bytes.unsafe_set t.state l (PL.encode s)
+let[@inline] is_set b l = Bytes.unsafe_get b l <> '\000'
 
-(* Mark every line intersecting [off, off+len) as dirtied by a store.
-   Runs on every store, so it steps the encoded state through the
-   transition table instead of calling across the module boundary. *)
+(* Mark every line intersecting [off, off+len) as dirtied by a store
+   ([Persist_line.store]): Clean -> Dirty, Wpq -> Wpq_dirty. *)
 let mark_dirty t off len =
   for l = off lsr PL.line_shift to (off + len - 1) lsr PL.line_shift do
-    Bytes.unsafe_set t.state l
-      (String.unsafe_get PL.store_code (Char.code (Bytes.unsafe_get t.state l)))
+    Bytes.unsafe_set t.dirty l '\001'
   done
 
 (* {1 Loads} *)
@@ -215,8 +221,6 @@ let[@inline] le64 w = if Sys.big_endian then swap64 w else w
 let[@inline] le32 w = if Sys.big_endian then swap32 w else w
 let[@inline] byte (a : image) i = Bigarray.Array1.unsafe_get a i
 let[@inline] set_byte (a : image) i c = Bigarray.Array1.unsafe_set a i c
-let clean = PL.encode PL.Clean
-let clean_word = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code clean))
 
 (* Range copies between images and buffers, a word at a time and then
    the tail byte by byte.  Callers check the ranges. *)
@@ -434,13 +438,17 @@ let flush t off len =
     Atomic.incr t.flush_calls;
     let first = PL.line_of off and last = PL.line_of (off + len - 1) in
     for l = first to last do
+      (* [Persist_line.flush]: Dirty and Wpq_dirty -> Wpq.  [dirty] is
+         cleared before the snapshot, with the counter's atomic add in
+         between, so a racing store either lands in the snapshot or
+         marks the line again. *)
+      let dirty = is_set t.dirty l in
+      if dirty then Bytes.unsafe_set t.dirty l '\000';
       Atomic.incr t.flushes;
-      let s = line_state t l in
-      match PL.flush s with
-      | Some s' ->
-          snapshot_line t l (if PL.pending s then wpq_slot t l else wpq_push t l);
-          set_line_state t l s'
-      | None -> ()
+      if dirty then begin
+        snapshot_line t l (if is_set t.queued l then wpq_slot t l else wpq_push t l);
+        Bytes.unsafe_set t.queued l '\001'
+      end
     done;
     Mutex.unlock t.lock;
     if Pr.on () then begin
@@ -463,7 +471,8 @@ let fence t =
   for i = 0 to lines - 1 do
     let l = t.wpq_lines.(i) in
     blit_from_bytes t.wpq_snaps (i * line_size) t.durable (PL.line_start l) line_size;
-    set_line_state t l (PL.drain (line_state t l))
+    (* [Persist_line.drain]: Wpq -> Clean, Wpq_dirty -> Dirty *)
+    Bytes.unsafe_set t.queued l '\000'
   done;
   ignore (Atomic.fetch_and_add t.fence_lines lines);
   t.wpq_len <- 0;
@@ -508,18 +517,21 @@ let power_cycle t =
   Array.iter maybe_drain order;
   t.wpq_len <- 0;
   (* A Clean line's view already equals its durable bytes (a fence
-     drains the snapshot the view held, and [corrupt_line] rots both),
-     so only the other lines are restored.  The state is scanned a word
-     of eight lines at a time. *)
+     drains the snapshot the view held, a store after that snapshot
+     leaves the line dirty, and [corrupt_line] rots both), so only the
+     other lines are restored.  The flags are scanned a word of eight
+     lines at a time. *)
   let restore l =
-    if Bytes.unsafe_get t.state l <> clean then begin
+    if is_set t.dirty l || is_set t.queued l then begin
       blit_image t.durable (PL.line_start l) t.view (PL.line_start l) line_size;
-      Bytes.unsafe_set t.state l clean
+      Bytes.unsafe_set t.dirty l '\000';
+      Bytes.unsafe_set t.queued l '\000'
     end
   in
   let words = t.nlines / 8 in
   for i = 0 to words - 1 do
-    if bytes_get64 t.state (8 * i) <> clean_word then
+    if Int64.logor (bytes_get64 t.dirty (8 * i)) (bytes_get64 t.queued (8 * i)) <> 0L
+    then
       for l = 8 * i to (8 * i) + 7 do
         restore l
       done
@@ -548,7 +560,8 @@ let corrupt_line t off =
   let flipped = Char.chr (Char.code (byte t.durable off) lxor bit) in
   set_byte t.durable off flipped;
   (* a Clean line holds no cached store: nothing is dirty or queued *)
-  if line_state t (PL.line_of off) = PL.Clean then set_byte t.view off flipped;
+  let l = PL.line_of off in
+  if not (is_set t.dirty l || is_set t.queued l) then set_byte t.view off flipped;
   Atomic.incr t.corrupted_lines;
   Mutex.unlock t.lock
 

@@ -5,17 +5,7 @@ let line_start l = l lsl line_shift
 
 type state = Clean | Dirty | Wpq | Wpq_dirty
 
-let encode = function Clean -> '\000' | Dirty -> '\001' | Wpq -> '\002' | Wpq_dirty -> '\003'
-
-let decode = function
-  | '\000' -> Clean
-  | '\001' -> Dirty
-  | '\002' -> Wpq
-  | '\003' -> Wpq_dirty
-  | c -> invalid_arg (Printf.sprintf "Persist_line.decode: %C" c)
-
 let store = function Clean -> Dirty | Wpq -> Wpq_dirty | (Dirty | Wpq_dirty) as s -> s
-let store_code = String.init 4 (fun c -> encode (store (decode (Char.chr c))))
 let flush = function Dirty | Wpq_dirty -> Some Wpq | Clean | Wpq -> None
 let drain = function Wpq -> Clean | Wpq_dirty -> Dirty | (Clean | Dirty) as s -> s
 let pending = function Wpq | Wpq_dirty -> true | Clean | Dirty -> false

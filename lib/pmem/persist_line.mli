@@ -8,7 +8,9 @@
     the WPQ is [Wpq_dirty]: the fence lands the snapshot, not the newer
     bytes, and leaves the line [Dirty].
 
-    {!Device} keeps the state densely (one {!encode}d byte per line);
+    {!Device} keeps the state densely, as two flag bytes per line
+    (stored since the last flush, queued in the WPQ), so that a store
+    only ever sets a flag and cannot lose a racing flush's update;
     {!Shadow} is the sparse table analyzers replay a probe stream
     through.  [Pmodel.Mstate] keeps its own word-granular version as
     the model checker's reference. *)
@@ -29,14 +31,7 @@ val line_start : int -> int
 
 type state = Clean | Dirty | Wpq | Wpq_dirty
 
-val encode : state -> char
-val decode : char -> state
-
 val store : state -> state
-
-val store_code : string
-(** {!store} over encoded states, a lookup table for the per-store hot
-    path: [store_code.[Char.code (encode s)] = encode (store s)]. *)
 
 val flush : state -> state option
 (** [Some s'] when the line held unwritten-back data and a fresh

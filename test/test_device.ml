@@ -469,6 +469,56 @@ let qcheck_power_cycle_view =
       Sys.remove path;
       ok)
 
+(* Two domains on the same lines: a sibling keeps flushing and fencing
+   them while the writer overwrites them (a ranged store writes the view
+   first and marks the lines after).  Whatever the interleaving, the
+   lines must end dirty or queued with their newest bytes, so the
+   writer's own persist afterwards makes every byte durable, and the
+   view then equals the durable image. *)
+let test_shared_line_persist () =
+  let size = 4096 in
+  let path = Filename.temp_file "corundum" ".img" in
+  let d = mk ~size ~path () in
+  for round = 1 to 100 do
+    let stop = Atomic.make false and started = Atomic.make false in
+    let sibling =
+      Domain.spawn (fun () ->
+          Atomic.set started true;
+          match
+            while not (Atomic.get stop) do
+              D.flush d 0 size;
+              D.fence d
+            done
+          with
+          | () -> None
+          | exception e -> Some e)
+    in
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    for k = 0 to 100 do
+      D.fill d 0 size (Char.chr k)
+    done;
+    let last = Char.chr (128 + (round land 0x7F)) in
+    D.fill d 0 size last;
+    Atomic.set stop true;
+    (* a sibling that raised inside [flush] still holds the device lock *)
+    Option.iter
+      (fun e -> Alcotest.failf "round %d: sibling raised %s" round (Printexc.to_string e))
+      (Domain.join sibling);
+    D.persist d 0 size;
+    D.power_cycle d;
+    D.save d;
+    let image = In_channel.with_open_bin path In_channel.input_all in
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: durable image" round)
+      (String.make size last) (String.sub image 24 size);
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: view after the cycle" round)
+      (String.make size last) (D.read_string d 0 size)
+  done;
+  Sys.remove path
+
 (* The device and the analyzers share one persist-line machine: a
    [Persist_line.Shadow] fed by the device's own probe events must drain,
    at every fence, exactly as many lines as the device's write-pending
@@ -606,6 +656,8 @@ let () =
             test_power_cycle_without_crash_drops_cache;
           Alcotest.test_case "flush spanning lines" `Quick
             test_flush_spanning_lines;
+          Alcotest.test_case "shared line persists" `Quick
+            test_shared_line_persist;
         ] );
       ( "crash",
         [
