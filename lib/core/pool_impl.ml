@@ -12,7 +12,7 @@ module GC = Pjournal.Group_commit
 module R = Pjournal.Recovery
 module Pr = Ptelemetry.Probe
 module H = Pool_header
-module IP = Pjournal.Int_pairs
+module IP = Palloc.Int_pairs
 module IM = Map.Make (Int)
 
 type open_mode = Read_write | Read_only

@@ -10,18 +10,21 @@ type reservation = { r_idx : int; r_order : int }
    boundaries sit on power-of-two block indices, so buddy pairs never
    cross a stripe and merging stays local.
 
-   Free space is tracked in intrusive, array-backed structures sized to
+   Free space is tracked in structures sized by the free heads, not by
    the stripe, making every list operation O(1):
 
    - [stacks.(o)] / [tops.(o)]: a LIFO of free block indices per order;
      push and pop are O(1), and popping the most-recently-freed block
      keeps the working set cache-warm.
-   - [forder]: one byte per block, [order+1] when the block currently
-     heads a free list (0 otherwise) — the buddy-membership test that
-     replaces [Set.mem].
-   - [slot]: each free block's position inside its stack, so a buddy can
-     be unlinked in O(1) by swapping the stack's last element into its
-     place.
+   - [heads]: an {!Int_pairs} table from each free head's block index
+     to [(pos lsl 6) lor order], its order and its position inside
+     [stacks.(order)] — the buddy-membership test, and the slot a buddy
+     is unlinked from in O(1) by swapping the stack's last element into
+     its place.  A table entry is 16 B at a load between 1/4 and 1/2,
+     so 32–64 B per free head at the stripe's peak head count (the
+     table shrinks only at a rebuild); on a heap fragmented down to
+     alternating blocks that is 16–32 B per block, against the fixed
+     9 B per block of a per-block order byte and position word.
    - [nonempty]: a bitmask over orders with a non-empty stack; the
      smallest adequate order is found with mask arithmetic instead of a
      per-order scan. *)
@@ -30,8 +33,7 @@ type stripe = {
   mutable stacks : int array array; (* index: order; LIFO of block indices *)
   tops : int array; (* live depth of stacks.(order) *)
   mutable nonempty : int; (* bitmask: order o set iff tops.(o) > 0 *)
-  forder : Bytes.t; (* (idx - lo) -> order + 1 when free head, else 0 *)
-  slot : int array; (* (idx - lo) -> position within stacks.(order) *)
+  heads : Int_pairs.t; (* free head idx -> (pos lsl 6) lor order *)
   mutable free_bytes : int;
   steals : int Atomic.t; (* reserves served here for another stripe's hint *)
   contended : int Atomic.t; (* lock acquisitions that found it held *)
@@ -107,8 +109,7 @@ let add_free s order idx =
   in
   st.(top) <- idx;
   s.tops.(order) <- top + 1;
-  s.slot.(idx - s.lo) <- top;
-  Bytes.unsafe_set s.forder (idx - s.lo) (Char.unsafe_chr (order + 1));
+  Int_pairs.add s.heads idx ((top lsl 6) lor order);
   s.nonempty <- s.nonempty lor (1 lsl order);
   s.free_bytes <- s.free_bytes + size_of_order order
 
@@ -118,7 +119,7 @@ let pop_free s order =
   let idx = s.stacks.(order).(top) in
   s.tops.(order) <- top;
   if top = 0 then s.nonempty <- s.nonempty land lnot (1 lsl order);
-  Bytes.unsafe_set s.forder (idx - s.lo) '\000';
+  Int_pairs.remove s.heads idx;
   s.free_bytes <- s.free_bytes - size_of_order order;
   idx
 
@@ -127,19 +128,20 @@ let pop_free s order =
 let remove_free s order idx =
   let top = s.tops.(order) - 1 in
   let st = s.stacks.(order) in
-  let p = s.slot.(idx - s.lo) in
+  let p = Int_pairs.find s.heads idx lsr 6 in
   if p <> top then begin
     let moved = st.(top) in
     st.(p) <- moved;
-    s.slot.(moved - s.lo) <- p
+    Int_pairs.replace s.heads moved ((p lsl 6) lor order)
   end;
   s.tops.(order) <- top;
   if top = 0 then s.nonempty <- s.nonempty land lnot (1 lsl order);
-  Bytes.unsafe_set s.forder (idx - s.lo) '\000';
+  Int_pairs.remove s.heads idx;
   s.free_bytes <- s.free_bytes - size_of_order order
 
 let is_free_at s idx order =
-  Bytes.unsafe_get s.forder (idx - s.lo) = Char.unsafe_chr (order + 1)
+  let v = Int_pairs.find s.heads idx in
+  v >= 0 && v land 63 = order
 
 (* Smallest order >= [k] with a non-empty list, or -1. *)
 let find_order s k =
@@ -181,7 +183,7 @@ let reset_stripe max_order s =
   s.stacks <- Array.make (max_order + 1) [||];
   Array.fill s.tops 0 (max_order + 1) 0;
   s.nonempty <- 0;
-  Bytes.fill s.forder 0 (Bytes.length s.forder) '\000';
+  Int_pairs.clear s.heads;
   s.free_bytes <- 0
 
 (* One pass over the table: free gaps between allocated heads are carved
@@ -233,8 +235,7 @@ let make dev ~table_base ~heap_base ~heap_len ~stripes ~fresh =
       stacks = Array.make (max_order + 1) [||];
       tops = Array.make (max_order + 1) 0;
       nonempty = 0;
-      forder = Bytes.make (hi - lo) '\000';
-      slot = Array.make (hi - lo) 0;
+      heads = Int_pairs.create ();
       free_bytes = 0;
       steals = Atomic.make 0;
       contended = Atomic.make 0;
@@ -288,10 +289,12 @@ let reserve ?(hint = 0) t size =
   let order = order_of_size size in
   if order > t.max_order then raise Out_of_pmem;
   let n = Array.length t.stripes in
+  (* In [0, n) for any hint, so [first + i] cannot overflow. *)
+  let first = ((hint mod n) + n) mod n in
   let rec try_stripe i =
     if i >= n then raise Out_of_pmem
     else begin
-      let s = t.stripes.((hint + i) mod n) in
+      let s = t.stripes.((first + i) mod n) in
       match reserve_in t s order with
       | Some r ->
           if i > 0 then Atomic.incr s.steals;

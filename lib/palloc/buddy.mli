@@ -3,10 +3,14 @@
     Durable state is the {!Alloc_table}; free space is tracked in volatile
     per-stripe free lists rebuilt from the table at {!attach} time, so the
     allocator itself never needs multi-word atomic updates.  The volatile
-    side is O(1) per operation: intrusive array-backed LIFO stacks per
-    order, a per-block free-order byte for buddy-membership tests, and a
-    non-empty-order bitmask, so reserve/insert/merge never scan and
-    {!rebuild} is a single table walk.
+    side is O(1) per operation and sized by the free heads, not the heap:
+    array-backed LIFO stacks per order, a sparse {!Int_pairs} index from
+    each free head to its order and stack position (buddy-membership
+    tests and O(1) unlinking), and a non-empty-order bitmask, so
+    reserve/insert/merge never scan and {!rebuild} is a single table
+    walk.  The index costs 32–64 B per free head against a fixed 9 B per
+    64-byte block for per-block arrays, so it is the larger only on a heap
+    where about one block in seven or more heads a free list.
 
     Transactional allocation uses a three-step protocol driven by the
     journal layer:
@@ -69,8 +73,8 @@ val size_of_order : int -> int
 
 val reserve : ?hint:int -> t -> int -> reservation
 (** [reserve t size] claims a block of at least [size] bytes from the
-    volatile free lists, preferring stripe [hint mod stripes].  Raises
-    {!Out_of_pmem}. *)
+    volatile free lists, preferring stripe [hint mod stripes] (taken
+    non-negative, so any [int] is a valid hint).  Raises {!Out_of_pmem}. *)
 
 val cancel : t -> reservation -> unit
 (** Return an uncommitted reservation to the free lists. *)

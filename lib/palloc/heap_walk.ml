@@ -46,43 +46,32 @@ let report buddy =
       (if free = 0 then 0.0 else 1.0 -. (float_of_int largest /. float_of_int free));
   }
 
+(* The allocated and free blocks, sorted by index as [(idx lsl 6) lor
+   order], must tile [0, nblocks): one sweep with the end reached so
+   far finds the lowest hole, overlap or bad block, in
+   O((live + free) log) time and no per-block state. *)
 let check buddy =
   let table = Buddy.table buddy in
   let nblocks = Alloc_table.nblocks table in
-  (* 0 = unseen, 1 = free-list, 2 = allocated *)
-  let cover = Bytes.make nblocks '\000' in
-  let claim tag idx order =
-    let len = 1 lsl order in
-    if idx land (len - 1) <> 0 then
-      Error (Printf.sprintf "block %d at order %d is misaligned" idx order)
-    else if idx + len > nblocks then
-      Error (Printf.sprintf "block %d at order %d overflows the heap" idx order)
-    else begin
-      let clash = ref None in
-      for i = idx to idx + len - 1 do
-        if !clash = None && Bytes.get cover i <> '\000' then clash := Some i;
-        Bytes.set cover i tag
-      done;
-      match !clash with
-      | Some i -> Error (Printf.sprintf "blocks overlap at index %d" i)
-      | None -> Ok ()
-    end
-  in
-  let result = ref (Ok ()) in
-  let claim_checked tag ~idx ~order =
-    match !result with
-    | Error _ -> ()
-    | Ok () -> result := claim tag idx order
-  in
+  let blocks = ref [] in
   Alloc_table.iter_allocated table (fun ~idx ~order ->
-      claim_checked '\002' ~idx ~order);
-  ignore
-    (Buddy.fold_free buddy ~init:() ~f:(fun () ~idx ~order ->
-         claim_checked '\001' ~idx ~order));
-  match !result with
-  | Error _ as e -> e
-  | Ok () ->
-      let hole = Bytes.index_opt cover '\000' in
-      (match hole with
-      | Some i -> Error (Printf.sprintf "index %d is neither free nor allocated" i)
-      | None -> Ok ())
+      blocks := ((idx lsl 6) lor order) :: !blocks);
+  let blocks =
+    Buddy.fold_free buddy ~init:!blocks ~f:(fun acc ~idx ~order ->
+        ((idx lsl 6) lor order) :: acc)
+  in
+  let hole i = Error (Printf.sprintf "index %d is neither free nor allocated" i) in
+  let rec sweep reach = function
+    | [] -> if reach < nblocks then hole reach else Ok ()
+    | b :: rest ->
+        let idx = b asr 6 and order = b land 63 in
+        let len = 1 lsl order in
+        if idx > reach then hole reach
+        else if idx land (len - 1) <> 0 then
+          Error (Printf.sprintf "block %d at order %d is misaligned" idx order)
+        else if idx + len > nblocks then
+          Error (Printf.sprintf "block %d at order %d overflows the heap" idx order)
+        else if idx < reach then Error (Printf.sprintf "blocks overlap at index %d" idx)
+        else sweep (idx + len) rest
+  in
+  sweep 0 (List.sort Int.compare blocks)

@@ -28,4 +28,5 @@ val check : Buddy.t -> (unit, string) result
 (** Structural integrity: free-list blocks must be aligned, in range,
     disjoint from each other and from allocated blocks, and together with
     the allocated blocks must tile the heap exactly.  Returns [Error msg]
-    describing the first violation. *)
+    describing the violation at the lowest block index.  It keeps no
+    per-index state: memory is O(allocated + free blocks). *)

@@ -62,6 +62,11 @@ let rec shift a hole j =
   end
   else shift a hole j
 
+let replace t key v =
+  match index t.a key (home t.a key) with
+  | -1 -> raise Not_found
+  | i -> t.a.((2 * i) + 1) <- v
+
 let remove t key =
   match index t.a key (home t.a key) with
   | -1 -> ()

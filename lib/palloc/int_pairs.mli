@@ -1,8 +1,8 @@
 (** A set of [(key, value)] int pairs, looked up by key: an
     open-addressed flat array that allocates only when it grows.
 
-    It backs the journal's per-transaction dedup sets and the pool's
-    held-locks table.  Keys must not be [-1], and a value of [-1] reads
+    It backs the journal's per-transaction dedup sets, the pool's
+    held-locks table and {!Buddy}'s free-head index.  Keys must not be [-1], and a value of [-1] reads
     as absent to {!find}. *)
 
 type t
@@ -18,6 +18,10 @@ val mem : t -> int -> int -> bool
 
 val add : t -> int -> int -> unit
 (** Add a pair; a key may be added more than once. *)
+
+val replace : t -> int -> int -> unit
+(** [replace t key v] sets the value of the entry {!find} reads to [v],
+    in place.  Raises [Not_found] when there is no entry with [key]. *)
 
 val remove : t -> int -> unit
 (** Remove one entry with [key], if any: the one {!find} reads. *)

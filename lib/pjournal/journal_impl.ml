@@ -2,6 +2,7 @@ exception Journal_full
 exception Not_in_transaction
 
 module D = Pmem.Device
+module Int_pairs = Palloc.Int_pairs
 module Pr = Ptelemetry.Probe
 
 (* Fault-injection knobs for the sanitizer's positive controls

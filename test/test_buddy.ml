@@ -246,6 +246,53 @@ let test_stripes_parallel_domains () =
   check_int "all returned" heap_len (B.free_bytes buddy);
   assert_intact buddy
 
+(* A hint outside [0, stripes) picks stripe [hint mod stripes], taken
+   non-negative, and the steal walk from it never overflows. *)
+let test_stripes_extreme_hints () =
+  let _, buddy = mk_striped 4 in
+  let span = heap_len / 4 in
+  let stripe off = (off - heap_base) / span in
+  check_int "hint -1 is the last stripe" 3 (stripe (B.alloc ~hint:(-1) buddy 64));
+  check_int "hint max_int" (max_int mod 4) (stripe (B.alloc ~hint:max_int buddy 64));
+  check_int "hint min_int" 0 (stripe (B.alloc ~hint:min_int buddy 64));
+  (* fill the rest of stripe 3, so both hints must steal *)
+  let rec fill acc =
+    match B.alloc ~hint:(-1) buddy 64 with
+    | off when stripe off = 3 -> fill (off :: acc)
+    | off -> List.rev (off :: acc)
+  in
+  let offs = fill [] in
+  check_int "first steal leaves stripe 3" 0 (stripe (List.nth offs (List.length offs - 1)));
+  check_int "max_int steals too" 0 (stripe (B.alloc ~hint:max_int buddy 64));
+  assert_intact buddy
+
+(* [Heap_walk.check] names the lowest offending index. *)
+let test_check_open_reservation () =
+  let _, buddy = mk () in
+  ignore (B.alloc buddy 64);
+  let r = B.reserve buddy 64 in
+  let idx = T.index_of_offset (B.table buddy) (B.offset_of_reservation buddy r) in
+  check_int "second block" 1 idx;
+  Alcotest.(check (result unit string))
+    "open reservation" (Error "index 1 is neither free nor allocated") (W.check buddy)
+
+let test_check_mark_on_free_block () =
+  let _, buddy = mk () in
+  ignore (B.alloc buddy 64);
+  (* blocks 1 (order 0), 2 (order 1) and 4 (order 2) are free heads *)
+  T.mark (B.table buddy) ~idx:4 ~order:2;
+  Alcotest.(check (result unit string))
+    "mark over a free block" (Error "blocks overlap at index 4") (W.check buddy)
+
+let test_check_bad_blocks () =
+  let expect what idx order =
+    let _, buddy = mk () in
+    T.mark (B.table buddy) ~idx ~order;
+    Alcotest.(check (result unit string)) what (Error what) (W.check buddy)
+  in
+  expect "block 1 at order 1 is misaligned" 1 1;
+  expect "block 0 at order 11 overflows the heap" 0 11
+
 let qcheck_striped_random_ops =
   let gen =
     QCheck.(
@@ -332,6 +379,140 @@ let qcheck_rebuild_equiv =
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_report msg);
       B.free_bytes buddy2 = free_before)
+
+(* Property: after any program of allocs, frees (durable or dirty-only),
+   reserve+cancel pairs and rebuilds, with no reservation left open, the
+   incrementally maintained free lists hold the same blocks as a fresh
+   attach on the same device, stripe by stripe.  Checked after every
+   step, with mostly small blocks, so a stale free-head position shows
+   before a later merge hides it. *)
+let qcheck_incremental_equals_rebuilt =
+  let gen =
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(int_bound 200)
+           (quad (int_bound 9)
+              (frequency [ (3, int_range 1 256); (1, int_range 1 4096) ])
+              (int_bound 7) bool)))
+  in
+  let free_set buddy =
+    List.sort compare
+      (B.fold_free buddy ~init:[] ~f:(fun acc ~idx ~order -> (idx, order) :: acc))
+  in
+  let stripe_view buddy =
+    Array.map (fun s -> (s.B.ss_free_bytes, s.B.ss_depths)) (B.stripe_stats buddy)
+  in
+  QCheck.Test.make ~name:"incremental free lists equal a rebuild" ~count:300
+    gen (fun (nstripes, ops) ->
+      let dev, buddy = mk_striped nstripes in
+      let live = ref [] in
+      List.for_all
+        (fun (kind, size, hint, durable) ->
+          (match kind with
+          | 0 | 1 | 2 | 3 -> (
+              match B.alloc ~hint buddy size with
+              | off -> live := off :: !live
+              | exception B.Out_of_pmem -> ())
+          | 4 | 5 | 6 -> (
+              match !live with
+              | [] -> ()
+              | l ->
+                  let off = List.nth l (size mod List.length l) in
+                  B.dealloc ~durable buddy off;
+                  live := List.filter (( <> ) off) l)
+          | 7 | 8 -> (
+              match B.reserve ~hint buddy size with
+              | r -> B.cancel buddy r
+              | exception B.Out_of_pmem -> ())
+          | _ -> B.rebuild buddy);
+          let fresh = B.attach ~stripes:nstripes dev ~table_base ~heap_base ~heap_len in
+          free_set buddy = free_set fresh && stripe_view buddy = stripe_view fresh)
+        ops)
+
+(* [Buddy.attach] allocates host state by free heads, not heap size: on
+   an empty heap with 8 stripes (one free head each) it allocates about
+   1,400 words at 16 MiB and at 256 MiB.  Per-block arrays would cost
+   9 B per 64-byte block: 4.7 M words at 256 MiB. *)
+let test_attach_allocation_bound () =
+  let attach_words heap_len =
+    let heap_base = T.table_bytes ~heap_len in
+    let dev = D.create ~size:(heap_base + heap_len) () in
+    ignore (B.create ~stripes:8 dev ~table_base ~heap_base ~heap_len);
+    (* [Gc.counters]' minor count lags; [Gc.minor_words] does not. *)
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let w0 = words () in
+    ignore (Sys.opaque_identity (B.attach ~stripes:8 dev ~table_base ~heap_base ~heap_len));
+    words () -. w0
+  in
+  let small = attach_words (16 lsl 20) and large = attach_words (256 lsl 20) in
+  if small > 10_000. || large > 10_000. then
+    Alcotest.failf "attach allocated %.0f words at 16 MiB, %.0f at 256 MiB" small large;
+  if large > small +. 1_000. then
+    Alcotest.failf "attach grows with the heap: %.0f words at 16 MiB, %.0f at 256 MiB"
+      small large
+
+(* [Int_pairs] against a list of pairs: keys collide and repeat, the
+   table grows past its initial size and shrinks at a clear, and removal
+   shifts probe runs back.  [find], [replace] and [remove] all take the
+   first entry of a key's run, so the model edits the pair [find]
+   named. *)
+let qcheck_int_pairs =
+  let module IP = Palloc.Int_pairs in
+  let key = QCheck.(map (fun k -> k * 4096) (int_bound 40)) in
+  QCheck.Test.make ~name:"Int_pairs matches a pair list" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_bound 200)
+        (frequency
+           [
+             (6, map (fun (k, v) -> `Add (k, v)) (pair key (int_bound 3)));
+             (3, map (fun k -> `Remove k) key);
+             (2, map (fun (k, v) -> `Replace (k, v)) (pair key (int_bound 3)));
+             (1, always `Clear);
+           ]))
+    (fun ops ->
+      let t = IP.create () and model = ref [] in
+      let rec drop p = function
+        | [] -> []
+        | q :: rest -> if q = p then rest else q :: drop p rest
+      in
+      let agrees () =
+        List.for_all
+          (fun i ->
+            let k = i * 4096 in
+            let v = IP.find t k in
+            (if v = -1 then not (List.mem_assoc k !model)
+             else List.mem (k, v) !model)
+            && List.for_all
+                 (fun v -> IP.mem t k v = List.mem (k, v) !model)
+                 [ 0; 1; 2; 3 ])
+          (List.init 41 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add (k, v) ->
+              IP.add t k v;
+              model := (k, v) :: !model
+          | `Replace (k, v) -> (
+              match IP.find t k with
+              | -1 ->
+                  Alcotest.check_raises "replace of an absent key" Not_found
+                    (fun () -> IP.replace t k v)
+              | old ->
+                  IP.replace t k v;
+                  model := (k, v) :: drop (k, old) !model)
+          | `Remove k ->
+              let v = IP.find t k in
+              IP.remove t k;
+              if v <> -1 then model := drop (k, v) !model
+          | `Clear ->
+              IP.clear t;
+              model := []);
+          agrees ())
+        ops)
 
 (* {1 Line-granular table walk} *)
 
@@ -509,6 +690,8 @@ let () =
           Alcotest.test_case "attach load bound" `Quick test_attach_load_bound;
           Alcotest.test_case "wrapped order rejected" `Quick
             test_attach_rejects_wrapped_order;
+          Alcotest.test_case "attach allocation bound" `Quick
+            test_attach_allocation_bound;
         ] );
       ( "stripes",
         [
@@ -517,6 +700,7 @@ let () =
             test_stripes_steal_under_pressure;
           Alcotest.test_case "block size capped by span" `Quick
             test_stripes_cap_block_size;
+          Alcotest.test_case "extreme hints" `Quick test_stripes_extreme_hints;
           Alcotest.test_case "parallel domains" `Slow
             test_stripes_parallel_domains;
           QCheck_alcotest.to_alcotest qcheck_striped_random_ops;
@@ -525,11 +709,19 @@ let () =
         [
           Alcotest.test_case "live blocks" `Quick test_live_blocks_walk;
           Alcotest.test_case "report" `Quick test_report;
+          Alcotest.test_case "open reservation is a hole" `Quick
+            test_check_open_reservation;
+          Alcotest.test_case "mark on a free block overlaps" `Quick
+            test_check_mark_on_free_block;
+          Alcotest.test_case "misaligned and overflowing blocks" `Quick
+            test_check_bad_blocks;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest qcheck_random_ops;
           QCheck_alcotest.to_alcotest qcheck_rebuild_equiv;
           QCheck_alcotest.to_alcotest qcheck_line_walk_equiv;
+          QCheck_alcotest.to_alcotest qcheck_incremental_equals_rebuilt;
+          QCheck_alcotest.to_alcotest qcheck_int_pairs;
         ] );
     ]

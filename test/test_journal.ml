@@ -634,56 +634,6 @@ let qcheck_random_tx_atomicity =
       ignore crashed;
       now = committed_vals || now = original_vals)
 
-(* [Int_pairs] against a list of pairs: keys collide and repeat, the
-   table grows past its initial size and shrinks at a clear, and removal
-   shifts probe runs back.  [find] and [remove] both take the first
-   entry of a key's run, so the model removes the pair [find] named. *)
-let qcheck_int_pairs =
-  let module IP = Pjournal.Int_pairs in
-  let key = QCheck.(map (fun k -> k * 4096) (int_bound 40)) in
-  QCheck.Test.make ~name:"Int_pairs matches a pair list" ~count:300
-    QCheck.(
-      list_of_size Gen.(int_bound 200)
-        (frequency
-           [
-             (6, map (fun (k, v) -> `Add (k, v)) (pair key (int_bound 3)));
-             (3, map (fun k -> `Remove k) key);
-             (1, always `Clear);
-           ]))
-    (fun ops ->
-      let t = IP.create () and model = ref [] in
-      let rec drop p = function
-        | [] -> []
-        | q :: rest -> if q = p then rest else q :: drop p rest
-      in
-      let agrees () =
-        List.for_all
-          (fun i ->
-            let k = i * 4096 in
-            let v = IP.find t k in
-            (if v = -1 then not (List.mem_assoc k !model)
-             else List.mem (k, v) !model)
-            && List.for_all
-                 (fun v -> IP.mem t k v = List.mem (k, v) !model)
-                 [ 0; 1; 2; 3 ])
-          (List.init 41 Fun.id)
-      in
-      List.for_all
-        (fun op ->
-          (match op with
-          | `Add (k, v) ->
-              IP.add t k v;
-              model := (k, v) :: !model
-          | `Remove k ->
-              let v = IP.find t k in
-              IP.remove t k;
-              if v <> -1 then model := drop (k, v) !model
-          | `Clear ->
-              IP.clear t;
-              model := []);
-          agrees ())
-        ops)
-
 let () =
   Alcotest.run "pjournal"
     [
@@ -741,6 +691,5 @@ let () =
       ( "property",
         [
           QCheck_alcotest.to_alcotest qcheck_random_tx_atomicity;
-          QCheck_alcotest.to_alcotest qcheck_int_pairs;
         ] );
     ]
