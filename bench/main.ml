@@ -450,10 +450,11 @@ let run_waste ~waste_json ~waste_baseline ~waste_trace ~waste_capture =
 
 (* One crash/recover cycle on a fresh pool of the given size: populate,
    crash mid-transaction at a persist point, power-cycle, re-attach.
-   Returns the simulated ns the attach (journal recovery + allocation
-   table scan) cost, its host wall-clock seconds and the recovery stats.
-   The per-phase breakdown also lands in the metrics histograms
-   [recovery.phase.*_ns]. *)
+   Returns the simulated ns the attach (journal recovery) cost, its host
+   wall-clock seconds, the recovery stats and the simulated ns of the
+   first reserve after it, which builds stripe 0's free lists from its
+   table slice.  The per-phase breakdown also lands in the metrics
+   histograms [recovery.phase.*_ns]. *)
 let recovery_cycle ~size =
   let slot_size = max (64 * 1024) (min (1024 * 1024) (size / 32)) in
   let config = { Pool_impl.size; nslots = 4; slot_size } in
@@ -487,7 +488,10 @@ let recovery_cycle ~size =
   let pool2 = Pool_impl.attach dev in
   let t1 = Pmem.Device.simulated_ns dev and h1 = Unix.gettimeofday () in
   let stats = Pool_impl.recovery_stats pool2 in
-  (t1 -. t0, h1 -. h0, stats)
+  let buddy = Pool_impl.buddy pool2 in
+  let r = Palloc.Buddy.reserve buddy 64 in
+  Palloc.Buddy.cancel buddy r;
+  (t1 -. t0, h1 -. h0, stats, Pmem.Device.simulated_ns dev -. t1)
 
 let pctl sorted q =
   match Array.length sorted with
@@ -503,11 +507,13 @@ let run_recovery_latency ~sizes ~repeats ~metrics_out ~max_p99 =
         List.map
           (fun size ->
             let totals = Array.make repeats 0.0 and hosts = Array.make repeats 0.0 in
+            let firsts = Array.make repeats 0.0 in
             let phase_acc = ref [] in
             for r = 0 to repeats - 1 do
-              let total, host, stats = recovery_cycle ~size in
+              let total, host, stats, first = recovery_cycle ~size in
               totals.(r) <- total;
               hosts.(r) <- host;
+              firsts.(r) <- first;
               List.iter
                 (fun (name, dur) ->
                   phase_acc :=
@@ -519,11 +525,13 @@ let run_recovery_latency ~sizes ~repeats ~metrics_out ~max_p99 =
             done;
             Array.sort compare totals;
             Array.sort compare hosts;
+            Array.sort compare firsts;
             let p50 = pctl totals 0.5 and p99 = pctl totals 0.99 in
             Printf.printf
               "recovery-latency: pool %d MiB, %d cycles: attach p50=%.0f ns \
-               p99=%.0f ns, host p50=%.3f ms\n"
-              (size / 1024 / 1024) repeats p50 p99 (pctl hosts 0.5 *. 1e3);
+               p99=%.0f ns, host p50=%.3f ms, first reserve p50=%.0f ns\n"
+              (size / 1024 / 1024) repeats p50 p99 (pctl hosts 0.5 *. 1e3)
+              (pctl firsts 0.5);
             let per = float_of_int repeats in
             List.iter
               (fun (name, dur) ->

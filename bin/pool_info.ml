@@ -35,6 +35,13 @@ let corrupt path msg =
   Printf.eprintf "error: %s: %s (run fsck)\n" path msg;
   exit 1
 
+(* The allocator reads a stripe's table slice at the stripe's first
+   use, not at attach, so a command that allocates or walks after
+   attaching reports the corruption wherever it surfaces. *)
+let or_corrupt path f =
+  try f () with Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
+    corrupt path msg
+
 let inspect path dev =
   match Corundum.Pool_inspect.inspect_device dev with
   | info -> info
@@ -48,7 +55,7 @@ let write_json path json =
    attach runs on the in-memory image (Device.load never writes back)
    with the null trace subscriber installed so the recovery path takes
    its timed branches; the per-phase simulated-ns ledger (walk,
-   rollback, drop_apply, remark, truncate, table_scan) comes back in
+   rollback, drop_apply, remark, truncate, cow) comes back in
    Recovery.stats.phase_ns. *)
 let info_json ~path (i : Corundum.Pool_inspect.info)
     (recovery : (Pjournal.Recovery.stats, string) result) =
@@ -381,6 +388,7 @@ let leak_json ~path ~root (r : Crashtest.Leak_check.report) =
     ]
 
 let run_leak root json path =
+  or_corrupt path @@ fun () ->
   let dev = load path in
   let pool =
     match Corundum.Pool_impl.attach dev with
@@ -388,8 +396,6 @@ let run_leak root json path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 2
-    | exception Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
-        corrupt path msg
   in
   let report =
     match root with
@@ -414,6 +420,7 @@ let run_leak root json path =
    metrics registry — flushes/tx, fences/tx, logged bytes/tx and the
    latency histograms for this pool's actual layout and contents. *)
 let run_top probes path =
+  or_corrupt path @@ fun () ->
   (* Optane latencies so the tx.latency_ns histogram is meaningful. *)
   let dev = load ~latency:Pmem.Latency.optane path in
   Ptelemetry.Trace.install_ring ~capacity:(1 lsl 16) ();
@@ -424,8 +431,6 @@ let run_top probes path =
     | exception Corundum.Pool_impl.Recovery_needed msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1
-    | exception Invalid_argument msg when Palloc.Alloc_table.is_order_error msg ->
-        corrupt path msg
   in
   let module A = Engines.Attribution in
   let s = A.probe_summary ~probes pool in

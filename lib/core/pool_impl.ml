@@ -241,11 +241,13 @@ let attach ?(mode = Read_write) dev =
   let heap_len = D.read_int dev H.hdr_heap_len in
   let table_base = D.read_int dev H.hdr_table_base in
   let heap_base = D.read_int dev H.hdr_heap_base in
+  (* The buddy attach reads no table byte: each stripe builds its free
+     lists from its own slice of the table at its first use. *)
+  let buddy = B.attach ~stripes:nslots dev ~table_base ~heap_base ~heap_len in
   let recovery =
     match mode with
-    | Read_only -> None
+    | Read_only -> R.empty_stats
     | Read_write ->
-        let table = T.attach dev ~table_base ~heap_base ~heap_len in
         let t0 = D.simulated_ns dev in
         (* Recovery restores logged heap state outside any transaction —
            that is the protocol, not a violation, so the audit window is
@@ -256,63 +258,39 @@ let attach ?(mode = Read_write) dev =
             ~finally:(fun () ->
               if Pr.on () then Pr.emit (Pr.Exempt_pop { dev = D.id dev }))
             (fun () ->
-              R.recover dev table ~journal_base:H.header_size ~slot_size ~nslots)
+              R.recover dev (B.table buddy) ~journal_base:H.header_size ~slot_size
+                ~nslots)
         in
-        Some (t0, r)
-  in
-  (* The buddy attach rescans the allocation table to rebuild its
-     volatile free lists, one load per table line it enters (a line per
-     4 KiB of heap) — the component of recovery latency that grows with
-     pool size, timed as its own phase. *)
-  let ts0 = D.simulated_ns dev in
-  let buddy = B.attach ~stripes:nslots dev ~table_base ~heap_base ~heap_len in
-  let recovery =
-    match recovery with
-    | None -> R.empty_stats
-    | Some (t0, r) ->
-        let ts1 = D.simulated_ns dev in
+        let cs0 = D.simulated_ns dev in
         (* The open-time recovery summary: journal recovery (walk,
-           rollback, drops, remark, truncate across all slots) plus the
-           table rescan. *)
-        if Pr.on () then begin
-          let dev = D.id dev in
-          Pr.emit
-            (Pr.Recovery_phase
-               { dev; phase = "table_scan"; ns = ts1; dur_ns = ts1 -. ts0 });
+           rollback, drops, remark, truncate across all slots). *)
+        if Pr.on () then
           Pr.emit
             (Pr.Recovery
                {
-                 dev;
-                 ns = ts1;
-                 dur_ns = ts1 -. t0;
+                 dev = D.id dev;
+                 ns = cs0;
+                 dur_ns = cs0 -. t0;
                  slots = r.R.slots_scanned;
                  rolled_back = r.R.rolled_back;
                  completed = r.R.completed;
                  entries_skipped = r.R.entries_skipped;
-               })
-        end;
-        { r with R.phase_ns = R.add_phase "table_scan" (ts1 -. ts0) r.R.phase_ns }
-  in
-  (* CoW root cells: resolve any pending intent (roll the interrupted
-     mod-engine transaction forward or back).  Runs after the buddy
-     attach because a rollback edits allocation-table bytes, which then
-     invalidates the freshly rebuilt free lists. *)
-  let recovery =
-    if mode <> Read_write then recovery
-    else begin
-      let cs0 = D.simulated_ns dev in
-      let cst = Cow_root.recover dev (B.table buddy) in
-      if cst.Cow_root.table_edited then B.rebuild buddy;
-      let cs1 = D.simulated_ns dev in
-      if Pr.on () && (cst.Cow_root.rolled_forward > 0 || cst.Cow_root.rolled_back > 0)
-      then
-        Pr.emit
-          (Pr.Recovery_phase
-             { dev = D.id dev; phase = "cow"; ns = cs1; dur_ns = cs1 -. cs0 });
-      if cs1 > cs0 then
-        { recovery with R.phase_ns = R.add_phase "cow" (cs1 -. cs0) recovery.R.phase_ns }
-      else recovery
-    end
+               });
+        (* CoW root cells: resolve any pending intent (roll the
+           interrupted mod-engine transaction forward or back).  A
+           rollback edits allocation-table bytes, so any stripe lists
+           built from them are dropped. *)
+        let cst = Cow_root.recover dev (B.table buddy) in
+        if cst.Cow_root.table_edited then B.rebuild buddy;
+        let cs1 = D.simulated_ns dev in
+        if Pr.on () && (cst.Cow_root.rolled_forward > 0 || cst.Cow_root.rolled_back > 0)
+        then
+          Pr.emit
+            (Pr.Recovery_phase
+               { dev = D.id dev; phase = "cow"; ns = cs1; dur_ns = cs1 -. cs0 });
+        if cs1 > cs0 then
+          { r with R.phase_ns = R.add_phase "cow" (cs1 -. cs0) r.R.phase_ns }
+        else r
   in
   if mode = Read_write then bump_generation dev;
   build ~read_only:(mode = Read_only) dev ~buddy ~nslots ~slot_size ~table_base

@@ -83,11 +83,12 @@ let rec skip_zeros buf i len =
 let order_error = "Alloc_table.iter_allocated: "
 let is_order_error msg = String.starts_with ~prefix:order_error msg
 
-let iter_allocated t f =
+let iter_allocated ?(lo = 0) ?hi t f =
+  let hi = Option.value hi ~default:t.nblocks in
   let buf = Bytes.create Pmem.Device.line_size in
-  let table_end = t.table_base + t.nblocks in
+  let table_end = t.table_base + hi in
   let rec line idx =
-    if idx < t.nblocks then begin
+    if idx < hi then begin
       let a = t.table_base + idx in
       let len = min ((a lor (Pmem.Device.line_size - 1)) + 1) table_end - a in
       Pmem.Device.read_into t.dev a buf len;
@@ -109,4 +110,4 @@ let iter_allocated t f =
     end
     else line (base + len)
   in
-  line 0
+  line lo

@@ -61,14 +61,16 @@ val entry_line : t -> int -> int
 val order_at : t -> idx:int -> int option
 (** [Some order] if [idx] is an allocated head, [None] if the byte is 0. *)
 
-val iter_allocated : t -> (idx:int -> order:int -> unit) -> unit
+val iter_allocated : ?lo:int -> ?hi:int -> t -> (idx:int -> order:int -> unit) -> unit
 (** Visit every allocated head in index order; the iteration skips the
-    interior blocks of each allocation.  The table is read one cache line
-    per load (lines wholly inside an allocation are not read at all), so
-    [f] must not write the table: the rest of the current line is already
-    buffered and would go stale.  Raises [Invalid_argument] at a head
-    whose order is too large for its block size to be an [int] (a
-    corrupt table byte such as [0x40]), before [f] sees it. *)
+    interior blocks of each allocation.  [lo] and [hi] (default the whole
+    table) bound the walk: it starts at [lo] and loads no byte past [hi].
+    The table is read one cache line per load (lines wholly inside an
+    allocation are not read at all), so [f] must not write the table: the
+    rest of the current line is already buffered and would go stale.
+    Raises [Invalid_argument] at a head whose order is too large for its
+    block size to be an [int] (a corrupt table byte such as [0x40]),
+    before [f] sees it. *)
 
 val is_order_error : string -> bool
 (** Whether an [Invalid_argument] message is {!iter_allocated}'s

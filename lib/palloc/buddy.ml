@@ -35,6 +35,7 @@ type stripe = {
   mutable nonempty : int; (* bitmask: order o set iff tops.(o) > 0 *)
   heads : Int_pairs.t; (* free head idx -> (pos lsl 6) lor order *)
   mutable free_bytes : int;
+  mutable built : bool; (* lists derived from the table since attach/rebuild *)
   steals : int Atomic.t; (* reserves served here for another stripe's hint *)
   contended : int Atomic.t; (* lock acquisitions that found it held *)
   lo : int; (* first block index (inclusive) *)
@@ -76,17 +77,14 @@ let max_order t = t.max_order
 let stripes t = Array.length t.stripes
 let capacity t = Alloc_table.heap_len t.table
 
-let free_bytes t =
-  Array.fold_left (fun acc s -> acc + s.free_bytes) 0 t.stripes
-
-let used_bytes t = capacity t - free_bytes t
-
 let locked s f =
   if not (Mutex.try_lock s.lock) then begin
     Atomic.incr s.contended;
     Mutex.lock s.lock
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+  match f () with
+  | v -> Mutex.unlock s.lock; v
+  | exception e -> Mutex.unlock s.lock; raise e
 
 let dev t = Alloc_table.device t.table
 
@@ -179,36 +177,35 @@ let rec insert_merged t s idx order =
   end
   else add_free s order idx
 
-let reset_stripe max_order s =
-  s.stacks <- Array.make (max_order + 1) [||];
-  Array.fill s.tops 0 (max_order + 1) 0;
+(* Carve a stripe's free lists from its own table slice, exactly as one
+   walk of the whole table would.  A block from a coarser striping may
+   cover [s.lo]: its head is [s.lo] rounded down to an order above
+   [max_order], so those candidate heads are probed first, lowest first,
+   skipping any already probed or inside a block seen. *)
+let build t s =
+  s.stacks <- Array.make (t.max_order + 1) [||];
+  Array.fill s.tops 0 (t.max_order + 1) 0;
   s.nonempty <- 0;
   Int_pairs.clear s.heads;
-  s.free_bytes <- 0
-
-(* One pass over the table: free gaps between allocated heads are carved
-   into the owning stripes.  [iter_allocated] already skips allocation
-   interiors, so the rebuild is a single linear scan. *)
-let rebuild_locked t =
-  Array.iter (reset_stripe t.max_order) t.stripes;
-  let nblocks = Alloc_table.nblocks t.table in
-  let carve_range lo hi =
-    (* split the range at stripe boundaries *)
-    let rec go lo =
-      if lo < hi then begin
-        let s = t.stripes.(stripe_of t lo) in
-        let stop = min hi s.hi in
-        carve t s lo stop;
-        go stop
-      end
-    in
-    go lo
+  s.free_bytes <- 0;
+  let rec probe o reach =
+    let c = s.lo land lnot ((1 lsl o) - 1) in
+    if o <= t.max_order then reach
+    else if c < reach || c >= s.lo then probe (o - 1) reach
+    else
+      match Alloc_table.order_at t.table ~idx:c with
+      | Some k when c + (1 lsl k) > c -> probe (o - 1) (c + (1 lsl k))
+      | _ -> probe (o - 1) (c + 1)
   in
-  let cursor = ref 0 in
-  Alloc_table.iter_allocated t.table (fun ~idx ~order ->
-      if !cursor < idx then carve_range !cursor idx;
+  let cursor = ref (max s.lo (probe (log2_floor (Alloc_table.nblocks t.table)) 0)) in
+  Alloc_table.iter_allocated ~lo:!cursor ~hi:s.hi t.table (fun ~idx ~order ->
+      if !cursor < idx then carve t s !cursor idx;
       cursor := idx + (1 lsl order));
-  if !cursor < nblocks then carve_range !cursor nblocks
+  if !cursor < s.hi then carve t s !cursor s.hi;
+  s.built <- true
+
+(* Every use of a stripe's lists starts here, under its lock. *)
+let ensure_built t s = if not s.built then build t s
 
 let make dev ~table_base ~heap_base ~heap_len ~stripes ~fresh =
   if stripes <= 0 then invalid_arg "Buddy: stripe count must be positive";
@@ -226,10 +223,9 @@ let make dev ~table_base ~heap_base ~heap_len ~stripes ~fresh =
     end
   in
   let max_order = log2_floor span in
-  let nstripes = if stripes = 1 then 1 else stripes in
   let mk i =
     let lo = i * span in
-    let hi = if i = nstripes - 1 then nblocks else (i + 1) * span in
+    let hi = if i = stripes - 1 then nblocks else (i + 1) * span in
     {
       lock = Mutex.create ();
       stacks = Array.make (max_order + 1) [||];
@@ -237,21 +233,16 @@ let make dev ~table_base ~heap_base ~heap_len ~stripes ~fresh =
       nonempty = 0;
       heads = Int_pairs.create ();
       free_bytes = 0;
+      built = false;
       steals = Atomic.make 0;
       contended = Atomic.make 0;
       lo;
       hi;
     }
   in
-  let t =
-    {
-      table;
-      stripes = Array.init nstripes mk;
-      span;
-      max_order;
-    }
-  in
-  rebuild_locked t;
+  let t = { table; stripes = Array.init stripes mk; span; max_order } in
+  (* A fresh table is all zero: each stripe is one free gap. *)
+  if fresh then Array.iter (fun s -> carve t s s.lo s.hi; s.built <- true) t.stripes;
   t
 
 let create ?(stripes = 1) dev ~table_base ~heap_base ~heap_len =
@@ -260,11 +251,18 @@ let create ?(stripes = 1) dev ~table_base ~heap_base ~heap_len =
 let attach ?(stripes = 1) dev ~table_base ~heap_base ~heap_len =
   make dev ~table_base ~heap_base ~heap_len ~stripes ~fresh:false
 
-let rebuild t = rebuild_locked t
+let rebuild t = Array.iter (fun s -> locked s (fun () -> s.built <- false)) t.stripes
+
+let free_bytes t =
+  let stripe_free s = locked s (fun () -> ensure_built t s; s.free_bytes) in
+  Array.fold_left (fun acc s -> acc + stripe_free s) 0 t.stripes
+
+let used_bytes t = capacity t - free_bytes t
 
 (* Reserve within one stripe; returns None when it cannot satisfy. *)
 let reserve_in t s order =
   locked s (fun () ->
+      ensure_built t s;
       match find_order s order with
       | -1 -> None
       | j ->
@@ -306,7 +304,7 @@ let reserve ?(hint = 0) t size =
 
 let cancel t r =
   let s = t.stripes.(stripe_of t r.r_idx) in
-  locked s (fun () -> insert_merged t s r.r_idx r.r_order)
+  locked s (fun () -> ensure_built t s; insert_merged t s r.r_idx r.r_order)
 
 (* One probe event per committed allocation / completed free, sized by
    the rounded block the heap actually loses or regains. *)
@@ -350,10 +348,24 @@ let release t off ~missing_ok ~durable =
   match Alloc_table.order_at t.table ~idx with
   | None -> if not missing_ok then raise (Invalid_free off)
   | Some order ->
-      if durable then Alloc_table.clear_durable t.table ~idx
-      else Alloc_table.clear t.table ~idx;
-      let s = t.stripes.(stripe_of t idx) in
-      locked s (fun () -> insert_merged t s idx order);
+      (* The clear is stored under the locks of the stripes the block
+         covers (several only for a block wider than a stripe): one built
+         before gets the block inserted, one built after finds it free. *)
+      let stop = idx + (1 lsl order) in
+      let last = stripe_of t (max idx (stop - 1)) in
+      let rec under i =
+        if i > last then
+          if durable then Alloc_table.clear_durable t.table ~idx
+          else Alloc_table.clear t.table ~idx
+        else
+          let s = t.stripes.(i) in
+          locked s (fun () ->
+              under (i + 1);
+              if s.built then
+                if order <= t.max_order then insert_merged t s idx order
+                else carve t s (max idx s.lo) (min stop s.hi))
+      in
+      under (stripe_of t idx);
       if Pr.on () then probe_block t ~free:true ~off ~len:(size_of_order order)
 
 let dealloc ?(durable = true) t off = release t off ~missing_ok:false ~durable
@@ -369,6 +381,7 @@ let fold_free t ~init ~f =
   Array.fold_left
     (fun acc s ->
       locked s (fun () ->
+          ensure_built t s;
           let acc = ref acc in
           Array.iteri
             (fun order st ->
@@ -383,6 +396,7 @@ let stripe_stats t =
   Array.map
     (fun s ->
       locked s (fun () ->
+          ensure_built t s;
           {
             ss_lo = Alloc_table.offset_of_index t.table s.lo;
             ss_hi =

@@ -1,16 +1,17 @@
 (** Crash-consistent buddy allocator over a {!Pmem.Device} heap region.
 
     Durable state is the {!Alloc_table}; free space is tracked in volatile
-    per-stripe free lists rebuilt from the table at {!attach} time, so the
-    allocator itself never needs multi-word atomic updates.  The volatile
-    side is O(1) per operation and sized by the free heads, not the heap:
-    array-backed LIFO stacks per order, a sparse {!Int_pairs} index from
-    each free head to its order and stack position (buddy-membership
-    tests and O(1) unlinking), and a non-empty-order bitmask, so
-    reserve/insert/merge never scan and {!rebuild} is a single table
-    walk.  The index costs 32–64 B per free head against a fixed 9 B per
-    64-byte block for per-block arrays, so it is the larger only on a heap
-    where about one block in seven or more heads a free list.
+    per-stripe free lists derived from it, so the allocator itself never
+    needs multi-word atomic updates.  {!attach} reads no table byte: the
+    first operation on a stripe builds its lists from its table slice,
+    and pays for it.  The volatile side is O(1) per operation and sized
+    by the free heads, not the heap: array-backed LIFO stacks per order,
+    a sparse {!Int_pairs} index from each free head to its order and
+    stack position (buddy-membership tests and O(1) unlinking), and a
+    non-empty-order bitmask, so reserve/insert/merge never scan.  The
+    index costs 32–64 B per free head against a fixed 9 B per 64-byte
+    block for per-block arrays, so it is the larger only on a heap where
+    about one block in seven or more heads a free list.
 
     Transactional allocation uses a three-step protocol driven by the
     journal layer:
@@ -57,7 +58,9 @@ val create :
 
 val attach :
   ?stripes:int -> Pmem.Device.t -> table_base:int -> heap_base:int -> heap_len:int -> t
-(** Bind to an existing heap and rebuild the free lists from the table.
+(** Bind to an existing heap without reading it: a stripe's free lists
+    are built from its table slice at its first use, which is also where
+    an impossible order byte ({!Alloc_table.iter_allocated}) raises.
     The striping is volatile policy, not media format: any [stripes]
     value may be used on any heap. *)
 
@@ -114,8 +117,8 @@ val dealloc_if_live : ?durable:bool -> t -> int -> unit
     idempotent form used when re-applying drop logs during recovery. *)
 
 val rebuild : t -> unit
-(** Drop and re-derive the volatile free lists from the table (used after
-    recovery has edited table bytes directly). *)
+(** Drop the volatile free lists, to be built again from the table at each
+    stripe's next use (after recovery has edited table bytes directly). *)
 
 (** {1 Introspection} *)
 

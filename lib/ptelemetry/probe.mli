@@ -99,15 +99,15 @@ type event =
           after the commit point made the drop records durable. *)
   | Recovery_phase of { dev : int; phase : string; ns : float; dur_ns : float }
       (** One recovery phase ([walk], [rollback], [drop_apply],
-          [remark], [truncate], [table_scan], [cow], [fsck]) finished
+          [remark], [truncate], [cow], [fsck]) finished
           having taken [dur_ns] simulated nanoseconds.  Journal phases
           are reported per slot. *)
   | Recovery of {
       dev : int; ns : float; dur_ns : float;
       slots : int; rolled_back : int; completed : int; entries_skipped : int;
     }
-      (** Open-time recovery of the pool on [dev] — journal recovery
-          plus the allocation-table scan — finished after [dur_ns]. *)
+      (** Open-time journal recovery of the pool on [dev] finished
+          after [dur_ns] (attach reads no allocation-table byte). *)
   | Cow_shadow of { dev : int; off : int; len : int }
       (** The current CoW transaction wrote [off, off+len) as shadow
           state (a fresh node or the root block's inactive copy):

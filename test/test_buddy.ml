@@ -530,15 +530,21 @@ let byte_walk tbl =
   in
   go 0 []
 
-(* The free lists a one-stripe rebuild carves from [heads]: each gap
-   split into maximal aligned blocks. *)
-let ref_free heads nblocks =
-  let max_order = log2 nblocks in
+(* The free lists one walk of the whole table carves from [heads] for
+   an allocator of [stripes] stripes: each gap split at stripe starts
+   into maximal aligned blocks no larger than a stripe's span. *)
+let ref_free ?(stripes = 1) heads nblocks =
+  let span = if stripes = 1 then nblocks else 1 lsl log2 (nblocks / stripes) in
+  let max_order = log2 span in
+  let stripe_end lo =
+    if lo / span >= stripes - 1 then nblocks else ((lo / span) + 1) * span
+  in
   let rec carve lo hi acc =
     if lo >= hi then acc
     else
       let by_align = if lo = 0 then max_order else log2 (lo land -lo) in
-      let order = min max_order (min by_align (log2 (hi - lo))) in
+      let by_len = log2 (min hi (stripe_end lo) - lo) in
+      let order = min max_order (min by_align by_len) in
       carve (lo + (1 lsl order)) hi ((lo, order) :: acc)
   in
   let cursor, acc =
@@ -549,10 +555,10 @@ let ref_free heads nblocks =
   List.sort compare (carve cursor nblocks acc)
 
 (* A random table of [nblocks] entries whose entry 0 sits at device
-   offset [table_base]: free gaps, aligned heads of order 0..6 (half of
-   them with garbage interior bytes), and order-0 heads on the last byte
-   of a device line. *)
-let random_table rng ~table_base nblocks =
+   offset [table_base]: free gaps, aligned heads of order 0..[max_order]
+   (half of them with garbage interior bytes), and order-0 heads on the
+   last byte of a device line. *)
+let random_table ?(max_order = 6) rng ~table_base nblocks =
   let tbl = Bytes.make nblocks '\000' in
   let rec fill idx =
     if idx < nblocks then
@@ -565,7 +571,7 @@ let random_table rng ~table_base nblocks =
             fill (last + 1)
           end
       | _ ->
-          let want = Random.State.int rng 7 in
+          let want = Random.State.int rng (max_order + 1) in
           let order = if idx = 0 then want else min want (log2 (idx land -idx)) in
           let rec fit o = if idx + (1 lsl o) <= nblocks then o else fit (o - 1) in
           let order = fit order in
@@ -613,29 +619,60 @@ let qcheck_line_walk_equiv =
       in
       List.sort compare free = ref_free heads nblocks)
 
-(* Known answers for [Buddy.attach]: a table straddling 9 device lines
-   costs one load per line it enters, at most ceil(bytes / 64) + 1. *)
+let loads_of dev f =
+  let l0 = (D.stats dev).D.loads in
+  f ();
+  (D.stats dev).D.loads - l0
+
+(* Known answers for the lazy stripe builds: [Buddy.attach] loads no
+   table byte, and a stripe's first use loads each line of its own table
+   slice once — at most ceil(bytes / 64) + 1 for a slice straddling
+   lines — plus one byte per candidate head below the stripe that a
+   block from a coarser striping could start at. *)
 let test_attach_load_bound () =
   let table_base = 32 and nblocks = 512 in
-  let attach_loads tbl =
+  let first_use_loads ?(stripes = 1) ?(hint = 0) tbl =
     let dev, heap_base, heap_len = table_device ~table_base tbl in
-    let l0 = (D.stats dev).D.loads in
-    ignore (B.attach dev ~table_base ~heap_base ~heap_len);
-    (D.stats dev).D.loads - l0
+    let buddy = ref None in
+    check_int "attach loads nothing" 0
+      (loads_of dev (fun () ->
+           buddy := Some (B.attach ~stripes dev ~table_base ~heap_base ~heap_len)));
+    let buddy = Option.get !buddy in
+    loads_of dev (fun () ->
+        match B.reserve ~hint buddy 64 with
+        | r -> B.cancel buddy r
+        | exception B.Out_of_pmem -> ())
   in
   check_int "bound" 9 (lines_of nblocks + 1);
   check_int "empty table: every line once" 9
-    (attach_loads (Bytes.make nblocks '\000'));
+    (first_use_loads (Bytes.make nblocks '\000'));
   check_int "dense order-0 heads: every line once" 9
-    (attach_loads (Bytes.make nblocks '\001'));
+    (first_use_loads (Bytes.make nblocks '\001'));
   let whole = Bytes.make nblocks '\255' in
   Bytes.set whole 0 (Char.chr (log2 nblocks + 1));
-  check_int "one block over the heap: its head line only" 1 (attach_loads whole)
+  check_int "one block over the heap: its head line only" 1 (first_use_loads whole);
+  (* 8 stripes of 64 entries, each slice across 2 lines; stripe k's
+     candidate heads are k*64 rounded down to 128, 256 and 512 *)
+  let empty = Bytes.make nblocks '\000' in
+  check_int "stripe 0: its 2 lines, no candidates" 2 (first_use_loads ~stripes:8 empty);
+  check_int "stripe 3: its 2 lines, candidates 0 and 128" 4
+    (first_use_loads ~stripes:8 ~hint:3 empty);
+  check_int "stripe 7: its 2 lines, candidates 0, 256 and 384" 5
+    (first_use_loads ~stripes:8 ~hint:7 empty);
+  (* an order-8 block at 256, written by a coarser striping, covers
+     stripes 4 to 7: stripe 7's build loads candidates 0 and 256 and
+     none of its lines; the reserve then steals from stripe 0 *)
+  let wide = Bytes.make nblocks '\000' in
+  Bytes.set wide 256 (Char.chr 9);
+  check_int "stripe 7 inside a wider block, then stripe 0" (2 + 2)
+    (first_use_loads ~stripes:8 ~hint:7 wide)
 
 (* A head byte whose order overflows the block-size shift (0x40, 0x80
    and 0xC0 make [1 lsl order] zero, 0x3F and 0xFF negative) is
-   rejected by the walk and by attach, naming the block, instead of
-   looping forever or loading at a negative offset. *)
+   rejected by the walk, naming the block, instead of looping forever or
+   loading at a negative offset.  Attach reads no table byte, so the
+   allocator reports it at the first use of the block's stripe: its
+   first [fold_free] or [reserve], and every later one. *)
 let test_attach_rejects_wrapped_order () =
   let table_base = 32 and nblocks = 512 in
   List.iter
@@ -647,12 +684,165 @@ let test_attach_rejects_wrapped_order () =
         Invalid_argument
           (Printf.sprintf "Alloc_table.iter_allocated: block 100 has order %d" (b - 1))
       in
-      Alcotest.check_raises (Printf.sprintf "walk of 0x%02X" b) err (fun () ->
+      let name what = Printf.sprintf "%s of 0x%02X" what b in
+      Alcotest.check_raises (name "walk") err (fun () ->
           T.iter_allocated (T.attach dev ~table_base ~heap_base ~heap_len)
             (fun ~idx:_ ~order:_ -> ()));
-      Alcotest.check_raises (Printf.sprintf "attach of 0x%02X" b) err (fun () ->
-          ignore (B.attach dev ~table_base ~heap_base ~heap_len)))
+      let buddy = B.attach dev ~table_base ~heap_base ~heap_len in
+      Alcotest.check_raises (name "fold_free") err (fun () ->
+          ignore (B.fold_free buddy ~init:() ~f:(fun () ~idx:_ ~order:_ -> ())));
+      Alcotest.check_raises (name "reserve after fold_free") err (fun () ->
+          ignore (B.reserve buddy 64));
+      (* block 100 is in stripe 1 of 8: stripe 0 serves a reserve *)
+      let striped = B.attach ~stripes:8 dev ~table_base ~heap_base ~heap_len in
+      B.cancel striped (B.reserve ~hint:0 striped 64);
+      Alcotest.check_raises (name "reserve in stripe 1") err (fun () ->
+          ignore (B.reserve ~hint:1 striped 64)))
     [ 0x3F; 0x40; 0x80; 0xC0; 0xFF ]
+
+let free_set buddy =
+  List.sort compare
+    (B.fold_free buddy ~init:[] ~f:(fun acc ~idx ~order -> (idx, order) :: acc))
+
+(* The free set one whole-table walk carves from the device's table now. *)
+let table_ref_free ~stripes dev ~table_base nblocks =
+  ref_free ~stripes (byte_walk (D.read_bytes dev table_base nblocks)) nblocks
+
+(* Property: stripes built lazily — in any order, by any first operation
+   — hold exactly the blocks one walk of the whole table carves.  The
+   table is written without striping and attached with up to 16
+   stripes, so blocks wider than a stripe cross stripe starts.  Stripes
+   are first touched by reserve+cancel, by frees of live blocks
+   (durable or not; only blocks with zero interiors, as the allocator
+   writes them) and now and then by [fold_free] or [stripe_stats], which
+   build every stripe. *)
+let qcheck_lazy_build_equals_reference =
+  let gen = QCheck.(quad (int_bound 127) (int_range 64 1024) (int_range 1 16) int) in
+  QCheck.Test.make ~name:"lazy stripe builds equal a whole-table walk" ~count:300 gen
+    (fun (table_base, nblocks, stripes, seed) ->
+      (* shrinking may step outside the generator's ranges *)
+      let table_base = abs table_base and nblocks = max 64 nblocks in
+      let stripes = max 1 (min 16 stripes) in
+      let rng = Random.State.make [| seed |] in
+      let tbl = random_table ~max_order:(log2 nblocks) rng ~table_base nblocks in
+      let dev, heap_base, heap_len = table_device ~table_base tbl in
+      let buddy = B.attach ~stripes dev ~table_base ~heap_base ~heap_len in
+      let zero_interior (idx, order) =
+        let rec go i =
+          i >= idx + (1 lsl order) || (Bytes.get tbl i = '\000' && go (i + 1))
+        in
+        go (idx + 1)
+      in
+      let live = ref (List.filter zero_interior (byte_walk tbl)) in
+      for _ = 1 to 2 * stripes do
+        match Random.State.int rng ((4 * stripes) + 2) with
+        | 0 -> ignore (B.fold_free buddy ~init:() ~f:(fun () ~idx:_ ~order:_ -> ()))
+        | 1 -> ignore (B.stripe_stats buddy)
+        | k when k land 1 = 0 -> (
+            let size = 64 lsl Random.State.int rng 4 in
+            match B.reserve ~hint:(Random.State.int rng stripes) buddy size with
+            | r -> B.cancel buddy r
+            | exception B.Out_of_pmem -> ())
+        | _ -> (
+            match !live with
+            | [] -> ()
+            | l ->
+                let idx, _ = List.nth l (Random.State.int rng (List.length l)) in
+                B.dealloc ~durable:(Random.State.bool rng) buddy (heap_base + (idx * 64));
+                live := List.filter (fun (i, _) -> i <> idx) l)
+      done;
+      let expect = table_ref_free ~stripes dev ~table_base nblocks in
+      if free_set buddy <> expect then QCheck.Test.fail_report "free set differs";
+      match W.check buddy with Ok () -> true | Error m -> QCheck.Test.fail_report m)
+
+(* The same after [Cow_root.recover] edits table bytes behind an attached
+   allocator: a mod-engine transaction crashes at each persist point in
+   turn; the allocator attaches and builds stripe 0, the CoW recovery
+   rolls the pending intent forward or back, and [rebuild] drops the
+   built lists; the free set is then what one walk of the edited table
+   carves. *)
+let test_lazy_build_after_cow_recover () =
+  let module E = Engines.Mod_engine in
+  let module I = Corundum.Pool_inspect in
+  let edited = ref 0 in
+  for k = 1 to 40 do
+    let eng = E.create ~latency:Pmem.Latency.zero ~size:(2 * 1024 * 1024) () in
+    let swap v tx =
+      let old = E.root tx in
+      let o = E.alloc tx 64 in
+      E.write tx o v;
+      E.set_root tx o;
+      if old <> 0 then E.free tx old
+    in
+    E.transaction eng (swap 7L);
+    let dev = Corundum.Pool_impl.device (E.pool eng) in
+    D.set_crash_countdown dev k;
+    (match E.transaction eng (swap 8L) with
+    | () -> D.set_crash_countdown dev 0
+    | exception D.Crashed -> ());
+    D.power_cycle dev;
+    let info = I.inspect_device dev in
+    let table_base = info.I.table_base and stripes = info.I.nslots in
+    let buddy =
+      B.attach ~stripes dev ~table_base ~heap_base:info.I.heap_base
+        ~heap_len:info.I.heap_len
+    in
+    B.cancel buddy (B.reserve ~hint:0 buddy 64);
+    let cst = Corundum.Cow_root.recover dev (B.table buddy) in
+    if cst.Corundum.Cow_root.table_edited then begin
+      incr edited;
+      B.rebuild buddy
+    end;
+    let nblocks = T.nblocks (B.table buddy) in
+    if free_set buddy <> table_ref_free ~stripes dev ~table_base nblocks then
+      Alcotest.failf "crash point %d: free set differs from a whole-table walk" k;
+    assert_intact buddy
+  done;
+  if !edited = 0 then Alcotest.fail "no crash point made the CoW recovery edit the table"
+
+(* A free into a stripe that is not built yet, racing that stripe's
+   first build: right after an attach, domain A frees blocks of stripe 1
+   (highest first, so the build's walk reaches them last) while domain
+   B's reserve builds it.  The clear is stored under the stripe lock, so
+   each freed block is either inserted into built lists or found free
+   by the build, never both. *)
+let test_release_races_first_build () =
+  let heap_len = 1 lsl 20 in
+  let heap_base = T.table_bytes ~heap_len in
+  let nblocks = heap_len / T.min_block in
+  let half = nblocks / 2 in
+  for round = 1 to 100 do
+    let dev = D.create ~size:(heap_base + heap_len) () in
+    let table = T.create dev ~table_base ~heap_base ~heap_len in
+    (* every other block of stripe 1 allocated, so its build walks 4,096 heads *)
+    for i = 0 to (half / 2) - 1 do
+      T.mark table ~idx:(half + (2 * i)) ~order:0
+    done;
+    let buddy = B.attach ~stripes:2 dev ~table_base ~heap_base ~heap_len in
+    let victims = List.init 64 (fun i -> nblocks - 2 - (2 * i)) in
+    let go = Atomic.make false in
+    let wait () = while not (Atomic.get go) do Domain.cpu_relax () done in
+    let a =
+      Domain.spawn (fun () ->
+          wait ();
+          List.iter
+            (fun idx -> B.dealloc ~durable:false buddy (heap_base + (idx * 64)))
+            victims)
+    in
+    let b =
+      Domain.spawn (fun () ->
+          wait ();
+          B.reserve ~hint:1 buddy 64)
+    in
+    Atomic.set go true;
+    Domain.join a;
+    B.cancel buddy (Domain.join b);
+    (match W.check buddy with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "round %d: %s" round m);
+    if free_set buddy <> table_ref_free ~stripes:2 dev ~table_base nblocks then
+      Alcotest.failf "round %d: free set differs from a whole-table walk" round
+  done
 
 let () =
   Alcotest.run "palloc_buddy"
@@ -688,6 +878,10 @@ let () =
         [
           Alcotest.test_case "attach rebuilds" `Quick test_attach_rebuilds;
           Alcotest.test_case "attach load bound" `Quick test_attach_load_bound;
+          Alcotest.test_case "lazy build after CoW recovery" `Quick
+            test_lazy_build_after_cow_recover;
+          Alcotest.test_case "free races a stripe's first build" `Slow
+            test_release_races_first_build;
           Alcotest.test_case "wrapped order rejected" `Quick
             test_attach_rejects_wrapped_order;
           Alcotest.test_case "attach allocation bound" `Quick
@@ -722,6 +916,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_rebuild_equiv;
           QCheck_alcotest.to_alcotest qcheck_line_walk_equiv;
           QCheck_alcotest.to_alcotest qcheck_incremental_equals_rebuilt;
+          QCheck_alcotest.to_alcotest qcheck_lazy_build_equals_reference;
           QCheck_alcotest.to_alcotest qcheck_int_pairs;
         ] );
     ]

@@ -248,34 +248,34 @@ let pinned name expected script () =
 let scripts =
   [
     ( "pbox",
-      { crc = 0x1ffa299b; loads = 1079; stores = 873; flushes = 668; fences = 229 },
+      { crc = 0x1ffa299b; loads = 639; stores = 873; flushes = 668; fences = 229 },
       pbox_script);
     ( "pvec",
-      { crc = 0xc6eb1df8; loads = 1215; stores = 493; flushes = 452; fences = 93 },
+      { crc = 0xc6eb1df8; loads = 775; stores = 493; flushes = 452; fences = 93 },
       pvec_script);
     ( "pqueue",
-      { crc = 0xa042cb19; loads = 1842; stores = 558; flushes = 432; fences = 92 },
+      { crc = 0xa042cb19; loads = 1402; stores = 558; flushes = 432; fences = 92 },
       pqueue_script);
     ( "pmap",
-      { crc = 0x2ab4d00e; loads = 6078; stores = 2727; flushes = 1026; fences = 433 },
+      { crc = 0x2ab4d00e; loads = 5638; stores = 2727; flushes = 1026; fences = 433 },
       pmap_script);
     ( "pbtree",
-      { crc = 0x84fc9483; loads = 3554; stores = 2773; flushes = 1046; fences = 448 },
+      { crc = 0x84fc9483; loads = 3114; stores = 2773; flushes = 1046; fences = 448 },
       pbtree_script);
     ( "pstack",
-      { crc = 0xf5d44f68; loads = 1839; stores = 463; flushes = 469; fences = 58 },
+      { crc = 0xf5d44f68; loads = 1179; stores = 463; flushes = 469; fences = 58 },
       pstack_script);
     ( "phashtbl",
-      { crc = 0xc44e0811; loads = 3088; stores = 1551; flushes = 773; fences = 297 },
+      { crc = 0xc44e0811; loads = 2648; stores = 1551; flushes = 773; fences = 297 },
       phashtbl_script);
     ( "pstrmap",
-      { crc = 0xa3fb429e; loads = 3610; stores = 2028; flushes = 917; fences = 415 },
+      { crc = 0xa3fb429e; loads = 3170; stores = 2028; flushes = 917; fences = 415 },
       pstrmap_script);
     ( "pbytes",
-      { crc = 0x004ed13d; loads = 950; stores = 495; flushes = 473; fences = 117 },
+      { crc = 0x004ed13d; loads = 510; stores = 495; flushes = 473; fences = 117 },
       pbytes_script);
     ( "plog",
-      { crc = 0x89b3b849; loads = 1459; stores = 368; flushes = 390; fences = 55 },
+      { crc = 0x89b3b849; loads = 1019; stores = 368; flushes = 390; fences = 55 },
       plog_script);
   ]
 

@@ -444,7 +444,10 @@ let test_capture_diff_canned () =
 (* Crash a transaction mid-commit, capture the reattach through the
    probe bus, and check the per-phase recovery timings arrive both in
    Recovery.stats.phase_ns (via the pool) and in the pprof report (via
-   Recovery_phase probe events) — the full observability loop. *)
+   Recovery_phase probe events) — the full observability loop.  The
+   attach loads no allocation-table line: an impossible order byte at a
+   free entry of every line would stop any walk of the table, yet only
+   the first reserve, which builds its stripe, meets one. *)
 let test_recovery_phase_timings () =
   fresh ();
   let config =
@@ -467,9 +470,24 @@ let test_recovery_phase_timings () =
    with D.Crashed -> ());
   D.set_crash_countdown dev 0;
   D.power_cycle dev;
+  let table = Palloc.Buddy.table (Pool_impl.buddy pool) in
+  let module T = Palloc.Alloc_table in
+  let live = ref [] in
+  T.iter_allocated table (fun ~idx ~order -> live := (idx, idx + (1 lsl order)) :: !live);
+  let free idx = not (List.exists (fun (lo, hi) -> lo <= idx && idx < hi) !live) in
+  let poisoned = ref (-1) in
+  for idx = 0 to T.nblocks table - 1 do
+    if T.entry_line table idx <> !poisoned && free idx then begin
+      T.mark_durable table ~idx ~order:63;
+      poisoned := T.entry_line table idx
+    end
+  done;
   Pprof.Capture.start ();
   let pool2 = Pool_impl.attach dev in
   let events = Pprof.Capture.stop () in
+  Alcotest.match_raises "the first reserve builds a poisoned stripe"
+    (function Invalid_argument m -> T.is_order_error m | _ -> false)
+    (fun () -> ignore (Palloc.Buddy.reserve (Pool_impl.buddy pool2) 64));
   let stats = Pool_impl.recovery_stats pool2 in
   check_bool "transaction rolled back" true
     (stats.Pjournal.Recovery.rolled_back >= 1);
@@ -480,14 +498,16 @@ let test_recovery_phase_timings () =
     (fun name ->
       check_bool (name ^ " phase timed") true
         (match phase name with Some d -> d > 0.0 | None -> false))
-    [ "walk"; "rollback"; "truncate"; "table_scan" ];
+    [ "walk"; "rollback"; "truncate" ];
+  check_bool "no table_scan phase" false
+    (List.mem_assoc "table_scan" stats.Pjournal.Recovery.phase_ns);
   (* the same ledger reaches an offline observer through the capture *)
   let r = Pprof.analyze ~label:"recovery" events in
   List.iter
     (fun name ->
       check_bool (name ^ " phase in the pprof report") true
         (List.mem_assoc name r.Pprof.recovery_phases))
-    [ "walk"; "rollback"; "truncate"; "table_scan" ];
+    [ "walk"; "rollback"; "truncate" ];
   check_bool "recovery persists counted exempt" true
     (r.Pprof.recovery_flushes > 0 || r.Pprof.recovery_fences > 0);
   check_int "no waste claimed inside the recovery window" 0

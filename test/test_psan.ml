@@ -342,13 +342,13 @@ let test_live_replay_parity () =
       check_bool "missing-flush: psan found V2" true (has_class Psan.V2);
       Alcotest.(check string)
         "missing-flush: conformance verdict"
-        "23392 events, 364 txs, 268 commit points, 343 truncates, 0 drop \
+        "23272 events, 364 txs, 268 commit points, 343 truncates, 0 drop \
          applies: 5 violations\n\
-        \  at event 6102: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
-        \  at event 6268: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
-        \  at event 22635: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
-        \  at event 23119: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
-        \  at event 23367: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n"
+        \  at event 6064: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
+        \  at event 6229: C-EPOCH-MONOTONE: slot 0x1000 epoch 3 after 1\n\
+        \  at event 22519: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
+        \  at event 23001: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n\
+        \  at event 23248: C-EPOCH-MONOTONE: slot 0x1000 epoch 5 after 3\n"
         verdict;
       let verdict = parity "2-domain" (fun () -> snd (two_domain_pool ()) ()) in
       Alcotest.(check string)
